@@ -313,9 +313,12 @@ let add_filter t ~caller ch program =
 
 (* Population fast path for the sparse-scale benches: stamp a verified
    template's constraints with another connection's bytes.  Skips the
-   overlap scan [install_filter] runs — distinct 4-tuples cannot
-   overlap, and an O(n) conflict check per entry would make a 10^6
-   population quadratic. *)
+   overlap check [install_filter] runs: that check reads an entry's
+   installed program, which for a stamped entry is the template's, so
+   the template's own install already made it, and distinct 4-tuples
+   cannot overlap each other.  The entry joins the template's overlap
+   group, so later checks against the table cost the same however many
+   entries were stamped. *)
 let add_stamped_filter t ~caller ch ~template ~constraints ~min_len =
   require_privileged caller "Netio.add_stamped_filter";
   match

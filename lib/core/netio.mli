@@ -124,8 +124,11 @@ val add_stamped_filter :
     connection filter from an already-admitted conjunctive-exact
     [template] entry by overriding its byte constraints
     ({!Uln_filter.Demux.install_stamped}).  Skips the per-install
-    overlap scan — distinct 4-tuples cannot overlap, and an O(n) check
-    per entry would make a 10^6-connection population quadratic.
+    overlap check: a stamped entry carries its template's program, which
+    the template's install already checked, and distinct 4-tuples cannot
+    overlap.  The entry joins the template's overlap group
+    ({!Uln_filter.Demux.live_groups}), so the checks later installs run
+    do not grow with the stamped population.
     @raise Capability.Violation unless [caller] is privileged.
     @raise Invalid_argument if [template] is unknown or inexact. *)
 

@@ -580,9 +580,15 @@ let tw_park_u t sh ~key ~port =
         (Timers.arm t.tw_timers
            (Time.span_scale t.prm.Tcp_params.msl 2)
            (fun () ->
-             (* Timer context: cross-shard, so defer to the shard. *)
-             shard_defer t sh (fun () ->
-                 shard_sync ~site:"registry.tw_expire" t sh (fun () -> tw_expire_u t sh entry))));
+             (* Timer context: cross-shard, so defer to the shard.  The
+                post charges CPU time, which only a thread can wait for. *)
+             let expire () =
+               shard_sync ~site:"registry.tw_expire" t sh (fun () -> tw_expire_u t sh entry)
+             in
+             if t.sharded then
+               Sched.spawn t.machine.Machine.sched ~name:"registry.tw_expire" (fun () ->
+                   shard_defer t sh expire)
+             else expire ()));
     Hashtbl.replace sh.sh_tw_entries key entry;
     Queue.push entry sh.sh_tw_order;
     t.tw_parked <- t.tw_parked + 1;

@@ -3,6 +3,7 @@ type waker = unit -> unit
 exception Deadlock of string
 
 type t = {
+  id : int;
   mutable clock : Time.t;
   events : (unit -> unit) Pheap.t;
   mutable seq : int;
@@ -13,14 +14,19 @@ type t = {
 
 type _ Effect.t += Suspend : (waker -> unit) -> unit Effect.t
 
+let next_id = ref 0
+
 let create () =
-  { clock = Time.zero;
+  incr next_id;
+  { id = !next_id;
+    clock = Time.zero;
     events = Pheap.create ();
     seq = 0;
     runq = Queue.create ();
     failure = None;
     current = None }
 
+let id t = t.id
 let now t = t.clock
 let pending_events t = Pheap.size t.events
 

@@ -24,6 +24,10 @@ exception Deadlock of string
 val create : unit -> t
 (** A fresh scheduler with the clock at {!Time.zero}. *)
 
+val id : t -> int
+(** A process-unique identity, stable for the scheduler's lifetime (for
+    hashing a scheduler without reading its mutable state). *)
+
 val now : t -> Time.t
 (** Current simulated time. *)
 

@@ -1,8 +1,22 @@
 type mode = Interpreted | Compiled
 
+(* The overlap check's unit of work: one program object and its
+   analysis, shared by every live entry that carries that program.  An
+   [install] founds a group; a stamped entry joins its template's group,
+   because its program is the template's.  The analysis is computed at
+   most once per group, on the first overlap check that needs it. *)
+type group = {
+  g_id : int;  (* the founding entry's id *)
+  g_program : Program.t;  (* as installed (overlap checks use this) *)
+  g_analysis : Absint.result Lazy.t;
+  mutable g_live : int;  (* live entries in the group; dropped at 0 *)
+}
+
+type key = int
+
 type 'a entry = {
   id : int;
-  program : Program.t;  (* as installed (overlap checks use this) *)
+  group : group;
   optimized : Program.t;  (* what actually runs *)
   predicate : Uln_buf.View.t -> bool * int;
   wcet : int;
@@ -24,8 +38,6 @@ type 'a entry = {
          compacted lazily (amortized O(1) remove); a dead entry is
          skipped at zero cost everywhere it could still be seen. *)
 }
-
-type key = int
 
 type 'a conflict = { against : key; with_endpoint : 'a; witness : Uln_buf.View.t }
 
@@ -71,6 +83,10 @@ type 'a t = {
   mutable shapes : 'a shape list;
   mutable hshapes : 'a hshape list;
   mutable residual : 'a entry list;  (* inexact entries, priority order *)
+  groups : (int, group) Hashtbl.t;  (* live overlap-check groups, by [g_id] *)
+  stamp_accept : (key, int) Hashtbl.t;
+      (* a template's accept cycles on its own accept packet, measured
+         at its first stamped install; dropped with the template *)
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_installs : int;
@@ -91,6 +107,8 @@ let create ~mode ?budget ?(flow_cache = false) ?(hier = false) () =
     shapes = [];
     hshapes = [];
     residual = [];
+    groups = Hashtbl.create 8;
+    stamp_accept = Hashtbl.create 8;
     c_hits = 0;
     c_misses = 0;
     c_installs = 0;
@@ -129,36 +147,42 @@ let set_flow_cache t on =
    differential tests can flip it between lookups on the same table. *)
 let set_hier t on = t.hier <- on
 
+let live_groups t = Hashtbl.length t.groups
+
+(* One verdict per live group, not per entry: a populated table holds
+   few distinct programs (a stamped population is one group), so the
+   common clean case never walks [entries].  Only when some group
+   conflicts does the priority-ordered walk run, to report each of its
+   live entries in the same order as a per-entry check would. *)
 let conflicts t program =
-  (* Single-slot memo on the physical program: stamped populations share
-     their template's program object and sit consecutively in the list,
-     so a 10^6-entry table costs one symbolic overlap check for the
-     whole run instead of one per entry. *)
-  let last : (Program.t option * Uln_buf.View.t option) ref = ref (None, None) in
-  let overlap p =
-    match !last with
-    | Some q, r when q == p -> r
-    | _ ->
-        let r =
-          match Verify.overlap_witness program p with
+  if Hashtbl.length t.groups = 0 then []
+  else begin
+    let a = Absint.analyze program in
+    let hits =
+      Hashtbl.fold
+        (fun id g acc ->
+          let ga = Lazy.force g.g_analysis in
+          match Verify.overlap_witness_analyzed (program, a) (g.g_program, ga) with
           | Some witness
             when not
-                   (Verify.subsumes ~general:program ~specific:p
-                   || Verify.subsumes ~general:p ~specific:program) ->
-              Some witness
-          | _ -> None
-        in
-        last := (Some p, r);
-        r
-  in
-  List.filter_map
-    (fun e ->
-      if e.dead then None
-      else
-        match overlap e.program with
-        | Some witness -> Some { against = e.id; with_endpoint = e.endpoint; witness }
-        | None -> None)
-    t.entries
+                   (Verify.subsumes_analyzed ~general:a ~specific:ga
+                   || Verify.subsumes_analyzed ~general:ga ~specific:a) ->
+              (id, witness) :: acc
+          | _ -> acc)
+        t.groups []
+    in
+    if hits = [] then []
+    else
+      let witness_of = Hashtbl.of_seq (List.to_seq hits) in
+      List.filter_map
+        (fun e ->
+          if e.dead then None
+          else
+            match Hashtbl.find_opt witness_of e.group.g_id with
+            | Some witness -> Some { against = e.id; with_endpoint = e.endpoint; witness }
+            | None -> None)
+        t.entries
+  end
 
 (* --- the hierarchical index -------------------------------------------- *)
 
@@ -209,6 +233,9 @@ let hindex_remove t (e : 'a entry) =
 (* --- install / remove --------------------------------------------------- *)
 
 let add_entry t entry =
+  let g = entry.group in
+  if g.g_live = 0 then Hashtbl.replace t.groups g.g_id g;
+  g.g_live <- g.g_live + 1;
   t.entries <- entry :: t.entries;
   Hashtbl.replace t.by_id entry.id entry;
   t.n_entries <- t.n_entries + 1;
@@ -217,7 +244,8 @@ let add_entry t entry =
 
 let install ?(optimize = true) ?(affinity = 0) t program endpoint =
   let optimized = if optimize then Optimize.run program else program in
-  match Verify.admit ?budget:t.budget ~compiled:(t.mode = Compiled) optimized with
+  let a = Absint.analyze optimized in
+  match Verify.admit_analyzed ?budget:t.budget ~compiled:(t.mode = Compiled) a with
   | Error e -> Error e
   | Ok report ->
       let predicate =
@@ -231,7 +259,6 @@ let install ?(optimize = true) ?(affinity = 0) t program endpoint =
         | Compiled -> report.Verify.wcet_compiled
       in
       let exact =
-        let a = Absint.analyze optimized in
         if a.Absint.r_conjunctive then
           match a.Absint.r_accept_paths with
           | [ ap ] when ap.Absint.ap_exact && ap.Absint.ap_at = None ->
@@ -240,8 +267,15 @@ let install ?(optimize = true) ?(affinity = 0) t program endpoint =
         else None
       in
       t.next_id <- t.next_id + 1;
+      let group =
+        { g_id = t.next_id;
+          g_program = program;
+          g_analysis =
+            (if program == optimized then Lazy.from_val a else lazy (Absint.analyze program));
+          g_live = 0 }
+      in
       let entry =
-        { id = t.next_id; program; optimized; predicate; wcet; report; exact; endpoint;
+        { id = t.next_id; group; optimized; predicate; wcet; report; exact; endpoint;
           affinity; dead = false }
       in
       add_entry t entry;
@@ -268,9 +302,10 @@ let packet_of_constraints ecs min_len =
    instruction structure, identical worst case), which is what makes a
    10^6-entry population feasible.  The entry's dispatch behaviour is
    the constraint predicate itself; its charged cycle costs are measured
-   once from the template's real program — the accept cost on the
-   template's own accept packet, the reject cost on a stamped near-miss
-   (a packet differing only in the stamped bytes). *)
+   from the template's real program — the accept cost on the template's
+   own accept packet (once per template), the reject cost on this
+   entry's stamped near-miss (a packet differing only in the stamped
+   bytes). *)
 let install_stamped ?(affinity = 0) t ~template ~constraints ~min_len endpoint =
   match Hashtbl.find_opt t.by_id template with
   | None -> Error "install_stamped: unknown template"
@@ -282,7 +317,14 @@ let install_stamped ?(affinity = 0) t ~template ~constraints ~min_len endpoint =
           if constraints = [] then Error "install_stamped: empty constraint set"
           else begin
             let ecs = sort_constraints constraints in
-            let _, accept_cycles = te.predicate (packet_of_constraints tcs tml) in
+            let accept_cycles =
+              match Hashtbl.find_opt t.stamp_accept template with
+              | Some c -> c
+              | None ->
+                  let _, c = te.predicate (packet_of_constraints tcs tml) in
+                  Hashtbl.replace t.stamp_accept template c;
+                  c
+            in
             let _, reject_cycles = te.predicate (packet_of_constraints ecs min_len) in
             let predicate pkt =
               let plen = Uln_buf.View.length pkt in
@@ -297,7 +339,7 @@ let install_stamped ?(affinity = 0) t ~template ~constraints ~min_len endpoint =
             t.next_id <- t.next_id + 1;
             let entry =
               { id = t.next_id;
-                program = te.program;
+                group = te.group;
                 optimized = te.optimized;
                 predicate;
                 wcet = te.wcet;
@@ -327,6 +369,10 @@ let remove t key =
       t.n_entries <- t.n_entries - 1;
       t.n_dead <- t.n_dead + 1;
       hindex_remove t e;
+      Hashtbl.remove t.stamp_accept key;
+      let g = e.group in
+      g.g_live <- g.g_live - 1;
+      if g.g_live = 0 then Hashtbl.remove t.groups g.g_id;
       if t.n_dead > t.n_entries && t.n_dead > 32 then compact t;
       flush_cache t
 

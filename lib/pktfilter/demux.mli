@@ -124,11 +124,12 @@ val install_stamped :
     exact [template] by overriding its byte constraints.  No verifier
     pass runs (the template's certificate covers the stamped program:
     identical structure, identical worst case), and the entry shares the
-    template's program and report, so populating a table with 10^5-10^6
-    connection entries is feasible.  Charged cycle costs are measured
-    once from the template's real program: its accept cost, and its
-    reject cost on a stamped near-miss packet.  Errors if [template] is
-    unknown, removed, or not conjunctive-exact. *)
+    template's program, report and overlap-check group, so populating a
+    table with 10^5-10^6 connection entries is feasible.  Charged cycle
+    costs are measured from the template's real program: its accept
+    cost (once per template), and its reject cost on this entry's
+    stamped near-miss packet.  Errors if [template] is unknown,
+    removed, or not conjunctive-exact. *)
 
 val affinity : 'a t -> key -> int option
 (** The CPU affinity recorded for an installed entry. *)
@@ -144,7 +145,19 @@ val conflicts : 'a t -> Program.t -> 'a conflict list
     shadowing — pairs where either filter {!Verify.subsumes} the other
     (a connection filter under its listener, or an identical re-install
     during connection handoff).  What remains is the
-    eavesdropping/ambiguity hazard the registry must surface. *)
+    eavesdropping/ambiguity hazard the registry must surface.
+
+    Cost: one symbolic overlap check per live program group (see
+    {!live_groups}), with each installed program analysed once in its
+    lifetime and [program] once per call — not one check per installed
+    entry.  Only when some group conflicts are the entries walked, in
+    priority order, to list that group's members. *)
+
+val live_groups : 'a t -> int
+(** Number of distinct programs the overlap check visits: each
+    {!install} adds one, each {!install_stamped} entry joins its
+    template's, and a group leaves once its last entry is removed.  A
+    table of [n] entries stamped from one template is one group. *)
 
 val remove : 'a t -> key -> unit
 

@@ -49,8 +49,8 @@ let report_of_absint (a : Absint.result) =
 
 let analyze program = report_of_absint (Absint.analyze program)
 
-let admit ?budget ?(compiled = false) program =
-  let r = analyze program in
+let admit_analyzed ?budget ?(compiled = false) a =
+  let r = report_of_absint a in
   if r.vacuity = Always_false then Error Vacuous_always_false
   else
     let wcet = if compiled then r.wcet_compiled else r.wcet_interp in
@@ -58,32 +58,34 @@ let admit ?budget ?(compiled = false) program =
     | Some b when wcet > b -> Error (Over_budget { wcet; budget = b })
     | _ -> Ok r
 
+let admit ?budget ?compiled program = admit_analyzed ?budget ?compiled (Absint.analyze program)
+
 (* --- overlap and subsumption ------------------------------------------- *)
 
-(* Merge two sorted byte-constraint lists; [None] on conflict. *)
+(* Merge two offset-sorted byte-constraint lists; [None] on conflict.
+   Sortedness puts every pin of one offset next to each other in the
+   merged walk, so comparing against the last pin kept is enough — also
+   for a duplicate or self-contradicting offset within one list. *)
 let merge_constraints c1 c2 =
-  let tbl = Hashtbl.create 16 in
-  let add c =
-    List.for_all
-      (fun (o, v) ->
-        match Hashtbl.find_opt tbl o with
-        | Some v' -> v' = v
-        | None ->
-            Hashtbl.replace tbl o v;
-            true)
-      c
+  let rec go acc c1 c2 =
+    match (c1, c2) with
+    | [], [] -> Some (List.rev acc)
+    | ((o1, _) as x) :: r1, (o2, _) :: _ when o1 <= o2 -> keep acc x r1 c2
+    | x :: r1, [] -> keep acc x r1 c2
+    | _, x :: r2 -> keep acc x c1 r2
+  and keep acc ((o, v) as x) c1 c2 =
+    match acc with
+    | (o', v') :: _ when o' = o -> if v' = v then go acc c1 c2 else None
+    | _ -> go (x :: acc) c1 c2
   in
-  if add c1 && add c2 then
-    Some (List.sort compare (Hashtbl.fold (fun o v acc -> (o, v) :: acc) tbl []))
-  else None
+  go [] c1 c2
 
 let witness_of ~len constraints =
   let v = View.create len in
   List.iter (fun (o, b) -> if o < len then View.set_uint8 v o b) constraints;
   v
 
-let overlap_witness p1 p2 =
-  let r1 = Absint.analyze p1 and r2 = Absint.analyze p2 in
+let overlap_witness_analyzed (p1, (r1 : Absint.result)) (p2, (r2 : Absint.result)) =
   let try_pair (a1 : Absint.accept_path) (a2 : Absint.accept_path) =
     match merge_constraints a1.Absint.ap_constraints a2.Absint.ap_constraints with
     | None -> None
@@ -99,15 +101,20 @@ let overlap_witness p1 p2 =
     (fun a1 -> List.find_map (fun a2 -> try_pair a1 a2) r2.Absint.r_accept_paths)
     r1.Absint.r_accept_paths
 
-let subsumes ~general ~specific =
-  let rg = Absint.analyze general and rs = Absint.analyze specific in
-  match (rg.Absint.r_accept_paths, rs.Absint.r_accept_paths) with
-  | [ ag ], [ as_ ] when rg.Absint.r_conjunctive && rs.Absint.r_conjunctive ->
+let overlap_witness p1 p2 =
+  overlap_witness_analyzed (p1, Absint.analyze p1) (p2, Absint.analyze p2)
+
+let subsumes_analyzed ~(general : Absint.result) ~(specific : Absint.result) =
+  match (general.Absint.r_accept_paths, specific.Absint.r_accept_paths) with
+  | [ ag ], [ as_ ] when general.Absint.r_conjunctive && specific.Absint.r_conjunctive ->
       ag.Absint.ap_min_len <= as_.Absint.ap_min_len
       && List.for_all
            (fun (o, v) -> List.mem (o, v) as_.Absint.ap_constraints)
            ag.Absint.ap_constraints
   | _ -> false
+
+let subsumes ~general ~specific =
+  subsumes_analyzed ~general:(Absint.analyze general) ~specific:(Absint.analyze specific)
 
 (* --- template consistency ---------------------------------------------- *)
 

@@ -33,6 +33,12 @@ val admit : ?budget:int -> ?compiled:bool -> Program.t -> (report, error) result
     is given, programs whose worst-case cost (in the mode selected by
     [compiled], default interpreted) exceeds it. *)
 
+val admit_analyzed :
+  ?budget:int -> ?compiled:bool -> Absint.result -> (report, error) result
+(** {!admit} on an analysis the caller already holds, so an install
+    that also needs the analysis (the demux exactness proof) runs the
+    abstract interpreter once. *)
+
 val overlap_witness : Program.t -> Program.t -> Uln_buf.View.t option
 (** A concrete packet both programs accept, if the analysis can build
     one: candidate packets are synthesized from pairs of accept-path
@@ -44,6 +50,20 @@ val subsumes : general:Program.t -> specific:Program.t -> bool
 (** [true] when every packet [specific] accepts, [general] provably
     accepts too (e.g. a per-connection filter under the listener's
     port filter).  Only decided within the conjunctive fragment. *)
+
+val overlap_witness_analyzed :
+  Program.t * Absint.result -> Program.t * Absint.result -> Uln_buf.View.t option
+(** {!overlap_witness} on programs paired with their analyses: the
+    demux table checks one incoming program against every installed one
+    and analyses each program once, not once per pair. *)
+
+val subsumes_analyzed : general:Absint.result -> specific:Absint.result -> bool
+(** {!subsumes} on analyses. *)
+
+val merge_constraints : (int * int) list -> (int * int) list -> (int * int) list option
+(** Union of two offset-sorted [(byte offset, value)] constraint lists,
+    sorted and with one pin per offset; [None] when some offset is
+    pinned to two values (across the lists or within one). *)
 
 type template_error =
   | Template_inconsistent of { offset : int }

@@ -288,13 +288,29 @@ let prop_fastpath_equivalent_under_faults =
       && String.equal got_s (pattern n)
       && segs_f = segs_s && leased > 0)
 
+(* The lease ladder with the registry sharded: TIME_WAIT wheel expiry
+   fires in timer context, and its hand-off to the owning shard is an
+   IPC that charges CPU time, so it must be posted from a thread. *)
+let test_lease_wheel_sharded () =
+  let prm =
+    { (List.assoc "+lease" Uln_workload.Churn.configs) with Tcp_params.shard_registry = true }
+  in
+  let r =
+    Uln_workload.Churn.run ~pairs:2 ~conns_per_pair:64 ~tcp_params:prm ~config:"+lease+shard"
+      ~network:World.Ethernet ~org:Organization.User_library ()
+  in
+  check "every connect returned Ok" 128 r.Uln_workload.Churn.r_conns;
+  check_bool "residues parked on the wheel" true (r.Uln_workload.Churn.r_tw_parked > 0)
+
 let () =
   Alcotest.run "churn"
     [ ( "time-wait-wheel",
         [ Alcotest.test_case "abnormal exit: one RST" `Quick test_abnormal_exit_one_rst;
           Alcotest.test_case "graceful exit holds TIME_WAIT" `Quick
             test_graceful_exit_holds_time_wait;
-          Alcotest.test_case "port reuse after expiry" `Quick test_port_reuse_after_expiry ] );
+          Alcotest.test_case "port reuse after expiry" `Quick test_port_reuse_after_expiry;
+          Alcotest.test_case "lease ladder with sharded registry" `Quick
+            test_lease_wheel_sharded ] );
       ( "leases",
         [ Alcotest.test_case "exhaustion is typed and recoverable" `Quick
             test_lease_exhaustion_and_release ] );

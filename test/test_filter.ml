@@ -429,6 +429,150 @@ let test_subsumption_not_flagged () =
         (Interp.run a c.Demux.witness && Interp.run b c.Demux.witness)
   | cs -> Alcotest.fail (Printf.sprintf "expected exactly one conflict, got %d" (List.length cs))
 
+(* --- overlap check by program group ------------------------------------------- *)
+
+(* The per-entry walk [Demux.conflicts] replaced, kept as the reference:
+   every live entry, newest first, checked against [program] on its own. *)
+let reference_conflicts live program =
+  List.filter_map
+    (fun (k, p, ep) ->
+      match Verify.overlap_witness program p with
+      | Some w
+        when not
+               (Verify.subsumes ~general:program ~specific:p
+               || Verify.subsumes ~general:p ~specific:program) ->
+          Some (k, ep, View.to_string w)
+      | _ -> None)
+    live
+
+(* Overlapping, disjoint, subsuming (a listener with connection filters
+   under it) and non-conjunctive programs. *)
+let overlap_pool =
+  [| conj_prog [ (12, 0x0800); (34, 99) ];
+     conj_prog [ (12, 0x0800); (36, 80) ];
+     conj_prog [ (12, 0x0800); (34, 99); (36, 80) ];
+     conj_prog [ (12, 0x0800) ];
+     conj_prog [ (12, 0x0806) ];
+     Program.tcp_dst_port ~dst_ip:ip_b ~dst_port:80;
+     Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:1234 ~dst_port:80;
+     Program.tcp_conn ~src_ip:ip_c ~dst_ip:ip_b ~src_port:1234 ~dst_port:80;
+     Program.udp_port ~dst_ip:ip_b ~dst_port:80;
+     Program.arp ();
+     Program.of_insns
+       Insn.[ Push_word 34; Push_lit 99; Eq; Cor; Push_word 36; Push_lit 80; Eq ] |]
+
+type table_op = Install of int | Stamp of int * int | Remove of int | Query of int
+
+let gen_table_ops =
+  let open QCheck.Gen in
+  list_size (1 -- 150)
+    (frequency
+       [ (4, map (fun i -> Install i) nat);
+         (4, map2 (fun i v -> Stamp (i, v)) nat nat);
+         (3, map (fun i -> Remove i) nat);
+         (2, map (fun i -> Query i) nat) ])
+
+let pp_table_op = function
+  | Install i -> Printf.sprintf "install %d" i
+  | Stamp (i, v) -> Printf.sprintf "stamp %d %d" i v
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Query i -> Printf.sprintf "query %d" i
+
+let prop_conflicts_match_reference =
+  QCheck.Test.make ~name:"grouped conflicts = per-entry walk (install/stamp/remove)" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_table_op ops)) gen_table_ops)
+    (fun ops ->
+      let d = Demux.create ~mode:Demux.Interpreted ~hier:true () in
+      let live = ref [] (* (key, program as installed, endpoint), newest first *) in
+      let next_ep = ref 0 in
+      let pick l i = List.nth l (i mod List.length l) in
+      let agrees probe =
+        let got =
+          List.map
+            (fun (c : int Demux.conflict) ->
+              (c.Demux.against, c.Demux.with_endpoint, View.to_string c.Demux.witness))
+            (Demux.conflicts d probe)
+        in
+        got = reference_conflicts !live probe
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Install i -> (
+              let p = overlap_pool.(i mod Array.length overlap_pool) in
+              incr next_ep;
+              match Demux.install d p !next_ep with
+              | Ok k -> live := (k, p, !next_ep) :: !live
+              | Error _ -> ())
+          | Stamp (i, v) when !live <> [] -> (
+              let tk, tp, _ = pick !live i in
+              incr next_ep;
+              match
+                Demux.install_stamped d ~template:tk
+                  ~constraints:[ (34, v land 0xff); (35, (v lsr 8) land 0xff) ]
+                  ~min_len:54 !next_ep
+              with
+              | Ok k -> live := (k, tp, !next_ep) :: !live
+              | Error _ -> ())
+          | Remove i when !live <> [] ->
+              let k, _, _ = pick !live i in
+              Demux.remove d k;
+              live := List.filter (fun (k', _, _) -> k' <> k) !live
+          | Stamp _ | Remove _ | Query _ -> ());
+          match op with
+          | Query i -> agrees overlap_pool.(i mod Array.length overlap_pool)
+          | _ -> true)
+        ops
+      && Array.for_all agrees overlap_pool)
+
+(* The merge [Verify.merge_constraints] replaced: a table of pins. *)
+let merge_constraints_tbl c1 c2 =
+  let tbl = Hashtbl.create 16 in
+  let add c =
+    List.for_all
+      (fun (o, v) ->
+        match Hashtbl.find_opt tbl o with
+        | Some v' -> v' = v
+        | None ->
+            Hashtbl.replace tbl o v;
+            true)
+      c
+  in
+  if add c1 && add c2 then
+    Some (List.sort compare (Hashtbl.fold (fun o v acc -> (o, v) :: acc) tbl []))
+  else None
+
+let prop_merge_matches_table =
+  (* Few offsets and values, so duplicate pins and self-contradicting
+     offsets within one list are common. *)
+  let pins = QCheck.Gen.(list_size (0 -- 8) (pair (0 -- 7) (0 -- 2)) >|= List.sort compare) in
+  QCheck.Test.make ~name:"linear merge_constraints = table merge" ~count:2000
+    QCheck.(make ~print:Print.(pair (list (pair int int)) (list (pair int int))) Gen.(pair pins pins))
+    (fun (c1, c2) -> Verify.merge_constraints c1 c2 = merge_constraints_tbl c1 c2)
+
+let test_stamped_population_one_group () =
+  let d = Demux.create ~mode:Demux.Interpreted ~hier:true () in
+  let tk =
+    Demux.install_exn d (Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:9999 ~dst_port:80) 0
+  in
+  for i = 1 to 65_536 do
+    match
+      Demux.install_stamped d ~template:tk
+        ~constraints:[ (28, (i lsr 8) land 0xff); (29, i land 0xff); (34, 0x27); (35, 0x0f) ]
+        ~min_len:54 i
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  check "entries" 65_537 (Demux.entries d);
+  check "template and its stamps are one group" 1 (Demux.live_groups d);
+  let lk = Demux.install_exn d (Program.tcp_dst_port ~dst_ip:ip_b ~dst_port:81) (-1) in
+  check "an install founds its own group" 2 (Demux.live_groups d);
+  Demux.remove d tk;
+  check "stamps keep the template's group alive" 2 (Demux.live_groups d);
+  Demux.remove d lk;
+  check "an empty group is dropped" 1 (Demux.live_groups d)
+
 (* --- dispatch cost accounting ------------------------------------------------- *)
 
 let test_dispatch_charges_executed_only () =
@@ -543,7 +687,11 @@ let () =
       ( "overlap",
         [ Alcotest.test_case "partial overlap witness" `Quick test_overlap_witness;
           Alcotest.test_case "disjoint ports" `Quick test_overlap_disjoint;
-          Alcotest.test_case "subsumption not flagged" `Quick test_subsumption_not_flagged ] );
+          Alcotest.test_case "subsumption not flagged" `Quick test_subsumption_not_flagged;
+          qc prop_conflicts_match_reference;
+          qc prop_merge_matches_table;
+          Alcotest.test_case "stamped population is one group" `Quick
+            test_stamped_population_one_group ] );
       ( "cost",
         [ Alcotest.test_case "charges executed cycles" `Quick test_dispatch_charges_executed_only ] );
       ( "optimize",

@@ -127,6 +127,37 @@ let test_mutex_stats_and_registry () =
   check "registry cleared for this sched" 0
     (List.length (Semaphore.registered ~sched ()))
 
+(* Named locks register per scheduler, weakly: once a world is dropped,
+   its registrations must not keep its scheduler reachable, while a
+   live scheduler's locks stay listed (filtered and unfiltered). *)
+let test_registry_releases_dropped_worlds () =
+  let probe = Weak.create 1 in
+  let live = Sched.create () in
+  let _keep = Semaphore.create ~name:"test.keep" ~sched:live () in
+  let[@inline never] run_and_drop () =
+    let w = World.create ~network:World.Ethernet ~org:Organization.User_library () in
+    let sched = World.sched w in
+    let app = World.app w ~host:1 "srv" in
+    Sched.spawn sched ~name:"srv" (fun () ->
+        let l = app.Sockets.listen ~port:80 in
+        (l.Sockets.accept ()).Sockets.close ());
+    let cli = World.app w ~host:0 "cli" in
+    Sched.block_on sched (fun () ->
+        match cli.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:80 with
+        | Error e -> failwith e
+        | Ok c -> c.Sockets.close ());
+    check_bool "the world registered named locks" true (Semaphore.registered ~sched () <> []);
+    Weak.set probe 0 (Some sched)
+  in
+  run_and_drop ();
+  Gc.full_major ();
+  check_bool "dropped world's scheduler collected" false (Weak.check probe 0);
+  let named regs = List.map (fun (r : Semaphore.stats) -> r.Semaphore.s_name) regs in
+  check_bool "live scheduler's lock still listed" true
+    (List.mem "test.keep" (named (Semaphore.registered ~sched:live ())));
+  check_bool "and in the unfiltered listing" true
+    (List.mem "test.keep" (named (Semaphore.registered ())))
+
 (* --- lock-order sanitizer ----------------------------------------------- *)
 
 let test_abba_reported_not_deadlocked () =
@@ -502,6 +533,8 @@ let () =
         [ Alcotest.test_case "semaphore stats" `Quick test_semaphore_contention_stats;
           Alcotest.test_case "try_wait" `Quick test_try_wait_counts_successes_only;
           Alcotest.test_case "mutex stats + registry" `Quick test_mutex_stats_and_registry;
+          Alcotest.test_case "registry releases dropped worlds" `Quick
+            test_registry_releases_dropped_worlds;
           Alcotest.test_case "ABBA reported, not deadlocked" `Quick
             test_abba_reported_not_deadlocked;
           Alcotest.test_case "declared order stays clean" `Quick
