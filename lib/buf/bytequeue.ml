@@ -32,17 +32,21 @@ let push_string t s =
   Bytes.blit_string s 0 t.data (t.head + t.len) n;
   t.len <- t.len + n
 
-let push t v = push_string t (View.to_string v)
+let push t (v : View.t) =
+  let n = v.View.len in
+  ensure t n;
+  Bytes.blit v.View.buffer v.View.off t.data (t.head + t.len) n;
+  t.len <- t.len + n
 
 let peek t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then
     raise (View.Bounds "Bytequeue.peek: range exceeds queue");
-  View.of_string (Bytes.sub_string t.data (t.head + off) len)
+  View.of_bytes (Bytes.sub t.data (t.head + off) len)
 
 let peek_sum t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then
     raise (View.Bounds "Bytequeue.peek_sum: range exceeds queue");
-  let dst = View.create len in
+  let dst = View.of_bytes (Bytes.create len) in
   let src = { View.buffer = t.data; off = t.head + off; len } in
   let sum = View.blit_sum src 0 dst 0 len in
   (dst, sum)

@@ -52,6 +52,23 @@ let flatten t =
 
 let to_string t = View.to_string (flatten t)
 
+let blit t off dst doff len =
+  if off < 0 || len < 0 || off + len > t.len then raise (View.Bounds "Mbuf.blit: out of range");
+  let rec go segs off doff len =
+    if len > 0 then
+      match segs with
+      | [] -> assert false
+      | v :: rest ->
+          let l = View.length v in
+          if off >= l then go rest (off - l) doff len
+          else begin
+            let n = Stdlib.min (l - off) len in
+            View.blit v off dst doff n;
+            go rest 0 (doff + n) (len - n)
+          end
+  in
+  go t.segs off doff len
+
 let get_uint8 t i =
   if i < 0 || i >= t.len then raise (View.Bounds "Mbuf.get_uint8: out of range");
   let rec go i = function

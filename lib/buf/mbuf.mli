@@ -44,6 +44,11 @@ val flatten : t -> View.t
 
 val to_string : t -> string
 
+val blit : t -> int -> View.t -> int -> int -> unit
+(** [blit pkt off dst doff len] copies bytes [off, off+len) of the chain
+    straight from its segments into [dst] — no intermediate flatten.
+    @raise View.Bounds if either range is out of bounds. *)
+
 val get_uint8 : t -> int -> int
 (** Random access across segment boundaries. *)
 

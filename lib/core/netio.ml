@@ -481,6 +481,11 @@ let destroy_channel t ~caller ch =
   end;
   Shared_mem.destroy ch.region
 
+(* The template reads fixed header offsets, so only the wire bytes it
+   can reach are materialised — never the whole (possibly 64 KB GSO)
+   frame. *)
+let conforms tpl frame = Template.matches tpl (Frame.wire_prefix frame (Template.span tpl))
+
 let send t ch ~from_domain frame =
   let costs = t.machine.Machine.costs in
   let cpu = home_cpu t ch in
@@ -493,8 +498,7 @@ let send t ch ~from_domain frame =
   | None -> raise (Capability.Violation "Netio.send: no template")
   | Some tpl ->
       Cpu.use cpu (Time.ns (Template.check_cycles tpl * costs.Costs.cycle_ns));
-      let wire = Frame.to_wire frame in
-      if not (Template.matches tpl wire) then begin
+      if not (conforms tpl frame) then begin
         t.rejected <- t.rejected + 1;
         Uln_engine.Trace.infof t.machine.Machine.sched "netio"
           "send rejected on chan%d: header does not match template" ch.id;
@@ -528,8 +532,7 @@ let transmit_one t ch frame =
   | None -> t.rejected <- t.rejected + 1
   | Some tpl ->
       Cpu.use cpu (Time.ns (Template.check_cycles tpl * costs.Costs.cycle_ns));
-      let wire = Frame.to_wire frame in
-      if not (Template.matches tpl wire) then begin
+      if not (conforms tpl frame) then begin
         t.rejected <- t.rejected + 1;
         Uln_engine.Trace.infof t.machine.Machine.sched "netio"
           "batched send rejected on chan%d: header does not match template" ch.id

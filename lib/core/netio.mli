@@ -238,6 +238,11 @@ val leased_activations : t -> int
 
 (* {2 Data path (application library, via capability)} *)
 
+val conforms : Uln_filter.Template.t -> Uln_net.Frame.t -> bool
+(** The send-side impersonation check: does the frame's header match the
+    template?  Reads only the first {!Uln_filter.Template.span} wire
+    bytes. *)
+
 val send : t -> channel -> from_domain:Uln_host.Addr_space.t -> Uln_net.Frame.t -> unit
 (** Transmit through the channel: specialized kernel entry, template
     check, BQI stamping, device handoff.  Called from a thread.

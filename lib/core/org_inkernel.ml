@@ -64,9 +64,11 @@ let cpu_of_port t port =
    offsets the packet filters use: TCP and UDP steer by destination
    port, RRP by server port on requests and client port on responses,
    ARP goes to every stack (each must learn link addresses), anything
-   else to CPU 0. *)
+   else to CPU 0.  Only the first 44 wire bytes are read: on a shorter
+   frame the prefix is the whole frame, and on a longer one both length
+   tests below hold either way. *)
 let steer t frame =
-  let wire = Frame.to_wire frame in
+  let wire = Frame.wire_prefix frame 44 in
   let len = View.length wire in
   if len < 14 then `Cpu 0
   else if View.get_uint16 wire 12 = 0x0806 then `All

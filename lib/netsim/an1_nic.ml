@@ -68,8 +68,7 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 8) ?(mtu = 1500) ?(table_siz
                     let len = Frame.payload_length frame in
                     if View.length buffer < len then incr drops
                     else begin
-                      let flat = Mbuf.flatten frame.Frame.payload in
-                      View.blit flat 0 buffer 0 len;
+                      Mbuf.blit frame.Frame.payload 0 buffer 0 len;
                       deliver { Nic.frame; bqi; buffer = Some (View.sub buffer 0 len) }
                     end))
   in

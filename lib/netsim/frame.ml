@@ -19,18 +19,23 @@ let payload_length t = Mbuf.length t.payload
 
 let header_size = 14
 
-let header_bytes t =
-  let v = View.create header_size in
+let wire_prefix t n =
+  let len = Stdlib.max 0 (Stdlib.min n (header_size + payload_length t)) in
+  (* Every byte is written below: the header, then the payload. *)
+  let v = View.of_bytes (Bytes.create (Stdlib.max len header_size)) in
   let put_mac off mac =
-    let o = Mac.to_octets mac in
-    Array.iteri (fun i b -> View.set_uint8 v (off + i) b) o
+    let m = Mac.to_int mac in
+    View.set_uint16 v off (m lsr 32);
+    View.set_uint16 v (off + 2) (m lsr 16);
+    View.set_uint16 v (off + 4) m
   in
   put_mac 0 t.dst;
   put_mac 6 t.src;
   View.set_uint16 v 12 t.ethertype;
-  v
+  if len > header_size then Mbuf.blit t.payload 0 v header_size (len - header_size);
+  View.sub v 0 len
 
-let to_wire t = View.concat (header_bytes t :: Mbuf.segments t.payload)
+let to_wire t = wire_prefix t (header_size + payload_length t)
 
 let ethertype_ip = 0x0800
 let ethertype_arp = 0x0806

@@ -2,9 +2,10 @@
 
     A frame carries the structured link-header fields (station
     addresses, a protocol type, and — on AN1 — the buffer queue index)
-    plus the link payload.  {!header_bytes} materialises the 14-byte
-    on-wire header when software needs to inspect raw bytes (the packet
-    filter runs over [header ^ payload]). *)
+    plus the link payload.  {!to_wire} and {!wire_prefix} materialise
+    the on-wire bytes (the 14-byte header, then the payload) when
+    software needs to inspect them: the packet filter runs over the
+    whole frame, fixed-offset header checks over a prefix. *)
 
 type t = {
   src : Uln_addr.Mac.t;
@@ -39,11 +40,13 @@ val payload_length : t -> int
 val header_size : int
 (** 14 bytes: dst(6) src(6) type(2). *)
 
-val header_bytes : t -> Uln_buf.View.t
-(** The materialised link header. *)
-
 val to_wire : t -> Uln_buf.View.t
 (** Header and payload as one contiguous view (copies). *)
+
+val wire_prefix : t -> int -> Uln_buf.View.t
+(** [wire_prefix f n] is the first [min n (length of to_wire f)] wire
+    bytes, copied from the header and the payload chain without
+    materialising the rest — for readers of fixed header offsets. *)
 
 val ethertype_ip : int
 val ethertype_arp : int

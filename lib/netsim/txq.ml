@@ -118,27 +118,35 @@ let cksum_finish acc =
    way a segmenting controller does: sequence numbers advance by the
    bytes already cut, FIN and PSH ride only the last frame, options
    (timestamps included) are replayed verbatim, and both the IP header
-   checksum and the TCP checksum are regenerated per frame. *)
+   checksum and the TCP checksum are regenerated per frame.  The headers
+   are read from a small copy of the chain's front; each cut's payload
+   moves straight from the chain's segments into its wire packet — the
+   DMA to the wire, the only copy of the payload bytes (into a buffer
+   allocated uninitialised: every byte of it is written).  A packet
+   that needs no cut goes out as it is. *)
 let split_packet ~gso_size packet =
   let ihl = ipv4_header_size in
-  let data_off = View.get_uint8 packet (ihl + 12) lsr 4 * 4 in
+  let total = Mbuf.length packet in
+  let hdr = View.create (Stdlib.min total (ihl + 60)) in
+  Mbuf.blit packet 0 hdr 0 (View.length hdr);
+  let data_off = View.get_uint8 hdr (ihl + 12) lsr 4 * 4 in
   let hdrs = ihl + data_off in
-  let data_len = View.length packet - hdrs in
+  let data_len = total - hdrs in
   if data_len <= gso_size then [ packet ]
   else begin
-    let seq0 = Int32.to_int (View.get_uint32 packet (ihl + 4)) land 0xffffffff in
+    let seq0 = Int32.to_int (View.get_uint32 hdr (ihl + 4)) land 0xffffffff in
     let pseudo_base =
-      View.get_uint16 packet 12 + View.get_uint16 packet 14
-      + View.get_uint16 packet 16 + View.get_uint16 packet 18 + 6
+      View.get_uint16 hdr 12 + View.get_uint16 hdr 14
+      + View.get_uint16 hdr 16 + View.get_uint16 hdr 18 + 6
     in
     let rec cut off acc =
       if off >= data_len then List.rev acc
       else begin
         let n = Stdlib.min gso_size (data_len - off) in
         let last = off + n >= data_len in
-        let v = View.create (hdrs + n) in
-        View.blit packet 0 v 0 hdrs;
-        View.blit packet (hdrs + off) v hdrs n;
+        let v = View.of_bytes (Bytes.create (hdrs + n)) in
+        View.blit hdr 0 v 0 hdrs;
+        Mbuf.blit packet (hdrs + off) v hdrs n;
         (* IP: new total length, fresh header checksum. *)
         View.set_uint16 v 2 (hdrs + n);
         View.set_uint16 v 10 0;
@@ -154,7 +162,7 @@ let split_packet ~gso_size packet =
         let tcp_len = data_off + n in
         View.set_uint16 v (ihl + 16)
           (cksum_finish (pseudo_base + tcp_len + View.sum16 v ihl tcp_len));
-        cut (off + n) (v :: acc)
+        cut (off + n) (Mbuf.of_view v :: acc)
       end
     in
     cut 0 []
@@ -166,6 +174,5 @@ let split_packet ~gso_size packet =
 let split (frame : Frame.t) =
   if frame.Frame.gso_size <= 0 then [ frame ]
   else
-    Mbuf.flatten frame.Frame.payload
-    |> split_packet ~gso_size:frame.Frame.gso_size
-    |> List.map (fun v -> { frame with Frame.gso_size = 0; payload = Mbuf.of_view v })
+    split_packet ~gso_size:frame.Frame.gso_size frame.Frame.payload
+    |> List.map (fun payload -> { frame with Frame.gso_size = 0; payload })

@@ -3,9 +3,11 @@ module Ip = Uln_addr.Ip
 
 type field = { offset : int; mask : int; value : int }
 
-type t = { fields : field list; bqi : int }
+(* [span] is fixed at construction: the send path reads it per packet. *)
+type t = { fields : field list; bqi : int; span : int }
 
-let make ?(bqi = 0) fields = { fields; bqi }
+let make ?(bqi = 0) fields =
+  { fields; bqi; span = List.fold_left (fun acc f -> Int.max acc (f.offset + 2)) 0 fields }
 
 let bqi t = t.bqi
 let fields t = t.fields
@@ -17,6 +19,8 @@ let matches t pkt =
     f.offset + 2 <= len && View.get_uint16 pkt f.offset land f.mask = f.value
   in
   List.for_all ok t.fields
+
+let span t = t.span
 
 (* A handful of compare-and-branch per field. *)
 let check_cycles t = 10 + (8 * List.length t.fields)

@@ -35,6 +35,12 @@ val matches : t -> Uln_buf.View.t -> bool
 (** Check a packet's wire bytes against every constraint.  Packets too
     short to contain a constrained word fail. *)
 
+val span : t -> int
+(** The wire bytes {!matches} can read: the largest [offset + 2] over the
+    constraints (0 with none).  Since a constraint past the end of the
+    packet fails, [matches] gives the same verdict on any prefix of at
+    least [span] bytes — or on the whole packet when it is shorter. *)
+
 val check_cycles : t -> int
 (** Matching cost in CPU cycles ("the logic required ... is quite
     short"). *)

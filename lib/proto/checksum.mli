@@ -12,8 +12,8 @@ val of_mbuf : ?init:int -> Uln_buf.Mbuf.t -> int
 val partial : int -> bool -> Uln_buf.View.t -> int * bool
 (** [partial acc odd v] extends a running (un-complemented) sum; [odd]
     says whether an odd number of bytes has been consumed so far.
-    Finish with {!finish}.  Word-at-a-time (two bytes per iteration via
-    {!Uln_buf.View.sum16}). *)
+    Finish with {!finish}.  Word-at-a-time ({!Uln_buf.View.sum16}, eight
+    bytes per load). *)
 
 val partial_bytes : int -> bool -> Uln_buf.View.t -> int * bool
 (** The byte-at-a-time reference implementation of {!partial} — the

@@ -163,7 +163,8 @@ and listener = { lport : int; backlog : (conn * [ `Established ] Tcp_fsm.state) 
    segments from one connection, accumulated during an rx burst and
    processed as a single large segment at flush.  Payload bytes are
    copied out of each frame at absorb time — the frames themselves are
-   recycled by the library as soon as its input call returns. *)
+   recycled by the library as soon as its input call returns — and the
+   flush hands the chunks on as one multi-segment chain. *)
 and gro_pending = {
   g_conn : conn;
   g_first : Tcp_wire.segment; (* metadata template: ports, starting seq *)
@@ -1041,6 +1042,10 @@ let enter_time_wait c =
                  finish_cleanly c)));
   wake_all c
 
+(* Append in-order payload to the receive queue segment by segment: a
+   coalesced run arrives as the chain of its absorbed chunks. *)
+let push_payload c m = Mbuf.fold_segments (fun () v -> Bytequeue.push c.rcv_buf v) () m
+
 (* --- out-of-order queue ----------------------------------------------- *)
 
 let insert_ooseg c seq data =
@@ -1266,7 +1271,7 @@ let try_fast_path c (seg : Tcp_wire.segment) =
         if plen > 0 then begin
           (* In-order data landing entirely inside the window: append
              without trimming or clipping. *)
-          Bytequeue.push c.rcv_buf (Mbuf.flatten seg.Tcp_wire.payload);
+          push_payload c seg.Tcp_wire.payload;
           c.rcv_nxt <- Tcp_seq.add c.rcv_nxt plen;
           schedule_ack c;
           wake_all c
@@ -1360,21 +1365,21 @@ let process_segment_slow c (seg : Tcp_wire.segment) =
             let skip = Stdlib.max 0 (Tcp_seq.diff c.rcv_nxt seq) in
             if skip < payload_len then begin
               let seq' = Tcp_seq.add seq skip in
-              let data = Mbuf.flatten (Mbuf.drop seg.Tcp_wire.payload skip) in
+              let data = Mbuf.drop seg.Tcp_wire.payload skip in
               (* Clip to our window. *)
               let room = Tcp_seq.diff (Tcp_seq.add c.rcv_nxt win) seq' in
-              let keep = Stdlib.min (View.length data) (Stdlib.max 0 room) in
+              let keep = Stdlib.min (Mbuf.length data) (Stdlib.max 0 room) in
               if keep > 0 then begin
-                let data = View.sub data 0 keep in
+                let data = Mbuf.take data keep in
                 if seq' = c.rcv_nxt then begin
-                  Bytequeue.push c.rcv_buf data;
+                  push_payload c data;
                   c.rcv_nxt <- Tcp_seq.add c.rcv_nxt keep;
                   drain_ooseg c;
                   schedule_ack c;
                   wake_all c
                 end
                 else begin
-                  insert_ooseg c seq' data;
+                  insert_ooseg c seq' (Mbuf.flatten data);
                   c.ack_now <- true (* duplicate ACK for fast retransmit *)
                 end
               end
@@ -1626,16 +1631,8 @@ let gro_flush t =
          touching and absorb costs were charged on arrival. *)
       Proto_env.charge t.env t.env.Proto_env.costs.Costs.tcp_input;
       if c.state <> State.Closed && not c.detached then begin
-        let payload =
-          let v = View.create g.g_len in
-          let pos = ref 0 in
-          List.iter
-            (fun chunk ->
-              View.blit chunk 0 v !pos (View.length chunk);
-              pos := !pos + View.length chunk)
-            (List.rev g.g_chunks);
-          Mbuf.of_view v
-        in
+        (* The chunks, oldest first, as one chain. *)
+        let payload = List.fold_left (fun m v -> Mbuf.prepend v m) Mbuf.empty g.g_chunks in
         let seg =
           { g.g_first with
             Tcp_wire.ack = g.g_ack;
@@ -1659,15 +1656,19 @@ let gro_flush t =
           (fun () -> process_segment c seg)
       end
 
+(* Copy a frame's payload out of its (soon recycled) receive buffer,
+   charging the absorb; every byte of the chunk is written. *)
+let gro_copy t (seg : Tcp_wire.segment) =
+  Proto_env.charge t.env t.env.Proto_env.costs.Costs.gro_append;
+  let n = Mbuf.length seg.Tcp_wire.payload in
+  let copy = View.of_bytes (Bytes.create n) in
+  Mbuf.blit seg.Tcp_wire.payload 0 copy 0 n;
+  copy
+
 let gro_absorb t g (seg : Tcp_wire.segment) =
-  let costs = t.env.Proto_env.costs in
-  let seg_bytes = Mbuf.length seg.Tcp_wire.payload in
-  Proto_env.charge t.env costs.Costs.gro_append;
-  let src_v = Mbuf.flatten seg.Tcp_wire.payload in
-  let copy = View.create seg_bytes in
-  View.blit src_v 0 copy 0 seg_bytes;
+  let copy = gro_copy t seg in
   g.g_chunks <- copy :: g.g_chunks;
-  g.g_len <- g.g_len + seg_bytes;
+  g.g_len <- g.g_len + View.length copy;
   g.g_count <- g.g_count + 1;
   g.g_ack <- seg.Tcp_wire.ack;
   g.g_wnd <- seg.Tcp_wire.wnd;
@@ -1677,18 +1678,13 @@ let gro_absorb t g (seg : Tcp_wire.segment) =
   if g.g_count >= g.g_limit then gro_flush t
 
 let gro_start t c (seg : Tcp_wire.segment) =
-  let costs = t.env.Proto_env.costs in
-  let seg_bytes = Mbuf.length seg.Tcp_wire.payload in
-  Proto_env.charge t.env costs.Costs.gro_append;
-  let src_v = Mbuf.flatten seg.Tcp_wire.payload in
-  let copy = View.create seg_bytes in
-  View.blit src_v 0 copy 0 seg_bytes;
+  let copy = gro_copy t seg in
   t.gro <-
     Some
       { g_conn = c;
         g_first = seg;
         g_chunks = [ copy ];
-        g_len = seg_bytes;
+        g_len = View.length copy;
         g_count = 1;
         g_limit = gro_limit c;
         g_room = rcv_window c;
