@@ -1,3 +1,8 @@
+(* A buffer is allocated the first time [alloc] hands its slot out; until
+   then the slot holds [unallocated], which no view handed out can share
+   (every pool buffer is at least one byte long). *)
+let unallocated = Bytes.empty
+
 type t = {
   size : int;
   buffers : bytes array;
@@ -10,7 +15,7 @@ let create ~count ~size =
   if count <= 0 || size <= 0 then invalid_arg "Pool.create: count and size must be positive";
   let t =
     { size;
-      buffers = Array.init count (fun _ -> Bytes.make size '\000');
+      buffers = Array.make count unallocated;
       free_list = Queue.create ();
       state = Array.make count true;
       exhausted = 0 }
@@ -31,7 +36,7 @@ let index_of t (v : View.t) =
     else if t.buffers.(i) == v.View.buffer then Some i
     else go (i + 1)
   in
-  go 0
+  if v.View.buffer == unallocated then None else go 0
 
 let owns t v = index_of t v <> None
 
@@ -44,6 +49,7 @@ let alloc t =
       None
   | Some i ->
       t.state.(i) <- false;
+      if t.buffers.(i) == unallocated then t.buffers.(i) <- Bytes.make t.size '\000';
       Some (View.of_bytes t.buffers.(i))
 
 let free t v =

@@ -29,7 +29,9 @@ val exhausted : t -> int
 
 val alloc : t -> View.t option
 (** Take a buffer; [None] when the pool is exhausted.  The returned view
-    covers the full buffer and its previous contents are undefined. *)
+    covers the full buffer.  A buffer's memory is allocated, zero-filled,
+    the first time it is handed out; a recycled buffer keeps whatever its
+    previous holder left in it. *)
 
 val free : t -> View.t -> unit
 (** Return a buffer to the pool.

@@ -1,7 +1,6 @@
 module Sched = Uln_engine.Sched
 module Time = Uln_engine.Time
 module Semaphore = Uln_engine.Semaphore
-module Mac = Uln_addr.Mac
 module View = Uln_buf.View
 module Mbuf = Uln_buf.Mbuf
 module Ring = Uln_buf.Ring
@@ -43,36 +42,34 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 8) ?(mtu = 1500) ?(table_siz
           Cpu.use_async (rx_cpu info) work (fun () -> h info)
   in
   let receive frame =
-    let for_us = Mac.equal frame.Frame.dst mac || Mac.is_broadcast frame.Frame.dst in
-    if for_us then
-      Sched.after m.Machine.sched dma_latency (fun () ->
-          (* Early drop before any BQI ring buffer is committed: a full
-             NAPI software ring sheds load at the device. *)
-          if Napi.active napi && Napi.full napi then Napi.note_drop napi
-          else
-          let bqi = frame.Frame.bqi in
-          let valid =
-            bqi > 0 && bqi < table_size
-            && match table.(bqi) with Active _ -> true | Free -> false
-          in
-          if not valid then deliver { Nic.frame; bqi = 0; buffer = None }
-          else
-            match table.(bqi) with
-            | Free -> assert false
-            | Active ring -> (
-                match Ring.pop ring with
-                | None ->
-                    (* Ring empty: nowhere to DMA — the controller drops. *)
-                    incr drops
-                | Some buffer ->
-                    let len = Frame.payload_length frame in
-                    if View.length buffer < len then incr drops
-                    else begin
-                      Mbuf.blit frame.Frame.payload 0 buffer 0 len;
-                      deliver { Nic.frame; bqi; buffer = Some (View.sub buffer 0 len) }
-                    end))
+    Sched.after m.Machine.sched dma_latency (fun () ->
+        (* Early drop before any BQI ring buffer is committed: a full
+           NAPI software ring sheds load at the device. *)
+        if Napi.active napi && Napi.full napi then Napi.note_drop napi
+        else
+        let bqi = frame.Frame.bqi in
+        let valid =
+          bqi > 0 && bqi < table_size
+          && match table.(bqi) with Active _ -> true | Free -> false
+        in
+        if not valid then deliver { Nic.frame; bqi = 0; buffer = None }
+        else
+          match table.(bqi) with
+          | Free -> assert false
+          | Active ring -> (
+              match Ring.pop ring with
+              | None ->
+                  (* Ring empty: nowhere to DMA — the controller drops. *)
+                  incr drops
+              | Some buffer ->
+                  let len = Frame.payload_length frame in
+                  if View.length buffer < len then incr drops
+                  else begin
+                    Mbuf.blit frame.Frame.payload 0 buffer 0 len;
+                    deliver { Nic.frame; bqi; buffer = Some (View.sub buffer 0 len) }
+                  end))
   in
-  let station = Link.attach link receive in
+  let station = Link.attach link ~addr:mac receive in
   let txq = Txq.create m.Machine.sched ~costs in
   let send frame =
     (* Capture the doorbell CPU before waiting: the hint is one-shot and

@@ -1,7 +1,6 @@
 module Sched = Uln_engine.Sched
 module Time = Uln_engine.Time
 module Semaphore = Uln_engine.Semaphore
-module Mac = Uln_addr.Mac
 module Machine = Uln_host.Machine
 module Cpu = Uln_host.Cpu
 module Costs = Uln_host.Costs
@@ -24,31 +23,26 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 2) () =
   in
   let tx_slots = Semaphore.create ~initial:tx_buffers () in
   let station =
-    Link.attach link (fun frame ->
-        let for_us =
-          Mac.equal frame.Frame.dst mac || Mac.is_broadcast frame.Frame.dst
-        in
-        if for_us then begin
-          match !handler with
-          | None -> incr drops
-          | Some h ->
-              let info = { Nic.frame; bqi = 0; buffer = None } in
-              if Napi.active napi then begin
-                (* Interrupt suppression: admit to the bounded software
-                   ring (early drop when full) and let the poll loop
-                   charge the PIO copy per frame. *)
-                if Napi.full napi then Napi.note_drop napi
-                else
-                  Napi.push napi ~cpu_of:rx_cpu ~costs ~frame_cost:pio_cost
-                    ~handle:h info
-              end
-              else begin
-                (* Interrupt entry plus the programmed-I/O copy of the
-                   whole packet from board memory to host memory. *)
-                let work = Time.span_add costs.Costs.interrupt (pio_cost info) in
-                Cpu.use_async (rx_cpu info) work (fun () -> h info)
-              end
-        end)
+    Link.attach link ~addr:mac (fun frame ->
+        match !handler with
+        | None -> incr drops
+        | Some h ->
+            let info = { Nic.frame; bqi = 0; buffer = None } in
+            if Napi.active napi then begin
+              (* Interrupt suppression: admit to the bounded software
+                 ring (early drop when full) and let the poll loop
+                 charge the PIO copy per frame. *)
+              if Napi.full napi then Napi.note_drop napi
+              else
+                Napi.push napi ~cpu_of:rx_cpu ~costs ~frame_cost:pio_cost
+                  ~handle:h info
+            end
+            else begin
+              (* Interrupt entry plus the programmed-I/O copy of the
+                 whole packet from board memory to host memory. *)
+              let work = Time.span_add costs.Costs.interrupt (pio_cost info) in
+              Cpu.use_async (rx_cpu info) work (fun () -> h info)
+            end)
   in
   let txq = Txq.create m.Machine.sched ~costs in
   let send frame =

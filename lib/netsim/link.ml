@@ -1,8 +1,10 @@
 module Sched = Uln_engine.Sched
 module Time = Uln_engine.Time
+module Mac = Uln_addr.Mac
 
 type station = {
   id : int;
+  addr : Mac.t;
   deliver : Frame.t -> unit;
   channel : channel;
 }
@@ -76,17 +78,22 @@ let saturation_mbps t payload_bytes =
   let span = frame_time t payload_bytes in
   float_of_int (payload_bytes * 8) /. (Time.to_us_f span /. 1e6) /. 1e6
 
-let attach t deliver =
+let attach t ~addr deliver =
   let channel = if t.duplex then new_channel () else t.shared_channel in
-  let s = { id = List.length t.stations; deliver; channel } in
+  let s = { id = List.length t.stations; addr; deliver; channel } in
   t.stations <- t.stations @ [ s ];
   s
+
+(* A station only hears frames to its own address or to
+   broadcast, the filtering a NIC does in hardware; no delivery event is
+   scheduled for a frame it would discard. *)
+let hears st (frame : Frame.t) = Mac.equal frame.dst st.addr || Mac.is_broadcast frame.dst
 
 let deliver_to_others t sender frame =
   let push frame =
     List.iter
       (fun st ->
-        if st.id <> sender.id then
+        if st.id <> sender.id && hears st frame then
           Sched.after t.sched t.propagation (fun () -> st.deliver frame))
       t.stations
   in

@@ -6,8 +6,9 @@
     frame on the segment at a time, in either direction); AN1 is a
     full-duplex point-to-point segment.
 
-    Stations attach and receive every frame other stations transmit
-    (address filtering happens in the NIC model above). *)
+    A station receives the frames other stations transmit to its
+    address or to broadcast: the link does the address filtering a NIC
+    does in hardware.  [set_monitor] taps every frame on the wire. *)
 
 type t
 
@@ -34,9 +35,9 @@ val custom :
 val name : t -> string
 val rate_mbps : t -> int
 
-val attach : t -> (Frame.t -> unit) -> station
+val attach : t -> addr:Uln_addr.Mac.t -> (Frame.t -> unit) -> station
 (** Join the segment; the callback fires (in event context) for every
-    frame transmitted by any other station. *)
+    frame another station transmits to [addr] or to broadcast. *)
 
 val transmit : t -> station -> Frame.t -> on_done:(unit -> unit) -> unit
 (** Queue a frame for transmission.  [on_done] fires when serialization

@@ -119,6 +119,40 @@ let test_pool_foreign_view_rejected () =
   Alcotest.check_raises "foreign" (Invalid_argument "Pool.free: view does not belong to this pool")
     (fun () -> Pool.free p (View.create 8))
 
+let test_pool_lazy_slots () =
+  (* Buffers are allocated on first hand-out: a slot never handed out
+     matches no view, not even an empty one, and a fresh buffer is
+     zero-filled and full-sized. *)
+  let p = Pool.create ~count:3 ~size:16 in
+  let empty = View.of_bytes Bytes.empty in
+  check_bool "empty view not owned" false (Pool.owns p empty);
+  check_bool "fresh empty view not owned" false (Pool.owns p (View.create 0));
+  Alcotest.check_raises "free of an empty view"
+    (Invalid_argument "Pool.free: view does not belong to this pool") (fun () -> Pool.free p empty);
+  (* Leave stale non-zero bytes where the next small allocations land, so
+     that a buffer which is not explicitly zero-filled shows it. *)
+  for _ = 1 to 1 lsl 20 do
+    ignore (Sys.opaque_identity (Bytes.make 16 'x'))
+  done;
+  let a = Option.get (Pool.alloc p) in
+  check "full size" 16 (View.length a);
+  check_s "zero-filled" (String.make 16 '\000') (View.to_string a);
+  check_bool "handed-out buffer owned" true (Pool.owns p a);
+  check_bool "empty sub-view of it owned" true (Pool.owns p (View.sub a 3 0));
+  check_bool "unrelated view not owned" false (Pool.owns p (View.create 16));
+  check_bool "empty view still not owned" false (Pool.owns p empty);
+  Alcotest.check_raises "foreign view"
+    (Invalid_argument "Pool.free: view does not belong to this pool") (fun () ->
+      Pool.free p (View.create 16));
+  let b = Option.get (Pool.alloc p) and c = Option.get (Pool.alloc p) in
+  List.iter
+    (fun v -> check_s "later buffers zero-filled" (String.make 16 '\000') (View.to_string v))
+    [ b; c ];
+  Pool.free p a;
+  Pool.free p b;
+  Pool.free p c;
+  check "all free" 3 (Pool.available p)
+
 (* --- ring ------------------------------------------------------------------ *)
 
 let test_ring_fifo () =
@@ -295,7 +329,8 @@ let () =
       ( "pool",
         [ Alcotest.test_case "exhaustion" `Quick test_pool_exhaustion;
           Alcotest.test_case "double free" `Quick test_pool_double_free_rejected;
-          Alcotest.test_case "foreign view" `Quick test_pool_foreign_view_rejected ] );
+          Alcotest.test_case "foreign view" `Quick test_pool_foreign_view_rejected;
+          Alcotest.test_case "lazy slots" `Quick test_pool_lazy_slots ] );
       ( "ring",
         [ Alcotest.test_case "fifo" `Quick test_ring_fifo;
           Alcotest.test_case "overflow drops" `Quick test_ring_overflow_drops;

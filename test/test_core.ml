@@ -74,6 +74,27 @@ let transfer_case (label, org) network net_label =
 let userlib_world ?(network = World.Ethernet) () =
   World.create ~network ~org:Organization.User_library ()
 
+(* Pool buffers are allocated on first hand-out, so a world that has
+   not run holds only the ring buffers its channels stock, not every
+   slot of every pool (about 45k words when pools were filled up
+   front).  Benches build hundreds of worlds; this is what each one
+   costs to keep. *)
+let test_world_live_words () =
+  List.iter
+    (fun (label, network) ->
+      let live () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let before = live () in
+      let w = userlib_world ~network () in
+      let words = live () - before in
+      ignore (Sys.opaque_identity w);
+      check_bool
+        (Printf.sprintf "%s: %d live words, bound 25000" label words)
+        true (words <= 25_000))
+    [ ("ethernet", World.Ethernet); ("an1", World.An1) ]
+
 let test_registry_off_data_path () =
   (* The registry completes exactly one handshake and is not involved
      per-segment: its stack must see only handshake-era segments. *)
@@ -443,7 +464,8 @@ let () =
           Alcotest.test_case "ports released" `Quick test_ports_released_after_close;
           Alcotest.test_case "an1 hardware demux" `Quick test_an1_uses_hardware_demux;
           Alcotest.test_case "ethernet software demux" `Quick test_ethernet_uses_software_demux;
-          Alcotest.test_case "compiled filters" `Quick test_compiled_demux_mode_works ] );
+          Alcotest.test_case "compiled filters" `Quick test_compiled_demux_mode_works;
+          Alcotest.test_case "world live words" `Quick test_world_live_words ] );
       ( "protection",
         [ Alcotest.test_case "privileged channel creation" `Quick
             test_channel_creation_requires_privilege;

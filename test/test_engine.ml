@@ -7,6 +7,7 @@ module Timers = Uln_engine.Timers
 module Rng = Uln_engine.Rng
 module Stats = Uln_engine.Stats
 module Pheap = Uln_engine.Pheap
+module Trace = Uln_engine.Trace
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -24,48 +25,98 @@ let test_time_units () =
 let test_time_round_trip () =
   Alcotest.(check (float 1e-6)) "us round trip" 123.456 (Time.to_us_f (Time.of_us_f 123.456))
 
-(* --- pairing heap ---------------------------------------------------- *)
+(* --- event heap -------------------------------------------------------- *)
+
+(* Pops everything, as (key, value) pairs in pop order. *)
+let drain_heap h =
+  let rec go acc =
+    if Pheap.is_empty h then List.rev acc
+    else
+      let k = Pheap.min_key h in
+      go ((k, Pheap.pop h) :: acc)
+  in
+  go []
 
 let test_pheap_order () =
-  let h = Pheap.create () in
-  let seq = ref 0 in
-  let insert k v =
-    incr seq;
-    Pheap.insert h ~key:k ~seq:!seq v
-  in
-  List.iter (fun k -> insert k k) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let out = ref [] in
-  let rec drain () =
-    match Pheap.pop h with
-    | None -> ()
-    | Some (_, v) ->
-        out := v :: !out;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (List.rev !out)
+  let h = Pheap.create ~dummy:0 in
+  List.iteri (fun i k -> Pheap.insert h ~key:k ~seq:i k) [ 5; 3; 8; 1; 9; 2; 7 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (List.map snd (drain_heap h))
 
 let test_pheap_fifo_ties () =
-  let h = Pheap.create () in
+  let h = Pheap.create ~dummy:"" in
   Pheap.insert h ~key:7 ~seq:1 "first";
   Pheap.insert h ~key:7 ~seq:2 "second";
   Pheap.insert h ~key:7 ~seq:3 "third";
-  let next () = match Pheap.pop h with Some (_, v) -> v | None -> "none" in
-  let p1 = next () in
-  let p2 = next () in
-  let p3 = next () in
-  Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ] [ p1; p2; p3 ]
+  Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ] (List.map snd (drain_heap h))
 
 let prop_pheap_sorts =
   QCheck.Test.make ~name:"pheap pops in sorted order" ~count:200
     QCheck.(list small_int)
     (fun keys ->
-      let h = Pheap.create () in
+      let h = Pheap.create ~dummy:0 in
       List.iteri (fun i k -> Pheap.insert h ~key:k ~seq:i k) keys;
-      let rec drain acc =
-        match Pheap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
+      List.map snd (drain_heap h) = List.sort compare keys)
+
+(* Differential against a reference kept sorted by (key, seq), on
+   interleaved insert/pop scripts over a narrow key range so that equal
+   keys are the common case.  [None] in a script is a pop. *)
+let prop_pheap_matches_reference =
+  QCheck.Test.make ~name:"heap = sorted (key, seq) reference on insert/pop scripts" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (option (0 -- 7)))
+    (fun script ->
+      let h = Pheap.create ~dummy:(-1) in
+      let reference = ref [] in
+      let seq = ref 0 in
+      let insert_sorted x l = List.merge compare [ x ] l in
+      let ok = ref true in
+      let pop_both () =
+        match !reference with
+        | [] -> if not (Pheap.is_empty h) then ok := false
+        | (k, s) :: rest ->
+            reference := rest;
+            let hk = Pheap.min_key h in
+            let v = Pheap.pop h in
+            if hk <> k || v <> s then ok := false
       in
-      drain [] = List.sort compare keys)
+      List.iter
+        (function
+          | Some k ->
+              incr seq;
+              Pheap.insert h ~key:k ~seq:!seq !seq;
+              reference := insert_sorted (k, !seq) !reference
+          | None -> pop_both ())
+        script;
+      while !reference <> [] do
+        pop_both ()
+      done;
+      !ok && Pheap.is_empty h && Pheap.size h = 0)
+
+let test_deep_queue_drains () =
+  (* A million pending events run in (time, scheduling) order, with no
+     recursion to overflow the stack. *)
+  let n = 1_000_000 in
+  let s = Sched.create () in
+  let rng = Rng.create ~seed:3 in
+  let last_t = ref 0 and last_i = ref 0 and fired = ref 0 and ok = ref true in
+  for i = 1 to n do
+    Sched.at s (Time.of_ns (Rng.int rng 1_000)) (fun () ->
+        let t = Time.to_ns (Sched.now s) in
+        if t < !last_t || (t = !last_t && i < !last_i) then ok := false;
+        last_t := t;
+        last_i := i;
+        incr fired)
+  done;
+  check "pending" n (Sched.pending_events s);
+  Sched.run s;
+  check "all fired" n !fired;
+  check_bool "in order" true !ok
+
+let test_pheap_empty_raises () =
+  let h = Pheap.create ~dummy:0 in
+  Alcotest.check_raises "min_key" (Invalid_argument "Pheap.min_key: empty heap") (fun () ->
+      ignore (Pheap.min_key h));
+  Alcotest.check_raises "pop" (Invalid_argument "Pheap.pop: empty heap") (fun () ->
+      ignore (Pheap.pop h))
 
 (* --- scheduler -------------------------------------------------------- *)
 
@@ -141,6 +192,104 @@ let test_block_on_deadlock () =
   Alcotest.check_raises "deadlock"
     (Sched.Deadlock "block_on: simulation quiesced before completion") (fun () ->
       Sched.block_on s (fun () -> Semaphore.wait sem))
+
+let test_sleep_and_at_same_instant () =
+  (* A sleeper's wake-up is an event like any other: it runs in the order
+     it was scheduled among plain events due at the same instant, under
+     its thread's label, and plain events run unlabelled. *)
+  let s = Sched.create () in
+  let t = Time.of_ns 1_000 in
+  let log = ref [] in
+  let note what = log := (what, Sched.current_name s) :: !log in
+  Sched.spawn s ~name:"sleeper" (fun () ->
+      Sched.at s t (fun () -> note "before");
+      Sched.sleep s (Time.ns 1_000);
+      note "thread";
+      Sched.at s t (fun () -> note "late"));
+  Sched.spawn s ~name:"other" (fun () -> Sched.at s t (fun () -> note "after"));
+  Sched.run s;
+  Alcotest.(check (list (pair string (option string))))
+    "scheduling order"
+    [ ("before", None); ("thread", Some "sleeper"); ("after", None); ("late", None) ]
+    (List.rev !log)
+
+(* A popped event's closure is not kept alive by the queue.  Scheduled in
+   this order, the event holding [payload] sits in the heap's last slot
+   when the 100 ns event pops, so both the slot it moves out of then and
+   the root slot it leaves when it runs itself must let go of it. *)
+let test_popped_event_collectable () =
+  let s = Sched.create () in
+  let w = Weak.create 1 in
+  let schedule () =
+    let payload = Bytes.make 64 'x' in
+    Weak.set w 0 (Some payload);
+    Sched.at s (Time.of_ns 200) (fun () -> ignore (Sys.opaque_identity payload))
+  in
+  Sched.at s (Time.of_ns 300) ignore;
+  (Sys.opaque_identity schedule) ();
+  Sched.at s (Time.of_ns 100) ignore;
+  Sched.run_until s (Time.of_ns 250);
+  Gc.full_major ();
+  check "later event still pending" 1 (Sched.pending_events s);
+  check_bool "popped closure collected" true (Weak.get w 0 = None)
+
+(* Words allocated so far, minor and direct-major (as in test_datapath). *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* An [after]+pop allocates nothing beyond the event's own closure, and a
+   sleep/wake cycle (21 words) only the effect, its handler closure, the
+   continuation and one timer closure.  The bounds fail if a per-event
+   heap node, an option result or a run-queue job per wake-up comes
+   back: with those, the same loops measured 64 and 63 words. *)
+let test_engine_allocation () =
+  let n = 10_000 in
+  let s = Sched.create () in
+  let f = ignore in
+  let fill () =
+    for i = 1 to n do
+      Sched.after s (Time.ns (i land 63)) f
+    done;
+    Sched.run s
+  in
+  fill ();
+  Gc.minor ();
+  let before = allocated_words () in
+  fill ();
+  let per_event = (allocated_words () -. before) /. float_of_int n in
+  check_bool (Printf.sprintf "after+pop: %.2f words per event, bound 1" per_event) true
+    (per_event <= 1.);
+  let per_sleep = ref nan in
+  Sched.spawn s ~name:"sleeper" (fun () ->
+      Sched.sleep s (Time.ns 1);
+      Gc.minor ();
+      let before = allocated_words () in
+      for _ = 1 to n do
+        Sched.sleep s (Time.ns 1)
+      done;
+      per_sleep := (allocated_words () -. before) /. float_of_int n);
+  Sched.run s;
+  check_bool (Printf.sprintf "sleep/wake: %.1f words per cycle, bound 24" !per_sleep) true
+    (!per_sleep <= 24.)
+
+let test_trace_formats_only_when_on () =
+  let s = Sched.create () in
+  let printed = ref 0 in
+  let pp ppf n =
+    incr printed;
+    Format.pp_print_int ppf n
+  in
+  Trace.set_sink None;
+  Trace.debugf s "t" "off %a" pp 1;
+  check "nothing formatted with no sink" 0 !printed;
+  let got = ref [] in
+  Trace.set_sink (Some (fun _ _ tag msg -> got := (tag ^ ": " ^ msg) :: !got));
+  Fun.protect
+    ~finally:(fun () -> Trace.set_sink None)
+    (fun () -> Trace.infof s "t" "on %a" pp 2);
+  check "formatted once with a sink" 1 !printed;
+  Alcotest.(check (list string)) "emitted" [ "t: on 2" ] !got
 
 (* --- semaphore --------------------------------------------------------- *)
 
@@ -331,7 +480,10 @@ let () =
       ( "pheap",
         [ Alcotest.test_case "sorted pops" `Quick test_pheap_order;
           Alcotest.test_case "fifo ties" `Quick test_pheap_fifo_ties;
-          qc prop_pheap_sorts ] );
+          qc prop_pheap_sorts;
+          qc prop_pheap_matches_reference;
+          Alcotest.test_case "1M pending drain in order" `Quick test_deep_queue_drains;
+          Alcotest.test_case "empty heap raises" `Quick test_pheap_empty_raises ] );
       ( "sched",
         [ Alcotest.test_case "event order" `Quick test_event_order;
           Alcotest.test_case "clock advances" `Quick test_clock_advances;
@@ -339,7 +491,11 @@ let () =
           Alcotest.test_case "spawn interleaving" `Quick test_spawn_interleaving;
           Alcotest.test_case "thread exception" `Quick test_thread_exception_propagates;
           Alcotest.test_case "run_until" `Quick test_run_until;
-          Alcotest.test_case "block_on deadlock" `Quick test_block_on_deadlock ] );
+          Alcotest.test_case "block_on deadlock" `Quick test_block_on_deadlock;
+          Alcotest.test_case "sleep and at at one instant" `Quick test_sleep_and_at_same_instant;
+          Alcotest.test_case "popped event collectable" `Quick test_popped_event_collectable;
+          Alcotest.test_case "allocation per event and per sleep" `Quick test_engine_allocation;
+          Alcotest.test_case "trace formats only when on" `Quick test_trace_formats_only_when_on ] );
       ( "semaphore",
         [ Alcotest.test_case "counts" `Quick test_semaphore_counts;
           Alcotest.test_case "blocks and wakes" `Quick test_semaphore_blocks_and_wakes;

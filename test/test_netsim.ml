@@ -46,12 +46,43 @@ let test_link_delivers_to_others_only () =
   let s = Sched.create () in
   let link = Link.ethernet s in
   let got_a = ref 0 and got_b = ref 0 in
-  let sta = Link.attach link (fun _ -> incr got_a) in
-  let _stb = Link.attach link (fun _ -> incr got_b) in
+  let sta = Link.attach link ~addr:mac_a (fun _ -> incr got_a) in
+  let _stb = Link.attach link ~addr:mac_b (fun _ -> incr got_b) in
   Link.transmit link sta (frame ()) ~on_done:(fun () -> ());
   Sched.run s;
   check "sender excluded" 0 !got_a;
   check "peer got it" 1 !got_b
+
+let test_addressed_delivery () =
+  (* Three stations on one segment; [a] sends to [b], to [c], to
+     broadcast, and to an address nobody holds.  Each station hears its
+     own frames and broadcast, and the monitor sees every frame on the
+     wire. *)
+  let s = Sched.create () in
+  let link = Link.ethernet s in
+  let mac_c = Mac.of_int 0xc and nobody = Mac.of_int 0xd in
+  let station addr =
+    let heard = ref [] in
+    let st = Link.attach link ~addr (fun (f : Frame.t) -> heard := Mac.to_int f.dst :: !heard) in
+    (st, heard)
+  in
+  let sta, heard_a = station mac_a in
+  let _, heard_b = station mac_b in
+  let _, heard_c = station mac_c in
+  let monitored = ref 0 in
+  Link.set_monitor link (fun _ _ -> incr monitored);
+  List.iter
+    (fun dst ->
+      let f = Frame.make ~src:mac_a ~dst ~ethertype:0x0800 ~bqi:0 (Mbuf.of_view (View.create 64)) in
+      Link.transmit link sta f ~on_done:(fun () -> ()))
+    [ mac_b; mac_c; Mac.broadcast; nobody ];
+  Sched.run s;
+  let got heard = List.rev !heard in
+  let ints = List.map Mac.to_int in
+  Alcotest.(check (list int)) "sender hears nothing" [] (got heard_a);
+  Alcotest.(check (list int)) "b: own + broadcast" (ints [ mac_b; Mac.broadcast ]) (got heard_b);
+  Alcotest.(check (list int)) "c: own + broadcast" (ints [ mac_c; Mac.broadcast ]) (got heard_c);
+  check "monitor sees every frame" 4 !monitored
 
 let test_half_duplex_queueing () =
   (* Two frames queued back-to-back: second delivery happens one frame
@@ -59,8 +90,8 @@ let test_half_duplex_queueing () =
   let s = Sched.create () in
   let link = Link.ethernet s in
   let deliveries = ref [] in
-  let sta = Link.attach link (fun _ -> ()) in
-  let _stb = Link.attach link (fun _ -> deliveries := Time.to_ns (Sched.now s) :: !deliveries) in
+  let sta = Link.attach link ~addr:mac_a (fun _ -> ()) in
+  let _stb = Link.attach link ~addr:mac_b (fun _ -> deliveries := Time.to_ns (Sched.now s) :: !deliveries) in
   Link.transmit link sta (frame ~len:1000 ()) ~on_done:(fun () -> ());
   Link.transmit link sta (frame ~len:1000 ()) ~on_done:(fun () -> ());
   Sched.run s;
@@ -206,6 +237,7 @@ let () =
           Alcotest.test_case "min frame" `Quick test_ethernet_min_frame_padding;
           Alcotest.test_case "an1 faster" `Quick test_an1_faster;
           Alcotest.test_case "delivery fanout" `Quick test_link_delivers_to_others_only;
+          Alcotest.test_case "addressed delivery" `Quick test_addressed_delivery;
           Alcotest.test_case "half duplex queueing" `Quick test_half_duplex_queueing;
           Alcotest.test_case "saturation" `Quick test_saturation_sanity ] );
       ( "fault",
