@@ -13,6 +13,7 @@ module Capability = Uln_host.Capability
 module Shared_mem = Uln_host.Shared_mem
 module Nic = Uln_net.Nic
 module Frame = Uln_net.Frame
+module Absint = Uln_filter.Absint
 module Demux = Uln_filter.Demux
 module Program = Uln_filter.Program
 module Template = Uln_filter.Template
@@ -283,10 +284,10 @@ let create_channel t ~caller ~owner ~use_bqi =
    is the eavesdropping/ambiguity hazard the verifier exists to catch.
    (Overlaps on the same channel, and subsumption shadowing like a
    connection filter under its listener, are benign and not flagged.) *)
-let filter_conflict t ch program =
+let conflict_of t ch analyzed =
   match
     List.filter (fun (c : channel Demux.conflict) -> c.Demux.with_endpoint != ch)
-      (Demux.conflicts t.demux program)
+      (Demux.conflicts t.demux analyzed)
   with
   | [] -> None
   | { Demux.witness; _ } :: _ as cs ->
@@ -294,14 +295,19 @@ let filter_conflict t ch program =
         (Printf.sprintf "accept sets of %d installed filter(s) intersect (witness: %d-byte packet)"
            (List.length cs) (Uln_buf.View.length witness))
 
-let install_filter t ch program =
-  (match filter_conflict t ch program with
+let filter_conflict t ch program = conflict_of t ch (program, Absint.analyze program)
+
+(* [analyzed] is the program paired with its analysis, run once by the
+   caller and shared by the overlap check, the demux entry's group and
+   (in [activate]) the template cross-check. *)
+let install_filter t ch analyzed =
+  (match conflict_of t ch analyzed with
   | None -> ()
   | Some desc ->
       t.overlap_flags <- t.overlap_flags + 1;
       Uln_engine.Trace.infof t.machine.Machine.sched "netio" "filter overlap on chan%d: %s" ch.id
         desc);
-  match Demux.install ~affinity:ch.affinity t.demux program ch with
+  match Demux.install_analyzed ~affinity:ch.affinity t.demux analyzed ch with
   | Ok k ->
       ch.filters <- k :: ch.filters;
       k
@@ -309,7 +315,7 @@ let install_filter t ch program =
 
 let add_filter t ~caller ch program =
   require_privileged caller "Netio.add_filter";
-  install_filter t ch program
+  install_filter t ch (program, Absint.analyze program)
 
 (* Population fast path for the sparse-scale benches: stamp a verified
    template's constraints with another connection's bytes.  Skips the
@@ -335,7 +341,8 @@ let remove_filter t ~caller k =
 
 let activate t ~caller ch ~filter ~template =
   require_privileged caller "Netio.activate";
-  (match Verify.check_template ~filter template with
+  let a = Absint.analyze filter in
+  (match Verify.check_template ~filter:a template with
   | Ok () -> ()
   | Error te ->
       raise
@@ -343,7 +350,7 @@ let activate t ~caller ch ~filter ~template =
            (Format.asprintf "Netio.activate on chan%d: %a" ch.id Verify.pp_template_error te)));
   ch.template <- Some template;
   ch.active <- true;
-  ignore (add_filter t ~caller ch filter)
+  ignore (install_filter t ch (filter, a))
 
 let reassign_owner t ~caller ch ~owner =
   require_privileged caller "Netio.reassign_owner";
@@ -440,7 +447,7 @@ let activate_leased t ch ~from_domain ~lease ~remote_ip ~remote_port ~local_port
   ch.active <- true;
   lease.l_stamps <- lease.l_stamps + 1;
   t.leased_activations <- t.leased_activations + 1;
-  ignore (install_filter t ch filter)
+  ignore (install_filter t ch (filter, Absint.analyze filter))
 
 (* Disarm a leased channel after its connection fully closes, returning
    it to the library's cache: filters out, template cleared, region and

@@ -9,19 +9,20 @@ type timer = {
 
 type handle = timer
 
+(* The wheel is built as it is used: [wheel] stays [[||]] until the
+   first insert, and each level's slot array until the first insert into
+   that level.  A connection's wheel usually only ever touches level 0,
+   and many never schedule at all. *)
 type t = {
   tick_ns : int;
-  wheel : timer list ref array array; (* [level].[slot] *)
+  mutable wheel : timer list array array; (* [level].[slot] *)
   mutable tick : int;
   mutable pending : int;
 }
 
 let create ~granularity () =
   if granularity <= 0 then invalid_arg "Timer_wheel.create: granularity must be positive";
-  { tick_ns = granularity;
-    wheel = Array.init levels (fun _ -> Array.init slots_per_level (fun _ -> ref []));
-    tick = 0;
-    pending = 0 }
+  { tick_ns = granularity; wheel = [||]; tick = 0; pending = 0 }
 
 let granularity t = t.tick_ns
 let pending t = t.pending
@@ -38,8 +39,10 @@ let insert t timer =
   in
   let level = find_level 0 in
   let slot = timer.expiry_tick / level_width.(level) mod slots_per_level in
-  let cell = t.wheel.(level).(slot) in
-  cell := timer :: !cell
+  if Array.length t.wheel = 0 then t.wheel <- Array.make levels [||];
+  if Array.length t.wheel.(level) = 0 then t.wheel.(level) <- Array.make slots_per_level [];
+  let cells = t.wheel.(level) in
+  cells.(slot) <- timer :: cells.(slot)
 
 let schedule t ~after f =
   let delta_ticks = Stdlib.max 1 ((after + t.tick_ns - 1) / t.tick_ns) in
@@ -50,21 +53,25 @@ let schedule t ~after f =
 
 let cancel h = h.live <- false
 
-(* Fire or reinsert everything in a cell.  Timers whose expiry is still in
-   the future cascade back in at (possibly) a lower level. *)
-let drain_cell t cell =
-  let entries = !cell in
-  cell := [];
-  let handle timer =
-    if not timer.live then t.pending <- t.pending - 1
-    else if timer.expiry_tick <= t.tick then begin
-      timer.live <- false;
-      t.pending <- t.pending - 1;
-      timer.callback ()
-    end
-    else insert t timer
-  in
-  List.iter handle (List.rev entries)
+(* Fire or reinsert everything in a slot.  Timers whose expiry is still in
+   the future cascade back in at (possibly) a lower level.  A level that
+   was never inserted into has no slots to drain. *)
+let drain_slot t level slot =
+  let cells = t.wheel.(level) in
+  if Array.length cells > 0 then begin
+    let entries = cells.(slot) in
+    cells.(slot) <- [];
+    let handle timer =
+      if not timer.live then t.pending <- t.pending - 1
+      else if timer.expiry_tick <= t.tick then begin
+        timer.live <- false;
+        t.pending <- t.pending - 1;
+        timer.callback ()
+      end
+      else insert t timer
+    in
+    List.iter handle (List.rev entries)
+  end
 
 let step t =
   t.tick <- t.tick + 1;
@@ -73,13 +80,15 @@ let step t =
   let rec cascade level =
     if level < levels then begin
       let slot = t.tick / level_width.(level) mod slots_per_level in
-      drain_cell t t.wheel.(level).(slot);
+      drain_slot t level slot;
       if t.tick mod (level_width.(level) * slots_per_level) = 0 then cascade (level + 1)
     end
   in
-  drain_cell t t.wheel.(0).(slot0);
+  drain_slot t 0 slot0;
   if slot0 = 0 then cascade 1
 
+(* [pending > 0] implies an insert happened, so [step] only runs on a
+   wheel whose level array exists. *)
 let advance_to t now =
   let target = Time.to_ns now / t.tick_ns in
   if t.pending = 0 then t.tick <- Stdlib.max t.tick target

@@ -8,7 +8,9 @@
     The wheel is a pure data structure driven by an external clock:
     callers {!advance} it to the current tick and due callbacks fire.
     Scheduling and cancelling are O(1); advancing is amortised O(1) per
-    tick plus cascading. *)
+    tick plus cascading.  Each level's slots are allocated on the first
+    insert into that level, so a wheel that is created and never used
+    costs a few words. *)
 
 type t
 

@@ -1,19 +1,18 @@
 type t = {
   sched : Sched.t;
   wheel : Timer_wheel.t;
-  granularity : Time.span;
   mutable tick_armed : bool;
 }
 
 type handle = Timer_wheel.handle
 
 let create sched ~granularity =
-  { sched; wheel = Timer_wheel.create ~granularity (); granularity; tick_armed = false }
+  { sched; wheel = Timer_wheel.create ~granularity (); tick_armed = false }
 
 let rec ensure_tick t =
   if (not t.tick_armed) && Timer_wheel.pending t.wheel > 0 then begin
     t.tick_armed <- true;
-    Sched.after t.sched t.granularity (fun () ->
+    Sched.after t.sched (Timer_wheel.granularity t.wheel) (fun () ->
         t.tick_armed <- false;
         Timer_wheel.advance_to t.wheel (Sched.now t.sched);
         ensure_tick t)

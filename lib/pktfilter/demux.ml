@@ -4,12 +4,30 @@ type mode = Interpreted | Compiled
    analysis, shared by every live entry that carries that program.  An
    [install] founds a group; a stamped entry joins its template's group,
    because its program is the template's.  The analysis is computed at
-   most once per group, on the first overlap check that needs it. *)
+   most once per group: given by the installer, or forced by the first
+   overlap check that needs it. *)
 type group = {
   g_id : int;  (* the founding entry's id *)
   g_program : Program.t;  (* as installed (overlap checks use this) *)
   g_analysis : Absint.result Lazy.t;
   mutable g_live : int;  (* live entries in the group; dropped at 0 *)
+  mutable g_slot : slot;  (* where the overlap index holds it *)
+}
+
+(* The overlap index.  A group whose analysis has one accept path with
+   strictly increasing constraint offsets sits in the bucket of the
+   [oshape] for that offset set, keyed by the bytes it pins there.  Its
+   constraint merge with an incoming accept path that pins every offset
+   of the shape can only succeed when the path pins the same bytes, so
+   such a path needs that one bucket; a path leaving some offset
+   unpinned needs the whole shape.  Every other group is [Residual] and
+   always checked.  [Unindexed] groups (analysis not forced yet) are
+   placed at the next check. *)
+and slot = Unindexed | Residual | Bucket of oshape * string
+
+and oshape = {
+  os_offs : int array;  (* strictly increasing byte offsets *)
+  os_buckets : (string, group list) Hashtbl.t;
 }
 
 type key = int
@@ -83,7 +101,10 @@ type 'a t = {
   mutable shapes : 'a shape list;
   mutable hshapes : 'a hshape list;
   mutable residual : 'a entry list;  (* inexact entries, priority order *)
-  groups : (int, group) Hashtbl.t;  (* live overlap-check groups, by [g_id] *)
+  mutable n_groups : int;  (* live overlap-check groups *)
+  mutable oshapes : oshape list;
+  oresidual : (int, group) Hashtbl.t;  (* by [g_id] *)
+  unindexed : (int, group) Hashtbl.t;  (* by [g_id] *)
   stamp_accept : (key, int) Hashtbl.t;
       (* a template's accept cycles on its own accept packet, measured
          at its first stamped install; dropped with the template *)
@@ -107,7 +128,10 @@ let create ~mode ?budget ?(flow_cache = false) ?(hier = false) () =
     shapes = [];
     hshapes = [];
     residual = [];
-    groups = Hashtbl.create 8;
+    n_groups = 0;
+    oshapes = [];
+    oresidual = Hashtbl.create 8;
+    unindexed = Hashtbl.create 8;
     stamp_accept = Hashtbl.create 8;
     c_hits = 0;
     c_misses = 0;
@@ -147,33 +171,123 @@ let set_flow_cache t on =
    differential tests can flip it between lookups on the same table. *)
 let set_hier t on = t.hier <- on
 
-let live_groups t = Hashtbl.length t.groups
+let live_groups t = t.n_groups
 
-(* One verdict per live group, not per entry: a populated table holds
-   few distinct programs (a stamped population is one group), so the
-   common clean case never walks [entries].  Only when some group
-   conflicts does the priority-ordered walk run, to report each of its
-   live entries in the same order as a per-entry check would. *)
-let conflicts t program =
-  if Hashtbl.length t.groups = 0 then []
-  else begin
-    let a = Absint.analyze program in
-    let hits =
-      Hashtbl.fold
-        (fun id g acc ->
-          let ga = Lazy.force g.g_analysis in
-          match Verify.overlap_witness_analyzed (program, a) (g.g_program, ga) with
-          | Some witness
-            when not
-                   (Verify.subsumes_analyzed ~general:a ~specific:ga
-                   || Verify.subsumes_analyzed ~general:ga ~specific:a) ->
-              (id, witness) :: acc
-          | _ -> acc)
-        t.groups []
-    in
-    if hits = [] then []
+(* --- the overlap index --------------------------------------------------- *)
+
+let rec strictly_increasing = function
+  | (o1, _) :: ((o2, _) :: _ as rest) -> o1 < o2 && strictly_increasing rest
+  | _ -> true
+
+let index_group t g =
+  match (Lazy.force g.g_analysis).Absint.r_accept_paths with
+  | [ ap ] when strictly_increasing ap.Absint.ap_constraints ->
+      let cs = ap.Absint.ap_constraints in
+      let offs = Array.of_list (List.map fst cs) in
+      let key = String.of_seq (Seq.map (fun (_, v) -> Char.chr v) (List.to_seq cs)) in
+      let sh =
+        match List.find_opt (fun sh -> sh.os_offs = offs) t.oshapes with
+        | Some sh -> sh
+        | None ->
+            let sh = { os_offs = offs; os_buckets = Hashtbl.create 16 } in
+            t.oshapes <- sh :: t.oshapes;
+            sh
+      in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt sh.os_buckets key) in
+      Hashtbl.replace sh.os_buckets key (g :: bucket);
+      g.g_slot <- Bucket (sh, key)
+  | _ ->
+      Hashtbl.replace t.oresidual g.g_id g;
+      g.g_slot <- Residual
+
+let unindex_group t g =
+  match g.g_slot with
+  | Unindexed -> Hashtbl.remove t.unindexed g.g_id
+  | Residual -> Hashtbl.remove t.oresidual g.g_id
+  | Bucket (sh, key) -> (
+      match List.filter (fun g' -> g' != g) (Hashtbl.find sh.os_buckets key) with
+      | [] ->
+          Hashtbl.remove sh.os_buckets key;
+          if Hashtbl.length sh.os_buckets = 0 then
+            t.oshapes <- List.filter (fun sh' -> sh' != sh) t.oshapes
+      | rest -> Hashtbl.replace sh.os_buckets key rest)
+
+let index_unindexed t =
+  if Hashtbl.length t.unindexed > 0 then begin
+    Hashtbl.iter (fun _ g -> index_group t g) t.unindexed;
+    Hashtbl.reset t.unindexed
+  end
+
+(* The bytes an accept path's (offset-sorted) constraints pin at the
+   shape's offsets, or [None] when it leaves one of them unpinned. *)
+let path_key offs cs =
+  let n = Array.length offs in
+  let key = Bytes.create n in
+  let rec go i cs =
+    if i = n then Some (Bytes.unsafe_to_string key)
     else
-      let witness_of = Hashtbl.of_seq (List.to_seq hits) in
+      match cs with
+      | [] -> None
+      | (o, v) :: rest ->
+          if o < offs.(i) then go i rest
+          else if o > offs.(i) then None
+          else begin
+            Bytes.set key i (Char.chr v);
+            go (i + 1) rest
+          end
+  in
+  go 0 cs
+
+(* The buckets of [sh] the incoming accept paths select: [Some keys],
+   distinct, or [None] for the whole shape. *)
+let shape_keys sh paths =
+  let rec go acc = function
+    | [] -> Some (List.sort_uniq String.compare acc)
+    | ap :: rest -> (
+        match path_key sh.os_offs ap.Absint.ap_constraints with
+        | Some k -> go (k :: acc) rest
+        | None -> None)
+  in
+  go [] paths
+
+(* One verdict per candidate group, not per entry: a populated table
+   holds few distinct programs (a stamped population is one group), and
+   the index narrows those to the groups whose constraints can merge
+   with the incoming program's, so the common clean case never walks
+   [entries].  Only when some group conflicts does the priority-ordered
+   walk run, to report each of its live entries in the same order as a
+   per-entry check would. *)
+let conflicts t (program, a) =
+  if t.n_groups = 0 then []
+  else begin
+    index_unindexed t;
+    let hits = ref [] in
+    let check g =
+      let ga = Lazy.force g.g_analysis in
+      match Verify.overlap_witness_analyzed (program, a) (g.g_program, ga) with
+      | Some witness
+        when not
+               (Verify.subsumes_analyzed ~general:a ~specific:ga
+               || Verify.subsumes_analyzed ~general:ga ~specific:a) ->
+          hits := (g.g_id, witness) :: !hits
+      | _ -> ()
+    in
+    Hashtbl.iter (fun _ g -> check g) t.oresidual;
+    List.iter
+      (fun sh ->
+        match shape_keys sh a.Absint.r_accept_paths with
+        | Some keys ->
+            List.iter
+              (fun k ->
+                match Hashtbl.find_opt sh.os_buckets k with
+                | Some gs -> List.iter check gs
+                | None -> ())
+              keys
+        | None -> Hashtbl.iter (fun _ gs -> List.iter check gs) sh.os_buckets)
+      t.oshapes;
+    if !hits = [] then []
+    else
+      let witness_of = Hashtbl.of_seq (List.to_seq !hits) in
       List.filter_map
         (fun e ->
           if e.dead then None
@@ -234,7 +348,11 @@ let hindex_remove t (e : 'a entry) =
 
 let add_entry t entry =
   let g = entry.group in
-  if g.g_live = 0 then Hashtbl.replace t.groups g.g_id g;
+  if g.g_live = 0 then begin
+    t.n_groups <- t.n_groups + 1;
+    if Lazy.is_val g.g_analysis then index_group t g
+    else Hashtbl.replace t.unindexed g.g_id g
+  end;
   g.g_live <- g.g_live + 1;
   t.entries <- entry :: t.entries;
   Hashtbl.replace t.by_id entry.id entry;
@@ -242,7 +360,9 @@ let add_entry t entry =
   hindex_add t entry;
   flush_cache t
 
-let install ?(optimize = true) ?(affinity = 0) t program endpoint =
+(* [raw] is the analysis of [program] as given; it becomes the group's,
+   unless [program] runs as is and the optimized analysis already is. *)
+let admit_and_add ~optimize ~affinity t program raw endpoint =
   let optimized = if optimize then Optimize.run program else program in
   let a = Absint.analyze optimized in
   match Verify.admit_analyzed ?budget:t.budget ~compiled:(t.mode = Compiled) a with
@@ -270,9 +390,9 @@ let install ?(optimize = true) ?(affinity = 0) t program endpoint =
       let group =
         { g_id = t.next_id;
           g_program = program;
-          g_analysis =
-            (if program == optimized then Lazy.from_val a else lazy (Absint.analyze program));
-          g_live = 0 }
+          g_analysis = (if program == optimized then Lazy.from_val a else raw);
+          g_live = 0;
+          g_slot = Unindexed }
       in
       let entry =
         { id = t.next_id; group; optimized; predicate; wcet; report; exact; endpoint;
@@ -280,6 +400,12 @@ let install ?(optimize = true) ?(affinity = 0) t program endpoint =
       in
       add_entry t entry;
       Ok entry.id
+
+let install ?(optimize = true) ?(affinity = 0) t program endpoint =
+  admit_and_add ~optimize ~affinity t program (lazy (Absint.analyze program)) endpoint
+
+let install_analyzed ?(affinity = 0) t (program, a) endpoint =
+  admit_and_add ~optimize:true ~affinity t program (Lazy.from_val a) endpoint
 
 let install_exn ?optimize ?affinity t program endpoint =
   match install ?optimize ?affinity t program endpoint with
@@ -372,7 +498,10 @@ let remove t key =
       Hashtbl.remove t.stamp_accept key;
       let g = e.group in
       g.g_live <- g.g_live - 1;
-      if g.g_live = 0 then Hashtbl.remove t.groups g.g_id;
+      if g.g_live = 0 then begin
+        t.n_groups <- t.n_groups - 1;
+        unindex_group t g
+      end;
       if t.n_dead > t.n_entries && t.n_dead > 32 then compact t;
       flush_cache t
 

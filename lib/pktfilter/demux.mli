@@ -107,6 +107,12 @@ val install :
     over-budget worst-case costs.  [affinity] (default 0) is the CPU
     index the endpoint's traffic should be steered to. *)
 
+val install_analyzed :
+  ?affinity:int -> 'a t -> Program.t * Absint.result -> 'a -> (key, Verify.error) result
+(** {!install} (optimizing) of a program paired with its analysis, which
+    becomes its overlap-check group's: a caller that has just run
+    {!conflicts} with the same pair analyses the program once. *)
+
 val install_exn : ?optimize:bool -> ?affinity:int -> 'a t -> Program.t -> 'a -> key
 (** Like {!install}. @raise Verify.Rejected on a verifier rejection. *)
 
@@ -139,19 +145,28 @@ val set_affinity : 'a t -> key -> int -> unit
     endpoint re-install: the flow cache is flushed, so no subsequent
     dispatch can report the old CPU. *)
 
-val conflicts : 'a t -> Program.t -> 'a conflict list
+val conflicts : 'a t -> Program.t * Absint.result -> 'a conflict list
 (** Installed entries whose accept set provably intersects the given
-    program's on a concrete witness packet, excluding benign
-    shadowing — pairs where either filter {!Verify.subsumes} the other
-    (a connection filter under its listener, or an identical re-install
-    during connection handoff).  What remains is the
-    eavesdropping/ambiguity hazard the registry must surface.
+    program's (paired with its analysis) on a concrete witness packet,
+    excluding benign shadowing — pairs where either filter
+    {!Verify.subsumes} the other (a connection filter under its
+    listener, or an identical re-install during connection handoff).
+    What remains is the eavesdropping/ambiguity hazard the registry
+    must surface.
 
-    Cost: one symbolic overlap check per live program group (see
-    {!live_groups}), with each installed program analysed once in its
-    lifetime and [program] once per call — not one check per installed
-    entry.  Only when some group conflicts are the entries walked, in
-    priority order, to list that group's members. *)
+    Cost: O(shapes + candidates + residual groups), not one check per
+    installed entry nor per live program group (see {!live_groups}).
+    A group whose analysis has a single accept path with strictly
+    increasing constraint offsets is indexed by that offset set (its
+    shape) and the bytes it pins there; for each accept path of
+    [program], the check visits the one bucket those bytes select in
+    each shape whose offsets the path pins, the whole shape when it
+    leaves some of them unpinned, and every residual (unindexed) group.
+    That candidate set holds every group whose constraints can merge
+    with [program]'s, so the verdicts are those of a check against every
+    group.  Each installed program is analysed once in its lifetime.
+    Only when some group conflicts are the entries walked, in priority
+    order, to list that group's members. *)
 
 val live_groups : 'a t -> int
 (** Number of distinct programs the overlap check visits: each

@@ -160,11 +160,10 @@ let template_bytes tpl =
 let off_filter_dst_ip = 30
 let off_template_src_ip = 26
 
-let check_template ~filter tpl =
+let check_template ~filter:(r : Absint.result) tpl =
   match template_bytes tpl with
   | Error offset -> Error (Template_inconsistent { offset })
   | Ok bytes -> (
-      let r = Absint.analyze filter in
       match r.Absint.r_accept_paths with
       | [ ap ] when r.Absint.r_conjunctive ->
           let local_ip_byte i = List.assoc_opt (off_filter_dst_ip + i) ap.Absint.ap_constraints in

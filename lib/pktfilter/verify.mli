@@ -72,13 +72,14 @@ type template_error =
       (** the receive filter pins the endpoint's local address but the
           send template does not pin the IP source to it *)
 
-val check_template : filter:Program.t -> Template.t -> (unit, template_error) result
-(** Cross-check a channel's outbound template against its receive
-    filter: the template must be self-consistent, and when the filter
-    pins the endpoint's local IP (bytes 30..33), the template must pin
-    the IP source (bytes 26..29) to the same address — the
+val check_template : filter:Absint.result -> Template.t -> (unit, template_error) result
+(** Cross-check a channel's outbound template against the analysis of
+    its receive filter: the template must be self-consistent, and when
+    the filter pins the endpoint's local IP (bytes 30..33), the template
+    must pin the IP source (bytes 26..29) to the same address — the
     anti-impersonation property the paper's send capability exists to
-    enforce. *)
+    enforce.  Taking the analysis lets the installer share one with the
+    overlap check and the demux entry. *)
 
 val pp_vacuity : Format.formatter -> vacuity -> unit
 val pp_report : Format.formatter -> report -> unit

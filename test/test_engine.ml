@@ -8,6 +8,9 @@ module Rng = Uln_engine.Rng
 module Stats = Uln_engine.Stats
 module Pheap = Uln_engine.Pheap
 module Trace = Uln_engine.Trace
+module Machine = Uln_host.Machine
+module Costs = Uln_host.Costs
+module Proto_env = Uln_proto.Proto_env
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -408,6 +411,219 @@ let prop_wheel_never_early =
       Timer_wheel.advance_to w (Time.of_ns (Time.ms 6000));
       !ok && !fired = List.length delays)
 
+(* The wheel before levels were allocated on use: every slot of every
+   level a [ref] cell made up front.  Kept as the oracle the wheel must
+   match firing for firing. *)
+module Ref_wheel = struct
+  let slots_per_level = 256
+  let levels = 4
+
+  type timer = { mutable expiry_tick : int; callback : unit -> unit; mutable live : bool }
+  type handle = timer
+  type t = { tick_ns : int; wheel : timer list ref array array; mutable tick : int; mutable pending : int }
+
+  let create ~granularity () =
+    { tick_ns = granularity;
+      wheel = Array.init levels (fun _ -> Array.init slots_per_level (fun _ -> ref []));
+      tick = 0;
+      pending = 0 }
+
+  let pending t = t.pending
+  let current_tick t = t.tick
+
+  let level_width =
+    Array.init levels (fun i -> int_of_float (float_of_int slots_per_level ** float_of_int i))
+
+  let insert t timer =
+    let delta = Stdlib.max 1 (timer.expiry_tick - t.tick) in
+    let rec find_level i =
+      if i = levels - 1 || delta < level_width.(i) * slots_per_level then i else find_level (i + 1)
+    in
+    let level = find_level 0 in
+    let cell = t.wheel.(level).(timer.expiry_tick / level_width.(level) mod slots_per_level) in
+    cell := timer :: !cell
+
+  let schedule t ~after f =
+    let delta_ticks = Stdlib.max 1 ((after + t.tick_ns - 1) / t.tick_ns) in
+    let timer = { expiry_tick = t.tick + delta_ticks; callback = f; live = true } in
+    insert t timer;
+    t.pending <- t.pending + 1;
+    timer
+
+  let cancel h = h.live <- false
+
+  let drain_cell t cell =
+    let entries = !cell in
+    cell := [];
+    List.iter
+      (fun timer ->
+        if not timer.live then t.pending <- t.pending - 1
+        else if timer.expiry_tick <= t.tick then begin
+          timer.live <- false;
+          t.pending <- t.pending - 1;
+          timer.callback ()
+        end
+        else insert t timer)
+      (List.rev entries)
+
+  let step t =
+    t.tick <- t.tick + 1;
+    let slot0 = t.tick mod slots_per_level in
+    let rec cascade level =
+      if level < levels then begin
+        drain_cell t t.wheel.(level).(t.tick / level_width.(level) mod slots_per_level);
+        if t.tick mod (level_width.(level) * slots_per_level) = 0 then cascade (level + 1)
+      end
+    in
+    drain_cell t t.wheel.(0).(slot0);
+    if slot0 = 0 then cascade 1
+
+  let advance_to t now =
+    let target = Time.to_ns now / t.tick_ns in
+    if t.pending = 0 then t.tick <- Stdlib.max t.tick target
+    else
+      while t.tick < target do
+        if t.pending = 0 then t.tick <- target else step t
+      done
+end
+
+module type WHEEL = sig
+  type t
+  type handle
+
+  val create : granularity:Time.span -> unit -> t
+  val schedule : t -> after:Time.span -> (unit -> unit) -> handle
+  val cancel : handle -> unit
+  val pending : t -> int
+  val current_tick : t -> int
+  val advance_to : t -> Time.t -> unit
+end
+
+(* What a timer does when it fires, besides logging itself. *)
+type on_fire = Nothing | Spawn of int | Kill of int
+
+type wheel_op = Schedule of int * on_fire | Cancel of int | Advance of int
+
+let pp_on_fire = function
+  | Nothing -> ""
+  | Spawn d -> Printf.sprintf " then schedule %d" d
+  | Kill i -> Printf.sprintf " then cancel #%d" i
+
+let pp_wheel_op = function
+  | Schedule (d, f) -> Printf.sprintf "schedule %d%s" d (pp_on_fire f)
+  | Cancel i -> Printf.sprintf "cancel #%d" i
+  | Advance dt -> Printf.sprintf "advance %d" dt
+
+(* Run a script on a 1 ns-tick wheel; the trace is every firing as
+   (timer id, tick), then the wheel's final tick and pending count. *)
+let run_wheel_script (module W : WHEEL) ops =
+  let w = W.create ~granularity:1 () in
+  let handles = Hashtbl.create 16 in
+  let log = ref [] in
+  let now = ref 0 in
+  let cancel i = if Hashtbl.length handles > 0 then W.cancel (Hashtbl.find handles (i mod Hashtbl.length handles)) in
+  let rec schedule d on_fire =
+    let id = Hashtbl.length handles in
+    let h =
+      W.schedule w ~after:d (fun () ->
+          log := (id, W.current_tick w) :: !log;
+          match on_fire with
+          | Nothing -> ()
+          | Spawn d' -> schedule d' Nothing
+          | Kill i -> cancel i)
+    in
+    Hashtbl.replace handles id h
+  in
+  List.iter
+    (function
+      | Schedule (d, f) -> schedule d f
+      | Cancel i -> cancel i
+      | Advance dt ->
+          now := !now + dt;
+          W.advance_to w (Time.of_ns !now))
+    ops;
+  (List.rev !log, W.current_tick w, W.pending w)
+
+(* Delays land on every level (widths 1, 256, 65536 and 16777216 ticks)
+   and past level 3's horizon (2^32 ticks), and short ones often share a
+   tick, so firing order within a slot counts; advances stay short enough
+   to step tick by tick, so level-2 and level-3 timers are placed,
+   cascaded and cancelled but only the nearer ones fire here (the
+   deterministic case below fires level 3 and wraps its horizon). *)
+let gen_wheel_ops =
+  let open QCheck.Gen in
+  let delay =
+    frequency
+      [ (2, 1 -- 8);
+        (3, 9 -- 255);
+        (3, 256 -- 65_535);
+        (2, 65_536 -- ((1 lsl 24) - 1));
+        (1, (1 lsl 24) -- ((1 lsl 32) - 1));
+        (1, (1 lsl 32) -- (1 lsl 34)) ]
+  in
+  let on_fire =
+    frequency [ (4, return Nothing); (2, map (fun d -> Spawn d) delay); (1, map (fun i -> Kill i) nat) ]
+  in
+  list_size (1 -- 60)
+    (frequency
+       [ (5, map2 (fun d f -> Schedule (d, f)) delay on_fire);
+         (2, map (fun i -> Cancel i) nat);
+         (4, map (fun dt -> Advance dt) (frequency [ (6, 0 -- 300); (3, 300 -- 70_000); (1, 70_000 -- 200_000) ])) ])
+
+let prop_wheel_matches_ref_cells =
+  QCheck.Test.make ~name:"wheel = ref-cell wheel (schedule/cancel/advance, all levels)" ~count:100
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_wheel_op ops)) gen_wheel_ops)
+    (fun ops ->
+      run_wheel_script (module Timer_wheel) ops = run_wheel_script (module Ref_wheel) ops)
+
+let test_wheel_far_matches_ref_cells () =
+  let ops =
+    [ Schedule ((1 lsl 24) + 3, Spawn 700);
+      Schedule ((1 lsl 25) + 11, Nothing);
+      (* past the horizon: level 3's slot of this expiry comes round at
+         tick 2^24, long before it is due, and must re-insert it *)
+      Schedule ((1 lsl 32) + (1 lsl 24) + 9, Nothing);
+      Schedule (70_000, Spawn ((1 lsl 24) + 5));
+      Schedule (40, Kill 1);
+      Advance ((1 lsl 24) + 2);
+      Schedule (300, Spawn 3);
+      Advance 1_000_000 ]
+  in
+  let ((fired, _, pending) as got) = run_wheel_script (module Timer_wheel) ops in
+  check_bool "same trace as the ref-cell wheel" true (got = run_wheel_script (module Ref_wheel) ops);
+  check "fired" 7 (List.length fired);
+  (* the far timer, and the cancelled one until its slot comes round *)
+  check "pending" 2 pending
+
+(* Whole words allocated per call: over [n] calls the measurement's own
+   boxed floats add less than one word per call, and the floor drops
+   them. *)
+let words_per_call n f =
+  let keep = Array.make n (Obj.repr 0) in
+  Gc.minor ();
+  let before = allocated_words () in
+  for i = 0 to n - 1 do
+    keep.(i) <- Obj.repr (f ())
+  done;
+  let words = (allocated_words () -. before) /. float_of_int n in
+  ignore (Sys.opaque_identity keep);
+  int_of_float words
+
+(* A wheel allocates its slot arrays on first use, so creating one (and
+   the per-connection environment that holds one) costs a few words,
+   not the 1,024 ref cells (about 3.1k words) every level used to make
+   up front. *)
+let test_wheel_create_allocation () =
+  let wheel = words_per_call 1_000 (fun () -> Timer_wheel.create ~granularity:(Time.ms 10) ()) in
+  check_bool (Printf.sprintf "Timer_wheel.create: %d words, bound 16" wheel) true (wheel <= 16);
+  let s = Sched.create () in
+  let m = Machine.create s ~name:"m" ~costs:Costs.r3000 ~rng:(Rng.create ~seed:5) in
+  let env =
+    words_per_call 1_000 (fun () ->
+        Proto_env.create s m.Machine.cpu m.Machine.costs ~rng:m.Machine.rng ())
+  in
+  check_bool (Printf.sprintf "Proto_env.create: %d words, bound 16" env) true (env <= 16)
+
 let test_timers_service () =
   let s = Sched.create () in
   let svc = Timers.create s ~granularity:(Time.ms 10) in
@@ -509,6 +725,11 @@ let () =
           Alcotest.test_case "wheel cancel" `Quick test_wheel_cancel;
           Alcotest.test_case "wheel cascade" `Quick test_wheel_long_delay_cascades;
           qc prop_wheel_never_early;
+          qc prop_wheel_matches_ref_cells;
+          Alcotest.test_case "wheel past level 3's horizon = ref-cell wheel" `Quick
+            test_wheel_far_matches_ref_cells;
+          Alcotest.test_case "wheel and proto env creation allocate a few words" `Quick
+            test_wheel_create_allocation;
           Alcotest.test_case "timer service" `Quick test_timers_service ] );
       ( "rng",
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

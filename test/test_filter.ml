@@ -8,6 +8,7 @@ module Template = Uln_filter.Template
 module Demux = Uln_filter.Demux
 module Verify = Uln_filter.Verify
 module Optimize = Uln_filter.Optimize
+module Absint = Uln_filter.Absint
 
 let check_bool = Alcotest.(check bool)
 let check = Alcotest.(check int)
@@ -417,13 +418,13 @@ let test_subsumption_not_flagged () =
     (Verify.subsumes ~general:listener ~specific:conn);
   let d = Demux.create ~mode:Demux.Interpreted () in
   ignore (Demux.install_exn d listener "listener");
-  check_bool "benign shadowing not flagged" true (Demux.conflicts d conn = []);
+  check_bool "benign shadowing not flagged" true (Demux.conflicts d (conn, Absint.analyze conn) = []);
   (* a genuine partial overlap against an installed entry is flagged,
      with a concrete packet both accept *)
   let a = conj_prog [ (12, 0x0800); (34, 99) ] in
   ignore (Demux.install_exn d a "odd");
   let b = conj_prog [ (12, 0x0800); (36, 80) ] in
-  match Demux.conflicts d b with
+  match Demux.conflicts d (b, Absint.analyze b) with
   | [ c ] ->
       check_bool "witness accepted by both" true
         (Interp.run a c.Demux.witness && Interp.run b c.Demux.witness)
@@ -433,57 +434,84 @@ let test_subsumption_not_flagged () =
 
 (* The per-entry walk [Demux.conflicts] replaced, kept as the reference:
    every live entry, newest first, checked against [program] on its own. *)
-let reference_conflicts live program =
+let reference_conflicts live (program, a) =
   List.filter_map
-    (fun (k, p, ep) ->
-      match Verify.overlap_witness program p with
+    (fun (k, (p, pa), ep) ->
+      match Verify.overlap_witness_analyzed (program, a) (p, pa) with
       | Some w
         when not
-               (Verify.subsumes ~general:program ~specific:p
-               || Verify.subsumes ~general:p ~specific:program) ->
+               (Verify.subsumes_analyzed ~general:a ~specific:pa
+               || Verify.subsumes_analyzed ~general:pa ~specific:a) ->
           Some (k, ep, View.to_string w)
       | _ -> None)
     live
 
 (* Overlapping, disjoint, subsuming (a listener with connection filters
-   under it) and non-conjunctive programs. *)
+   under it) and non-conjunctive programs, chosen to load every part of
+   the overlap index: 16 connection filters that share their addresses
+   and differ in ports (one shape, many buckets; a repeated install puts
+   several groups in one bucket), listeners and port filters whose
+   shapes are subsets of the connection shape, programs that pin one
+   offset twice, and multi-path [Cor] programs whose paths fall in
+   different shapes. *)
 let overlap_pool =
-  [| conj_prog [ (12, 0x0800); (34, 99) ];
-     conj_prog [ (12, 0x0800); (36, 80) ];
-     conj_prog [ (12, 0x0800); (34, 99); (36, 80) ];
-     conj_prog [ (12, 0x0800) ];
-     conj_prog [ (12, 0x0806) ];
-     Program.tcp_dst_port ~dst_ip:ip_b ~dst_port:80;
-     Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:1234 ~dst_port:80;
-     Program.tcp_conn ~src_ip:ip_c ~dst_ip:ip_b ~src_port:1234 ~dst_port:80;
-     Program.udp_port ~dst_ip:ip_b ~dst_port:80;
-     Program.arp ();
-     Program.of_insns
-       Insn.[ Push_word 34; Push_lit 99; Eq; Cor; Push_word 36; Push_lit 80; Eq ] |]
+  let conns =
+    Array.init 16 (fun i ->
+        Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:(1000 + (i mod 4)) ~dst_port:(80 + (i / 4)))
+  in
+  let either first second = Program.of_insns (first @ (Insn.Cor :: Program.insns second)) in
+  Array.append
+    [| conj_prog [ (12, 0x0800); (34, 99) ];
+       conj_prog [ (12, 0x0800); (36, 80) ];
+       conj_prog [ (12, 0x0800); (34, 99); (36, 80) ];
+       conj_prog [ (12, 0x0800) ];
+       conj_prog [ (12, 0x0806) ];
+       Program.tcp_dst_port ~dst_ip:ip_b ~dst_port:80;
+       Program.tcp_dst_port ~dst_ip:ip_b ~dst_port:81;
+       Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:1234 ~dst_port:80;
+       Program.tcp_conn ~src_ip:ip_c ~dst_ip:ip_b ~src_port:1234 ~dst_port:80;
+       Program.udp_port ~dst_ip:ip_b ~dst_port:80;
+       Program.arp ();
+       Program.of_insns
+         Insn.[ Push_word 34; Push_lit 99; Eq; Cor; Push_word 36; Push_lit 80; Eq ];
+       (* one offset pinned twice: by the same word, and by a word and
+          the byte inside it *)
+       conj_prog [ (36, 81); (12, 0x0800); (36, 81) ];
+       Program.of_insns
+         Insn.[ Push_word 36; Push_lit 80; Eq; Cand; Push_byte 37; Push_lit 80; Eq ];
+       either Insn.[ Push_word 12; Push_lit 0x0806; Eq ] conns.(5);
+       either Insn.[ Push_word 36; Push_lit 81; Eq ]
+         (Program.tcp_conn ~src_ip:ip_c ~dst_ip:ip_b ~src_port:1001 ~dst_port:80) |]
+    conns
 
-type table_op = Install of int | Stamp of int * int | Remove of int | Query of int
+let overlap_pool_analyzed = Array.map (fun p -> (p, Absint.analyze p)) overlap_pool
 
+type table_op = Install of int | Stamp of int * int | Remove of int
+
+(* Each op is followed by a query of the pool program it names. *)
 let gen_table_ops =
   let open QCheck.Gen in
   list_size (1 -- 150)
-    (frequency
-       [ (4, map (fun i -> Install i) nat);
-         (4, map2 (fun i v -> Stamp (i, v)) nat nat);
-         (3, map (fun i -> Remove i) nat);
-         (2, map (fun i -> Query i) nat) ])
+    (pair
+       (frequency
+          [ (4, map (fun i -> Install i) nat);
+            (4, map2 (fun i v -> Stamp (i, v)) nat nat);
+            (3, map (fun i -> Remove i) nat) ])
+       nat)
 
-let pp_table_op = function
+let pp_table_op (op, q) =
+  (match op with
   | Install i -> Printf.sprintf "install %d" i
   | Stamp (i, v) -> Printf.sprintf "stamp %d %d" i v
-  | Remove i -> Printf.sprintf "remove %d" i
-  | Query i -> Printf.sprintf "query %d" i
+  | Remove i -> Printf.sprintf "remove %d" i)
+  ^ Printf.sprintf ", query %d" q
 
 let prop_conflicts_match_reference =
   QCheck.Test.make ~name:"grouped conflicts = per-entry walk (install/stamp/remove)" ~count:300
     (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_table_op ops)) gen_table_ops)
     (fun ops ->
       let d = Demux.create ~mode:Demux.Interpreted ~hier:true () in
-      let live = ref [] (* (key, program as installed, endpoint), newest first *) in
+      let live = ref [] (* (key, program as installed and its analysis, endpoint), newest first *) in
       let next_ep = ref 0 in
       let pick l i = List.nth l (i mod List.length l) in
       let agrees probe =
@@ -495,35 +523,39 @@ let prop_conflicts_match_reference =
         in
         got = reference_conflicts !live probe
       in
+      let n = Array.length overlap_pool_analyzed in
       List.for_all
-        (fun op ->
+        (fun (op, q) ->
           (match op with
           | Install i -> (
-              let p = overlap_pool.(i mod Array.length overlap_pool) in
+              (* Alternate the lazily analysed install with the analysed
+                 one, which indexes its group at once. *)
+              let ((p, _) as pa) = overlap_pool_analyzed.(i mod n) in
               incr next_ep;
-              match Demux.install d p !next_ep with
-              | Ok k -> live := (k, p, !next_ep) :: !live
+              match
+                if i / n mod 2 = 0 then Demux.install d p !next_ep
+                else Demux.install_analyzed d pa !next_ep
+              with
+              | Ok k -> live := (k, pa, !next_ep) :: !live
               | Error _ -> ())
           | Stamp (i, v) when !live <> [] -> (
-              let tk, tp, _ = pick !live i in
+              let tk, tpa, _ = pick !live i in
               incr next_ep;
               match
                 Demux.install_stamped d ~template:tk
                   ~constraints:[ (34, v land 0xff); (35, (v lsr 8) land 0xff) ]
                   ~min_len:54 !next_ep
               with
-              | Ok k -> live := (k, tp, !next_ep) :: !live
+              | Ok k -> live := (k, tpa, !next_ep) :: !live
               | Error _ -> ())
           | Remove i when !live <> [] ->
               let k, _, _ = pick !live i in
               Demux.remove d k;
               live := List.filter (fun (k', _, _) -> k' <> k) !live
-          | Stamp _ | Remove _ | Query _ -> ());
-          match op with
-          | Query i -> agrees overlap_pool.(i mod Array.length overlap_pool)
-          | _ -> true)
+          | Stamp _ | Remove _ -> ());
+          agrees overlap_pool_analyzed.(q mod n))
         ops
-      && Array.for_all agrees overlap_pool)
+      && Array.for_all agrees overlap_pool_analyzed)
 
 (* The merge [Verify.merge_constraints] replaced: a table of pins. *)
 let merge_constraints_tbl c1 c2 =
@@ -549,6 +581,45 @@ let prop_merge_matches_table =
   QCheck.Test.make ~name:"linear merge_constraints = table merge" ~count:2000
     QCheck.(make ~print:Print.(pair (list (pair int int)) (list (pair int int))) Gen.(pair pins pins))
     (fun (c1, c2) -> Verify.merge_constraints c1 c2 = merge_constraints_tbl c1 c2)
+
+(* Words allocated so far, minor and direct-major (as in test_datapath). *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* The overlap index makes a clean install's check cost the same however
+   many connection groups are live: the probe's connection shape selects
+   one (empty) bucket.  Checked against every group, the words grew
+   linearly, one overlap check per group. *)
+let test_conflicts_flat_in_groups () =
+  let probe =
+    let p = Program.tcp_conn ~src_ip:ip_c ~dst_ip:ip_b ~src_port:4242 ~dst_port:80 in
+    (p, Absint.analyze p)
+  in
+  let words_for n =
+    let d = Demux.create ~mode:Demux.Interpreted () in
+    ignore (Demux.install_exn d (Program.tcp_dst_port ~dst_ip:ip_b ~dst_port:80) 0);
+    for i = 1 to n do
+      ignore
+        (Demux.install_exn d
+           (Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:(1000 + i) ~dst_port:80)
+           i)
+    done;
+    check "one group per install" (n + 1) (Demux.live_groups d);
+    (* the first check indexes the groups, whose analyses it forces *)
+    check_bool "clean" true (Demux.conflicts d probe = []);
+    Gc.minor ();
+    let before = allocated_words () in
+    let got = Demux.conflicts d probe in
+    let words = allocated_words () -. before in
+    check_bool "still clean" true (got = []);
+    words
+  in
+  let small = words_for 16 and large = words_for 1024 in
+  check_bool
+    (Printf.sprintf "conflicts: %.0f words at 16 groups, %.0f at 1024; bound 2x" small large)
+    true
+    (large <= 2. *. small)
 
 let test_stamped_population_one_group () =
   let d = Demux.create ~mode:Demux.Interpreted ~hier:true () in
@@ -654,14 +725,14 @@ let test_check_template_consistent () =
      from ip_b.  This is exactly what the registry installs. *)
   let filter = Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:1234 ~dst_port:80 in
   let tpl = Template.tcp_conn ~src_ip:ip_b ~dst_ip:ip_a ~src_port:80 ~dst_port:1234 () in
-  check_bool "accepted" true (Verify.check_template ~filter tpl = Ok ())
+  check_bool "accepted" true (Verify.check_template ~filter:(Absint.analyze filter) tpl = Ok ())
 
 let test_check_template_impersonation () =
   let filter = Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:1234 ~dst_port:80 in
   (* Claims to send from ip_c while the receive side is bound to ip_b:
      granting this template would let the holder impersonate ip_c. *)
   let forged = Template.tcp_conn ~src_ip:ip_c ~dst_ip:ip_a ~src_port:80 ~dst_port:1234 () in
-  match Verify.check_template ~filter forged with
+  match Verify.check_template ~filter:(Absint.analyze filter) forged with
   | Error (Verify.Impersonation_hole _) -> ()
   | _ -> Alcotest.fail "expected an impersonation hole"
 
@@ -691,7 +762,9 @@ let () =
           qc prop_conflicts_match_reference;
           qc prop_merge_matches_table;
           Alcotest.test_case "stamped population is one group" `Quick
-            test_stamped_population_one_group ] );
+            test_stamped_population_one_group;
+          Alcotest.test_case "conflicts cost flat in live groups" `Quick
+            test_conflicts_flat_in_groups ] );
       ( "cost",
         [ Alcotest.test_case "charges executed cycles" `Quick test_dispatch_charges_executed_only ] );
       ( "optimize",
