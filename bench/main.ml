@@ -6,7 +6,8 @@
    DESIGN.md calls out.
 
    Usage: main.exe [--json] [all|table1|table2|table3|table4|table5|
-                    figures|ablations|scale|smp|smoke|micro]
+                    figures|ablations|scale|smp|smoke|churn|wan|rpc|
+                    overload|tx|switches|diffcheck|micro]
 
    With --json each table/scale run also writes its rows to
    BENCH_<target>.json in the working directory. *)
@@ -290,16 +291,15 @@ let run_scale ?conns ?pops () =
    with [population] background connections, with the sharded registry
    and the hierarchical miss path on (their defaults are the flat/linear
    oracles the differential tests pin). *)
-let sparse_churn_rows ?(pops = [ 65536; 262144; 1048576 ]) () =
-  let prm =
-    { Uln_proto.Tcp_params.fast with
-      Uln_proto.Tcp_params.hier_demux = true;
-      shard_registry = true }
-  in
+let sparse_params =
+  { Uln_proto.Tcp_params.fast with
+    Uln_proto.Tcp_params.hier_demux = true;
+    shard_registry = true }
+
+let sparse_churn_rows ?(pops = [ 65536; 262144; 1048576 ]) ?(tcp_params = sparse_params) () =
   List.map
     (fun population ->
-      Uln_workload.Churn.run ~pairs:1 ~conns_per_pair:128 ~cpus:4 ~population
-        ~tcp_params:prm
+      Uln_workload.Churn.run ~pairs:1 ~conns_per_pair:128 ~cpus:4 ~population ~tcp_params
         ~config:(Printf.sprintf "+shard@%dk" (population / 1024))
         ~network:Uln_core.World.Ethernet ~org:Uln_core.Organization.User_library ())
     pops
@@ -524,38 +524,36 @@ let run_rpc ?(requests = 300) () =
   write_json "rpc" rows;
   Format.fprintf ppf "@."
 
+(* One overload configuration: its seed-averaged saturation rate, then
+   one open-loop run per offered multiple of it. *)
+let overload_cell ?(mults = [ 0.5; 1.0; 2.0; 4.0 ]) conf (config, prm) =
+  let open Uln_workload.Scenario in
+  let ((sat, _, _) as stats) = saturation_stats ~prm conf in
+  List.map
+    (fun mult ->
+      let r = measure ~tcp_params:prm ~network:scenario_network { conf with rate = mult *. sat } in
+      scenario_row ~scenario:"incast/overload" ~config conf r
+      @ sat_fields stats
+      @ [ ("multiplier", jfloat mult) ])
+    mults
+
 let run_overload ?(requests = 200) () =
   section "Incast overload (offered load vs delivered, open loop)";
-  let open Uln_workload.Scenario in
-  let conf = { (incast ()) with requests } in
-  let rows =
-    List.concat_map
-      (fun (config, prm) ->
-        let ((sat, _, _) as stats) = saturation_stats ~prm conf in
-        List.map
-          (fun mult ->
-            let r =
-              measure ~tcp_params:prm ~network:scenario_network { conf with rate = mult *. sat }
-            in
-            scenario_row ~scenario:"incast/overload" ~config conf r
-            @ sat_fields stats
-            @ [ ("multiplier", jfloat mult) ])
-          [ 0.5; 1.0; 2.0; 4.0 ])
-      rpc_configs
-  in
+  let conf = { (Uln_workload.Scenario.incast ()) with requests } in
+  let rows = List.concat_map (overload_cell conf) rpc_configs in
   write_json "overload" rows;
   Format.fprintf ppf "@."
 
-(* --- Transmit fast path (GSO, completion moderation, pacing) ----------- *)
+(* --- Transmit fast path (GSO, pacing) ---------------------------------- *)
 
 (* The sender-side ladder.  [zc-base] is the zero-copy baseline the
    transmit path is measured against; [zc-deep] adds the deep buffers
    every later rung runs with (an offload episode can only be as large
    as the send queue — this rung shows depth alone moves nothing);
-   [+gso] and [+gso+txc] add the transmit switches one at a time;
-   [rx-coal] is the coalesced receive path WITHOUT the transmit
-   switches, so the [tx_fast] headline decomposes into its receive-side
-   and transmit-side contributions. *)
+   [+gso] adds segmentation offload; [rx-coal] is the coalesced
+   receive path WITHOUT the transmit switches, so the [tx_fast]
+   headline decomposes into its receive-side and transmit-side
+   contributions. *)
 let tx_params =
   let open Uln_proto.Tcp_params in
   let zc = { fast with zero_copy = true } in
@@ -570,10 +568,8 @@ let tx_params =
   [ ("zc-base", zc);
     ("zc-deep", deep);
     ("+gso", { deep with tx_gso = true });
-    ("+gso+txc", { deep with tx_gso = true; tx_complete_coalesce = true });
     ("rx-coal", rx_coal);
     ("nopace", { tx_fast with pacing = false });
-    ("notxc", { tx_fast with tx_complete_coalesce = false });
     ("tx_fast", tx_fast) ]
 
 (* Row labels are literal strings so the ablation-switch lint can pin
@@ -582,23 +578,21 @@ let tx_bulk_rows =
   [ ("tx bulk an1/zc-base", Uln_core.World.An1, "zc-base");
     ("tx bulk an1/zc-deep", Uln_core.World.An1, "zc-deep");
     ("tx bulk an1/+gso", Uln_core.World.An1, "+gso");
-    ("tx bulk an1/+gso+txc", Uln_core.World.An1, "+gso+txc");
     ("tx bulk an1/rx-coal", Uln_core.World.An1, "rx-coal");
     ("tx bulk an1/tx_fast", Uln_core.World.An1, "tx_fast");
     ("tx bulk ethernet/zc-base", Uln_core.World.Ethernet, "zc-base");
     ("tx bulk ethernet/rx-coal", Uln_core.World.Ethernet, "rx-coal");
     ("tx bulk ethernet/nopace", Uln_core.World.Ethernet, "nopace");
-    ("tx bulk ethernet/notxc", Uln_core.World.Ethernet, "notxc");
     ("tx bulk ethernet/tx_fast", Uln_core.World.Ethernet, "tx_fast") ]
 
 (* One sender-limited bulk cell.  The world is built here (rather than
    through [Bulk.measure]) so the sender's CPU time and the NIC's
    transmit-queue counters can be read back after the run: per-byte
-   transmit CPU is the number GSO and completion moderation exist to
-   shrink, and the episode/frame counters prove the offload actually
-   engaged rather than falling back per-segment. *)
-let tx_bulk_cell ?(total_bytes = 4_000_000) (row, network, config) =
-  let prm = List.assoc config tx_params in
+   transmit CPU is the number GSO exists to shrink, and the
+   episode/frame counters prove the offload actually engaged rather
+   than falling back per-segment. *)
+let tx_bulk_cell ?(total_bytes = 4_000_000) ?prm (row, network, config) =
+  let prm = match prm with Some p -> p | None -> List.assoc config tx_params in
   let w =
     Uln_core.World.create ~network ~org:Uln_core.Organization.User_library ~tcp_params:prm ()
   in
@@ -614,9 +608,9 @@ let tx_bulk_cell ?(total_bytes = 4_000_000) (row, network, config) =
     | None -> assert false
   in
   Format.fprintf ppf
-    "  %-24s %7.2f Mb/s  tx cpu %6.1f ns/B  gso %4d ep /%5d fr  txc %4d ev /%5d descs@." row
+    "  %-24s %7.2f Mb/s  tx cpu %6.1f ns/B  gso %4d ep /%5d fr@." row
     r.Uln_workload.Bulk.mbps tx_ns_per_byte txq.Uln_net.Txq.gso_episodes
-    txq.Uln_net.Txq.gso_frames txq.Uln_net.Txq.events txq.Uln_net.Txq.descs;
+    txq.Uln_net.Txq.gso_frames;
   ( row,
     r.Uln_workload.Bulk.mbps,
     tx_ns_per_byte,
@@ -633,9 +627,7 @@ let tx_bulk_cell ?(total_bytes = 4_000_000) (row, network, config) =
       ("retransmissions", jint r.Uln_workload.Bulk.retransmissions);
       ("tx_cpu_ns_per_byte", jfloat tx_ns_per_byte);
       ("gso_episodes", jint txq.Uln_net.Txq.gso_episodes);
-      ("gso_frames", jint txq.Uln_net.Txq.gso_frames);
-      ("txc_events", jint txq.Uln_net.Txq.events);
-      ("txc_descs", jint txq.Uln_net.Txq.descs) ] )
+      ("gso_frames", jint txq.Uln_net.Txq.gso_frames) ] )
 
 (* Pacing on request/response traffic: the coalesced receive-path
    configuration with the whole transmit path on top.  The pacer
@@ -648,11 +640,10 @@ let tx_paced =
     nagle = false;
     timer_granularity = Uln_engine.Time.ms 1;
     tx_gso = true;
-    tx_complete_coalesce = true;
     pacing = true }
 
 let run_tx ?(requests = 200) () =
-  section "Transmit fast path: sender-limited bulk (tx_gso / tx_complete_coalesce / pacing)";
+  section "Transmit fast path: sender-limited bulk (tx_gso / pacing)";
   let cells = List.map tx_bulk_cell tx_bulk_rows in
   let find label =
     let _, mbps, cpu, _ = List.find (fun (l, _, _, _) -> l = label) cells in
@@ -705,6 +696,194 @@ let run_churn () =
   let srows = sparse_churn_rows () in
   Uln_workload.Churn.print ppf srows;
   write_json "churn" (churn_json rows @ churn_sparse_json srows);
+  Format.fprintf ppf "@."
+
+(* --- Switch audit: leave-one-out contribution of every switch --------- *)
+
+(* Each registered switch runs the bench row its registry entry names
+   twice: once with that row's preset, once with only the switch's field
+   reset to its [Tcp_params.default] value.  The two switches that are
+   on by default run the default preset and are turned off instead.
+   Every row runs at its smallest committed size. *)
+let reset_switch field (p : Uln_proto.Tcp_params.t) =
+  let open Uln_proto.Tcp_params in
+  let d = default in
+  match field with
+  | "header_prediction" -> { p with header_prediction = false }
+  | "fused_checksum" -> { p with fused_checksum = false }
+  | "zero_copy" -> { p with zero_copy = d.zero_copy }
+  | "overlap_setup" -> { p with overlap_setup = d.overlap_setup }
+  | "channel_pool" -> { p with channel_pool = d.channel_pool }
+  | "endpoint_lease" -> { p with endpoint_lease = d.endpoint_lease }
+  | "time_wait_wheel" -> { p with time_wait_wheel = d.time_wait_wheel }
+  | "smp_locking" -> { p with smp_locking = d.smp_locking }
+  | "flow_cache" -> { p with flow_cache = d.flow_cache }
+  | "hier_demux" -> { p with hier_demux = d.hier_demux }
+  | "shard_registry" -> { p with shard_registry = d.shard_registry }
+  | "window_scale" -> { p with window_scale = d.window_scale }
+  | "timestamps" -> { p with timestamps = d.timestamps }
+  | "sack" -> { p with sack = d.sack }
+  | "cong_control" -> { p with cong_control = d.cong_control }
+  | "ack_every" -> { p with ack_every = d.ack_every }
+  | "rx_coalesce" -> { p with rx_coalesce = d.rx_coalesce }
+  | "burst_ack" -> { p with burst_ack = d.burst_ack }
+  | "int_suppress" -> { p with int_suppress = d.int_suppress }
+  | "tx_gso" -> { p with tx_gso = d.tx_gso }
+  | "pacing" -> { p with pacing = d.pacing }
+  | f -> failwith ("switches: no leave-one-out reset for " ^ f)
+
+let pick keys row = List.filter (fun (k, _) -> List.mem k keys) row
+
+(* The cell behind each registered bench row: its preset, a note on the
+   size it runs at, and the row's headline metrics as a function of the
+   parameters. *)
+let switch_rows () =
+  let open Uln_proto.Tcp_params in
+  let module Churn = Uln_workload.Churn in
+  let bulk prm =
+    let r =
+      Uln_workload.Bulk.measure ~total_bytes:4_000_000 ~write_size:4096 ~tcp_params:prm
+        ~network:Uln_core.World.Ethernet ~org:Uln_core.Organization.User_library ()
+    in
+    [ ("mbps", jfloat r.Uln_workload.Bulk.mbps) ]
+  in
+  let lease prm =
+    let r =
+      Churn.run ~pairs:6 ~conns_per_pair:64 ~tcp_params:prm ~config:"+lease"
+        ~network:Uln_core.World.Ethernet ~org:Uln_core.Organization.User_library ()
+    in
+    pick [ "conns_per_sec"; "setup_ms"; "churn_ms" ] (churn_row r)
+  in
+  let smp prm =
+    let r =
+      Uln_workload.Smp.run ~locking:prm.smp_locking ~org:Uln_core.Organization.In_kernel
+        ~cpus:2 ~pairs:2 ()
+    in
+    pick [ "mbps"; "avg_util"; "lock_contended" ] (smp_json [ r ] |> List.hd)
+  in
+  let scale prm =
+    let r = List.hd (E.scale ~conns:[ 1 ] ()) in
+    let cycles = if prm.flow_cache then r.E.sc_hit_cycles else r.E.sc_scan_cycles in
+    [ ("dispatch_cycles", jfloat cycles) ]
+  in
+  let sparse prm =
+    let setup, delivery, _, _ = E.sparse_live ~tcp_params:prm 4096 in
+    pfields "setup_" setup @ pfields "delivery_" delivery
+  in
+  let sharded prm =
+    let r = List.hd (sparse_churn_rows ~pops:[ 65536 ] ~tcp_params:prm ()) in
+    pick
+      [ "conns_per_sec"; "setup_ms"; "churn_p50_us"; "churn_p99_us" ]
+      (List.hd (churn_sparse_json [ r ]))
+  in
+  (* The window-bound clean point and the loss-bound point of the
+     40 ms column. *)
+  let wan label prm =
+    let prefix p = List.map (fun (k, v) -> (p ^ k, v)) in
+    prefix "clean_" (pick [ "goodput_mbps" ] (wan_cell ~delay_ms:40 ~loss:0.0 (label, prm)))
+    @ prefix "lossy_"
+        (pick
+           [ "goodput_mbps"; "goodput_min_mbps"; "goodput_max_mbps"; "retransmissions";
+             "recovery_p50_us"; "recovery_p99_us" ]
+           (wan_cell ~delay_ms:40 ~loss:0.002 (label, prm)))
+  in
+  let rpc ~scenario ~requests conf label prm =
+    pick
+      [ "saturation_rps"; "saturation_min_rps"; "saturation_max_rps"; "delivered_rps";
+        "p50_us"; "p99_us" ]
+      (snd (rpc_cell ~scenario ~requests conf (label, prm)))
+  in
+  let overload prm =
+    let conf = { (Uln_workload.Scenario.incast ()) with Uln_workload.Scenario.requests = 200 } in
+    pick
+      [ "saturation_rps"; "saturation_min_rps"; "saturation_max_rps"; "delivered_rps";
+        "p99_us"; "ring_drops" ]
+      (List.hd (overload_cell ~mults:[ 4.0 ] conf ("coalesced", prm)))
+  in
+  let tx_bulk prm =
+    let _, _, _, row = tx_bulk_cell ~prm ("tx bulk an1/+gso", Uln_core.World.An1, "+gso") in
+    pick [ "mbps"; "tx_cpu_ns_per_byte"; "gso_episodes" ] row
+  in
+  let fanout =
+    { Uln_workload.Scenario.default with
+      Uln_workload.Scenario.servers = 4;
+      resp = Uln_workload.Scenario.Mix { mice = 256; elephants = 8192; elephant_frac = 0.25 } }
+  in
+  let wan_row label =
+    let size = "40 ms, 8 MB; 0% loss x 1 seed, 0.2% loss x 5 seeds" in
+    (label, (label, List.assoc label wan_configs, size, wan label))
+  in
+  let bulk_size = "ethernet, 4 MB in 4096 B writes" in
+  [ ("bulk userlib/ethernet/4096", ("default", default, bulk_size, bulk));
+    ("bulk userlib-zc", ("default+zero_copy", { default with zero_copy = true }, bulk_size, bulk));
+    ("+lease", ("+lease", List.assoc "+lease" Churn.configs, "6 pairs x 64 connections", lease));
+    ( "smp",
+      ( "in-kernel per_conn",
+        { default with smp_locking = `Per_conn },
+        "in-kernel, 2 CPUs x 2 pairs, 1 MB per pair",
+        smp ) );
+    ("scale", ("flow_cache", { default with flow_cache = true }, "1 connection", scale));
+    ( "sparse-scale",
+      ("hier+shard", sparse_params, "4096 background connections, 96 live", sparse) );
+    ( "sharded registry",
+      ("hier+shard", sparse_params, "65536 background connections, 128 live", sharded) );
+    wan_row "wan+wscale";
+    wan_row "wan+wscale+sack";
+    wan_row "wan+sack+cubic";
+    ( "rpc/fanout",
+      ( "coalesced",
+        List.assoc "coalesced" rpc_configs,
+        "300 requests, saturation x 5 seeds",
+        rpc ~scenario:"rpc/fanout" ~requests:300 fanout "coalesced" ) );
+    ( "incast/overload",
+      ("coalesced", List.assoc "coalesced" rpc_configs, "200 requests, 4x saturation", overload) );
+    ( "tx bulk an1/+gso",
+      ("+gso", List.assoc "+gso" tx_params, "an1, 4 MB in 8192 B writes", tx_bulk) );
+    ( "tx incast/pacing",
+      ( "pacing",
+        tx_paced,
+        "200 requests, saturation x 5 seeds",
+        rpc ~scenario:"tx incast" ~requests:200 (Uln_workload.Scenario.incast ()) "pacing" ) ) ]
+
+let run_switches () =
+  section "Switch audit: every Tcp_params switch left out of its bench row";
+  let rows = switch_rows () in
+  (* Switches that share a row share its preset run. *)
+  let on_cache = Hashtbl.create 16 in
+  let json =
+    List.map
+      (fun (s : Uln_proto.Tcp_params.switch) ->
+        let row = s.Uln_proto.Tcp_params.sw_bench_row in
+        let field = s.Uln_proto.Tcp_params.sw_field in
+        let preset_name, preset, size, cell =
+          match List.assoc_opt row rows with
+          | Some r -> r
+          | None -> failwith ("switches: no cell for bench row " ^ row)
+        in
+        let off = reset_switch field preset in
+        if off = preset then failwith ("switches: resetting " ^ field ^ " changes nothing");
+        let on =
+          match Hashtbl.find_opt on_cache row with
+          | Some m -> m
+          | None ->
+              let m = cell preset in
+              Hashtbl.replace on_cache row m;
+              m
+        in
+        let without = cell off in
+        List.iter2
+          (fun (k, v_on) (_, v_off) ->
+            Format.fprintf ppf "  %-18s %-26s %-20s %12s -> %12s@." field row k v_on v_off)
+          on without;
+        [ ("field", jstr field);
+          ("row", jstr row);
+          ("preset", jstr preset_name);
+          ("size", jstr size) ]
+        @ List.map (fun (k, v) -> ("on_" ^ k, v)) on
+        @ List.map (fun (k, v) -> ("off_" ^ k, v)) without)
+      Uln_proto.Tcp_params.switches
+  in
+  write_json "switches" json;
   Format.fprintf ppf "@."
 
 (* Differential oracle: with every fast-path switch at its default
@@ -799,24 +978,20 @@ let run_ablations () =
   Format.fprintf ppf "   a significant performance advantage)@.";
   Format.fprintf ppf "@.";
   section "Ablation: data-path fast paths (Table 2 cell: userlib/ethernet/4096)";
-  let fastpath_cell ~label ?(flow_cache = false) tcp_params =
+  let fastpath_cell ~label tcp_params =
     let w =
       Uln_core.World.create ~network:Uln_core.World.Ethernet
-        ~org:Uln_core.Organization.User_library ~flow_cache ~tcp_params ()
+        ~org:Uln_core.Organization.User_library ~tcp_params ()
     in
     let r = Uln_workload.Bulk.run ~total_bytes:1_500_000 ~write_size:4096 w in
     Format.fprintf ppf "  %-40s %6.2f Mb/s@." label r.Uln_workload.Bulk.mbps
   in
   let d = Uln_proto.Tcp_params.default in
   fastpath_cell ~label:"baseline (prediction + fused checksum)" d;
-  fastpath_cell ~label:"header prediction off"
-    { d with Uln_proto.Tcp_params.header_prediction = false };
-  fastpath_cell ~label:"fused copy+checksum off (two passes)"
-    { d with Uln_proto.Tcp_params.fused_checksum = false };
-  fastpath_cell ~label:"flow-cache demux on" ~flow_cache:true d;
+  fastpath_cell ~label:"flow-cache demux on" { d with Uln_proto.Tcp_params.flow_cache = true };
   Format.fprintf ppf
-    "  (each fast path is independently switchable; the slow paths are the@.";
-  Format.fprintf ppf "   differentially-tested oracles)@.";
+    "  (the other fast-path switches are measured leave-one-out by the@.";
+  Format.fprintf ppf "   switches target)@.";
   Format.fprintf ppf "@."
 
 let run_contention () =
@@ -1122,7 +1297,9 @@ let run_smoke () =
         ("paper", "null") ] ];
   let w =
     Uln_core.World.create ~network:Uln_core.World.Ethernet
-      ~org:Uln_core.Organization.User_library ~flow_cache:true ()
+      ~org:Uln_core.Organization.User_library
+      ~tcp_params:{ Uln_proto.Tcp_params.default with Uln_proto.Tcp_params.flow_cache = true }
+      ()
   in
   let r = Uln_workload.Bulk.run ~total_bytes:200_000 ~write_size:4096 w in
   Format.fprintf ppf "  bulk with flow-cache demux on:      %6.2f Mb/s@."
@@ -1235,6 +1412,7 @@ let () =
   | "rpc" -> run_rpc ()
   | "overload" -> run_overload ()
   | "tx" -> run_tx ()
+  | "switches" -> run_switches ()
   | "diffcheck" -> run_diffcheck ()
   | "all" ->
       run_table1 ();
@@ -1249,6 +1427,7 @@ let () =
       run_rpc ();
       run_overload ();
       run_tx ();
+      run_switches ();
       run_figures ();
       run_ablations ();
       run_motivation ();
@@ -1258,6 +1437,7 @@ let () =
   | other ->
       Format.eprintf
         "unknown argument %s (expected [--json] \
-         all|table1..table5|figures|ablations|motivation|contention|filteropt|scale|smp|smoke|churn|wan|rpc|overload|tx|diffcheck|micro)@."
+         all|table1..table5|figures|ablations|motivation|contention|filteropt|scale|smp|smoke|\
+         churn|wan|rpc|overload|tx|switches|diffcheck|micro)@."
         other;
       exit 1

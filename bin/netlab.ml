@@ -436,7 +436,7 @@ let txstats_cmd =
     (* Capture the sender's statistics from the sink thread once the
        stream has fully drained (the source has sent its FIN, so every
        data byte is ACKed, but its connection is still attached — the
-       per-engine GSO/pacer/release counters are summed over
+       per-engine GSO/pacer counters are summed over
        connections still open). *)
     let stats = ref None in
     Sched.spawn sched ~name:"sink" (fun () ->
@@ -472,10 +472,6 @@ let txstats_cmd =
     match !stats with
     | None -> failwith "txstats: transfer did not complete"
     | Some (s, got) ->
-        let hist = function
-          | [] -> "(empty)"
-          | h -> String.concat " " (List.map (fun (sz, n) -> Printf.sprintf "%dx%d" sz n) h)
-        in
         Printf.printf "delivered:        %d bytes\n" got;
         Printf.printf "gso (stack):      %d oversized sends, %d per-segment fallbacks\n"
           s.Protolib.ts_gso_sends s.Protolib.ts_gso_fallbacks;
@@ -483,13 +479,6 @@ let txstats_cmd =
           s.Protolib.ts_gso_episodes s.Protolib.ts_gso_frames
           (if s.Protolib.ts_gso_episodes = 0 then 0.
            else float_of_int s.Protolib.ts_gso_frames /. float_of_int s.Protolib.ts_gso_episodes);
-        Printf.printf "tx completions:   %d events reaped %d descriptors (%.2f descs/event)\n"
-          s.Protolib.ts_txc_events s.Protolib.ts_txc_descs
-          (if s.Protolib.ts_txc_events = 0 then 0.
-           else float_of_int s.Protolib.ts_txc_descs /. float_of_int s.Protolib.ts_txc_events);
-        Printf.printf "completion hist:  %s\n" (hist s.Protolib.ts_txc_batch_hist);
-        Printf.printf "releases:         %d zero-copy buffers freed in %d batches\n"
-          s.Protolib.ts_releases s.Protolib.ts_release_batches;
         Printf.printf "pacer:            %d deferred sends, %.0f us total (%.1f us avg)\n"
           s.Protolib.ts_pacer_waits s.Protolib.ts_pacer_wait_us
           (if s.Protolib.ts_pacer_waits = 0 then 0.
@@ -513,8 +502,7 @@ let txstats_cmd =
     (Cmd.info "txstats"
        ~doc:
          "Run a user-library bulk transfer and print the transmit fast-path statistics: GSO \
-          episodes and frames per episode, moderated completion events and batch sizes, \
-          zero-copy release batches, and the pacer's queue-delay histogram.")
+          episodes and frames per episode, and the pacer's queue-delay histogram.")
     Term.(
       const run $ network_arg
       $ Arg.(value & opt int 400_000 & info [ "b"; "bytes" ] ~docv:"BYTES" ~doc:"Bytes to transfer.")

@@ -17,14 +17,7 @@ let length t = t.len
 let is_empty t = t.len = 0
 let slot_count t = List.length t.slots
 
-(* A [sink] collects release thunks instead of running them inline, so
-   a caller can fire a whole ACK's worth as one batch (the transmit
-   completion-coalescing path).  Each thunk still reaches exactly one
-   of the two destinations exactly once. *)
-let fire ?sink s =
-  match s.release with
-  | Some f -> ( match sink with Some k -> k f | None -> f ())
-  | None -> ()
+let fire s = match s.release with Some f -> f () | None -> ()
 
 let push ?release t v =
   let n = View.length v in
@@ -76,7 +69,7 @@ let peek_sum t ~off ~len =
   in
   (List.fold_left Mbuf.append Mbuf.empty vs, acc)
 
-let drop ?sink t n =
+let drop t n =
   if n < 0 || n > t.len then raise (View.Bounds "Iovec.drop: out of range");
   let rec go n slots =
     if n = 0 then slots
@@ -86,7 +79,7 @@ let drop ?sink t n =
       | s :: rest ->
           let l = View.length s.view in
           if n >= l then begin
-            fire ?sink s;
+            fire s;
             go (n - l) rest
           end
           else { s with view = View.shift s.view n } :: rest
@@ -94,7 +87,7 @@ let drop ?sink t n =
   t.slots <- go n t.slots;
   t.len <- t.len - n
 
-let clear ?sink t =
-  List.iter (fire ?sink) t.slots;
+let clear t =
+  List.iter fire t.slots;
   t.slots <- [];
   t.len <- 0

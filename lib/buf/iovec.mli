@@ -35,13 +35,10 @@ val peek_sum : t -> off:int -> len:int -> Mbuf.t * int
     range, composed across fragments (equal to [View.sum16] over the
     flattened bytes, including odd-length fragment boundaries). *)
 
-val drop : ?sink:((unit -> unit) -> unit) -> t -> int -> unit
+val drop : t -> int -> unit
 (** Consume [n] bytes from the front, firing the release of every slot
-    that becomes fully consumed.  With [sink], each release thunk is
-    handed to [sink] instead of being run inline, so the caller can
-    fire a whole ACK's worth as one batch (transmit completion
-    coalescing); each release still happens exactly once.
+    that becomes fully consumed.
     @raise View.Bounds if [n] exceeds the queue length. *)
 
-val clear : ?sink:((unit -> unit) -> unit) -> t -> unit
-(** Drop everything, firing (or sinking) all releases. *)
+val clear : t -> unit
+(** Drop everything, firing all releases. *)

@@ -89,17 +89,3 @@ let userlib_rx_gro_frame = Time.us 25
 let gro_poll_interval = Time.us 500
 let gro_quiescent_polls = 2
 let gro_episode_budget = Time.ms 20
-
-(* Transmit-side fast path (tx_gso / tx_complete_coalesce / pacing). *)
-
-(* Completion moderation: a tx-completion event is raised once
-   [txc_budget] descriptors have finished, or [txc_delay] after the
-   first unreaped one — the transmit mirror of the NAPI knobs above.
-   The settle delay must cover several wire frame times (117 us per
-   full AN1 frame, 1.2 ms on Ethernet) or back-to-back sends of one
-   ACK-opened burst complete one per event and nothing ever batches;
-   it stays far under the senders' per-frame CPU occupancy, so holding
-   a finished descriptor never stalls a sender that still has ring
-   slots. *)
-let txc_budget = 8
-let txc_delay = Time.us 500

@@ -231,13 +231,3 @@ val gro_episode_budget : Uln_engine.Time.span
 (** Upper bound on one poll episode's lifetime under sustained load:
     the bracket is closed and reopened so a flood cannot defer
     delivery (or the flush's ACK) indefinitely. *)
-
-val txc_budget : int
-(** Finished tx descriptors that force a moderated completion event
-    ({!Uln_net.Txq}); enabled when
-    {!Uln_proto.Tcp_params.t.tx_complete_coalesce} is on. *)
-
-val txc_delay : Uln_engine.Time.span
-(** Longest a finished tx descriptor may wait unreaped before a
-    completion event fires anyway (the settle timer of the moderation
-    scheme). *)

@@ -138,8 +138,7 @@ let deliver t ch frame =
   end
   else t.overflows <- t.overflows + 1
 
-let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = false)
-    ?(txc = false) () =
+let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = false) () =
   let t =
     { machine;
       nic;
@@ -166,11 +165,6 @@ let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = fals
   if napi then
     nic.Nic.set_napi
       (Some { Uln_net.Napi.budget = Calibration.napi_budget; ring = Calibration.napi_ring_slots });
-  (* Completion moderation: reap finished transmit descriptors in
-     batches (one interrupt charge per batch) instead of per frame. *)
-  if txc then
-    nic.Nic.set_txc
-      (Some { Uln_net.Txq.budget = Calibration.txc_budget; delay = Calibration.txc_delay });
   let costs = machine.Machine.costs in
   let deliver ch frame = deliver t ch frame in
   let rx (info : Nic.rx_info) =
@@ -676,9 +670,5 @@ let ring_overflows t = t.overflows
 let hw_demuxed t = t.hw_demuxed
 let sw_demuxed t = t.sw_demuxed
 let overlap_flags t = t.overlap_flags
-let set_flow_cache t on = Demux.set_flow_cache t.demux on
-let flow_cache_stats t = Demux.cache_stats t.demux
 let channel_id ch = ch.id
-let set_hier t on = Demux.set_hier t.demux on
-let hier_enabled t = Demux.hier_enabled t.demux
 let demux_entries t = Demux.entries t.demux

@@ -29,7 +29,6 @@ val create :
   ?flow_cache:bool ->
   ?hier:bool ->
   ?napi:bool ->
-  ?txc:bool ->
   unit ->
   t
 (** [flow_cache] (default [false]) enables the exact-match flow cache in
@@ -38,11 +37,7 @@ val create :
     scan (see {!Uln_filter.Demux}).  [napi] (default [false]) installs
     NAPI-style interrupt suppression on the NIC
     ({!Uln_net.Nic.t.set_napi}, budget and ring from {!Calibration}) —
-    the {!Uln_proto.Tcp_params.int_suppress} ablation.  [txc] (default
-    [false]) installs transmit completion moderation
-    ({!Uln_net.Nic.t.set_txc}, budget and delay from {!Calibration}) —
-    the {!Uln_proto.Tcp_params.tx_complete_coalesce} ablation's NIC
-    half. *)
+    the {!Uln_proto.Tcp_params.int_suppress} ablation. *)
 
 val nic : t -> Uln_net.Nic.t
 val machine : t -> Uln_host.Machine.t
@@ -343,18 +338,6 @@ val tx_batch_histogram : channel -> (int * int) list
 (** [(batch_size, occurrences)] pairs, ascending — how well doorbell
     coalescing amortized the kernel boundary. *)
 
-val set_hier : t -> bool -> unit
-(** Toggle the hierarchical demux miss path; the index is always
-    maintained, so this only selects which lookup runs (the sparse
-    bench flips it to measure hierarchical vs linear on one table). *)
-
-val hier_enabled : t -> bool
-
 val demux_entries : t -> int
 (** Live entries in the software filter table (O(1)). *)
 
-val set_flow_cache : t -> bool -> unit
-(** Toggle the software-demux flow cache at run time (flushes it). *)
-
-val flow_cache_stats : t -> Uln_filter.Demux.cache_stats
-(** Hit/miss/install/skip/flush counters of the flow cache. *)

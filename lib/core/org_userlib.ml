@@ -6,22 +6,14 @@ type t = {
   tcp_params : Uln_proto.Tcp_params.t option;
 }
 
-let create machine nic ~ip ~mode ?flow_cache ?quota ?tcp_params () =
-  (* The hierarchical-demux and registry-sharding switches live in
-     tcp_params with the other ablations; thread them to the layers
-     they configure. *)
-  let hier =
-    match tcp_params with Some p -> p.Uln_proto.Tcp_params.hier_demux | None -> false
+let create machine nic ~ip ~mode ?quota ?tcp_params () =
+  (* The demux and interrupt switches live in tcp_params with the other
+     ablations; thread them to the network I/O module they configure. *)
+  let p = Option.value tcp_params ~default:Uln_proto.Tcp_params.default in
+  let netio =
+    Netio.create machine nic ~mode ~flow_cache:p.Uln_proto.Tcp_params.flow_cache
+      ~hier:p.Uln_proto.Tcp_params.hier_demux ~napi:p.Uln_proto.Tcp_params.int_suppress ()
   in
-  let napi =
-    match tcp_params with Some p -> p.Uln_proto.Tcp_params.int_suppress | None -> false
-  in
-  let txc =
-    match tcp_params with
-    | Some p -> p.Uln_proto.Tcp_params.tx_complete_coalesce
-    | None -> false
-  in
-  let netio = Netio.create machine nic ~mode ?flow_cache ~hier ~napi ~txc () in
   let registry = Registry.create machine netio ~ip ?tcp_params ?quota () in
   { machine; netio; registry; ip; tcp_params }
 

@@ -11,17 +11,18 @@ val create :
   Uln_net.Nic.t ->
   ip:Uln_addr.Ip.t ->
   mode:Uln_filter.Demux.mode ->
-  ?flow_cache:bool ->
   ?quota:Registry.quota ->
   ?tcp_params:Uln_proto.Tcp_params.t ->
   unit ->
   t
 (** [mode] selects interpreted or compiled software demultiplexing in
-    the network I/O module (the filter ablation); [flow_cache] (default
-    [false]) puts the exact-match flow cache in front of it; [quota]
-    sets the registry's per-tenant admission ceilings (default
-    {!Registry.default_quota}).  [tcp_params.hier_demux] turns on the
-    hierarchical miss path in the network I/O module, and
+    the network I/O module (the filter ablation); [quota] sets the
+    registry's per-tenant admission ceilings (default
+    {!Registry.default_quota}).  [tcp_params.flow_cache] puts the
+    exact-match flow cache in front of the software demux,
+    [tcp_params.hier_demux] turns on the hierarchical miss path, and
+    [tcp_params.int_suppress] installs NAPI-style interrupt
+    suppression in the network I/O module;
     [tcp_params.shard_registry] shards the registry control plane
     per CPU. *)
 

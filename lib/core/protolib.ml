@@ -1003,11 +1003,6 @@ type txstats = {
   ts_gso_fallbacks : int;
   ts_gso_episodes : int;
   ts_gso_frames : int;
-  ts_txc_events : int;
-  ts_txc_descs : int;
-  ts_txc_batch_hist : (int * int) list;
-  ts_release_batches : int;
-  ts_releases : int;
   ts_pacer_waits : int;
   ts_pacer_wait_us : float;
   ts_pacer_hist : (int * int) list;
@@ -1023,32 +1018,25 @@ let merge_hist a b =
        a b)
 
 let txstats t =
-  (* GSO, pacer and release counters live on each connection's private
-     engine; sum over the connections still open.  The NIC-side Txq
-     counters are module-wide and survive connection close. *)
-  let gs, gf, rb, rr, pw, pu, ph =
+  (* GSO and pacer counters live on each connection's private engine;
+     sum over the connections still open.  The NIC-side Txq counters
+     are module-wide and survive connection close. *)
+  let gs, gf, pw, pu, ph =
     List.fold_left
-      (fun (gs, gf, rb, rr, pw, pu, ph) lc ->
+      (fun (gs, gf, pw, pu, ph) lc ->
         let tcp = lc.stack.Stack.tcp in
         ( gs + Tcp.gso_sends tcp,
           gf + Tcp.gso_fallbacks tcp,
-          rb + Tcp.tx_release_batches tcp,
-          rr + Tcp.tx_releases tcp,
           pw + Tcp.pacer_waits tcp,
           pu +. Tcp.pacer_wait_us tcp,
           merge_hist ph (Tcp.pacer_hist tcp) ))
-      (0, 0, 0, 0, 0, 0., []) t.conns
+      (0, 0, 0, 0., []) t.conns
   in
   let txq = Netio.txq_stats t.netio in
   { ts_gso_sends = gs;
     ts_gso_fallbacks = gf;
     ts_gso_episodes = txq.Uln_net.Txq.gso_episodes;
     ts_gso_frames = txq.Uln_net.Txq.gso_frames;
-    ts_txc_events = txq.Uln_net.Txq.events;
-    ts_txc_descs = txq.Uln_net.Txq.descs;
-    ts_txc_batch_hist = txq.Uln_net.Txq.batch_hist;
-    ts_release_batches = rb;
-    ts_releases = rr;
     ts_pacer_waits = pw;
     ts_pacer_wait_us = pu;
     ts_pacer_hist = ph }

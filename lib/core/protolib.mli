@@ -118,21 +118,14 @@ val rxstats : t -> rxstats
     wakeup and NAPI counters are module-wide and survive close. *)
 
 (** Transmit fast-path statistics: what the stack offloaded (GSO
-    episodes and the frames the NIC cut from them), how completions
-    were moderated (events, descriptors per batch), how zero-copy
-    releases were batched, and how the software pacer spread the
-    bursts.  All zero unless the corresponding [tx_gso] /
-    [tx_complete_coalesce] / [pacing] switches are on. *)
+    episodes and the frames the NIC cut from them) and how the software
+    pacer spread the bursts.  All zero unless the corresponding
+    [tx_gso] / [pacing] switches are on. *)
 type txstats = {
   ts_gso_sends : int;  (** oversized logical segments the stack emitted *)
   ts_gso_fallbacks : int;  (** data sends that went per-segment with tx_gso on *)
   ts_gso_episodes : int;  (** GSO descriptors the NIC accepted *)
   ts_gso_frames : int;  (** wire frames the NIC cut from them *)
-  ts_txc_events : int;  (** moderated completion events *)
-  ts_txc_descs : int;  (** descriptors reaped by those events *)
-  ts_txc_batch_hist : (int * int) list;  (** (batch size, events), ascending *)
-  ts_release_batches : int;  (** batched zero-copy release flushes (per ACK) *)
-  ts_releases : int;  (** release callbacks fired through those batches *)
   ts_pacer_waits : int;  (** data sends the pacer deferred *)
   ts_pacer_wait_us : float;  (** total pacer deferral *)
   ts_pacer_hist : (int * int) list;  (** (log2 us bucket, count), ascending *)

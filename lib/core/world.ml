@@ -39,7 +39,7 @@ let machine t i = t.hosts.(i).machine
 let nic t i = t.hosts.(i).h_nic
 
 let create ?(costs = Costs.r3000) ?(seed = 1) ?(demux_mode = Demux.Interpreted)
-    ?(flow_cache = false) ?quota ?(tcp_params = Uln_proto.Tcp_params.default)
+    ?quota ?(tcp_params = Uln_proto.Tcp_params.default)
     ?(num_hosts = 2) ?(cpus = 1) ?an1_mtu ?(wan_delay = Uln_engine.Time.ms 20) ~network
     ~org () =
   let sched = Sched.create () in
@@ -74,7 +74,7 @@ let create ?(costs = Costs.r3000) ?(seed = 1) ?(demux_mode = Demux.Interpreted)
           S (Org_single_server.create machine h_nic ~ip ~variant ~tcp_params ())
       | Organization.Dedicated_servers -> D (Org_dedicated.create machine h_nic ~ip ~tcp_params ())
       | Organization.User_library ->
-          U (Org_userlib.create machine h_nic ~ip ~mode:demux_mode ~flow_cache ?quota ~tcp_params ())
+          U (Org_userlib.create machine h_nic ~ip ~mode:demux_mode ?quota ~tcp_params ())
     in
     { machine; h_nic; ip; impl }
   in

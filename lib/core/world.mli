@@ -15,7 +15,6 @@ val create :
   ?costs:Uln_host.Costs.t ->
   ?seed:int ->
   ?demux_mode:Uln_filter.Demux.mode ->
-  ?flow_cache:bool ->
   ?quota:Registry.quota ->
   ?tcp_params:Uln_proto.Tcp_params.t ->
   ?num_hosts:int ->
@@ -27,14 +26,12 @@ val create :
   unit ->
   t
 (** Defaults: calibrated R3000 costs, seed 1, interpreted filters,
-    flow cache off, default TCP parameters, 2 hosts, 1 CPU per host.
-    [cpus] gives every host that many simulated processors (the SMP
-    model); 1 reproduces the paper's uniprocessor testbed exactly.  [flow_cache]
-    enables the exact-match demux cache in the user-library
-    organization's network I/O module (an ablation; ignored by the
-    others).  [an1_mtu] overrides the AN1 driver's 1500-byte
-    Ethernet-format encapsulation limit (the paper notes the hardware
-    allows up to 64 KB packets — an ablation). *)
+    default TCP parameters, 2 hosts, 1 CPU per host.  [cpus] gives every
+    host that many simulated processors (the SMP model); 1 reproduces
+    the paper's uniprocessor testbed exactly.  [an1_mtu] overrides the
+    AN1 driver's 1500-byte Ethernet-format encapsulation limit (the
+    paper notes the hardware allows up to 64 KB packets — an
+    ablation). *)
 
 val sched : t -> Uln_engine.Sched.t
 val network : t -> network

@@ -43,7 +43,6 @@ type t = {
   napi_poll_sched : Time.span;
   tx_gso_setup : Time.span;
   tx_gso_frame : Time.span;
-  tx_complete_irq : Time.span;
   pacer_sched : Time.span;
 }
 
@@ -106,13 +105,10 @@ let r3000 =
        controller's segmentation machinery once (descriptor template,
        pseudo-header seed) and then pays a small per-wire-frame
        descriptor cost instead of a full tcp_output + driver pass per
-       MSS.  A moderated tx-completion event is cheaper than the
-       general 35 us interrupt: it only reaps a known ring range.
-       Arming the pacer's release timer is one wheel insert plus the
+       MSS.  Arming the pacer's release timer is one wheel insert plus the
        rate arithmetic. *)
     tx_gso_setup = Time.us 20;
     tx_gso_frame = Time.us 3;
-    tx_complete_irq = Time.us 15;
     pacer_sched = Time.us 4 }
 
 let zero =
@@ -158,7 +154,6 @@ let zero =
     napi_poll_sched = 0;
     tx_gso_setup = 0;
     tx_gso_frame = 0;
-    tx_complete_irq = 0;
     pacer_sched = 0 }
 
 let pp ppf c =

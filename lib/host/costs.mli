@@ -128,12 +128,6 @@ type t = {
       (** per-wire-frame descriptor cost while the controller segments
           a GSO super-frame (replaces the per-segment tcp_output +
           driver pass the software path would pay) *)
-  tx_complete_irq : Uln_engine.Time.span;
-      (** one moderated tx-completion event: reaping a known ring range
-          of finished descriptors in a batch — cheaper than the general
-          [interrupt] entry because nothing needs demultiplexing — the
-          {!Uln_proto.Tcp_params.t.tx_complete_coalesce} per-batch
-          cost *)
   pacer_sched : Uln_engine.Time.span;
       (** arming the software pacer's release timer: one timer-wheel
           insert plus the cwnd/srtt rate arithmetic — the

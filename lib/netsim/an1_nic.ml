@@ -70,7 +70,7 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 8) ?(mtu = 1500) ?(table_siz
                   end))
   in
   let station = Link.attach link ~addr:mac receive in
-  let txq = Txq.create m.Machine.sched ~costs in
+  let txq = Txq.create () in
   let send frame =
     (* Capture the doorbell CPU before waiting: the hint is one-shot and
        the wait may yield to another sender. *)
@@ -111,7 +111,7 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 8) ?(mtu = 1500) ?(table_siz
         (fun i f ->
           let on_done =
             if i = n - 1 then fun () ->
-              Txq.complete txq ~cpu (fun () -> Semaphore.signal tx_slots)
+              Txq.complete txq (fun () -> Semaphore.signal tx_slots)
             else fun () -> ()
           in
           Link.transmit link station f ~on_done)
@@ -120,7 +120,7 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 8) ?(mtu = 1500) ?(table_siz
     else begin
       Cpu.use cpu (Time.span_add base dma);
       Link.transmit link station frame ~on_done:(fun () ->
-          Txq.complete txq ~cpu (fun () -> Semaphore.signal tx_slots))
+          Txq.complete txq (fun () -> Semaphore.signal tx_slots))
     end
   in
   let alloc_ring ~capacity =
@@ -154,5 +154,4 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 8) ?(mtu = 1500) ?(table_siz
     rx_drops = (fun () -> !drops);
     set_napi = Napi.set napi;
     napi_stats = (fun () -> Napi.stats napi);
-    set_txc = Txq.set txq;
     txq_stats = (fun () -> Txq.stats txq) }

@@ -44,7 +44,7 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 2) () =
               Cpu.use_async (rx_cpu info) work (fun () -> h info)
             end)
   in
-  let txq = Txq.create m.Machine.sched ~costs in
+  let txq = Txq.create () in
   let send frame =
     (* Wait for a board transmit buffer, then PIO the packet into it.
        The PIO bytes are moved by whichever CPU rang the doorbell. *)
@@ -75,7 +75,7 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 2) () =
         (fun i f ->
           let on_done =
             if i = n - 1 then fun () ->
-              Txq.complete txq ~cpu (fun () -> Semaphore.signal tx_slots)
+              Txq.complete txq (fun () -> Semaphore.signal tx_slots)
             else fun () -> ()
           in
           Link.transmit link station f ~on_done)
@@ -84,7 +84,7 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 2) () =
     else begin
       Cpu.use cpu (Time.span_add costs.Costs.drv_tx pio);
       Link.transmit link station frame ~on_done:(fun () ->
-          Txq.complete txq ~cpu (fun () -> Semaphore.signal tx_slots))
+          Txq.complete txq (fun () -> Semaphore.signal tx_slots))
     end
   in
   { Nic.name = Printf.sprintf "%s.lance" m.Machine.name;
@@ -98,5 +98,4 @@ let create (m : Machine.t) link ~mac ?(tx_buffers = 2) () =
     rx_drops = (fun () -> !drops);
     set_napi = Napi.set napi;
     napi_stats = (fun () -> Napi.stats napi);
-    set_txc = Txq.set txq;
     txq_stats = (fun () -> Txq.stats txq) }

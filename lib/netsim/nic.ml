@@ -19,6 +19,5 @@ type t = {
   rx_drops : unit -> int;
   set_napi : Napi.conf option -> unit;
   napi_stats : unit -> Napi.stats;
-  set_txc : Txq.conf option -> unit;
   txq_stats : unit -> Txq.stats;
 }

@@ -67,12 +67,6 @@ type t = {
           interrupt path, unchanged. *)
   napi_stats : unit -> Napi.stats;
       (** interrupts vs poll slices, polled frames, early ring drops *)
-  set_txc : Txq.conf option -> unit;
-      (** install (or remove) moderated tx-completion events: one
-          completion reaps a batch of finished transmit descriptors
-          ({!Txq}).  [None] — the initial state — is the immediate
-          per-descriptor completion path, unchanged. *)
   txq_stats : unit -> Txq.stats;
-      (** GSO episodes and cut frames, completion events and reaped
-          descriptors *)
+      (** GSO episodes and cut frames, completed descriptors *)
 }

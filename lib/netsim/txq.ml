@@ -1,106 +1,39 @@
 (* Transmit-queue hardware model shared by both NICs: GSO splitting of
-   oversized IP/TCP packets into wire frames, and moderated (batched)
+   oversized IP/TCP packets into wire frames, and per-descriptor
    tx-completion events.  Both are "hardware side" mechanisms — the
-   protocol stack above sees one descriptor per super-segment and one
-   completion event per batch. *)
+   protocol stack above sees one descriptor per super-segment. *)
 
-module Sched = Uln_engine.Sched
-module Time = Uln_engine.Time
-module Cpu = Uln_host.Cpu
-module Costs = Uln_host.Costs
 module View = Uln_buf.View
 module Mbuf = Uln_buf.Mbuf
-
-type conf = { budget : int; delay : Time.span }
 
 type stats = {
   gso_episodes : int;
   gso_frames : int;
   events : int;
   descs : int;
-  batch_hist : (int * int) list;
 }
 
 type t = {
-  sched : Sched.t;
-  costs : Costs.t;
-  mutable conf : conf option;
-  mutable pending : (unit -> unit) list; (* newest first *)
-  mutable pending_n : int;
-  mutable pending_cpu : Cpu.t option;
-  mutable armed : bool;
   mutable gso_episodes : int;
   mutable gso_frames : int;
-  mutable events : int;
   mutable descs : int;
-  hist : (int, int) Hashtbl.t;
 }
 
-let create sched ~costs =
-  { sched;
-    costs;
-    conf = None;
-    pending = [];
-    pending_n = 0;
-    pending_cpu = None;
-    armed = false;
-    gso_episodes = 0;
-    gso_frames = 0;
-    events = 0;
-    descs = 0;
-    hist = Hashtbl.create 8 }
-
-let set t conf = t.conf <- conf
-let active t = t.conf <> None
+let create () = { gso_episodes = 0; gso_frames = 0; descs = 0 }
 
 let note_gso t ~frames =
   t.gso_episodes <- t.gso_episodes + 1;
   t.gso_frames <- t.gso_frames + frames
 
+(* An unmoderated NIC raises one completion event per descriptor. *)
 let stats t =
-  { gso_episodes = t.gso_episodes;
-    gso_frames = t.gso_frames;
-    events = t.events;
-    descs = t.descs;
-    batch_hist =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.hist []
-      |> List.sort (fun (a, _) (b, _) -> compare a b) }
+  { gso_episodes = t.gso_episodes; gso_frames = t.gso_frames; events = t.descs; descs = t.descs }
 
-(* Reap everything pending as one completion event: a single moderated
-   interrupt charge, then the deferred descriptor releases in FIFO
-   order. *)
-let flush t =
-  if t.pending_n > 0 then begin
-    let batch = List.rev t.pending in
-    let n = t.pending_n in
-    let cpu = match t.pending_cpu with Some c -> c | None -> assert false in
-    t.pending <- [];
-    t.pending_n <- 0;
-    t.pending_cpu <- None;
-    t.events <- t.events + 1;
-    t.descs <- t.descs + n;
-    Hashtbl.replace t.hist n (1 + Option.value ~default:0 (Hashtbl.find_opt t.hist n));
-    Cpu.use_async cpu t.costs.Costs.tx_complete_irq (fun () -> List.iter (fun f -> f ()) batch)
-  end;
-  t.armed <- false
-
-(* A transmit descriptor finished serializing: without moderation its
-   release fires immediately (the baseline, charge-free as before);
-   with moderation it waits for the batch — [budget] finished
-   descriptors force an event, else the [delay] settle timer fires
-   one. *)
-let complete t ~cpu release =
-  match t.conf with
-  | None -> release ()
-  | Some conf ->
-      t.pending <- release :: t.pending;
-      t.pending_n <- t.pending_n + 1;
-      (match t.pending_cpu with None -> t.pending_cpu <- Some cpu | Some _ -> ());
-      if t.pending_n >= conf.budget then flush t
-      else if not t.armed then begin
-        t.armed <- true;
-        Sched.after t.sched conf.delay (fun () -> if t.armed then flush t)
-      end
+(* A transmit descriptor finished serializing: its release fires at
+   once, charge-free. *)
+let complete t release =
+  t.descs <- t.descs + 1;
+  release ()
 
 (* --- GSO splitting ----------------------------------------------------- *)
 

@@ -1,57 +1,32 @@
 (** Transmit-queue hardware model shared by both NIC models.
 
-    Two "hardware side" mechanisms of the transmit fast path live here:
+    {b GSO splitting}: a transmit descriptor whose frame carries a
+    non-zero {!Frame.t.gso_size} names one oversized IP/TCP packet; the
+    controller cuts it into wire frames of at most that many TCP payload
+    bytes, replaying the header template (sequence numbers advanced,
+    FIN/PSH only on the last frame, checksums regenerated).  The wire
+    traffic is byte-identical to what the per-segment software path
+    would have produced.
 
-    - {b GSO splitting}: a transmit descriptor whose frame carries a
-      non-zero {!Frame.t.gso_size} names one oversized IP/TCP packet;
-      the controller cuts it into wire frames of at most that many TCP
-      payload bytes, replaying the header template (sequence numbers
-      advanced, FIN/PSH only on the last frame, checksums regenerated).
-      The wire traffic is byte-identical to what the per-segment
-      software path would have produced.
-    - {b Completion moderation}: finished transmit descriptors are
-      reaped in batches — one completion event (one
-      {!Uln_host.Costs.t.tx_complete_irq} charge) releases every
-      descriptor that finished since the last event, forced by a
-      descriptor budget or a settle timer, NAPI-style.  Unconfigured,
-      completions fire immediately and charge-free, exactly as before.
-*)
-
-type conf = {
-  budget : int;  (** finished descriptors that force a completion event *)
-  delay : Uln_engine.Time.span;
-      (** settle timer: longest a finished descriptor waits unreaped *)
-}
+    Transmit completions are unmoderated: each finished descriptor is
+    released at once, charge-free. *)
 
 type stats = {
   gso_episodes : int;  (** super-segment descriptors accepted *)
   gso_frames : int;  (** wire frames cut from them *)
-  events : int;  (** moderated completion events *)
-  descs : int;  (** descriptors reaped by those events *)
-  batch_hist : (int * int) list;  (** (batch size, events) ascending *)
+  events : int;  (** completion events: one per descriptor *)
+  descs : int;  (** descriptors completed *)
 }
 
 type t
 
-val create : Uln_engine.Sched.t -> costs:Uln_host.Costs.t -> t
-
-val set : t -> conf option -> unit
-(** Install (or remove) completion moderation.  [None] — the initial
-    state — reverts to immediate per-descriptor completion. *)
-
-val active : t -> bool
+val create : unit -> t
 
 val note_gso : t -> frames:int -> unit
 (** Count one GSO episode that cut [frames] wire frames. *)
 
-val complete : t -> cpu:Uln_host.Cpu.t -> (unit -> unit) -> unit
-(** A transmit descriptor finished: run the release now (unmoderated)
-    or defer it into the current batch.  Batch flushes charge
-    [tx_complete_irq] on the CPU of the batch's first descriptor and
-    run the deferred releases in FIFO order. *)
-
-val flush : t -> unit
-(** Force out whatever is pending (used by drains/teardown paths). *)
+val complete : t -> (unit -> unit) -> unit
+(** A transmit descriptor finished: count it and run its release now. *)
 
 val stats : t -> stats
 

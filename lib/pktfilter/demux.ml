@@ -141,8 +141,6 @@ let create ~mode ?budget ?(flow_cache = false) ?(hier = false) () =
 
 let mode t = t.mode
 let budget t = t.budget
-let flow_cache_enabled t = t.flow_cache
-let hier_enabled t = t.hier
 
 let cache_stats t =
   { hits = t.c_hits;

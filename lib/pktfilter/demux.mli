@@ -85,12 +85,8 @@ val create : mode:mode -> ?budget:int -> ?flow_cache:bool -> ?hier:bool -> unit 
 val mode : 'a t -> mode
 val budget : 'a t -> int option
 
-val flow_cache_enabled : 'a t -> bool
-
 val set_flow_cache : 'a t -> bool -> unit
 (** Toggle the flow cache; any change flushes it. *)
-
-val hier_enabled : 'a t -> bool
 
 val set_hier : 'a t -> bool -> unit
 (** Toggle the hierarchical miss path.  The index is always maintained,

@@ -18,6 +18,20 @@ module State = Tcp_state
    episode — untouched. *)
 let pace_max_gap_us = 2000.
 
+(* Assumed peer MSS when the SYN carries no option (RFC 1122). *)
+let mss_default = 536
+
+(* Retransmissions of one segment before the connection gives up. *)
+let max_backoff = 12
+
+(* Most original segments one rx_coalesce merge may absorb once
+   burst_ack lifts the ACK-cadence cap. *)
+let gro_budget = 32
+
+(* Largest logical segment one tx_gso episode may build: the IP
+   total-length ceiling. *)
+let gso_max = 65535
+
 exception Connection_error of string
 
 (* The send queue has two representations: the classic contiguous
@@ -48,8 +62,7 @@ let sendq_peek_sum sq ~off ~len =
       (Mbuf.of_view v, sum)
   | I i -> Iovec.peek_sum i ~off ~len
 
-let sendq_drop ?sink sq n =
-  match sq with Q q -> Bytequeue.drop q n | I i -> Iovec.drop ?sink i n
+let sendq_drop sq n = match sq with Q q -> Bytequeue.drop q n | I i -> Iovec.drop i n
 let sendq_clear = function Q q -> Bytequeue.clear q | I i -> Iovec.clear i
 
 type snapshot = {
@@ -209,11 +222,9 @@ and t = {
   mutable gro_merged : int; (* segments absorbed beyond the first of a run *)
   mutable gro_flushes : int; (* merged runs handed to process_segment *)
   mutable acks_elided : int; (* ACKs burst_ack coalescing suppressed *)
-  (* transmit fast path (tx_gso / tx_complete_coalesce / pacing) *)
+  (* transmit fast path (tx_gso / pacing) *)
   mutable gso_sends : int; (* oversized logical segments handed to the NIC *)
   mutable gso_fallbacks : int; (* data sends that went per-segment with tx_gso on *)
-  mutable tx_release_batches : int; (* batched zero-copy release flushes *)
-  mutable tx_releases : int; (* release callbacks fired through those batches *)
   mutable pacer_waits : int; (* data sends the pacer deferred *)
   mutable pacer_wait_us : float; (* total deferral *)
   pacer_hist : (int, int) Hashtbl.t; (* log2(deferral in us) -> count *)
@@ -237,8 +248,6 @@ let gro_flushes t = t.gro_flushes
 let acks_elided t = t.acks_elided
 let gso_sends t = t.gso_sends
 let gso_fallbacks t = t.gso_fallbacks
-let tx_release_batches t = t.tx_release_batches
-let tx_releases t = t.tx_releases
 let pacer_waits t = t.pacer_waits
 let pacer_wait_us t = t.pacer_wait_us
 
@@ -673,7 +682,7 @@ and rexmt_fired c =
   if c.state <> State.Closed && not c.detached then begin
     let t = c.engine in
     c.backoff <- c.backoff + 1;
-    if c.backoff > t.prm.Tcp_params.max_backoff then drop_with_error c "connection timed out"
+    if c.backoff > max_backoff then drop_with_error c "connection timed out"
     else begin
       t.retransmissions <- t.retransmissions + 1;
       trace c "retransmission timeout (backoff %d, state %s)" c.backoff
@@ -752,7 +761,7 @@ and output_once c =
            delayed-ACK timer, stalling the window a full delack period
            every round trip. *)
         let cap =
-          Stdlib.min prm.Tcp_params.gso_max
+          Stdlib.min gso_max
             (0xffff - Ipv4.header_size - Tcp_wire.header_size)
         in
         let cap = Stdlib.min cap (Stdlib.max 2 prm.Tcp_params.ack_every * c.mss) in
@@ -1164,22 +1173,7 @@ let process_ack c (seg : Tcp_wire.segment) =
       && acked > sendq_length c.snd_buf
     in
     let data_acked = Stdlib.min (acked - (if fin_acked then 1 else 0)) (sendq_length c.snd_buf) in
-    (* Transmit completion coalescing, TCP side: the zero-copy releases
-       this ACK retires fire as one batch after the drop completes,
-       instead of interleaved slot-by-slot (each still exactly once). *)
-    if data_acked > 0 then begin
-      if c.engine.prm.Tcp_params.tx_complete_coalesce then begin
-        let batch = ref [] in
-        sendq_drop ~sink:(fun f -> batch := f :: !batch) c.snd_buf data_acked;
-        match !batch with
-        | [] -> ()
-        | fs ->
-            c.engine.tx_release_batches <- c.engine.tx_release_batches + 1;
-            c.engine.tx_releases <- c.engine.tx_releases + List.length fs;
-            List.iter (fun f -> f ()) (List.rev fs)
-      end
-      else sendq_drop c.snd_buf data_acked
-    end;
+    if data_acked > 0 then sendq_drop c.snd_buf data_acked;
     c.snd_una <- ack;
     if Tcp_seq.gt c.snd_una c.snd_nxt then c.snd_nxt <- c.snd_una;
     Sack.forward c.sb ~una:c.snd_una;
@@ -1466,7 +1460,7 @@ let process_syn_sent c (seg : Tcp_wire.segment) =
     c.rcv_nxt <- Tcp_seq.add seg.Tcp_wire.seq 1;
     (match seg.Tcp_wire.opts.Tcp_wire.mss with
     | Some peer_mss -> c.mss <- Stdlib.min c.mss peer_mss
-    | None -> c.mss <- Stdlib.min c.mss c.engine.prm.Tcp_params.mss_default);
+    | None -> c.mss <- Stdlib.min c.mss mss_default);
     Cong_control.set_mss c.cc c.mss;
     (* Still in SYN_SENT: the witness grants the option permit for both
        the SYN-ACK and the simultaneous-open paths. *)
@@ -1525,7 +1519,7 @@ let handle_syn_for_listener t l (seg : Tcp_wire.segment) ~src =
       ooseg = [];
       recent_oo = None;
       cc =
-        Cong_control.create prm.Tcp_params.cong_control ~mss:prm.Tcp_params.mss_default
+        Cong_control.create prm.Tcp_params.cong_control ~mss:mss_default
           ~initial_segments:prm.Tcp_params.initial_cwnd_segments;
       dupacks = 0;
       ws_ok = false;
@@ -1549,7 +1543,7 @@ let handle_syn_for_listener t l (seg : Tcp_wire.segment) ~src =
       rto = prm.Tcp_params.initial_rto;
       backoff = 0;
       rtt_timing = None;
-      mss = prm.Tcp_params.mss_default;
+      mss = mss_default;
       rexmt = None;
       persist = None;
       delack = None;
@@ -1577,7 +1571,7 @@ let handle_syn_for_listener t l (seg : Tcp_wire.segment) ~src =
     Stdlib.min
       (match seg.Tcp_wire.opts.Tcp_wire.mss with
       | Some m -> m
-      | None -> prm.Tcp_params.mss_default)
+      | None -> mss_default)
       our_mss;
   Cong_control.reinit c.cc ~mss:c.mss;
   negotiate_options c seg.Tcp_wire.opts;
@@ -1611,13 +1605,13 @@ let gro_plain c (seg : Tcp_wire.segment) =
 
 let gro_limit c =
   let prm = c.engine.prm in
-  if prm.Tcp_params.burst_ack then prm.Tcp_params.gro_budget
+  if prm.Tcp_params.burst_ack then gro_budget
   else
     (* Without burst_ack a merge may not cross an ACK boundary: the cap
        lets one flush bump the segment count at most to the next
        [ack_every] multiple, so the emitted ACK stream is identical to
        per-packet arrival. *)
-    Stdlib.min prm.Tcp_params.gro_budget
+    Stdlib.min gro_budget
       (Stdlib.max 0 (prm.Tcp_params.ack_every - c.unacked_segs))
 
 let gro_flush t =
@@ -1869,8 +1863,6 @@ let create env ip ?(params = Tcp_params.default) () =
       acks_elided = 0;
       gso_sends = 0;
       gso_fallbacks = 0;
-      tx_release_batches = 0;
-      tx_releases = 0;
       pacer_waits = 0;
       pacer_wait_us = 0.;
       pacer_hist = Hashtbl.create 8 }
@@ -1907,7 +1899,7 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~fsm ~iss =
     ooseg = [];
     recent_oo = None;
     cc =
-      Cong_control.create t.prm.Tcp_params.cong_control ~mss:t.prm.Tcp_params.mss_default
+      Cong_control.create t.prm.Tcp_params.cong_control ~mss:mss_default
         ~initial_segments:t.prm.Tcp_params.initial_cwnd_segments;
     dupacks = 0;
     ws_ok = false;
@@ -1931,7 +1923,7 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~fsm ~iss =
     rto = t.prm.Tcp_params.initial_rto;
     backoff = 0;
     rtt_timing = None;
-    mss = t.prm.Tcp_params.mss_default;
+    mss = mss_default;
     rexmt = None;
     persist = None;
     delack = None;

@@ -284,7 +284,7 @@ val acks_elided : t -> int
 (** ACKs the burst-aware delayed-ACK suppressed relative to per-packet
     arrival (nonzero only with {!Tcp_params.burst_ack}). *)
 
-(* {2 Transmit fast path (tx_gso / tx_complete_coalesce / pacing)} *)
+(* {2 Transmit fast path (tx_gso / pacing)} *)
 
 val gso_sends : t -> int
 (** Oversized logical segments handed to the NIC for segmentation
@@ -293,14 +293,6 @@ val gso_sends : t -> int
 val gso_fallbacks : t -> int
 (** Data sends that took the per-segment path with [tx_gso] on:
     retransmissions, sub-MSS tails, single-MSS windows. *)
-
-val tx_release_batches : t -> int
-(** Batched zero-copy release flushes — one per ACK that retired at
-    least one send-queue slot (nonzero only with
-    {!Tcp_params.tx_complete_coalesce} on a zero-copy connection). *)
-
-val tx_releases : t -> int
-(** Release callbacks fired through those batches. *)
 
 val pacer_waits : t -> int
 (** Data sends the software pacer deferred

@@ -1,7 +1,6 @@
 module Time = Uln_engine.Time
 
 type t = {
-  mss_default : int;
   snd_buf : int;
   rcv_buf : int;
   nagle : bool;
@@ -10,7 +9,6 @@ type t = {
   initial_rto : Time.span;
   min_rto : Time.span;
   max_rto : Time.span;
-  max_backoff : int;
   timer_granularity : Time.span;
   msl : Time.span;
   initial_cwnd_segments : int;
@@ -25,6 +23,7 @@ type t = {
   endpoint_lease : bool;
   time_wait_wheel : bool;
   smp_locking : [ `Big_lock | `Per_conn ];
+  flow_cache : bool;
   hier_demux : bool;
   shard_registry : bool;
   window_scale : bool;
@@ -34,16 +33,12 @@ type t = {
   rx_coalesce : bool;
   burst_ack : bool;
   int_suppress : bool;
-  gro_budget : int;
   tx_gso : bool;
-  tx_complete_coalesce : bool;
   pacing : bool;
-  gso_max : int;
 }
 
 let default =
-  { mss_default = 536;
-    snd_buf = 16384;
+  { snd_buf = 16384;
     rcv_buf = 16384;
     nagle = true;
     ack_every = 2;
@@ -51,7 +46,6 @@ let default =
     initial_rto = Time.sec 1;
     min_rto = Time.ms 500;
     max_rto = Time.sec 64;
-    max_backoff = 12;
     timer_granularity = Time.ms 100;
     msl = Time.sec 30;
     initial_cwnd_segments = 1;
@@ -66,6 +60,7 @@ let default =
     endpoint_lease = false;
     time_wait_wheel = false;
     smp_locking = `Big_lock;
+    flow_cache = false;
     hier_demux = false;
     shard_registry = false;
     window_scale = false;
@@ -75,11 +70,8 @@ let default =
     rx_coalesce = false;
     burst_ack = false;
     int_suppress = false;
-    gro_budget = 32;
     tx_gso = false;
-    tx_complete_coalesce = false;
-    pacing = false;
-    gso_max = 65535 }
+    pacing = false }
 
 let fast =
   { default with
@@ -113,10 +105,8 @@ let coalesced =
   { fast with rx_coalesce = true; burst_ack = true; int_suppress = true; ack_every = 8 }
 
 (* The transmit-side fast path: one oversized logical segment per send
-   episode (the NIC cuts wire frames — tx_gso), moderated batch
-   reaping of finished transmit descriptors and loaned-buffer releases
-   (tx_complete_coalesce), and a cwnd/srtt software pacer that spreads
-   the resulting line-rate bursts (pacing).  Composed over the
+   episode (the NIC cuts wire frames — tx_gso) and a cwnd/srtt software
+   pacer that spreads the resulting line-rate bursts (pacing).  Composed over the
    zero-copy data path — the sender baseline whose remaining
    per-segment costs GSO amortizes — and the [coalesced] receive path,
    whose stretched ACKs open multi-MSS windows in one step: without
@@ -132,7 +122,6 @@ let tx_fast =
     rcv_buf = 1 lsl 16;
     timer_granularity = Time.ms 1;
     tx_gso = true;
-    tx_complete_coalesce = true;
     pacing = true }
 
 (* --- the ablation-switch registry (proto-check switch lint) ----------- *)
@@ -168,6 +157,9 @@ let switches =
     { sw_field = "smp_locking";
       sw_oracle = "test/test_smp.ml:prop_smp_payload_identical_under_faults";
       sw_bench_row = "smp" };
+    { sw_field = "flow_cache";
+      sw_oracle = "test/test_fastpath.ml:prop_cache_matches_scan";
+      sw_bench_row = "scale" };
     { sw_field = "hier_demux";
       sw_oracle = "test/test_scale_ctl.ml:prop_hier_demux_differential";
       sw_bench_row = "sparse-scale" };
@@ -201,9 +193,6 @@ let switches =
     { sw_field = "tx_gso";
       sw_oracle = "test/test_txpath.ml:prop_gso_differential";
       sw_bench_row = "tx bulk an1/+gso" };
-    { sw_field = "tx_complete_coalesce";
-      sw_oracle = "test/test_txpath.ml:prop_txc_release_exactly_once";
-      sw_bench_row = "tx bulk an1/+gso+txc" };
     { sw_field = "pacing";
       sw_oracle = "test/test_txpath.ml:prop_pacing_order_and_rate";
       sw_bench_row = "tx incast/pacing" } ]

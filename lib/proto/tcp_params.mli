@@ -6,7 +6,6 @@
     60 s. *)
 
 type t = {
-  mss_default : int;  (** assumed peer MSS when no option is seen *)
   snd_buf : int;  (** send socket-buffer size in bytes *)
   rcv_buf : int;  (** receive socket-buffer size in bytes *)
   nagle : bool;
@@ -15,7 +14,6 @@ type t = {
   initial_rto : Uln_engine.Time.span;
   min_rto : Uln_engine.Time.span;
   max_rto : Uln_engine.Time.span;
-  max_backoff : int;  (** retransmissions before giving up *)
   timer_granularity : Uln_engine.Time.span;
       (** tick of the protocol timer wheel.  The default 100 ms is the
           BSD slow-timeout heartbeat the paper-era engine assumes; note
@@ -102,6 +100,15 @@ type t = {
           connections steered to different CPUs proceed in parallel.
           Irrelevant (no lock is ever taken) on a 1-CPU machine and in
           the other organizations. *)
+  flow_cache : bool;
+      (** Exact-match flow cache in front of the user-library network
+          I/O module's software demux: a flow's first packet takes the
+          filter scan and, when the match is provably safe to cache,
+          installs its 4-tuple; later packets of the flow hit the cache
+          at a flat cost independent of the table size.  Any table
+          mutation flushes it.  Matching is identical to the scan
+          (differentially tested); [false] (the default) scans every
+          packet.  Ignored by the other organizations. *)
   hier_demux : bool;
       (** Hierarchical demultiplexing of the flow-cache miss path: the
           network I/O module's table groups conjunctive-exact filters by
@@ -165,7 +172,7 @@ type t = {
           arrival.  [false] (the default) is the per-packet oracle. *)
   burst_ack : bool;
       (** Burst-aware ACK coalescing: lift the {!rx_coalesce} merge cap
-          to {!gro_budget} and acknowledge once per merged burst rather
+          to 32 segments and acknowledge once per merged burst rather
           than every {!ack_every} segments, with an immediate ACK when
           the burst carries PSH; FIN and out-of-order segments are never
           merged, so their immediate-ACK behaviour (and SACK recovery)
@@ -182,12 +189,9 @@ type t = {
           frames early at the ring (cheaply, counted) instead of
           livelocking the host with per-frame interrupt work.  [false]
           (the default) charges one interrupt per frame. *)
-  gro_budget : int;
-      (** Most original segments one {!rx_coalesce} merge may absorb
-          when {!burst_ack} lifts the ACK-cadence cap (default 32). *)
   tx_gso : bool;
       (** GSO-style segmentation offload: one send episode builds one
-          oversized logical segment (up to {!gso_max}, window- and
+          oversized logical segment (up to 65535 bytes, window- and
           cwnd-clamped) and hands it to the NIC, which cuts it into
           wire-MSS frames with replayed headers and fresh checksums
           ({!Uln_net.Txq}) — so [tcp_output], header encode and driver
@@ -196,16 +200,6 @@ type t = {
           take the per-segment path.  The wire traffic is byte-identical
           to the per-segment path (differentially tested); [false] (the
           default) is the per-segment oracle. *)
-  tx_complete_coalesce : bool;
-      (** Moderated transmit completions: finished tx descriptors are
-          reaped in batches — one completion event per
-          {!Uln_core.Calibration.txc_budget} descriptors or
-          {!Uln_core.Calibration.txc_delay} settle window — and the
-          zero-copy send queue batches its release-on-ack buffer
-          returns per ACK-processing pass instead of firing one
-          callback per queued buffer.  Every release still fires
-          exactly once (differentially tested); [false] (the default)
-          completes and releases immediately, one at a time. *)
   pacing : bool;
       (** Software pacing: data transmission is spread at the
           congestion-control rate cwnd/srtt (timer-wheel scheduled at
@@ -215,9 +209,6 @@ type t = {
           first flight (no RTT sample yet) are never delayed; data
           order is unchanged.  [false] (the default) transmits as soon
           as the window allows. *)
-  gso_max : int;
-      (** Largest logical segment one {!tx_gso} episode may build
-          (default 65535 — the IP total-length ceiling). *)
 }
 
 val default : t
@@ -237,8 +228,8 @@ val coalesced : t
     rpc/incast benches compare against the per-packet baseline. *)
 
 val tx_fast : t
-(** Transmit-side preset: [fast] with {!t.zero_copy} plus {!t.tx_gso},
-    {!t.tx_complete_coalesce} and {!t.pacing} all on — the sender fast
+(** Transmit-side preset: [coalesced] with {!t.zero_copy}, {!t.tx_gso}
+    and {!t.pacing} on — the sender fast
     path the [bench tx] ablation rows compare against the zero-copy
     baseline. *)
 

@@ -240,6 +240,8 @@ let check_switches ~params_src ~bench_src ~root () =
   let fields = ablatable_fields params_src in
   let all_fields = List.map fst (record_fields params_src) in
   let bench = read_file bench_src in
+  let table_file = Filename.concat root "BENCH_switches.json" in
+  let table = if Sys.file_exists table_file then read_file table_file else "" in
   let registered f = List.exists (fun s -> s.Params.sw_field = f) Params.switches in
   let policy f = List.mem_assoc f Params.policy_fields in
   (match List.filter (fun f -> (not (registered f)) && not (policy f)) fields with
@@ -282,6 +284,12 @@ let check_switches ~params_src ~bench_src ~root () =
               (fail "switch-oracle"
                  (Printf.sprintf "%s: %s does not define %s" s.Params.sw_field file ident))
           else add (pass "switch-oracle" (s.Params.sw_field ^ " -> " ^ s.Params.sw_oracle)));
+      if contains table (Printf.sprintf "\"field\": \"%s\"" s.Params.sw_field) then
+        add (pass "switch-table" (s.Params.sw_field ^ " has a leave-one-out row"))
+      else
+        add
+          (fail "switch-table"
+             (Printf.sprintf "%s: no leave-one-out row in %s" s.Params.sw_field table_file));
       if contains bench s.Params.sw_bench_row then
         add
           (pass "switch-bench"

@@ -34,7 +34,9 @@ val check_locks : ?seed_cycle:bool -> unit -> finding list
 val check_switches :
   params_src:string -> bench_src:string -> root:string -> unit -> finding list
 (** [params_src] is the path to [tcp_params.ml], [bench_src] the bench
-    driver source, [root] the directory oracle paths resolve against. *)
+    driver source, [root] the directory oracle paths and the committed
+    leave-one-out table [BENCH_switches.json] resolve against.  Every
+    registered switch needs a row of that table. *)
 
 val run :
   ?seed_unhandled:bool ->

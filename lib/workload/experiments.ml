@@ -158,7 +158,8 @@ let setup_breakdown () =
 (* --- Table 5 ---------------------------------------------------------- *)
 
 let demux_cost ?(flow_cache = false) ~network ~mode () =
-  let w = World.create ~network ~org:Organization.User_library ~demux_mode:mode ~flow_cache () in
+  let tcp_params = { Uln_proto.Tcp_params.default with Uln_proto.Tcp_params.flow_cache } in
+  let w = World.create ~network ~org:Organization.User_library ~demux_mode:mode ~tcp_params () in
   let _ = Bulk.run ~total_bytes:400_000 ~write_size:1460 w in
   let netio = Option.get (World.netio w 1) in
   (Stats.Dist.mean (Netio.demux_cost_dist netio), Netio.hw_demuxed netio, Netio.sw_demuxed netio)
@@ -359,21 +360,19 @@ let populate_background w ~host n =
    registry are on (the linear scan at 64k+ entries costs ~10^8 cycles
    per packet — handshake timers would fire before the SYN cleared the
    table), so the linear comparison comes from {!sparse_probe}. *)
-let sparse_live ?(conns = 96) ?(msgs_per_conn = 4) n =
+let sparse_live ?(conns = 96) ?(msgs_per_conn = 4)
+    ?(tcp_params =
+      { Uln_proto.Tcp_params.fast with
+        Uln_proto.Tcp_params.hier_demux = true;
+        shard_registry = true }) n =
   let module Sched = Uln_engine.Sched in
   let module Sockets = Uln_core.Sockets in
   let module Registry = Uln_core.Registry in
   let module F = Uln_filter in
   let module View = Uln_buf.View in
   let module Ip = Uln_addr.Ip in
-  let prm =
-    { Uln_proto.Tcp_params.fast with
-      Uln_proto.Tcp_params.hier_demux = true;
-      shard_registry = true }
-  in
   let w =
-    World.create ~network:World.Ethernet ~org:Organization.User_library ~tcp_params:prm
-      ~cpus:4 ()
+    World.create ~network:World.Ethernet ~org:Organization.User_library ~tcp_params ~cpus:4 ()
   in
   let sched = World.sched w in
   let reg1 = Option.get (World.registry w 1) in

@@ -98,6 +98,18 @@ val populate_background : Uln_core.World.t -> host:int -> int -> unit
     I/O module — the "million idle connections" load the sparse sweep
     and the populated churn benches run against. *)
 
+val sparse_live :
+  ?conns:int ->
+  ?msgs_per_conn:int ->
+  ?tcp_params:Uln_proto.Tcp_params.t ->
+  int ->
+  Percentile.summary * Percentile.summary * int * int
+(** Live connect and one-way delivery latency percentiles (us) against a
+    server host pre-populated with [n] background connection filters,
+    plus the registry shard count and contended shard-lock acquisitions.
+    [tcp_params] defaults to [fast] with [hier_demux] and
+    [shard_registry] on. *)
+
 val scale_sparse : ?pops:int list -> unit -> sparse_row list
 (** The million-connection control plane, swept sparsely: per
     population, miss-path probe percentiles on a stamped standalone

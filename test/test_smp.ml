@@ -478,8 +478,9 @@ let test_affinity_change_mid_connection () =
      mid-stream, flow cache on): the stream must survive with no bytes
      lost to a stale CPU's ring. *)
   let w =
-    World.create ~cpus:4 ~flow_cache:true ~network:World.Ethernet
-      ~org:Organization.User_library ()
+    World.create ~cpus:4 ~network:World.Ethernet ~org:Organization.User_library
+      ~tcp_params:{ Uln_proto.Tcp_params.default with Uln_proto.Tcp_params.flow_cache = true }
+      ()
   in
   let sched = World.sched w in
   let inetd = Option.get (World.library ~cpu:1 w ~host:1 "inetd") in

@@ -1,7 +1,7 @@
 (* Differential tests for the transmit-side fast path: GSO-style
-   segmentation offload ([tx_gso]), moderated completion reaping with
-   batched zero-copy releases ([tx_complete_coalesce]), and the
-   cwnd/min-RTT software pacer ([pacing]).
+   segmentation offload ([tx_gso]), exactly-once release of loaned
+   zero-copy send buffers, and the cwnd/min-RTT software pacer
+   ([pacing]).
 
    The GSO differential is the strongest claim in the suite: the NIC
    cuts an offload episode into exactly the wire frames the
@@ -9,10 +9,10 @@
    header template), so on zero-cost hosts the two configurations must
    be wire-IDENTICAL — byte-identical payloads and identical
    data/retransmission/ACK counts under drop/dup/reorder faults.
-   Completion moderation and pacing only re-time work, so their
-   differentials claim payload integrity plus the property that names
-   them: every loaned slot released exactly once, and paced
-   transmissions in seq order at a rate that still fills the wire. *)
+   Loaned sends and pacing only re-time work, so their differentials
+   claim payload integrity plus the property that names them: every
+   loaned slot released exactly once, and paced transmissions in seq
+   order at a rate that still fills the wire. *)
 
 open Tutil
 module World = Uln_core.World
@@ -76,9 +76,10 @@ let mk_fault seed =
 (* One bulk transfer alpha->beta over directly-attached stacks with
    zero host costs: any wire difference is the tx machinery's doing,
    not timing's.  Writes are multi-MSS so offload episodes have
-   something to merge.  Returns the sender's engine for its tx
-   counters. *)
-let etransfer ?fault ?(wsize = 8192) ~params n =
+   something to merge.  With [release], write [i] is loaned by
+   reference and [release i] runs when its buffer is released.
+   Returns the sender's engine for its tx counters. *)
+let etransfer ?fault ?(wsize = 8192) ?release ~params n =
   let w = make_world ~tcp_params:params ?fault () in
   let wire = observe w.link in
   let data = pattern n in
@@ -95,7 +96,12 @@ let etransfer ?fault ?(wsize = 8192) ~params n =
           let off = ref 0 in
           while !off < n do
             let len = Stdlib.min wsize (n - !off) in
-            Tcp.write c (View.of_string (String.sub data !off len));
+            let v = View.of_string (String.sub data !off len) in
+            (match release with
+            | None -> Tcp.write c v
+            | Some f ->
+                let i = !off / wsize in
+                Tcp.write_owned c v ~release:(fun () -> f i));
             off := !off + len
           done;
           Sched.sleep w.sched (Time.ms 200);
@@ -109,14 +115,12 @@ let etransfer ?fault ?(wsize = 8192) ~params n =
    organization, sending through the loaned-buffer path where the
    transmit pool offers a slot (chunks fit [tx_pool_buffer_size]).
    The source's transmit statistics are sampled once the sink has
-   drained the payload plus a settle delay — long before TIME_WAIT
-   detaches the connection, and late enough that the last data ACK
-   (even one retransmission cycle of it) has retired every slot. *)
-let ltransfer ?fault ?(network = World.Ethernet) ?(chunk = 2048) ~params n =
+   drained the payload plus a settle delay, long before TIME_WAIT
+   detaches the connection. *)
+let ltransfer ?(network = World.Ethernet) ?(chunk = 2048) ~params n =
   let w =
     World.create ~tcp_params:params ~network ~org:Organization.User_library ()
   in
-  (match fault with Some f -> Link.set_fault (World.link w) f | None -> ());
   let sched = World.sched w in
   let source_lib =
     match World.library w ~host:0 "source" with Some l -> l | None -> assert false
@@ -143,7 +147,6 @@ let ltransfer ?fault ?(network = World.Ethernet) ?(chunk = 2048) ~params n =
       stats := Some (Protolib.txstats source_lib);
       conn.Sockets.close ());
   let data = pattern n in
-  let loans = ref 0 in
   Sched.block_on sched (fun () ->
       match source.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:4000 with
       | Error e -> failwith ("txpath connect: " ^ e)
@@ -154,14 +157,13 @@ let ltransfer ?fault ?(network = World.Ethernet) ?(chunk = 2048) ~params n =
             (match conn.Sockets.alloc_tx len with
             | Some owned ->
                 View.blit_from_string data !off owned 0 len;
-                incr loans;
                 conn.Sockets.send_owned owned
             | None -> conn.Sockets.send (View.of_string (String.sub data !off len)));
             off := !off + len
           done;
           conn.Sockets.close ();
           conn.Sockets.await_closed ());
-  (Buffer.contents received, data, !loans, Option.get !stats)
+  (Buffer.contents received, data, Option.get !stats)
 
 (* --- tx_gso: wire-identical segmentation offload ------------------------ *)
 
@@ -237,37 +239,26 @@ let test_gso_fallback_paths () =
   check "identical data segments" w_off.data_segs w_on.data_segs;
   check "identical pure ACKs" w_off.acks w_on.acks
 
-(* --- tx_complete_coalesce: exactly-once release accounting -------------- *)
+(* --- zero-copy sends: exactly-once release accounting ------------------ *)
 
-let txc_on =
-  { Tcp_params.fast with Tcp_params.zero_copy = true; tx_complete_coalesce = true }
-
-let prop_txc_release_exactly_once =
-  (* Moderated reaping batches zero-copy releases behind ACKs; under
-     faults a slot may be retransmitted from, held longer, reaped in a
-     different batch — but every loaned slot fires its release exactly
-     once (and the payload the loans carried arrives intact). *)
-  QCheck.Test.make ~name:"txc: every loaned slot released exactly once under faults"
+let prop_release_exactly_once =
+  (* Under faults a loaned slot may be retransmitted from and held
+     longer, but it fires its release exactly once, after the connection
+     has closed at the latest (and the payload the loans carried arrives
+     intact). *)
+  QCheck.Test.make ~name:"zc: every loaned slot released exactly once under faults"
     ~count:6
     QCheck.(1 -- 1_000_000)
     (fun seed ->
-      let got, want, loans, ts = ltransfer ~fault:(mk_fault seed) ~params:txc_on 24_000 in
-      String.equal got want
-      && loans > 0
-      && ts.Protolib.ts_releases = loans
-      && ts.Protolib.ts_release_batches > 0
-      && ts.Protolib.ts_release_batches <= loans)
-
-let test_txc_batches_on_clean_link () =
-  (* Fault-free determinism: releases ride ACK-driven flushes, fewer
-     flushes than releases once the stretched cadence retires several
-     slots per ACK. *)
-  let params = { txc_on with Tcp_params.ack_every = 8 } in
-  let got, want, loans, ts = ltransfer ~params 48_000 in
-  check_str "delivery intact" want got;
-  check "every loan released exactly once" loans ts.Protolib.ts_releases;
-  check_bool "releases were batched" true
-    (ts.Protolib.ts_release_batches < ts.Protolib.ts_releases)
+      let n = 24_000 and wsize = 2048 in
+      let released = Array.make ((n + wsize - 1) / wsize) 0 in
+      let got, want, _, _ =
+        etransfer ~fault:(mk_fault seed) ~wsize
+          ~release:(fun i -> released.(i) <- released.(i) + 1)
+          ~params:{ Tcp_params.fast with Tcp_params.zero_copy = true }
+          n
+      in
+      String.equal got want && Array.for_all (fun k -> k = 1) released)
 
 (* --- pacing: seq order preserved, wire still filled --------------------- *)
 
@@ -312,19 +303,15 @@ let prop_pacing_order_and_rate =
 
 let test_tx_fast_engaged_end_to_end () =
   (* Through the full user-library organization on the fast NIC: the
-     offload path forms multi-frame episodes, completion moderation
-     reaps descriptors in events, the pacer spreads at least some
-     bursts, and the payload survives all three. *)
-  let got, want, _, ts =
+     offload path forms multi-frame episodes, the pacer spreads at
+     least some bursts, and the payload survives both. *)
+  let got, want, ts =
     ltransfer ~network:World.An1 ~chunk:4096 ~params:Tcp_params.tx_fast 200_000
   in
   check_str "delivery intact" want got;
   check_bool "offload episodes reached the NIC" true (ts.Protolib.ts_gso_episodes > 0);
   check_bool "episodes carried multiple frames" true
     (ts.Protolib.ts_gso_frames > ts.Protolib.ts_gso_episodes);
-  check_bool "completion events moderated" true (ts.Protolib.ts_txc_events > 0);
-  check_bool "events reaped at least one descriptor each" true
-    (ts.Protolib.ts_txc_descs >= ts.Protolib.ts_txc_events);
   check_bool "pacer engaged" true (ts.Protolib.ts_pacer_waits > 0)
 
 let () =
@@ -336,10 +323,7 @@ let () =
             test_gso_wire_identical_clean_link;
           Alcotest.test_case "sub-MSS writes fall back per-segment" `Quick
             test_gso_fallback_paths ] );
-      ( "tx-complete",
-        [ qc prop_txc_release_exactly_once;
-          Alcotest.test_case "releases batch behind ACKs on a clean link" `Quick
-            test_txc_batches_on_clean_link ] );
+      ("tx-complete", [ qc prop_release_exactly_once ]);
       ( "pacing", [ qc prop_pacing_order_and_rate ] );
       ( "tx-fast",
         [ Alcotest.test_case "composed preset engages end to end" `Quick
