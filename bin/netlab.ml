@@ -119,18 +119,7 @@ let table_arg =
 
 let table_cmd =
   let run n =
-    let ppf = Format.std_formatter in
-    (match n with
-    | 1 -> E.print_table1 ppf (E.table1 ())
-    | 2 -> E.print_table2 ppf (E.table2 ())
-    | 3 -> E.print_table3 ppf (E.table3 ())
-    | 4 ->
-        E.print_table4 ppf (E.table4 ());
-        Format.fprintf ppf "@.";
-        E.print_breakdown ppf (E.setup_breakdown ())
-    | 5 -> E.print_table5 ppf (E.table5 ())
-    | _ -> assert false);
-    Format.fprintf ppf "@."
+    Uln_workload.Bench_spec.(run Format.std_formatter (find (Printf.sprintf "table%d" n)))
   in
   Cmd.v
     (Cmd.info "table" ~doc:"Reproduce one of the paper's tables (paper values alongside).")
@@ -1024,12 +1013,11 @@ let filter_lint_cmd =
 let proto_check_cmd =
   let module PC = Uln_protocheck.Proto_check in
   let module J = Uln_workload.Jout in
-  let run json seed_unhandled seed_cycle params_src bench_src root =
-    let sources =
-      match (params_src, bench_src) with
-      | Some p, Some b -> Some (p, b, root)
-      | _ -> None
+  let run json seed_unhandled seed_cycle params_src root =
+    let spec_names =
+      List.map (fun s -> s.Uln_workload.Bench_spec.name) (Uln_workload.Bench_spec.all_specs ())
     in
+    let sources = Option.map (fun p -> (p, spec_names, root)) params_src in
     let findings = PC.run ~seed_unhandled ~seed_cycle ?sources () in
     if json then begin
       let row f =
@@ -1071,12 +1059,6 @@ let proto_check_cmd =
       & info [ "params" ] ~docv:"FILE"
           ~doc:"Path to tcp_params.ml (enables the switch-coverage lint).")
   in
-  let bench_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "bench" ] ~docv:"FILE" ~doc:"Path to the bench driver source (bench/main.ml).")
-  in
   let root_arg =
     Arg.(
       value & opt string "."
@@ -1090,8 +1072,7 @@ let proto_check_cmd =
           acyclicity, and ablation-switch oracle/bench coverage.  Exits non-zero on any \
           finding.")
     Term.(
-      const run $ json_arg $ seed_unhandled_arg $ seed_cycle_arg $ params_arg $ bench_arg
-      $ root_arg)
+      const run $ json_arg $ seed_unhandled_arg $ seed_cycle_arg $ params_arg $ root_arg)
 
 let connstats_cmd =
   let module Sched = Uln_engine.Sched in

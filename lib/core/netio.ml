@@ -75,7 +75,6 @@ type t = {
   mutable overlap_flags : int;
   mutable migrations : int;
   mutable next_lease : int;
-  mutable leased_activations : int;
   demux_cost : Stats.Dist.t;
   (* receive-burst accounting (library wakeup coalescing) *)
   mutable rx_wakeups : int;
@@ -153,7 +152,6 @@ let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = fals
       overlap_flags = 0;
       migrations = 0;
       next_lease = 0;
-      leased_activations = 0;
       demux_cost = Stats.Dist.create (machine.Machine.name ^ ".demux_us");
       rx_wakeups = 0;
       rx_frames = 0;
@@ -440,7 +438,6 @@ let activate_leased t ch ~from_domain ~lease ~remote_ip ~remote_port ~local_port
   ch.lease <- Some lease;
   ch.active <- true;
   lease.l_stamps <- lease.l_stamps + 1;
-  t.leased_activations <- t.leased_activations + 1;
   ignore (install_filter t ch (filter, Absint.analyze filter))
 
 (* Disarm a leased channel after its connection fully closes, returning
@@ -465,7 +462,6 @@ let release_leased t ch ~from_domain =
   let rec flush () = match Ring.pop ch.rx_ring with Some _ -> flush () | None -> () in
   flush ()
 
-let leased_activations t = t.leased_activations
 
 let destroy_channel t ~caller ch =
   require_privileged caller "Netio.destroy_channel";

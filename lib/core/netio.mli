@@ -228,9 +228,6 @@ val release_leased : t -> channel -> from_domain:Uln_host.Addr_space.t -> unit
     @raise Capability.Violation if the caller does not hold the
     channel's lease. *)
 
-val leased_activations : t -> int
-(** Channels armed through {!activate_leased} since creation. *)
-
 (* {2 Data path (application library, via capability)} *)
 
 val conforms : Uln_filter.Template.t -> Uln_net.Frame.t -> bool

@@ -27,7 +27,6 @@ type t = {
   mutable fault : Fault.t;
   mutable monitor : (Time.t -> Frame.t -> unit) option;
   mutable held : (station * Frame.t) option; (* reorder buffer *)
-  mutable frames_sent : int;
   mutable bytes_sent : int;
 }
 
@@ -46,7 +45,6 @@ let custom sched ~name ~rate_mbps ~overhead_bytes ~min_payload ~propagation ~dup
     fault = Fault.none;
     monitor = None;
     held = None;
-    frames_sent = 0;
     bytes_sent = 0 }
 
 (* 10 Mb/s Ethernet: 14B header + 4B FCS + 8B preamble + 12B IFG = 38B of
@@ -63,7 +61,6 @@ let an1 sched =
 
 let name t = t.name
 let rate_mbps t = t.rate_mbps
-let frames_sent t = t.frames_sent
 let bytes_sent t = t.bytes_sent
 let set_fault t f = t.fault <- f
 let set_monitor t f = t.monitor <- Some f
@@ -140,7 +137,6 @@ let rec start_transmission t channel =
       channel.busy <- true;
       let dur = frame_time t (Frame.payload_length frame) in
       Sched.after t.sched dur (fun () ->
-          t.frames_sent <- t.frames_sent + 1;
           t.bytes_sent <- t.bytes_sent + Frame.payload_length frame;
           (match t.monitor with Some f -> f (Sched.now t.sched) frame | None -> ());
           on_done ();

@@ -59,5 +59,4 @@ val saturation_mbps : t -> int -> float
     throughput with back-to-back frames of that size — the "standalone
     program, no operating system" baseline of Table 1. *)
 
-val frames_sent : t -> int
 val bytes_sent : t -> int

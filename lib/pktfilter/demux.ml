@@ -523,7 +523,6 @@ let set_affinity t key cpu =
       end
 let wcet t key = Option.map (fun e -> e.wcet) (find t key)
 let report t key = Option.map (fun e -> e.report) (find t key)
-let installed_program t key = Option.map (fun e -> e.optimized) (find t key)
 
 (* --- the flow cache ---------------------------------------------------- *)
 

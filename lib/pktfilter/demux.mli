@@ -181,9 +181,6 @@ val wcet : 'a t -> key -> int option
 val report : 'a t -> key -> Verify.report option
 (** The full verifier report recorded at install time. *)
 
-val installed_program : 'a t -> key -> Program.t option
-(** The optimized program an entry actually runs. *)
-
 val dispatch : 'a t -> Uln_buf.View.t -> ('a option * int)
 (** [dispatch t pkt] consults the flow cache (when enabled), then runs
     filters in order until one accepts; returns the endpoint (or

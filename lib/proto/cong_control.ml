@@ -70,7 +70,6 @@ let set_max_cwnd t limit =
   t.max_cwnd <- limit
 let cwnd t = t.cwnd
 let ssthresh t = t.ssthresh
-let in_recovery t = t.in_recovery
 let recovery_point t = t.recover
 let algo t = t.algo
 

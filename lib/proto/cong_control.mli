@@ -35,7 +35,6 @@ val set_max_cwnd : t -> int -> unit
 
 val cwnd : t -> int
 val ssthresh : t -> int
-val in_recovery : t -> bool
 val recovery_point : t -> Tcp_seq.t
 val algo : t -> algo
 val name : t -> string

@@ -17,7 +17,6 @@ type t = {
   ip : Ipv4.t;
   pending : (int, waiter) Hashtbl.t;
   mutable next_id : int;
-  mutable answered : int;
   mutable sent : int;
   mutable unreach_in : int;
   mutable unreach_out : int;
@@ -49,10 +48,8 @@ let input t ~src ~dst:_ payload =
       | Some f -> f ~code:(View.get_uint8 hdr 1) ~original:(Mbuf.flatten body)
       | None -> ()
     end
-    else if typ = type_echo_request then begin
-      t.answered <- t.answered + 1;
+    else if typ = type_echo_request then
       Ipv4.output t.ip ~proto ~dst:src (encode ~typ:type_echo_reply ~id ~seq body)
-    end
     else if typ = type_echo_reply then begin
       match Hashtbl.find_opt t.pending id with
       | None -> ()
@@ -69,7 +66,6 @@ let create env ip =
       ip;
       pending = Hashtbl.create 8;
       next_id = 1;
-      answered = 0;
       sent = 0;
       unreach_in = 0;
       unreach_out = 0;
@@ -108,5 +104,4 @@ let send_unreachable t ~dst ~code ~original =
 let set_unreachable_handler t f = t.on_unreachable <- Some f
 let unreachables_in t = t.unreach_in
 let unreachables_out t = t.unreach_out
-let echoes_answered t = t.answered
 let echoes_sent t = t.sent

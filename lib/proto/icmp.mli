@@ -29,5 +29,4 @@ val set_unreachable_handler :
 
 val unreachables_in : t -> int
 val unreachables_out : t -> int
-val echoes_answered : t -> int
 val echoes_sent : t -> int

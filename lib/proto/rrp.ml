@@ -89,14 +89,12 @@ type t = {
   mutable served : int;
   mutable dups : int;
   mutable retransmits : int;
-  mutable completed : int;
   mutable failed : int;
 }
 
 let requests_served t = t.served
 let duplicates_answered_from_cache t = t.dups
 let client_retransmissions t = t.retransmits
-let calls_completed t = t.completed
 let calls_failed t = t.failed
 
 let charge t = Proto_env.charge t.env t.env.Proto_env.costs.Costs.socket_layer
@@ -158,7 +156,6 @@ let create env ip =
       served = 0;
       dups = 0;
       retransmits = 0;
-      completed = 0;
       failed = 0 }
   in
   Ipv4.set_handler ip ~proto:protocol_number (fun ~src ~dst payload -> input t ~src ~dst payload);
@@ -206,9 +203,7 @@ let call t ~src_port ~dst ~dst_port payload =
     await 1 first_retry;
     Hashtbl.remove t.calls src_port;
     match call.c_response with
-    | Some r ->
-        t.completed <- t.completed + 1;
-        Ok r
+    | Some r -> Ok r
     | None ->
         t.failed <- t.failed + 1;
         Error "rrp: transaction timed out"

@@ -61,5 +61,4 @@ val duplicates_answered_from_cache : t -> int
 (** Retransmitted requests that were {e not} re-executed. *)
 
 val client_retransmissions : t -> int
-val calls_completed : t -> int
 val calls_failed : t -> int

@@ -155,10 +155,6 @@ type conn = {
   (* software pacing (Tcp_params.pacing) *)
   mutable pace_next : Time.t; (* earliest instant the next data send may leave *)
   mutable pacer : Timers.handle option;
-  (* header-prediction accounting *)
-  mutable fast_acks : int;
-  mutable fast_data : int;
-  mutable slow_segments : int;
   (* engine bookkeeping *)
   mutable output_active : bool;
   mutable output_pending : bool;
@@ -206,8 +202,6 @@ and t = {
   mutable retransmissions : int;
   mutable rsts_out : int;
   mutable checksum_failures : int;
-  mutable predicted_acks : int;
-  mutable predicted_data : int;
   mutable unknown_options : int;
   (* receive coalescing (rx_coalesce) *)
   mutable in_burst : int;
@@ -240,8 +234,6 @@ let retransmissions t = t.retransmissions
 let rsts_out t = t.rsts_out
 let checksum_failures t = t.checksum_failures
 let active_connections t = Hashtbl.length t.pcbs
-let predicted_acks t = t.predicted_acks
-let predicted_data t = t.predicted_data
 let unknown_options t = t.unknown_options
 let gro_merged t = t.gro_merged
 let gro_flushes t = t.gro_flushes
@@ -269,7 +261,6 @@ let cwnd c = Cong_control.cwnd c.cc
 let bytes_queued c = sendq_length c.snd_buf
 let bytes_available c = Bytequeue.length c.rcv_buf
 let loaned_bytes c = c.loaned_bytes
-let fast_path_counts c = (c.fast_acks, c.fast_data, c.slow_segments)
 
 type conn_options = {
   co_snd_scale : int;
@@ -1212,73 +1203,9 @@ let process_ack c (seg : Tcp_wire.segment) =
     wake_all c
   end
 
-(* --- header prediction (Van Jacobson fast path) ----------------------- *)
-
-(* The common case in ESTABLISHED: exactly the next expected in-order
-   segment — no flags beyond ACK(+PSH), sequence number equal to
-   rcv_nxt, no window change, in-order queue empty, and any payload
-   fitting the receive window whole.  Under these guards the general
-   input path below provably reduces to: process the ACK, take the
-   (trivially satisfied) wl1/wl2 window-update branch, append the
-   payload at rcv_nxt, and call the output engine.  Executing only that
-   skips the RFC 793 acceptability test, the flag dispatch, payload
-   trimming/clipping and the FIN logic; the slow path is kept intact as
-   the differential-testing oracle (Tcp_params.header_prediction). *)
-let try_fast_path c (seg : Tcp_wire.segment) =
-  let f = seg.Tcp_wire.flags in
-  let eligible =
-    c.engine.prm.Tcp_params.header_prediction
-    && c.state = State.Established
-    && f.Tcp_wire.ack
-    && (not f.Tcp_wire.syn)
-    && (not f.Tcp_wire.rst)
-    && (not f.Tcp_wire.fin)
-    && seg.Tcp_wire.seq = c.rcv_nxt
-    && seg_snd_wnd c seg = c.snd_wnd
-  in
-  if not eligible then false
-  else begin
-    let plen = Mbuf.length seg.Tcp_wire.payload in
-    if plen > 0 && not (c.ooseg = [] && plen <= rcv_window c) then false
-    else begin
-      let t = c.engine in
-      if plen = 0 then begin
-        c.fast_acks <- c.fast_acks + 1;
-        t.predicted_acks <- t.predicted_acks + 1
-      end
-      else begin
-        c.fast_data <- c.fast_data + 1;
-        t.predicted_data <- t.predicted_data + 1
-      end;
-      process_ack c seg;
-      if c.state <> State.Closed then begin
-        (* The wl1/wl2 update the slow path would make; the window value
-           itself is unchanged by the eligibility guard. *)
-        if
-          Tcp_seq.lt c.snd_wl1 seg.Tcp_wire.seq
-          || (c.snd_wl1 = seg.Tcp_wire.seq && Tcp_seq.le c.snd_wl2 seg.Tcp_wire.ack)
-        then begin
-          c.snd_wl1 <- seg.Tcp_wire.seq;
-          c.snd_wl2 <- seg.Tcp_wire.ack;
-          if c.snd_wnd > 0 then c.persist <- stop_timer c.persist
-        end;
-        if plen > 0 then begin
-          (* In-order data landing entirely inside the window: append
-             without trimming or clipping. *)
-          push_payload c seg.Tcp_wire.payload;
-          c.rcv_nxt <- Tcp_seq.add c.rcv_nxt plen;
-          schedule_ack c;
-          wake_all c
-        end;
-        output c
-      end;
-      true
-    end
-  end
-
 (* --- established-state input ------------------------------------------ *)
 
-let process_segment_slow c (seg : Tcp_wire.segment) =
+let process_segment_established c (seg : Tcp_wire.segment) =
   let payload_len = Mbuf.length seg.Tcp_wire.payload in
   let seg_len = Tcp_wire.seg_len seg in
   let win = rcv_window c in
@@ -1422,7 +1349,6 @@ let process_segment c (seg : Tcp_wire.segment) =
     | _ -> false
   in
   if paws_reject then begin
-    c.slow_segments <- c.slow_segments + 1;
     c.ack_now <- true;
     output c
   end
@@ -1434,11 +1360,7 @@ let process_segment c (seg : Tcp_wire.segment) =
            && Tcp_seq.diff tsval c.ts_recent >= 0 ->
         c.ts_recent <- tsval
     | _ -> ());
-    if try_fast_path c seg then ()
-    else begin
-      c.slow_segments <- c.slow_segments + 1;
-      process_segment_slow c seg
-    end
+    process_segment_established c seg
   end
 
 (* --- SYN_SENT input ---------------------------------------------------- *)
@@ -1553,9 +1475,6 @@ let handle_syn_for_listener t l (seg : Tcp_wire.segment) ~src =
       ka_probes = 0;
       unacked_segs = 0;
       ack_now = false;
-      fast_acks = 0;
-      fast_data = 0;
-      slow_segments = 0;
       output_active = false;
       output_pending = false;
       error = None;
@@ -1852,8 +1771,6 @@ let create env ip ?(params = Tcp_params.default) () =
       retransmissions = 0;
       rsts_out = 0;
       checksum_failures = 0;
-      predicted_acks = 0;
-      predicted_data = 0;
       unknown_options = 0;
       in_burst = 0;
       gro = None;
@@ -1933,9 +1850,6 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~fsm ~iss =
     ka_probes = 0;
     unacked_segs = 0;
     ack_now = false;
-    fast_acks = 0;
-    fast_data = 0;
-    slow_segments = 0;
     output_active = false;
     output_pending = false;
     error = None;

@@ -243,21 +243,9 @@ val rsts_out : t -> int
 val checksum_failures : t -> int
 val active_connections : t -> int
 
-val predicted_acks : t -> int
-(** Segments taken by the header-prediction fast path as pure ACKs
-    (engine-wide; see {!Tcp_params.header_prediction}). *)
-
-val predicted_data : t -> int
-(** Segments taken by the fast path as in-order data. *)
-
 val unknown_options : t -> int
 (** Total unknown TCP option kinds skipped across all received
     segments (engine-wide aggregate of [co_unknown_opts]). *)
-
-val fast_path_counts : conn -> int * int * int
-(** Per-connection [(fast acks, fast data, slow segments)]: how input
-    segments split between the header-prediction fast path and the full
-    state machine on this connection. *)
 
 (* {2 Receive coalescing (rx_coalesce)} *)
 

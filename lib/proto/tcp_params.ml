@@ -15,7 +15,6 @@ type t = {
   keepalive : Time.span option;
   keepalive_interval : Time.span;
   keepalive_probes : int;
-  header_prediction : bool;
   fused_checksum : bool;
   zero_copy : bool;
   overlap_setup : bool;
@@ -52,7 +51,6 @@ let default =
     keepalive = None;
     keepalive_interval = Time.sec 75;
     keepalive_probes = 9;
-    header_prediction = true;
     fused_checksum = true;
     zero_copy = false;
     overlap_setup = false;
@@ -130,72 +128,90 @@ type switch = {
   sw_field : string;
   sw_oracle : string;
   sw_bench_row : string;
+  sw_off : t -> t;
 }
 
 let switches =
-  [ { sw_field = "header_prediction";
-      sw_oracle = "test/test_fastpath.ml:prop_prediction_equivalent_under_faults";
-      sw_bench_row = "bulk userlib/ethernet/4096" };
-    { sw_field = "fused_checksum";
+  [ { sw_field = "fused_checksum";
       sw_oracle = "test/test_fastpath.ml:prop_fused_checksum_survives_corruption";
-      sw_bench_row = "bulk userlib/ethernet/4096" };
+      sw_bench_row = "bulk userlib/ethernet/4096";
+      sw_off = (fun p -> { p with fused_checksum = false }) };
     { sw_field = "zero_copy";
       sw_oracle = "test/test_fastpath.ml:prop_zero_copy_differential";
-      sw_bench_row = "bulk userlib-zc" };
+      sw_bench_row = "bulk userlib-zc";
+      sw_off = (fun p -> { p with zero_copy = default.zero_copy }) };
     { sw_field = "overlap_setup";
       sw_oracle = "test/test_churn.ml:prop_fastpath_equivalent_under_faults";
-      sw_bench_row = "+lease" };
+      sw_bench_row = "+lease";
+      sw_off = (fun p -> { p with overlap_setup = default.overlap_setup }) };
     { sw_field = "channel_pool";
       sw_oracle = "test/test_churn.ml:prop_fastpath_equivalent_under_faults";
-      sw_bench_row = "+lease" };
+      sw_bench_row = "+lease";
+      sw_off = (fun p -> { p with channel_pool = default.channel_pool }) };
     { sw_field = "endpoint_lease";
       sw_oracle = "test/test_churn.ml:prop_fastpath_equivalent_under_faults";
-      sw_bench_row = "+lease" };
+      sw_bench_row = "+lease";
+      sw_off = (fun p -> { p with endpoint_lease = default.endpoint_lease }) };
     { sw_field = "time_wait_wheel";
       sw_oracle = "test/test_churn.ml:prop_fastpath_equivalent_under_faults";
-      sw_bench_row = "+lease" };
+      sw_bench_row = "+lease";
+      sw_off = (fun p -> { p with time_wait_wheel = default.time_wait_wheel }) };
     { sw_field = "smp_locking";
       sw_oracle = "test/test_smp.ml:prop_smp_payload_identical_under_faults";
-      sw_bench_row = "smp" };
+      sw_bench_row = "smp";
+      sw_off = (fun p -> { p with smp_locking = default.smp_locking }) };
     { sw_field = "flow_cache";
       sw_oracle = "test/test_fastpath.ml:prop_cache_matches_scan";
-      sw_bench_row = "scale" };
+      sw_bench_row = "scale";
+      sw_off = (fun p -> { p with flow_cache = default.flow_cache }) };
     { sw_field = "hier_demux";
       sw_oracle = "test/test_scale_ctl.ml:prop_hier_demux_differential";
-      sw_bench_row = "sparse-scale" };
+      sw_bench_row = "sparse-scale";
+      sw_off = (fun p -> { p with hier_demux = default.hier_demux }) };
     { sw_field = "shard_registry";
       sw_oracle = "test/test_scale_ctl.ml:prop_shard_flat_differential";
-      sw_bench_row = "sharded registry" };
+      sw_bench_row = "sharded registry";
+      sw_off = (fun p -> { p with shard_registry = default.shard_registry }) };
     { sw_field = "window_scale";
       sw_oracle = "test/test_wan.ml:prop_wscale_differential";
-      sw_bench_row = "wan+wscale" };
+      sw_bench_row = "wan+wscale";
+      sw_off = (fun p -> { p with window_scale = default.window_scale }) };
     { sw_field = "timestamps";
       sw_oracle = "test/test_wan.ml:prop_timestamps_differential";
-      sw_bench_row = "wan+wscale" };
+      sw_bench_row = "wan+wscale";
+      sw_off = (fun p -> { p with timestamps = default.timestamps }) };
     { sw_field = "sack";
       sw_oracle = "test/test_wan.ml:prop_sack_differential";
-      sw_bench_row = "wan+wscale+sack" };
+      sw_bench_row = "wan+wscale+sack";
+      sw_off = (fun p -> { p with sack = default.sack }) };
     { sw_field = "cong_control";
       sw_oracle = "test/test_wan.ml:prop_cong_control_differential";
-      sw_bench_row = "wan+sack+cubic" };
+      sw_bench_row = "wan+sack+cubic";
+      sw_off = (fun p -> { p with cong_control = default.cong_control }) };
     { sw_field = "ack_every";
       sw_oracle = "test/test_coalesce.ml:prop_ack_every_differential";
-      sw_bench_row = "rpc/fanout" };
+      sw_bench_row = "rpc/fanout";
+      sw_off = (fun p -> { p with ack_every = default.ack_every }) };
     { sw_field = "rx_coalesce";
       sw_oracle = "test/test_coalesce.ml:prop_rx_coalesce_differential";
-      sw_bench_row = "rpc/fanout" };
+      sw_bench_row = "rpc/fanout";
+      sw_off = (fun p -> { p with rx_coalesce = default.rx_coalesce }) };
     { sw_field = "burst_ack";
       sw_oracle = "test/test_coalesce.ml:prop_burst_ack_differential";
-      sw_bench_row = "rpc/fanout" };
+      sw_bench_row = "rpc/fanout";
+      sw_off = (fun p -> { p with burst_ack = default.burst_ack }) };
     { sw_field = "int_suppress";
       sw_oracle = "test/test_coalesce.ml:prop_int_suppress_differential";
-      sw_bench_row = "incast/overload" };
+      sw_bench_row = "incast/overload";
+      sw_off = (fun p -> { p with int_suppress = default.int_suppress }) };
     { sw_field = "tx_gso";
       sw_oracle = "test/test_txpath.ml:prop_gso_differential";
-      sw_bench_row = "tx bulk an1/+gso" };
+      sw_bench_row = "tx bulk an1/+gso";
+      sw_off = (fun p -> { p with tx_gso = default.tx_gso }) };
     { sw_field = "pacing";
       sw_oracle = "test/test_txpath.ml:prop_pacing_order_and_rate";
-      sw_bench_row = "tx incast/pacing" } ]
+      sw_bench_row = "tx incast/pacing";
+      sw_off = (fun p -> { p with pacing = default.pacing }) } ]
 
 let policy_fields =
   [ ("nagle", "congestion policy, not an implementation ablation: both settings are \

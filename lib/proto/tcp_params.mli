@@ -31,13 +31,6 @@ type t = {
           connection is dropped *)
   keepalive_interval : Uln_engine.Time.span;  (** spacing between probes *)
   keepalive_probes : int;
-  header_prediction : bool;
-      (** Van Jacobson header prediction: in ESTABLISHED, segments that
-          are exactly the next expected in-order ACK or data, with no
-          flags beyond ACK(+PSH) and no window change, take a short fast
-          path that bypasses the full input state machine.  Behaviour is
-          identical (differentially tested); [false] is the ablation
-          oracle. *)
   fused_checksum : bool;
       (** Compute the transmit checksum during the copy out of the send
           buffer (one pass, charged at
@@ -238,15 +231,18 @@ val tx_fast : t
     Every switch field of {!t} that ablates an implementation technique
     (as opposed to choosing a policy) must register here with a
     differential oracle — the [file:ident] of the qcheck property that
-    pins the on/off behavioural equivalence — and the bench-smoke row
-    that drives the switch end to end on every test run.  The
+    pins the on/off behavioural equivalence — and the bench row spec
+    ({!Uln_workload.Bench_spec}) its leave-one-out row runs.  The
     proto-check switch lint fails the build when a switch field has no
     entry, or an entry's oracle or row has gone stale. *)
 
 type switch = {
   sw_field : string;  (** record field name in {!t} *)
   sw_oracle : string;  (** [file:ident] of the differential property *)
-  sw_bench_row : string;  (** label of the [@bench-smoke] row that exercises it *)
+  sw_bench_row : string;  (** name of the bench row spec that measures it *)
+  sw_off : t -> t;
+      (** leave the switch out: reset the field to its {!default} value,
+          or turn it off where the default has it on *)
 }
 
 val switches : switch list

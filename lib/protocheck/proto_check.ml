@@ -234,12 +234,11 @@ let record_fields params_src =
 let ablatable_fields params_src =
   List.filter_map (fun (n, abl) -> if abl then Some n else None) (record_fields params_src)
 
-let check_switches ~params_src ~bench_src ~root () =
+let check_switches ~params_src ~spec_names ~root () =
   let out = ref [] in
   let add f = out := f :: !out in
   let fields = ablatable_fields params_src in
   let all_fields = List.map fst (record_fields params_src) in
-  let bench = read_file bench_src in
   let table_file = Filename.concat root "BENCH_switches.json" in
   let table = if Sys.file_exists table_file then read_file table_file else "" in
   let registered f = List.exists (fun s -> s.Params.sw_field = f) Params.switches in
@@ -290,15 +289,15 @@ let check_switches ~params_src ~bench_src ~root () =
         add
           (fail "switch-table"
              (Printf.sprintf "%s: no leave-one-out row in %s" s.Params.sw_field table_file));
-      if contains bench s.Params.sw_bench_row then
+      if List.mem s.Params.sw_bench_row spec_names then
         add
           (pass "switch-bench"
-             (Printf.sprintf "%s -> row %S" s.Params.sw_field s.Params.sw_bench_row))
+             (Printf.sprintf "%s -> spec %S" s.Params.sw_field s.Params.sw_bench_row))
       else
         add
           (fail "switch-bench"
-             (Printf.sprintf "%s: no bench-smoke row %S in %s" s.Params.sw_field
-                s.Params.sw_bench_row bench_src)))
+             (Printf.sprintf "%s: no bench spec named %S" s.Params.sw_field
+                s.Params.sw_bench_row)))
     Params.switches;
   List.rev !out
 
@@ -308,4 +307,4 @@ let run ?(seed_unhandled = false) ?(seed_cycle = false) ?sources () =
   @
   match sources with
   | None -> []
-  | Some (params_src, bench_src, root) -> check_switches ~params_src ~bench_src ~root ()
+  | Some (params_src, spec_names, root) -> check_switches ~params_src ~spec_names ~root ()

@@ -14,7 +14,7 @@
       the graph must be acyclic.
     - {b Switches}: every ablatable field of {!Uln_proto.Tcp_params.t}
       must register a differential oracle that exists in the tree and a
-      bench-smoke row that appears in the bench driver.
+      bench row that names a bench spec.
 
     The [seed_*] flags inject the defect each check exists to catch, so
     the failure path itself is under test. *)
@@ -32,17 +32,18 @@ val check_locks : ?seed_cycle:bool -> unit -> finding list
 (** [seed_cycle] appends an inverted acquisition edge (the ABBA shape). *)
 
 val check_switches :
-  params_src:string -> bench_src:string -> root:string -> unit -> finding list
-(** [params_src] is the path to [tcp_params.ml], [bench_src] the bench
-    driver source, [root] the directory oracle paths and the committed
+  params_src:string -> spec_names:string list -> root:string -> unit -> finding list
+(** [params_src] is the path to [tcp_params.ml], [spec_names] the names
+    every [sw_bench_row] must resolve against (the bench row specs),
+    [root] the directory oracle paths and the committed
     leave-one-out table [BENCH_switches.json] resolve against.  Every
     registered switch needs a row of that table. *)
 
 val run :
   ?seed_unhandled:bool ->
   ?seed_cycle:bool ->
-  ?sources:string * string * string ->
+  ?sources:string * string list * string ->
   unit ->
   finding list
-(** All families; [sources = (params_src, bench_src, root)] enables the
+(** All families; [sources = (params_src, spec_names, root)] enables the
     switch lint (it needs the tree, the other checks are pure). *)

@@ -173,35 +173,3 @@ let configs =
     ("+overlap", f true false false false);
     ("+pool", f true true false false);
     ("+lease", f true true true true) ]
-
-(* Six concurrent pairs saturate the shared client host, so the sweep
-   measures the CPU cost per connection of each configuration rather
-   than the single-connection round trip (which the paced phase already
-   reports). *)
-let sweep ?(pairs = 6) ?(conns_per_pair = 64) ?(network = World.Ethernet) () =
-  List.map
-    (fun (config, prm) ->
-      run ~pairs ~conns_per_pair ~tcp_params:prm ~config ~network
-        ~org:Organization.User_library ())
-    configs
-  @ [ run ~pairs ~conns_per_pair ~tcp_params:Tcp_params.fast ~config:"baseline"
-        ~network ~org:(Organization.Single_server `Mapped) ();
-      run ~pairs ~conns_per_pair ~tcp_params:Tcp_params.fast ~config:"baseline"
-        ~network ~org:Organization.In_kernel () ]
-
-let print ppf results =
-  Format.fprintf ppf
-    "@[<v>%-14s %-10s %10s %9s %9s %8s %8s %8s %7s %7s %6s@,"
-    "system" "config" "conns/sec" "setup-ms" "churn-ms" "alloc" "rtt" "finish"
-    "pool%" "lease%" "twpark";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf
-        "%-14s %-10s %10.1f %9.2f %9.2f %8.2f %8.2f %8.2f %6.0f%% %6.0f%% %6d@,"
-        r.r_system r.r_config r.r_conns_per_sec r.r_setup_ms r.r_churn_ms
-        r.r_leg_port_alloc_ms r.r_leg_round_trip_ms r.r_leg_finish_ms
-        (100. *. r.r_pool_hit_rate)
-        (100. *. r.r_lease_hit_rate)
-        r.r_tw_parked)
-    results;
-  Format.fprintf ppf "@]"

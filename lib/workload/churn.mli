@@ -49,14 +49,3 @@ val run :
 
 val configs : (string * Uln_proto.Tcp_params.t) list
 (** The cumulative ablation ladder, based on {!Uln_proto.Tcp_params.fast}. *)
-
-val sweep :
-  ?pairs:int ->
-  ?conns_per_pair:int ->
-  ?network:Uln_core.World.network ->
-  unit ->
-  result list
-(** The full matrix: the four user-library configurations plus
-    single-server and in-kernel reference rows. *)
-
-val print : Format.formatter -> result list -> unit

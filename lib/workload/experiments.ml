@@ -75,56 +75,54 @@ let table1 ?(quick = false) () =
   let total_bytes = if quick then 400_000 else 4_000_000 in
   List.map (fun s -> Raw_xchg.run ~total_bytes ~user_packet:s ()) [ 512; 1024; 2048; 4096 ]
 
-(* --- Table 2 ---------------------------------------------------------- *)
+(* --- Tables 2 and 3 ---------------------------------------------------- *)
 
-let table2 ?(quick = false) ?(extended = false) () =
+(* One series per (network, system): the paper's organizations, then
+   the zero-copy ablation of the paper's system (no paper column: the
+   measured system always copied). *)
+let series ?(extended = false) () =
+  List.concat_map
+    (fun network ->
+      let orgs = systems_for network @ if extended then extended_systems else [] in
+      List.map (fun org -> (network, sys_name org, org, Uln_proto.Tcp_params.default)) orgs
+      @ [ (network, "userlib-zc", Organization.User_library, zc_params) ])
+    [ World.Ethernet; World.An1 ]
+
+let t2_sizes = [ 512; 1024; 2048; 4096 ]
+let t3_sizes = [ 1; 512; 1460 ]
+
+let t2_cell ?(total_bytes = 4_000_000) ~tcp_params (network, system, org) size =
+  let r = Bulk.measure ~total_bytes ~tcp_params ~write_size:size ~network ~org () in
+  { t2_network = net_name network;
+    t2_system = system;
+    t2_size = size;
+    t2_mbps = r.Bulk.mbps;
+    t2_paper = Paper_ref.lookup2 Paper_ref.table2 (net_name network) system size }
+
+let t3_cell ?(exchanges = 50) ~tcp_params (network, system, org) size =
+  let r = Pingpong.measure ~exchanges ~tcp_params ~size ~network ~org () in
+  { t3_network = net_name network;
+    t3_system = system;
+    t3_size = size;
+    t3_rtt_ms = Time.to_ms_f r.Pingpong.avg_rtt;
+    t3_rtt = r.Pingpong.rtt;
+    t3_paper = Paper_ref.lookup2 Paper_ref.table3 (net_name network) system size }
+
+let table2 ?(quick = false) ?extended () =
   (* Quick mode still needs enough bytes to get past slow start and the
      initial Nagle/delayed-ACK transient. *)
   let total_bytes = if quick then 1_500_000 else 4_000_000 in
-  let sizes = [ 512; 1024; 2048; 4096 ] in
-  let cell ?tcp_params ?system network org size =
-    let r = Bulk.measure ~total_bytes ?tcp_params ~write_size:size ~network ~org () in
-    let system = match system with Some s -> s | None -> sys_name org in
-    { t2_network = net_name network;
-      t2_system = system;
-      t2_size = size;
-      t2_mbps = r.Bulk.mbps;
-      t2_paper = Paper_ref.lookup2 Paper_ref.table2 (net_name network) system size }
-  in
   List.concat_map
-    (fun network ->
-      let orgs = systems_for network @ if extended then extended_systems else [] in
-      List.concat_map (fun org -> List.map (cell network org) sizes) orgs
-      (* Zero-copy ablation of the paper's system (no paper column: the
-         measured system always copied). *)
-      @ List.map
-          (cell ~tcp_params:zc_params ~system:"userlib-zc" network Organization.User_library)
-          sizes)
-    [ World.Ethernet; World.An1 ]
+    (fun (network, system, org, tcp_params) ->
+      List.map (t2_cell ~total_bytes ~tcp_params (network, system, org)) t2_sizes)
+    (series ?extended ())
 
-(* --- Table 3 ---------------------------------------------------------- *)
-
-let table3 ?(quick = false) ?(extended = false) () =
+let table3 ?(quick = false) ?extended () =
   let exchanges = if quick then 10 else 50 in
-  let sizes = [ 1; 512; 1460 ] in
-  let cell ?tcp_params ?system network org size =
-    let r = Pingpong.measure ~exchanges ?tcp_params ~size ~network ~org () in
-    let system = match system with Some s -> s | None -> sys_name org in
-    { t3_network = net_name network;
-      t3_system = system;
-      t3_size = size;
-      t3_rtt_ms = Time.to_ms_f r.Pingpong.avg_rtt;
-      t3_rtt = r.Pingpong.rtt;
-      t3_paper = Paper_ref.lookup2 Paper_ref.table3 (net_name network) system size }
-  in
   List.concat_map
-    (fun network ->
-      let orgs = systems_for network @ if extended then extended_systems else [] in
-      List.concat_map (fun org -> List.map (cell network org) sizes) orgs
-      @ List.map
-          (cell ~tcp_params:zc_params ~system:"userlib-zc" network Organization.User_library)
-          sizes)
-    [ World.Ethernet; World.An1 ]
+    (fun (network, system, org, tcp_params) ->
+      List.map (t3_cell ~exchanges ~tcp_params (network, system, org)) t3_sizes)
+    (series ?extended ())
 
 (* --- Table 4 ---------------------------------------------------------- *)
 
@@ -446,22 +444,6 @@ let scale_sparse ?(pops = [ 65536; 262144; 1048576 ]) () =
         sp_lock_contended = contended })
     pops
 
-let print_sparse ppf rows =
-  Format.fprintf ppf "@[<v>%8s %28s %12s %30s %30s %4s@,"
-    "conns" "miss cycles p50/p99/p999" "linear-scan"
-    "setup us p50/p99/p999" "delivery us p50/p99/p999" "shd";
-  List.iter
-    (fun r ->
-      let p (s : Percentile.summary) = Printf.sprintf "%.0f/%.0f/%.0f" s.Percentile.p50 s.p99 s.p999 in
-      let pf (s : Percentile.summary) =
-        Printf.sprintf "%.1f/%.1f/%.1f" s.Percentile.p50 s.p99 s.p999
-      in
-      Format.fprintf ppf "%8d %28s %12.0f %30s %30s %4d@," r.sp_conns
-        (p r.sp_miss_p) r.sp_linear_cycles (pf r.sp_setup_p) (pf r.sp_delivery_p)
-        r.sp_shards)
-    rows;
-  Format.fprintf ppf "@]"
-
 (* --- zero-copy ablation (write-size scaling, userlib) ------------------ *)
 
 (* The loaning data path against the copying oracle, across user packet
@@ -495,52 +477,6 @@ let pp_paper ppf = function
   | Some v -> Format.fprintf ppf "%6.1f" v
   | None -> Format.fprintf ppf "     -"
 
-let print_table1 ppf rows =
-  Format.fprintf ppf "@[<v>Table 1: impact of the mechanisms on throughput (Ethernet)@,";
-  Format.fprintf ppf "%-12s %10s %14s %10s@," "user pkt" "Mb/s" "raw link Mb/s" "%% of raw";
-  List.iter
-    (fun (r : Raw_xchg.row) ->
-      Format.fprintf ppf "%-12d %10.2f %14.2f %9.1f%%@," r.Raw_xchg.user_packet r.Raw_xchg.mbps
-        r.Raw_xchg.saturation_mbps r.Raw_xchg.percent_of_raw)
-    rows;
-  Format.fprintf ppf "@]"
-
-let print_series ppf ~title ~value_label rows row_net row_sys row_size row_val row_paper =
-  Format.fprintf ppf "@[<v>%s@," title;
-  Format.fprintf ppf "%-10s %-14s %8s %10s %8s@," "network" "system" "size" value_label "paper";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-10s %-14s %8d %10.2f %a@," (row_net r) (row_sys r) (row_size r)
-        (row_val r) pp_paper (row_paper r))
-    rows;
-  Format.fprintf ppf "@]"
-
-let print_table2 ppf rows =
-  print_series ppf ~title:"Table 2: TCP throughput (Mb/s)" ~value_label:"Mb/s" rows
-    (fun r -> r.t2_network)
-    (fun r -> r.t2_system)
-    (fun r -> r.t2_size)
-    (fun r -> r.t2_mbps)
-    (fun r -> r.t2_paper)
-
-let print_table3 ppf rows =
-  print_series ppf ~title:"Table 3: round-trip latency (ms)" ~value_label:"rtt ms" rows
-    (fun r -> r.t3_network)
-    (fun r -> r.t3_system)
-    (fun r -> r.t3_size)
-    (fun r -> r.t3_rtt_ms)
-    (fun r -> r.t3_paper)
-
-let print_table4 ppf rows =
-  Format.fprintf ppf "@[<v>Table 4: connection setup cost (ms)@,";
-  Format.fprintf ppf "%-10s %-14s %10s %8s@," "network" "system" "setup ms" "paper";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-10s %-14s %10.2f %a@," r.t4_network r.t4_system r.t4_setup_ms
-        pp_paper r.t4_paper)
-    rows;
-  Format.fprintf ppf "@]"
-
 let print_breakdown ppf rows =
   Format.fprintf ppf "@[<v>Setup breakdown, user-library organization (ms)@,";
   List.iter
@@ -548,38 +484,6 @@ let print_breakdown ppf rows =
       Format.fprintf ppf "  %-64s %6.2f %a@," label ms pp_paper paper)
     rows;
   Format.fprintf ppf "@]"
-
-let print_table5 ppf rows =
-  Format.fprintf ppf "@[<v>Table 5: packet demultiplexing cost (us/packet)@,";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %-56s %8.1f %a@," r.t5_interface r.t5_us pp_paper r.t5_paper)
-    rows;
-  Format.fprintf ppf "@]"
-
-let print_scale ppf rows =
-  Format.fprintf ppf
-    "@[<v>Connection scaling: software demux cost per packet (simulated cycles)@,";
-  Format.fprintf ppf "%-8s %14s %16s %8s %8s@," "conns" "linear scan" "flow-cache hit" "hits"
-    "misses";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-8d %14.1f %16.1f %8d %8d@," r.sc_conns r.sc_scan_cycles
-        r.sc_hit_cycles r.sc_hits r.sc_misses)
-    rows;
-  Format.fprintf ppf
-    "(scan cost grows with installed connections; warm cache hits stay flat)@,@]"
-
-let print_zero_copy ppf rows =
-  Format.fprintf ppf "@[<v>Zero-copy ablation: userlib bulk throughput, loaning vs copying@,";
-  Format.fprintf ppf "%-10s %8s %12s %12s %8s@," "network" "size" "copy Mb/s" "zc Mb/s" "gain";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-10s %8d %12.2f %12.2f %+7.1f%%@," r.zc_network r.zc_size
-        r.zc_mbps_copy r.zc_mbps_zero_copy r.zc_gain_pct)
-    rows;
-  Format.fprintf ppf
-    "(the loaning path touches each payload byte once — the checksum pass)@,@]"
 
 let print_figures ppf () =
   Format.fprintf ppf "@[<v>Figure 1: alternative organizations of protocols@,@,";

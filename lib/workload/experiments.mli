@@ -1,6 +1,6 @@
 (** Reproduction of the paper's evaluation (§4): one runner per table,
-    each returning the measured series and printing a paper-vs-measured
-    comparison.  [quick] trades sample size for speed (used by tests;
+    each returning the measured rows with the paper's value alongside
+    ({!Bench_spec} prints and writes them).  [quick] trades sample size for speed (used by tests;
     benches run full size). *)
 
 type t2_row = {
@@ -29,6 +29,9 @@ type t4_row = {
 
 type t5_row = { t5_interface : string; t5_us : float; t5_paper : float option }
 
+val net_name : Uln_core.World.network -> string
+(** ["ethernet" | "an1" | "wan"] — the [network] column of every table. *)
+
 val sys_name : Uln_core.Organization.t -> string
 (** The paper's name for an organization's host system ("ultrix",
     "mach-ux", "userlib", ...) — the [system] column of every table. *)
@@ -51,6 +54,34 @@ type zc_row = {
 
 val table1 : ?quick:bool -> unit -> Raw_xchg.row list
 (** Mechanism overhead vs raw link saturation (Ethernet). *)
+
+val series :
+  ?extended:bool ->
+  unit ->
+  (Uln_core.World.network * string * Uln_core.Organization.t * Uln_proto.Tcp_params.t) list
+(** The rows of Tables 2 and 3, one [(network, system, org, preset)] per
+    measured series in table order: the paper's organizations, then the
+    zero-copy [userlib-zc] ablation.  [extended] adds the organizations
+    the paper describes but does not measure. *)
+
+val t2_sizes : int list
+val t3_sizes : int list
+
+val t2_cell :
+  ?total_bytes:int ->
+  tcp_params:Uln_proto.Tcp_params.t ->
+  Uln_core.World.network * string * Uln_core.Organization.t ->
+  int ->
+  t2_row
+(** One Table 2 cell (default 4 MB) at one write size. *)
+
+val t3_cell :
+  ?exchanges:int ->
+  tcp_params:Uln_proto.Tcp_params.t ->
+  Uln_core.World.network * string * Uln_core.Organization.t ->
+  int ->
+  t3_row
+(** One Table 3 cell (default 50 exchanges) at one message size. *)
 
 val table2 : ?quick:bool -> ?extended:bool -> unit -> t2_row list
 (** TCP throughput across organizations and networks.  [extended] adds
@@ -124,15 +155,7 @@ val zero_copy_ablation : ?quick:bool -> ?sizes:int list -> unit -> zc_row list
     network — identical worlds otherwise, so the difference is exactly
     the loaning/scatter-gather/doorbell machinery. *)
 
-val print_table1 : Format.formatter -> Raw_xchg.row list -> unit
-val print_table2 : Format.formatter -> t2_row list -> unit
-val print_table3 : Format.formatter -> t3_row list -> unit
-val print_table4 : Format.formatter -> t4_row list -> unit
 val print_breakdown : Format.formatter -> (string * float * float option) list -> unit
-val print_table5 : Format.formatter -> t5_row list -> unit
-val print_scale : Format.formatter -> scale_row list -> unit
-val print_sparse : Format.formatter -> sparse_row list -> unit
-val print_zero_copy : Format.formatter -> zc_row list -> unit
 val print_figures : Format.formatter -> unit -> unit
 (** Figures 1 and 2: organization structure, derived from the
     implementations. *)

@@ -1,8 +1,9 @@
 (* Differential tests for the data-path fast paths: each optimisation
-   (flow-cache demux, TCP header prediction, fused copy+checksum) is
-   checked against its slow path — the linear scan, the full input state
-   machine, the byte-at-a-time checksum — over randomized inputs.  The
-   fast paths must be behaviourally invisible. *)
+   (flow-cache demux, fused copy+checksum, zero-copy) is checked against
+   its slow path — the linear scan, the byte-at-a-time checksum, the
+   copying data path — over randomized inputs.  The
+   fast paths must be behaviourally invisible.  The TCP input path has
+   no fast path; it is checked against the payload it must deliver. *)
 
 open Tutil
 module Rng = Uln_engine.Rng
@@ -260,7 +261,7 @@ let test_shadowed_filter_not_cached () =
   check_bool "connection flow was cached" true (st.F.Demux.hits > 0);
   check_bool "shadow-unsafe accepts were skipped" true (st.F.Demux.skips > 0)
 
-(* --- TCP header prediction vs the full state machine ------------------- *)
+(* --- the one TCP input path ---------------------------------------------- *)
 
 let transfer ?fault ~params n =
   (* One bulk transfer a->b; returns what b read plus both engines'
@@ -285,81 +286,35 @@ let transfer ?fault ~params n =
     data,
     Tcp.segments_out tcp_a + Tcp.segments_out tcp_b,
     Tcp.retransmissions tcp_a + Tcp.retransmissions tcp_b,
-    Tcp.predicted_acks tcp_a + Tcp.predicted_acks tcp_b,
-    Tcp.predicted_data tcp_a + Tcp.predicted_data tcp_b,
     Tcp.checksum_failures tcp_a + Tcp.checksum_failures tcp_b )
 
-let predicted_params on = { Tcp_params.fast with Tcp_params.header_prediction = on }
+(* Every segment, in order or not, takes the full input state machine. *)
+let test_input_path_clean_link () =
+  let got, want, _, rexmit, cfail = transfer ~params:Tcp_params.fast 50_000 in
+  check_str "payload delivered" want got;
+  check "no retransmissions" 0 rexmit;
+  check "no checksum failures" 0 cfail
 
-let test_prediction_transparent_clean_link () =
-  let got_f, want_f, segs_f, rexmit_f, packs, pdata, _ =
-    transfer ~params:(predicted_params true) 50_000
-  in
-  let got_s, want_s, segs_s, rexmit_s, sacks, sdata, _ =
-    transfer ~params:(predicted_params false) 50_000
-  in
-  check_str "fast path delivers the data" want_f got_f;
-  check_str "slow path delivers the data" want_s got_s;
-  check "identical segment counts" segs_s segs_f;
-  check "identical retransmissions" rexmit_s rexmit_f;
-  check_bool "fast path actually taken (acks)" true (packs > 0);
-  check_bool "fast path actually taken (data)" true (pdata > 0);
-  check "slow-only run predicts nothing" 0 (sacks + sdata)
-
-let prop_prediction_equivalent_under_faults =
-  (* Random loss/reordering/duplication drives segments down the slow
-     path (out-of-order arrivals, window updates); whatever mix results,
-     the two configurations must produce byte-identical deliveries and
-     identical wire behaviour. *)
-  QCheck.Test.make ~name:"header prediction = state machine under loss/reordering" ~count:8
+let prop_input_path_under_faults =
+  (* Loss, duplication and reordering drive segments through the
+     out-of-order queue, duplicate trimming and retransmission; the
+     payload must still arrive byte for byte. *)
+  QCheck.Test.make ~name:"input path delivers the payload under loss/reordering" ~count:8
     QCheck.(1 -- 1_000_000)
     (fun seed ->
-      let mk () =
+      let fault =
         Fault.create ~rng:(Rng.create ~seed) ~drop:0.02 ~duplicate:0.02 ~reorder:0.08 ()
       in
-      let got_f, want, segs_f, rexmit_f, _, _, _ =
-        transfer ~fault:(mk ()) ~params:(predicted_params true) 30_000
-      in
-      let got_s, _, segs_s, rexmit_s, packs, pdata, _ =
-        transfer ~fault:(mk ()) ~params:(predicted_params false) 30_000
-      in
-      String.equal got_f want && String.equal got_s want && segs_f = segs_s
-      && rexmit_f = rexmit_s
-      && packs + pdata = 0)
-
-let test_per_conn_fastpath_counters () =
-  let w = make_world ~tcp_params:(predicted_params true) () in
-  let server_counts = ref (0, 0, 0) in
-  Sched.spawn w.sched ~name:"server" (fun () ->
-      let l = Tcp.listen w.b.stack.Stack.tcp ~port:80 in
-      let conn, _ = Tcp.accept l in
-      ignore (read_all conn);
-      server_counts := Tcp.fast_path_counts conn;
-      Tcp.close conn);
-  let client_counts = ref (0, 0, 0) in
-  run_to_completion w (fun () ->
-      match Tcp.connect w.a.stack.Stack.tcp ~src_port:5000 ~dst:w.b.ip ~dst_port:80 with
-      | Error e -> failwith e
-      | Ok (c, _) ->
-          Tcp.write c (View.of_string (pattern 40_000));
-          Tcp.close c;
-          Tcp.await_closed c;
-          client_counts := Tcp.fast_path_counts c);
-  let _, fdata, _ = !server_counts in
-  let facks, _, cslow = !client_counts in
-  let _, _, sslow = !server_counts in
-  check_bool "receiver fast-pathed in-order data" true (fdata > 0);
-  check_bool "sender fast-pathed pure acks" true (facks > 0);
-  (* The handshake and FIN exchange always take the slow path. *)
-  check_bool "slow path still used around the edges" true (cslow > 0 && sslow > 0)
+      let got, want, _, _, _ = transfer ~fault ~params:Tcp_params.fast 30_000 in
+      String.equal got want)
 
 (* --- fused checksum end to end ----------------------------------------- *)
 
 let fused_params on = { Tcp_params.fast with Tcp_params.fused_checksum = on }
 
 let test_fused_checksum_transparent () =
-  let got_f, want, segs_f, _, _, _, cfail_f = transfer ~params:(fused_params true) 50_000 in
-  let got_s, _, segs_s, _, _, _, cfail_s = transfer ~params:(fused_params false) 50_000 in
+  let got_f, want, segs_f, _, cfail_f = transfer ~params:(fused_params true) 50_000 in
+  let got_s, _, segs_s, _, cfail_s = transfer ~params:(fused_params false) 50_000 in
   check_str "fused delivery intact" want got_f;
   check_str "two-pass delivery intact" want got_s;
   check "identical segment counts" segs_s segs_f;
@@ -373,10 +328,10 @@ let prop_fused_checksum_survives_corruption =
     QCheck.(1 -- 1_000_000)
     (fun seed ->
       let mk () = Fault.create ~rng:(Rng.create ~seed) ~corrupt:0.03 ~drop:0.01 () in
-      let got_f, want, _, _, _, _, cfail_f =
+      let got_f, want, _, _, cfail_f =
         transfer ~fault:(mk ()) ~params:(fused_params true) 20_000
       in
-      let got_s, _, _, _, _, _, cfail_s =
+      let got_s, _, _, _, cfail_s =
         transfer ~fault:(mk ()) ~params:(fused_params false) 20_000
       in
       String.equal got_f want && String.equal got_s want && cfail_f = cfail_s)
@@ -647,12 +602,9 @@ let () =
           Alcotest.test_case "invalidation on install/remove" `Quick test_cache_invalidation;
           Alcotest.test_case "shadow-unsafe accepts skipped" `Quick
             test_shadowed_filter_not_cached ] );
-      ( "header-prediction",
-        [ Alcotest.test_case "transparent on a clean link" `Quick
-            test_prediction_transparent_clean_link;
-          qc prop_prediction_equivalent_under_faults;
-          Alcotest.test_case "per-connection counters" `Quick test_per_conn_fastpath_counters ]
-      );
+      ( "single-input-path",
+        [ Alcotest.test_case "clean link" `Quick test_input_path_clean_link;
+          qc prop_input_path_under_faults ] );
       ( "fused-checksum",
         [ Alcotest.test_case "transparent end to end" `Quick test_fused_checksum_transparent;
           qc prop_fused_checksum_survives_corruption ] );

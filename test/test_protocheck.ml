@@ -1,7 +1,8 @@
 (* The proto-check analysis pass, and the session-typed FSM it checks:
    the green path on the real tree, the seeded failure paths (the lint
-   must be able to fail), witness linearity and the shadow oracle, and
-   the predicate/relation consistency property. *)
+   must be able to fail), witness linearity and the shadow oracle, the
+   predicate/relation consistency property, and the bench specs the
+   switch registry resolves against. *)
 
 open Tutil
 module State = Uln_proto.Tcp_state
@@ -134,6 +135,37 @@ let prop_relation_respects_predicates =
          || e.Fsm.e_to = State.Closed
          || State.have_received_fin e.Fsm.e_to))
 
+(* --- the bench specs behind the switch registry ------------------------ *)
+
+module B = Uln_workload.Bench_spec
+module Params = Uln_proto.Tcp_params
+
+let test_spec_names_unique () =
+  let names = List.map (fun s -> s.B.name) (B.all_specs ()) in
+  List.iter
+    (fun n ->
+      Alcotest.(check int) ("one spec named " ^ n) 1 (List.length (List.filter (( = ) n) names)))
+    names
+
+let spec_of (sw : Params.switch) =
+  match B.find_spec sw.Params.sw_bench_row with
+  | Some s -> s
+  | None -> Alcotest.failf "%s: no spec named %S" sw.Params.sw_field sw.Params.sw_bench_row
+
+let test_switch_rows_resolve () = List.iter (fun sw -> ignore (spec_of sw)) Params.switches
+
+(* Leaving a switch out of its spec's preset must change the preset,
+   or the leave-one-out row would measure nothing. *)
+let test_switch_off_changes_preset () =
+  List.iter
+    (fun (sw : Params.switch) ->
+      let s = spec_of sw in
+      check_bool
+        (Printf.sprintf "%s off differs from preset %s" sw.Params.sw_field s.B.preset_name)
+        true
+        (sw.Params.sw_off s.B.preset <> s.B.preset))
+    Params.switches
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run ~and_exit:false "protocheck"
@@ -153,4 +185,10 @@ let () =
           Alcotest.test_case "shadow oracle exercised by live traffic" `Quick
             test_shadow_oracle_exercised ] );
       ( "properties",
-        [ qc prop_predicates_consistent; qc prop_relation_respects_predicates ] ) ]
+        [ qc prop_predicates_consistent; qc prop_relation_respects_predicates ] );
+      ( "bench-spec",
+        [ Alcotest.test_case "spec names unique across targets" `Quick test_spec_names_unique;
+          Alcotest.test_case "every switch row resolves to a spec" `Quick
+            test_switch_rows_resolve;
+          Alcotest.test_case "leaving a switch out changes its preset" `Quick
+            test_switch_off_changes_preset ] ) ]
