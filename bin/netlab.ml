@@ -1136,7 +1136,8 @@ let connstats_cmd =
       Printf.printf "  congestion control %s\n" o.Tcp.co_cong;
       Printf.printf "  unknown options    %d\n" o.Tcp.co_unknown_opts;
       Printf.printf "  window clamps      %d\n" o.Tcp.co_wnd_clamps;
-      Printf.printf "  sack retransmits   %d\n" o.Tcp.co_sack_rexmits;
+      Printf.printf "  retransmits        rto=%d fast=%d sack=%d\n" o.Tcp.co_rto_rexmits
+        o.Tcp.co_fast_rexmits o.Tcp.co_sack_rexmits;
       Printf.printf "  recovery episodes  %d\n" (List.length o.Tcp.co_recovery_us)
     in
     (match !client_opts with

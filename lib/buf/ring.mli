@@ -14,7 +14,6 @@ val create : capacity:int -> 'a t
 val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
 (** [push t v] enqueues [v]; [false] (and no change) when full. *)

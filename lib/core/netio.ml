@@ -28,7 +28,6 @@ type lease = {
   l_base : int;
   l_count : int;
   mutable l_revoked : bool;
-  mutable l_stamps : int; (* activations performed under this lease *)
 }
 
 type channel = {
@@ -72,7 +71,6 @@ type t = {
   mutable overflows : int;
   mutable hw_demuxed : int;
   mutable sw_demuxed : int;
-  mutable overlap_flags : int;
   mutable migrations : int;
   mutable next_lease : int;
   demux_cost : Stats.Dist.t;
@@ -89,7 +87,6 @@ let unmatched_drops t = t.unmatched
 let demux_cost_dist t = t.demux_cost
 let rx_sem ch = ch.sem
 let channel_bqi ch = ch.bqi
-let channel_affinity ch = ch.affinity
 let home_cpu t ch = Machine.cpu_at t.machine ch.affinity
 
 let require_privileged caller op =
@@ -149,7 +146,6 @@ let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = fals
       overflows = 0;
       hw_demuxed = 0;
       sw_demuxed = 0;
-      overlap_flags = 0;
       migrations = 0;
       next_lease = 0;
       demux_cost = Stats.Dist.create (machine.Machine.name ^ ".demux_us");
@@ -296,7 +292,6 @@ let install_filter t ch analyzed =
   (match conflict_of t ch analyzed with
   | None -> ()
   | Some desc ->
-      t.overlap_flags <- t.overlap_flags + 1;
       Uln_engine.Trace.infof t.machine.Machine.sched "netio" "filter overlap on chan%d: %s" ch.id
         desc);
   match Demux.install_analyzed ~affinity:ch.affinity t.demux analyzed ch with
@@ -394,15 +389,12 @@ let grant_lease t ~caller ~owner ~ip ~base_port ~count =
     l_ip = ip;
     l_base = base_port;
     l_count = count;
-    l_revoked = false;
-    l_stamps = 0 }
+    l_revoked = false }
 
 let revoke_lease t ~caller lease =
   require_privileged caller "Netio.revoke_lease";
   ignore t;
   lease.l_revoked <- true
-
-let lease_stamps lease = lease.l_stamps
 
 (* Arm a channel for one connection under an endpoint lease.  This is
    the unprivileged kernel entry that replaces the registry round trip:
@@ -437,7 +429,6 @@ let activate_leased t ch ~from_domain ~lease ~remote_ip ~remote_port ~local_port
   ch.template <- Some template;
   ch.lease <- Some lease;
   ch.active <- true;
-  lease.l_stamps <- lease.l_stamps + 1;
   ignore (install_filter t ch (filter, Absint.analyze filter))
 
 (* Disarm a leased channel after its connection fully closes, returning
@@ -665,6 +656,4 @@ let txq_stats t = t.nic.Nic.txq_stats ()
 let ring_overflows t = t.overflows
 let hw_demuxed t = t.hw_demuxed
 let sw_demuxed t = t.sw_demuxed
-let overlap_flags t = t.overlap_flags
 let channel_id ch = ch.id
-let demux_entries t = Demux.entries t.demux

@@ -64,10 +64,6 @@ val channel_bqi : channel -> int
 (** The local receive BQI (0 when none): the value the peer must stamp
     on this connection's packets, carried to it in the handshake. *)
 
-val channel_affinity : channel -> int
-(** The CPU index this channel's receive processing is pinned to
-    (default 0). *)
-
 val set_channel_affinity : t -> channel -> int -> unit
 (** Re-pin a channel: subsequent deliveries charge (and wake) on the
     new CPU, and every demux entry of the channel is re-tagged — which
@@ -197,9 +193,6 @@ val revoke_lease : t -> caller:Uln_host.Addr_space.t -> lease -> unit
     are refused.  Channels already armed stay armed.
     @raise Capability.Violation unless [caller] is privileged. *)
 
-val lease_stamps : lease -> int
-(** Activations performed under this lease. *)
-
 val activate_leased :
   t ->
   channel ->
@@ -317,10 +310,6 @@ val hw_demuxed : t -> int
 val sw_demuxed : t -> int
 (** Packets dispatched by the software filter table. *)
 
-val overlap_flags : t -> int
-(** Installs that proceeded despite a cross-channel accept-set overlap
-    (each is also traced with its witness packet). *)
-
 val tx_doorbells : channel -> int
 (** Descriptors submitted through the batched tx ring. *)
 
@@ -334,7 +323,3 @@ val tx_sync_fallbacks : channel -> int
 val tx_batch_histogram : channel -> (int * int) list
 (** [(batch_size, occurrences)] pairs, ascending — how well doorbell
     coalescing amortized the kernel boundary. *)
-
-val demux_entries : t -> int
-(** Live entries in the software filter table (O(1)). *)
-

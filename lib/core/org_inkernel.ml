@@ -47,7 +47,6 @@ type t = {
 }
 
 let stack t = t.stacks.(0)
-let num_stacks t = Array.length t.stacks
 
 (* Serialize one netisr's input processing per the locking ablation. *)
 let with_input_lock t i f =

@@ -31,6 +31,3 @@ val app : ?cpu:int -> t -> name:string -> Sockets.app
 
 val stack : t -> Uln_proto.Stack.t
 (** The boot CPU's kernel stack (for statistics). *)
-
-val num_stacks : t -> int
-(** Per-CPU stacks in this kernel (1 on a uniprocessor). *)

@@ -16,10 +16,6 @@ val name : t -> string
 val of_name : string -> t option
 (** Parse ["inkernel" | "server" | "server-msg" | "dedicated" | "userlib"]. *)
 
-val components : t -> (string * string) list
-(** [(component, domain)] placement pairs — the content of Figure 1,
-    derived from the structure each implementation builds. *)
-
 val describe : Format.formatter -> t -> unit
 (** Render one organization's block of Figure 1. *)
 

@@ -58,7 +58,6 @@ let glob_match pattern s =
   go 0 0
 
 let rank_entry_of name = List.find_opt (fun e -> glob_match e.re_pattern name) hierarchy
-let rank_of name = Option.map (fun e -> e.re_rank) (rank_entry_of name)
 
 type violation = {
   v_thread : string;

@@ -21,12 +21,6 @@ val declared_edges : (string * string) list
 (** Permitted acquisitions [(outer, inner)]: [inner] may be acquired
     while [outer] is held.  Patterns from {!hierarchy}. *)
 
-val glob_match : string -> string -> bool
-(** [glob_match pattern name] — '*' matches any run of characters. *)
-
-val rank_of : string -> int option
-(** Rank of a concrete lock name, via the first matching pattern. *)
-
 type violation = {
   v_thread : string;
   v_held : string;

@@ -46,8 +46,6 @@ let try_lock ?(site = "<unlabeled>") t =
   end
   else false
 
-let is_locked t = t.held
-
 let with_lock ?site t f =
   lock ?site t;
   match f () with

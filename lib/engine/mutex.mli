@@ -26,7 +26,6 @@ val unlock : t -> unit
     @raise Invalid_argument if the mutex is not held. *)
 
 val try_lock : ?site:string -> t -> bool
-val is_locked : t -> bool
 
 val with_lock : ?site:string -> t -> (unit -> 'a) -> 'a
 (** Run under the lock, releasing on normal return or exception. *)

@@ -93,7 +93,6 @@ let spawn t ?(name = "thread") f =
   Queue.push (fun () -> run_as t label (fun () -> Effect.Deep.match_with f () handler) ()) t.runq
 
 let sleep t d = Effect.perform (Sleep (t, d))
-let yield t = suspend (fun wake -> Queue.push wake t.runq)
 
 let check_failure t =
   match t.failure with

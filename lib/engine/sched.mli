@@ -56,9 +56,6 @@ val suspend : (waker -> unit) -> unit
 val sleep : t -> Time.span -> unit
 (** Block the calling thread for a simulated duration. *)
 
-val yield : t -> unit
-(** Let other runnable threads execute before continuing. *)
-
 val run : t -> unit
 (** Run until no events and no runnable threads remain.  Re-raises the
     first exception that escaped a thread, if any. *)

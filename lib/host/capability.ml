@@ -15,5 +15,4 @@ let deref t =
 let tag t = t.tag
 let id t = t.id
 let revoke t = t.revoked <- true
-let is_revoked t = t.revoked
 let same a b = a.id = b.id

@@ -28,7 +28,6 @@ val id : 'a t -> int
 (** Unique capability identity (for tables keyed by capability). *)
 
 val revoke : 'a t -> unit
-val is_revoked : 'a t -> bool
 
 val same : 'a t -> 'a t -> bool
 (** Physical identity: [true] iff both are the same minted capability. *)

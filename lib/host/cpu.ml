@@ -82,10 +82,6 @@ let migrate_ns t = t.migrate_ns
 
 let busy_ns t = Stats.Counter.value t.busy
 
-let idle_ns t now =
-  let elapsed = Time.to_ns now in
-  if elapsed <= busy_ns t then 0 else elapsed - busy_ns t
-
 let utilization t now =
   let elapsed = Time.to_ns now in
   if elapsed <= 0 then 0. else float_of_int (busy_ns t) /. float_of_int elapsed

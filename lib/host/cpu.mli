@@ -61,8 +61,5 @@ val migrate_ns : t -> int
 val busy_ns : t -> int
 (** Total CPU time consumed so far (for utilization accounting). *)
 
-val idle_ns : t -> Uln_engine.Time.t -> int
-(** [idle_ns t now] is elapsed minus busy time, clamped at 0. *)
-
 val utilization : t -> Uln_engine.Time.t -> float
 (** [utilization t now] is busy time / elapsed time in [0,1]. *)

@@ -27,7 +27,6 @@ type t = {
   mutable fault : Fault.t;
   mutable monitor : (Time.t -> Frame.t -> unit) option;
   mutable held : (station * Frame.t) option; (* reorder buffer *)
-  mutable bytes_sent : int;
 }
 
 let new_channel () = { busy = false; pending = Queue.create () }
@@ -44,8 +43,7 @@ let custom sched ~name ~rate_mbps ~overhead_bytes ~min_payload ~propagation ~dup
     stations = [];
     fault = Fault.none;
     monitor = None;
-    held = None;
-    bytes_sent = 0 }
+    held = None }
 
 (* 10 Mb/s Ethernet: 14B header + 4B FCS + 8B preamble + 12B IFG = 38B of
    per-frame overhead, 46B minimum payload.  These constants are what make
@@ -61,7 +59,6 @@ let an1 sched =
 
 let name t = t.name
 let rate_mbps t = t.rate_mbps
-let bytes_sent t = t.bytes_sent
 let set_fault t f = t.fault <- f
 let set_monitor t f = t.monitor <- Some f
 
@@ -137,7 +134,6 @@ let rec start_transmission t channel =
       channel.busy <- true;
       let dur = frame_time t (Frame.payload_length frame) in
       Sched.after t.sched dur (fun () ->
-          t.bytes_sent <- t.bytes_sent + Frame.payload_length frame;
           (match t.monitor with Some f -> f (Sched.now t.sched) frame | None -> ());
           on_done ();
           deliver_to_others t sender frame;

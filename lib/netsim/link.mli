@@ -58,5 +58,3 @@ val saturation_mbps : t -> int -> float
 (** [saturation_mbps t payload_bytes] is the maximum achievable payload
     throughput with back-to-back frames of that size — the "standalone
     program, no operating system" baseline of Table 1. *)
-
-val bytes_sent : t -> int

@@ -15,6 +15,3 @@
 val run : Program.t -> Program.t
 (** Optimize to fixpoint.  The result never costs more than the input
     in either execution mode. *)
-
-val run_insns : Insn.t list -> Insn.t list
-(** The rewrite engine on a raw (already validated) instruction list. *)

@@ -29,13 +29,6 @@ let pp_error ppf = function
       Format.fprintf ppf "over budget: worst-case %d cycles exceeds the %d-cycle budget" wcet
         budget
 
-let pp_report ppf r =
-  Format.fprintf ppf "@[<v>verdict:        %a@ min accept len: %s@ " pp_vacuity r.vacuity
-    (match r.min_accept_len with None -> "-" | Some n -> string_of_int n);
-  Format.fprintf ppf "wcet:           %d cycles interpreted, %d compiled@ " r.wcet_interp
-    r.wcet_compiled;
-  Format.fprintf ppf "max stack:      %d@ conjunctive:    %b@]" r.max_depth r.conjunctive
-
 let report_of_absint (a : Absint.result) =
   { vacuity =
       (if a.Absint.r_always_false then Always_false

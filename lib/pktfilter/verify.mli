@@ -82,6 +82,5 @@ val check_template : filter:Absint.result -> Template.t -> (unit, template_error
     overlap check and the demux entry. *)
 
 val pp_vacuity : Format.formatter -> vacuity -> unit
-val pp_report : Format.formatter -> report -> unit
 val pp_error : Format.formatter -> error -> unit
 val pp_template_error : Format.formatter -> template_error -> unit

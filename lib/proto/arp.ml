@@ -29,7 +29,6 @@ let create env ~my_ip ~my_mac ~tx =
 
 let lookup t ip = Hashtbl.find_opt t.cache ip
 let add_static t ip mac = Hashtbl.replace t.cache ip mac
-let cache_size t = Hashtbl.length t.cache
 
 let encode t ~op ~target_mac ~target_ip =
   let v = View.create packet_size in

@@ -29,8 +29,3 @@ val add_static : t -> Uln_addr.Ip.t -> Uln_addr.Mac.t -> unit
 val input : t -> Uln_net.Frame.t -> unit
 (** Process an ARP frame (request or reply); answers requests for our
     address and learns sender mappings. *)
-
-val cache_size : t -> int
-
-val packet_size : int
-(** Bytes of an ARP packet payload (28). *)

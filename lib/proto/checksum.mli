@@ -9,16 +9,12 @@ val of_view : ?init:int -> Uln_buf.View.t -> int
 
 val of_mbuf : ?init:int -> Uln_buf.Mbuf.t -> int
 
-val partial : int -> bool -> Uln_buf.View.t -> int * bool
-(** [partial acc odd v] extends a running (un-complemented) sum; [odd]
-    says whether an odd number of bytes has been consumed so far.
-    Finish with {!finish}.  Word-at-a-time ({!Uln_buf.View.sum16}, eight
-    bytes per load). *)
-
 val partial_bytes : int -> bool -> Uln_buf.View.t -> int * bool
-(** The byte-at-a-time reference implementation of {!partial} — the
-    oracle the word-at-a-time and fused paths are property-tested
-    against. *)
+(** [partial_bytes acc odd v] extends a running (un-complemented) sum;
+    [odd] says whether an odd number of bytes has been consumed so far.
+    Finish with {!finish}.  Byte-at-a-time: the reference the
+    word-at-a-time sum ({!Uln_buf.View.sum16}, eight bytes per load)
+    and the fused paths are property-tested against. *)
 
 val reference_of_view : ?init:int -> Uln_buf.View.t -> int
 (** {!of_view} computed with {!partial_bytes}. *)

@@ -69,9 +69,6 @@ let set_max_cwnd t limit =
   if t.ssthresh = t.max_cwnd then t.ssthresh <- limit;
   t.max_cwnd <- limit
 let cwnd t = t.cwnd
-let ssthresh t = t.ssthresh
-let recovery_point t = t.recover
-let algo t = t.algo
 
 let name t =
   match t.algo with `Reno -> "reno" | `Newreno -> "newreno" | `Cubic -> "cubic"

@@ -34,9 +34,6 @@ val set_max_cwnd : t -> int -> unit
     (raised by the connection once window scaling is negotiated). *)
 
 val cwnd : t -> int
-val ssthresh : t -> int
-val recovery_point : t -> Tcp_seq.t
-val algo : t -> algo
 val name : t -> string
 
 val on_dupack : t -> count:int -> flight:int -> snd_max:Tcp_seq.t -> bool

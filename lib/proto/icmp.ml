@@ -17,7 +17,6 @@ type t = {
   ip : Ipv4.t;
   pending : (int, waiter) Hashtbl.t;
   mutable next_id : int;
-  mutable sent : int;
   mutable unreach_in : int;
   mutable unreach_out : int;
   mutable on_unreachable : (code:int -> original:View.t -> unit) option;
@@ -66,7 +65,6 @@ let create env ip =
       ip;
       pending = Hashtbl.create 8;
       next_id = 1;
-      sent = 0;
       unreach_in = 0;
       unreach_out = 0;
       on_unreachable = None }
@@ -88,7 +86,6 @@ let ping t ~dst ?(payload_len = 56) k =
             w.k None)
   in
   Hashtbl.replace t.pending id { sent_at = Proto_env.now t.env; k; timer };
-  t.sent <- t.sent + 1;
   Ipv4.output t.ip ~proto ~dst (encode ~typ:type_echo_request ~id ~seq:1 (Mbuf.of_view payload))
 
 let send_unreachable t ~dst ~code ~original =
@@ -104,4 +101,3 @@ let send_unreachable t ~dst ~code ~original =
 let set_unreachable_handler t f = t.on_unreachable <- Some f
 let unreachables_in t = t.unreach_in
 let unreachables_out t = t.unreach_out
-let echoes_sent t = t.sent

@@ -29,4 +29,3 @@ val set_unreachable_handler :
 
 val unreachables_in : t -> int
 val unreachables_out : t -> int
-val echoes_sent : t -> int

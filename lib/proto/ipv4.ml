@@ -24,8 +24,6 @@ type t = {
   handlers : (int, handler) Hashtbl.t;
   reassembly : (Ip.t * Ip.t * int * int, reasm) Hashtbl.t;
   mutable ident : int;
-  mutable packets_in : int;
-  mutable packets_out : int;
   mutable drops : int;
   mutable fragments_out : int;
   mutable reassembled : int;
@@ -39,8 +37,6 @@ let create env ~my_ip ~mtu ~tx =
     handlers = Hashtbl.create 8;
     reassembly = Hashtbl.create 8;
     ident = 1;
-    packets_in = 0;
-    packets_out = 0;
     drops = 0;
     fragments_out = 0;
     reassembled = 0 }
@@ -48,8 +44,6 @@ let create env ~my_ip ~mtu ~tx =
 let my_ip t = t.my_ip
 let mtu t = t.mtu
 let set_handler t ~proto h = Hashtbl.replace t.handlers proto h
-let packets_in t = t.packets_in
-let packets_out t = t.packets_out
 let drops t = t.drops
 let fragments_out t = t.fragments_out
 let reassembled t = t.reassembled
@@ -81,12 +75,10 @@ let output t ~proto ~dst ?(ttl = 64) ?(gso_size = 0) payload =
        complete, independently valid IP/TCP packet (never fragments),
        so the descriptor's gso_size travels to the driver instead. *)
     let hdr = encode_header t ~proto ~dst ~ttl ~payload_len:len ~ident ~flags:0 ~frag_off:0 in
-    t.packets_out <- t.packets_out + 1;
     t.tx ~gso_size ~dst (Mbuf.prepend hdr payload)
   end
   else if len <= max_payload then begin
     let hdr = encode_header t ~proto ~dst ~ttl ~payload_len:len ~ident ~flags:0 ~frag_off:0 in
-    t.packets_out <- t.packets_out + 1;
     t.tx ~dst (Mbuf.prepend hdr payload)
   end
   else begin
@@ -101,7 +93,6 @@ let output t ~proto ~dst ?(ttl = 64) ?(gso_size = 0) payload =
         let hdr =
           encode_header t ~proto ~dst ~ttl ~payload_len:this ~ident ~flags ~frag_off:off
         in
-        t.packets_out <- t.packets_out + 1;
         t.fragments_out <- t.fragments_out + 1;
         t.tx ~dst (Mbuf.prepend hdr piece);
         go (off + this)
@@ -160,7 +151,6 @@ let reassemble t ~key ~frag_off ~more_fragments data deliver =
 
 let input t packet =
   Proto_env.charge t.env t.env.Proto_env.costs.Costs.ip_input;
-  t.packets_in <- t.packets_in + 1;
   if Mbuf.length packet < header_size then drop t
   else begin
     let hdr = Mbuf.flatten (Mbuf.take packet header_size) in

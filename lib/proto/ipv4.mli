@@ -49,8 +49,6 @@ val header_size : int
 
 (* {2 Statistics} *)
 
-val packets_in : t -> int
-val packets_out : t -> int
 val drops : t -> int
 (** Malformed, misaddressed or undeliverable inputs. *)
 

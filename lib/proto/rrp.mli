@@ -13,14 +13,11 @@
     per-client transaction cache for at-most-once execution (duplicate
     requests are answered from the cache, not re-executed).
 
-    It runs over IP protocol {!protocol_number} (81, VMTP's) and is a
+    It runs over IP protocol 81 (VMTP's) and is a
     self-contained library: adding it to a stack touches no TCP/UDP
     code — the extensibility argument of §1.1. *)
 
 type t
-
-val protocol_number : int
-(** 81. *)
 
 val header_size : int
 (** 14 bytes: client port, server port, transaction id, type, flags,

@@ -8,7 +8,6 @@ type t = { mutable ranges : (Tcp_seq.t * Tcp_seq.t) list }
 
 let create () = { ranges = [] }
 let clear t = t.ranges <- []
-let ranges t = t.ranges
 let is_empty t = t.ranges = []
 
 let sacked_bytes t =
@@ -48,9 +47,6 @@ let add t ~una blocks =
       insert_range t (l, r))
     blocks;
   forward t ~una
-
-let is_sacked t seq =
-  List.exists (fun (l, r) -> Tcp_seq.le l seq && Tcp_seq.lt seq r) t.ranges
 
 (* First unSACKed interval starting at or after [from], clipped to
    [upto].  The scoreboard is sorted, so one pass suffices. *)

@@ -28,9 +28,6 @@ val forward : t -> una:Tcp_seq.t -> unit
 
 val is_empty : t -> bool
 val sacked_bytes : t -> int
-val is_sacked : t -> Tcp_seq.t -> bool
-val ranges : t -> (Tcp_seq.t * Tcp_seq.t) list
-(** Sorted disjoint [left, right) ranges, for inspection. *)
 
 val next_hole :
   t -> from:Tcp_seq.t -> upto:Tcp_seq.t -> (Tcp_seq.t * Tcp_seq.t) option

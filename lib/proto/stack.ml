@@ -14,24 +14,18 @@ type t = {
   udp : Udp.t;
   tcp : Tcp.t;
   rrp : Rrp.t;
-  mutable unknown : int;
-  mutable unresolved : int;
 }
 
 let create env ~netif ~ip_addr ?(tcp_params = Tcp_params.default) () =
   let arp = Arp.create env ~my_ip:ip_addr ~my_mac:netif.mac ~tx:netif.tx in
-  let rec t_ref = ref None
-  and ip_tx ?(gso_size = 0) ~dst packet =
+  let ip_tx ?(gso_size = 0) ~dst packet =
     let send_to mac =
       netif.tx
         (Frame.make ~src:netif.mac ~dst:mac ~ethertype:Frame.ethertype_ip ~gso_size packet)
     in
     if Ip.equal dst Ip.broadcast then send_to Mac.broadcast
     else
-      Arp.resolve arp dst (function
-        | Some mac -> send_to mac
-        | None -> (
-            match !t_ref with Some t -> t.unresolved <- t.unresolved + 1 | None -> ()))
+      Arp.resolve arp dst (function Some mac -> send_to mac | None -> ())
   in
   let ip = Ipv4.create env ~my_ip:ip_addr ~mtu:netif.mtu ~tx:ip_tx in
   let icmp = Icmp.create env ip in
@@ -55,19 +49,14 @@ let create env ~netif ~ip_addr ?(tcp_params = Tcp_params.default) () =
           ~about:(Ip.of_int32 (View.get_uint32 original 16)));
   let tcp = Tcp.create env ip ~params:tcp_params () in
   let rrp = Rrp.create env ip in
-  let t = { env; netif; arp; ip; icmp; udp; tcp; rrp; unknown = 0; unresolved = 0 } in
-  t_ref := Some t;
-  t
+  { env; netif; arp; ip; icmp; udp; tcp; rrp }
 
 let input t frame =
   let ethertype = frame.Frame.ethertype in
   if ethertype = Frame.ethertype_arp then Arp.input t.arp frame
   else if ethertype = Frame.ethertype_ip then Ipv4.input t.ip frame.Frame.payload
-  else t.unknown <- t.unknown + 1
 
-let unknown_frames t = t.unknown
 let add_static_arp t ip mac = Arp.add_static t.arp ip mac
-let unresolved_drops t = t.unresolved
 
 let begin_rx_burst t = Tcp.begin_burst t.tcp
 let end_rx_burst t = Tcp.end_burst t.tcp

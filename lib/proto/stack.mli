@@ -24,8 +24,6 @@ type t = private {
   tcp : Tcp.t;
   rrp : Rrp.t;  (** the request-response transport — a second protocol
                     library co-existing with TCP (paper §1.1) *)
-  mutable unknown : int;
-  mutable unresolved : int;
 }
 
 val create :
@@ -41,14 +39,9 @@ val input : t -> Uln_net.Frame.t -> unit
     the link-level type: ARP to the resolver, IP upward; other types are
     counted and dropped. *)
 
-val unknown_frames : t -> int
-
 val add_static_arp : t -> Uln_addr.Ip.t -> Uln_addr.Mac.t -> unit
 (** Pre-seed resolution (used where a trusted party answers instead of
     broadcasting, and by tests). *)
-
-val unresolved_drops : t -> int
-(** Outbound packets dropped because ARP resolution failed. *)
 
 val begin_rx_burst : t -> unit
 (** Bracket a batch of {!input} calls that arrived in one receive

@@ -27,6 +27,10 @@ type listener
 exception Connection_error of string
 (** Raised by {!write}/{!read} on reset, timeout or abort. *)
 
+type negotiated
+(** Window scaling as negotiated on the handshake, with the option
+    diagnostics of {!conn_options}. *)
+
 type snapshot = {
   snap_local_port : int;
   snap_remote_ip : Uln_addr.Ip.t;
@@ -38,15 +42,19 @@ type snapshot = {
   snap_snd_wnd : int;
   snap_rcv_nxt : Tcp_seq.t;
   snap_mss : int;
-  snap_srtt_us : float;
-  snap_rttvar_us : float;
+  snap_opts : negotiated;
+  snap_rtt : Rtt_est.t;  (** the estimator whole, timestamp state included *)
+  snap_loss : Loss_recovery.t;  (** SACK permission and the loss counters *)
+  snap_cc : Cong_control.t;
   snap_rcv_pending : string;
       (** bytes received (and acknowledged) by the exporting engine but
           not yet read by any application — data that raced the handoff
           travels with the state *)
 }
 (** Transferable state of an established connection with nothing
-    unacknowledged in flight. *)
+    unacknowledged in flight.  The plug-in records travel whole, so the
+    importer keeps every option the handshake negotiated; it adopts
+    them, so a snapshot is imported at most once. *)
 
 val create : Proto_env.t -> Ipv4.t -> ?params:Tcp_params.t -> unit -> t
 (** Build an engine and register it as the IP protocol-6 handler. *)
@@ -187,7 +195,6 @@ val local_port : conn -> int
 val remote_addr : conn -> Uln_addr.Ip.t * int
 val mss : conn -> int
 val srtt_us : conn -> float
-val rto : conn -> Uln_engine.Time.span
 val cwnd : conn -> int
 
 type conn_options = {
@@ -198,6 +205,10 @@ type conn_options = {
   co_cong : string;  (** congestion-control algorithm name *)
   co_unknown_opts : int;  (** unknown option kinds seen on received segments *)
   co_wnd_clamps : int;  (** advertised windows clamped to the 16-bit field *)
+  co_rto_rexmits : int;
+      (** retransmissions after a timeout: the timer firings and the
+          go-back-N resends that follow them *)
+  co_fast_rexmits : int;  (** fast retransmits and NewReno partial-ACK repairs *)
   co_sack_rexmits : int;  (** retransmissions driven by the SACK scoreboard *)
   co_recovery_us : float list;
       (** completed loss-recovery episode durations, newest first *)
@@ -241,7 +252,6 @@ val segments_out : t -> int
 val retransmissions : t -> int
 val rsts_out : t -> int
 val checksum_failures : t -> int
-val active_connections : t -> int
 
 val unknown_options : t -> int
 (** Total unknown TCP option kinds skipped across all received

@@ -62,11 +62,6 @@ val target : ('f, 't) transition -> State.t
 val closed : unit -> [ `Closed ] state
 (** A fresh endpoint. *)
 
-val import_established : unit -> [ `Established ] state
-(** Entry point for connection handoff: the imported snapshot is the
-    proof that the exporting side held an ESTABLISHED witness
-    ({!Packed.established} on export, this on import). *)
-
 val step : 's state -> ('s, 't) transition -> 't state
 (** Apply a transition.  Consumes the witness (dynamically linear).
     @raise Violation if the witness was already spent. *)
@@ -138,7 +133,6 @@ type event =
 
 val all_events : event list
 val event_name : event -> string
-val event_of : ('f, 't) transition -> event
 
 type edge = { e_from : State.t; e_event : event; e_to : State.t }
 

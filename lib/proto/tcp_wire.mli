@@ -11,7 +11,6 @@ type flags = {
 }
 
 val no_flags : flags
-val pp_flags : Format.formatter -> flags -> unit
 
 (** Decoded option list.  [unknown] is decode-side only: kinds the codec
     does not speak, skipped by their length field and surfaced so the
@@ -47,9 +46,6 @@ type segment = {
 val header_size : int
 (** 20, without options. *)
 
-val max_options : int
-(** 40 — the data-offset field tops out at a 60-byte header. *)
-
 val encode :
   ?payload_sum:int ->
   src_ip:Uln_addr.Ip.t -> dst_ip:Uln_addr.Ip.t -> segment -> Uln_buf.Mbuf.t
@@ -76,4 +72,3 @@ val seg_len : segment -> int
 (** Sequence space the segment occupies: payload + SYN + FIN. *)
 
 val pp : Format.formatter -> segment -> unit
-val pp_opts : Format.formatter -> opts -> unit

@@ -16,7 +16,6 @@ type t = {
   ip : Ipv4.t;
   ports : (int, endpoint) Hashtbl.t;
   mutable datagrams_in : int;
-  mutable datagrams_out : int;
   mutable drops : int;
   mutable errors : int;
   mutable on_unbound : (src:Ip.t -> dst:Ip.t -> sport:int -> dport:int -> unit) option;
@@ -57,7 +56,6 @@ let create env ip =
       ip;
       ports = Hashtbl.create 16;
       datagrams_in = 0;
-      datagrams_out = 0;
       drops = 0;
       errors = 0;
       on_unbound = None }
@@ -91,11 +89,9 @@ let sendto t ~src_port ~dst ~dst_port data =
   let csum = Checksum.of_mbuf ~init:pseudo m in
   (* All-zero checksums are transmitted as 0xffff per the RFC. *)
   View.set_uint16 hdr 6 (if csum = 0 then 0xffff else csum);
-  t.datagrams_out <- t.datagrams_out + 1;
   Ipv4.output t.ip ~proto ~dst m
 
 let datagrams_in t = t.datagrams_in
-let datagrams_out t = t.datagrams_out
 let drops t = t.drops
 
 let set_unreachable_cb t f = t.on_unbound <- Some f

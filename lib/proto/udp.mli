@@ -55,6 +55,5 @@ val last_error : endpoint -> Uln_addr.Ip.t option
 val errors_received : t -> int
 
 val datagrams_in : t -> int
-val datagrams_out : t -> int
 val drops : t -> int
 (** Bad checksum or unbound destination port. *)

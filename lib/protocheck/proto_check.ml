@@ -301,10 +301,110 @@ let check_switches ~params_src ~spec_names ~root () =
     Params.switches;
   List.rev !out
 
+(* --- dead-export lint ----------------------------------------------------- *)
+
+(* Exported vals kept without a caller outside their module, each with
+   its reason. *)
+let dead_export_allow = []
+
+(* The trees a caller may live in: the benchmark's included, so nothing
+   it uses can be deleted. *)
+let source_trees = [ "lib"; "bin"; "bench"; "test"; "examples"; "perfbench" ]
+
+let rec sources_under dir acc =
+  Array.fold_left
+    (fun acc name ->
+      let path = Filename.concat dir name in
+      if name.[0] = '_' || name.[0] = '.' then acc
+      else if Sys.is_directory path then sources_under path acc
+      else if Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli" then
+        path :: acc
+      else acc)
+    acc
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
+(* The identifiers of a source, comments and string literals skipped. *)
+let words src =
+  let n = String.length src in
+  let is_id c =
+    c = '_' || c = '\'' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  in
+  let out = Hashtbl.create 256 in
+  let rec skip_comment i depth =
+    if i + 1 >= n then n
+    else if src.[i] = '(' && src.[i + 1] = '*' then skip_comment (i + 2) (depth + 1)
+    else if src.[i] = '*' && src.[i + 1] = ')' then
+      if depth = 1 then i + 2 else skip_comment (i + 2) (depth - 1)
+    else skip_comment (i + 1) depth
+  in
+  let rec skip_string i =
+    if i >= n then n
+    else if src.[i] = '\\' then skip_string (i + 2)
+    else if src.[i] = '"' then i + 1
+    else skip_string (i + 1)
+  in
+  let rec ident i = if i < n && is_id src.[i] then ident (i + 1) else i in
+  let rec go i =
+    if i < n then
+      if src.[i] = '(' && i + 1 < n && src.[i + 1] = '*' then go (skip_comment (i + 2) 1)
+      else if src.[i] = '"' then go (skip_string (i + 1))
+      else if src.[i] = '\'' && i + 2 < n && src.[i + 2] = '\'' then go (i + 3)
+      else if is_id src.[i] then begin
+        let j = ident i in
+        Hashtbl.replace out (String.sub src i (j - i)) ();
+        go j
+      end
+      else go (i + 1)
+  in
+  go 0;
+  out
+
+(* The [val]s an interface exports. *)
+let exported_vals src =
+  String.split_on_char '\n' src
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' (String.trim line) with
+         | "val" :: v :: _ when v <> "" && v.[0] >= 'a' && v.[0] <= 'z' -> Some v
+         | _ -> None)
+
+let module_of path = String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* An exported val must be named, as a whole word, somewhere outside its
+   own module — or carry an allowlist reason. *)
+let check_dead_exports ?(allow = dead_export_allow) ~root () =
+  let files = List.concat_map (fun d -> sources_under (Filename.concat root d) []) source_trees in
+  let words_of = List.map (fun f -> (module_of f, words (read_file f))) files in
+  let lib = Filename.concat root "lib" in
+  let interfaces =
+    List.sort compare
+      (List.filter (fun f -> Filename.check_suffix f ".mli" && String.starts_with ~prefix:lib f) files)
+  in
+  let dead =
+    List.concat_map
+      (fun mli ->
+        let m = module_of mli in
+        List.filter_map
+          (fun v ->
+            let name = m ^ "." ^ v in
+            if List.mem_assoc name allow
+               || List.exists (fun (m', w) -> m' <> m && Hashtbl.mem w v) words_of
+            then None
+            else Some name)
+          (exported_vals (read_file mli)))
+      interfaces
+  in
+  match dead with
+  | [] ->
+      [ pass "dead-export"
+          (Printf.sprintf "every val of %d interfaces is named outside its module (%d allowed)"
+             (List.length interfaces) (List.length allow)) ]
+  | l -> List.map (fun name -> fail "dead-export" (name ^ ": not named outside its module")) l
+
 let run ?(seed_unhandled = false) ?(seed_cycle = false) ?sources () =
   check_fsm ~seed_unhandled ()
   @ check_locks ~seed_cycle ()
   @
   match sources with
   | None -> []
-  | Some (params_src, spec_names, root) -> check_switches ~params_src ~spec_names ~root ()
+  | Some (params_src, spec_names, root) ->
+      check_switches ~params_src ~spec_names ~root () @ check_dead_exports ~root ()

@@ -1,6 +1,6 @@
 (** The proto-check static analysis pass.
 
-    Three check families, run at build time (the [@lint] alias, via
+    Four check families, run at build time (the [@lint] alias, via
     [netlab proto-check]) and from the test suite:
 
     - {b FSM}: the session-typed relation in {!Uln_proto.Tcp_fsm} must
@@ -15,6 +15,10 @@
     - {b Switches}: every ablatable field of {!Uln_proto.Tcp_params.t}
       must register a differential oracle that exists in the tree and a
       bench row that names a bench spec.
+    - {b Dead exports}: every [val] in a [lib/] interface must be named,
+      as a whole word outside comments and strings, in some file of
+      [lib/], [bin/], [bench/], [test/], [examples/] or [perfbench/]
+      other than its own module's — or carry an allowlist reason.
 
     The [seed_*] flags inject the defect each check exists to catch, so
     the failure path itself is under test. *)
@@ -31,13 +35,11 @@ val check_fsm : ?seed_unhandled:bool -> unit -> finding list
 val check_locks : ?seed_cycle:bool -> unit -> finding list
 (** [seed_cycle] appends an inverted acquisition edge (the ABBA shape). *)
 
-val check_switches :
-  params_src:string -> spec_names:string list -> root:string -> unit -> finding list
-(** [params_src] is the path to [tcp_params.ml], [spec_names] the names
-    every [sw_bench_row] must resolve against (the bench row specs),
-    [root] the directory oracle paths and the committed
-    leave-one-out table [BENCH_switches.json] resolve against.  Every
-    registered switch needs a row of that table. *)
+val check_dead_exports :
+  ?allow:(string * string) list -> root:string -> unit -> finding list
+(** The dead-export lint over the source trees under [root].  [allow]
+    (default: the built-in allowlist) maps ["Module.val"] to the reason
+    it stays exported without a caller. *)
 
 val run :
   ?seed_unhandled:bool ->
@@ -46,4 +48,8 @@ val run :
   unit ->
   finding list
 (** All families; [sources = (params_src, spec_names, root)] enables the
-    switch lint (it needs the tree, the other checks are pure). *)
+    switch and dead-export lints ([params_src] is the path to
+    [tcp_params.ml], [spec_names] the names every [sw_bench_row] must
+    resolve against, [root] the directory oracle paths, the committed
+    leave-one-out table [BENCH_switches.json] and the source trees
+    resolve against); the other checks are pure. *)

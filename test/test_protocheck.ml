@@ -166,6 +166,30 @@ let test_switch_off_changes_preset () =
         (sw.Params.sw_off s.B.preset <> s.B.preset))
     Params.switches
 
+(* The dead-export lint on a two-file tree: a val named only in its own
+   module (or in a comment elsewhere) fails until it is allowlisted. *)
+let test_dead_export_seeded () =
+  let root = Filename.temp_dir "deadexport" "" in
+  let write rel text =
+    let path = Filename.concat root rel in
+    let rec mkdirs d =
+      if not (Sys.file_exists d) then begin
+        mkdirs (Filename.dirname d);
+        Sys.mkdir d 0o755
+      end
+    in
+    mkdirs (Filename.dirname path);
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  write "lib/m/m.mli" "val used : int\nval dead : int\n";
+  write "lib/m/m.ml" "let used = 1\nlet dead = used\n";
+  write "bin/main.ml" "(* M.dead *)\nlet () = print_int M.used\n";
+  let fs = PC.check_dead_exports ~allow:[] ~root () in
+  check_bool "dead val flagged" true
+    (List.map (fun f -> f.PC.f_detail) (failing fs) = [ "M.dead: not named outside its module" ]);
+  check_bool "allowlisted with a reason" true
+    (PC.ok (PC.check_dead_exports ~allow:[ ("M.dead", "kept for debugging") ] ~root ()))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run ~and_exit:false "protocheck"
@@ -175,7 +199,8 @@ let () =
             test_fsm_seeded_unhandled_fails;
           Alcotest.test_case "lock checks green" `Quick test_locks_green;
           Alcotest.test_case "seeded lock cycle fails" `Quick
-            test_locks_seeded_cycle_fails ] );
+            test_locks_seeded_cycle_fails;
+          Alcotest.test_case "seeded dead export fails" `Quick test_dead_export_seeded ] );
       ( "witnesses",
         [ Alcotest.test_case "witnesses are linear" `Quick test_witness_linear;
           Alcotest.test_case "wrong-source refused" `Quick test_packed_wrong_source;

@@ -212,6 +212,27 @@ let test_transfer_survives_loss () =
   check_bool "retransmissions happened" true
     (Uln_proto.Tcp.retransmissions w.a.stack.Stack.tcp > 0)
 
+(* conn_options splits the sender's retransmissions by cause; on a
+   single-connection engine the causes sum to the engine's count. *)
+let test_retransmit_causes () =
+  let tcp_params = { Tcp_params.fast with Tcp_params.sack = true } in
+  let fault = Fault.create ~rng:(Rng.create ~seed:99) ~drop:0.05 () in
+  let w = make_world ~tcp_params ~fault () in
+  with_server w ~port:80 (fun conn ->
+      ignore (read_all conn);
+      Tcp.close conn);
+  run_to_completion w (fun () ->
+      let c = connect_a w ~port:80 in
+      Tcp.write c (View.of_string (pattern 200_000));
+      Tcp.await_drained c;
+      let o = Tcp.conn_options c in
+      let total = Tcp.retransmissions w.a.stack.Stack.tcp in
+      check_bool "losses repaired" true (total > 0);
+      check "rto + fast + sack = engine count" total
+        (o.Tcp.co_rto_rexmits + o.Tcp.co_fast_rexmits + o.Tcp.co_sack_rexmits);
+      Tcp.close c;
+      Tcp.await_closed c)
+
 let test_transfer_survives_heavy_loss () =
   let w = lossy_world 0.15 in
   let n = 20_000 in
@@ -361,6 +382,34 @@ let test_export_import_preserves_stream () =
       Tcp.await_closed c2);
   check_s "stream continues" "via imported connection" !received
 
+(* The handoff keeps what the handshake negotiated: window scale, SACK,
+   timestamps and the estimator travel with the connection. *)
+let test_export_import_keeps_options () =
+  let tcp_params =
+    { Tcp_params.fast with
+      Tcp_params.window_scale = true;
+      timestamps = true;
+      sack = true;
+      rcv_buf = 1 lsl 20;
+      snd_buf = 1 lsl 20 }
+  in
+  let w = make_world ~tcp_params () in
+  with_server w ~port:80 (fun conn ->
+      ignore (read_all conn);
+      Tcp.close conn);
+  run_to_completion w (fun () ->
+      let c = connect_a w ~port:80 in
+      Tcp.write c (View.of_string (pattern 20_000));
+      Tcp.await_drained c;
+      let before = Tcp.conn_options c in
+      check_bool "options negotiated" true
+        (before.Tcp.co_snd_scale > 0 && before.Tcp.co_sack && before.Tcp.co_timestamps);
+      let snap = Tcp.export c ~witness:(Option.get (Tcp.established_witness c)) in
+      let c2 = Tcp.import w.a.stack.Stack.tcp snap in
+      check_bool "conn_options survive the handoff" true (Tcp.conn_options c2 = before);
+      Tcp.close c2;
+      Tcp.await_closed c2)
+
 let test_export_requires_established () =
   let w = make_world () in
   with_server w ~port:80 (fun conn ->
@@ -381,6 +430,93 @@ let test_export_requires_established () =
                ignore (Tcp.export c ~witness);
                false
              with Failure _ -> true))
+
+(* --- Rtt_est arithmetic ------------------------------------------------------------ *)
+
+module Rtt_est = Uln_proto.Rtt_est
+module Tcp_wire = Uln_proto.Tcp_wire
+
+let check_f = Alcotest.(check (float 0.))
+let at_ms ms = Time.add Time.zero (Time.ms ms)
+
+let test_rtt_gains () =
+  let prm = Tcp_params.default in
+  let r = Rtt_est.create prm in
+  Rtt_est.sample r prm 400_000.;
+  check_f "first srtt = s" 400_000. r.Rtt_est.srtt_us;
+  check_f "first rttvar = s/2" 200_000. r.Rtt_est.rttvar_us;
+  Rtt_est.sample r prm 800_000.;
+  check_f "srtt gain 1/8" 450_000. r.Rtt_est.srtt_us;
+  check_f "rttvar gain 1/4" 250_000. r.Rtt_est.rttvar_us;
+  check "rto = srtt + 4 rttvar" (Time.us 1_450_000) r.Rtt_est.rto
+
+let test_rtt_clamp () =
+  let prm = Tcp_params.default in
+  let r = Rtt_est.create prm in
+  Rtt_est.sample r prm 1.;
+  check "clamped to min_rto" prm.Tcp_params.min_rto r.Rtt_est.rto;
+  let r = Rtt_est.create prm in
+  Rtt_est.sample r prm 1e9;
+  check "clamped to max_rto" prm.Tcp_params.max_rto r.Rtt_est.rto
+
+let test_rtt_backoff () =
+  let prm = { Tcp_params.default with Tcp_params.max_rto = Time.sec 1000 } in
+  let r = Rtt_est.create prm in
+  Rtt_est.sample r prm 400_000.;
+  let rto = r.Rtt_est.rto in
+  check "no backoff" rto (Rtt_est.rexmt_delay r prm);
+  for k = 1 to 8 do
+    check_bool "timer retries" true (Rtt_est.timed_out r);
+    check (Printf.sprintf "backoff %d" k)
+      (Time.span_scale rto (1 lsl Stdlib.min k 6))
+      (Rtt_est.rexmt_delay r prm)
+  done;
+  check "capped at max_rto" (Time.sec 2)
+    (Rtt_est.rexmt_delay r { prm with Tcp_params.max_rto = Time.sec 2 });
+  Rtt_est.sample r prm 400_000.;
+  check "a sample ends the backoff" r.Rtt_est.rto (Rtt_est.rexmt_delay r prm)
+
+let test_rtt_karn () =
+  let prm = Tcp_params.default in
+  let timed ~retransmit =
+    let r = Rtt_est.create prm in
+    Rtt_est.sent r ~seq:1000 ~snd_max:1000 ~now:(at_ms 0);
+    if retransmit then Rtt_est.retransmitted r;
+    Rtt_est.acked r prm ~ack:2000 ~ts:None ~now:(at_ms 30);
+    r.Rtt_est.srtt_us
+  in
+  check_f "timed segment sampled" 30_000. (timed ~retransmit:false);
+  check_f "Karn: no sample after a retransmit" 0. (timed ~retransmit:true)
+
+let test_rtt_tsecr () =
+  let prm = { Tcp_params.default with Tcp_params.timestamps = true } in
+  let r = Rtt_est.create prm in
+  Rtt_est.negotiate r prm (Some (7, 0));
+  check_bool "negotiated" true r.Rtt_est.ts_ok;
+  (* No single timer runs: every echo is a sample. *)
+  Rtt_est.acked r prm ~ack:2000 ~ts:(Some (8, 960)) ~now:(at_ms 1000);
+  check_f "first echo" 40_000. r.Rtt_est.srtt_us;
+  Rtt_est.acked r prm ~ack:3000 ~ts:(Some (9, 1920)) ~now:(at_ms 2000);
+  check_f "second echo" 45_000. r.Rtt_est.srtt_us
+
+let test_rtt_paws () =
+  let prm = { Tcp_params.default with Tcp_params.timestamps = true } in
+  let r = Rtt_est.create prm in
+  Rtt_est.negotiate r prm (Some (100, 0));
+  let seg tsval =
+    { Tcp_wire.src_port = 1;
+      dst_port = 2;
+      seq = 500;
+      ack = 0;
+      flags = { Tcp_wire.no_flags with Tcp_wire.ack = true };
+      wnd = 0;
+      opts = { Tcp_wire.no_opts with Tcp_wire.ts = Some (tsval, 0) };
+      payload = Mbuf.empty }
+  in
+  check_bool "older TSval rejected" false (Rtt_est.admit r (seg 90) ~rcv_nxt:500);
+  check "ts_recent kept" 100 r.Rtt_est.ts_recent;
+  check_bool "newer TSval admitted" true (Rtt_est.admit r (seg 110) ~rcv_nxt:500);
+  check "ts_recent advanced" 110 r.Rtt_est.ts_recent
 
 (* --- multiple connections ------------------------------------------------------------ *)
 
@@ -449,6 +585,7 @@ let () =
           Alcotest.test_case "15% drop" `Quick test_transfer_survives_heavy_loss;
           Alcotest.test_case "corruption" `Quick test_transfer_survives_corruption;
           Alcotest.test_case "reorder+dup" `Quick test_transfer_survives_reordering_and_dup;
+          Alcotest.test_case "retransmits split by cause" `Quick test_retransmit_causes;
           qc prop_transfer_random_loss_seeds ] );
       ( "flow",
         [ Alcotest.test_case "slow reader" `Quick test_slow_reader_flow_control;
@@ -456,7 +593,15 @@ let () =
           Alcotest.test_case "srtt estimated" `Quick test_srtt_estimated ] );
       ( "handoff",
         [ Alcotest.test_case "export/import" `Quick test_export_import_preserves_stream;
-          Alcotest.test_case "export requires established" `Quick test_export_requires_established ] );
+          Alcotest.test_case "export requires established" `Quick test_export_requires_established;
+          Alcotest.test_case "export/import keeps options" `Quick test_export_import_keeps_options ] );
+      ( "rtt-est",
+        [ Alcotest.test_case "first sample, then gains 1/8 and 1/4" `Quick test_rtt_gains;
+          Alcotest.test_case "rto clamped to min/max" `Quick test_rtt_clamp;
+          Alcotest.test_case "backoff doubles to 2^6, capped" `Quick test_rtt_backoff;
+          Alcotest.test_case "Karn: no sample after retransmit" `Quick test_rtt_karn;
+          Alcotest.test_case "TSecr samples every ACK" `Quick test_rtt_tsecr;
+          Alcotest.test_case "PAWS rejects an older TSval" `Quick test_rtt_paws ] );
       ( "multi",
         [ Alcotest.test_case "concurrent connections" `Quick test_concurrent_connections;
           Alcotest.test_case "port collision" `Quick test_port_collision_rejected ] ) ]
