@@ -27,12 +27,10 @@ let run_figures () =
 let run_ablations () =
   section "Ablation: extended organizations (message driver, dedicated servers)";
   B.print_rows ppf
-    (List.filter_map
-       (fun r ->
-         if r.E.t2_system = "mach-ux-msg" || r.E.t2_system = "dedicated" then
-           Some (B.t2_fields r)
-         else None)
-       (E.table2 ~quick:true ~extended:true ()));
+    (List.concat_map
+       (fun s ->
+         if String.starts_with ~prefix:"orgs table2" s.B.name then s.B.run s.B.preset else [])
+       (B.find "orgs").B.specs);
   Format.fprintf ppf "@.";
   section "Ablation: AN1 maximum packet size (the paper's unexploited 64 KB headroom)";
   List.iter
@@ -106,7 +104,8 @@ let run_motivation () =
   let module Sched = Uln_engine.Sched in
   let org = Uln_core.Organization.User_library in
   List.iter
-    (fun (network, label) ->
+    (fun network ->
+      let label = World.network_name network in
       (* RRP: single-transaction latency (512 B each way). *)
       let w = World.create ~network ~org () in
       let server = World.app w ~host:1 "s" and client = World.app w ~host:0 "c" in
@@ -152,7 +151,7 @@ let run_motivation () =
       Format.fprintf ppf
         "  %-9s 512B exchange: RRP %5.2f ms vs TCP %5.2f ms | bulk: RRP %5.2f Mb/s vs TCP %5.2f Mb/s@."
         label rrp_ms (Time.to_ms_f tcp_rtt) rrp_tput tcp_tput)
-    [ (World.Ethernet, "ethernet"); (World.An1, "an1") ];
+    [ World.Ethernet; World.An1 ];
   Format.fprintf ppf
     "  (specialized protocols achieve remarkably low latencies but do not@.";
   Format.fprintf ppf "   always deliver the highest throughput - both run as libraries)@.";

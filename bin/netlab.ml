@@ -19,15 +19,12 @@ let org_conv =
   Arg.conv (parse, print)
 
 let network_conv =
-  let parse = function
-    | "ethernet" -> Ok World.Ethernet
-    | "an1" -> Ok World.An1
-    | "wan" -> Ok World.Wan
-    | s -> Error (`Msg (Printf.sprintf "unknown network %S (ethernet|an1|wan)" s))
+  let parse s =
+    match World.network_of_name s with
+    | Some n -> Ok n
+    | None -> Error (`Msg (Printf.sprintf "unknown network %S (ethernet|an1|wan)" s))
   in
-  let print ppf n =
-    Format.pp_print_string ppf (match n with World.Ethernet -> "ethernet" | World.An1 -> "an1" | World.Wan -> "wan")
-  in
+  let print ppf n = Format.pp_print_string ppf (World.network_name n) in
   Arg.conv (parse, print)
 
 let trace_arg =
@@ -47,11 +44,13 @@ let org_arg =
     & info [ "o"; "org" ] ~docv:"ORG"
         ~doc:"Protocol organization: inkernel | server | server-msg | dedicated | userlib.")
 
+let network_doc = "Network: ethernet (10 Mb/s), an1 (100 Mb/s) or wan (100 Mb/s, long delay)."
+
 let network_arg =
   Arg.(
     value
     & opt network_conv World.Ethernet
-    & info [ "n"; "network" ] ~docv:"NET" ~doc:"Network: ethernet (10 Mb/s) or an1 (100 Mb/s).")
+    & info [ "n"; "network" ] ~docv:"NET" ~doc:network_doc)
 
 let bytes_arg =
   Arg.(
@@ -67,7 +66,7 @@ let throughput_cmd =
         let r = Uln_workload.Bulk.measure ~total_bytes:bytes ~write_size:size ~network ~org () in
         Printf.printf "%s, %s, %d-byte writes: %.2f Mb/s (%d bytes, %d retransmissions)\n"
           (Organization.name org)
-          (match network with World.Ethernet -> "ethernet" | World.An1 -> "an1" | World.Wan -> "wan")
+          (World.network_name network)
           size r.Uln_workload.Bulk.mbps r.Uln_workload.Bulk.bytes
           r.Uln_workload.Bulk.retransmissions)
   in
@@ -206,7 +205,7 @@ let bufstats_cmd =
     let source = Protolib.app source_lib and sink = Protolib.app sink_lib in
     Printf.printf "bufstats: userlib %s data path, %s, %d bytes in %d-byte writes\n"
       (if copying then "copying" else "zero-copy")
-      (match network with World.Ethernet -> "ethernet" | World.An1 -> "an1" | World.Wan -> "wan")
+      (World.network_name network)
       bytes size;
     Printf.printf "%8s  %-6s  %11s  %9s  %9s  %9s  %7s  %7s\n" "t(ms)" "host" "pool use/cap"
       "exhausted" "loaned(B)" "doorbells" "batches" "sync-fb";
@@ -323,7 +322,7 @@ let rxstats_cmd =
     let sink = Protolib.app sink_lib in
     Printf.printf "rxstats: userlib %s receive path, %s, %d bytes in %d-byte writes\n"
       (if per_packet then "per-packet" else "coalesced")
-      (match network with World.Ethernet -> "ethernet" | World.An1 -> "an1" | World.Wan -> "wan")
+      (World.network_name network)
       bytes size;
     (* Capture the receiver's statistics after the payload has drained
        but before close detaches the connection (the GRO/ACK counters
@@ -420,7 +419,7 @@ let txstats_cmd =
     let source = Protolib.app source_lib in
     Printf.printf "txstats: userlib %s transmit path, %s, %d bytes in %d-byte writes\n"
       (if per_segment then "per-segment (zero-copy baseline)" else "tx_fast")
-      (match network with World.Ethernet -> "ethernet" | World.An1 -> "an1" | World.Wan -> "wan")
+      (World.network_name network)
       bytes size;
     (* Capture the sender's statistics from the sink thread once the
        stream has fully drained (the source has sent its FIN, so every
@@ -521,7 +520,7 @@ let cpustats_cmd =
     let last_rx = ref Uln_engine.Time.zero in
     Printf.printf "cpustats: %s, %s, %d CPU(s), %d pair(s), %d bytes each%s\n"
       (Organization.name org)
-      (match network with World.Ethernet -> "ethernet" | World.An1 -> "an1" | World.Wan -> "wan")
+      (World.network_name network)
       cpus pairs bytes
       (match org with
       | Organization.In_kernel ->
@@ -630,7 +629,7 @@ let cpustats_cmd =
           utilization, cross-CPU packet migrations, and the most contended locks.")
     Term.(
       const run $ org_arg $ Arg.(value & opt network_conv World.An1
-      & info [ "n"; "network" ] ~docv:"NET" ~doc:"Network: ethernet (10 Mb/s) or an1 (100 Mb/s).")
+      & info [ "n"; "network" ] ~docv:"NET" ~doc:network_doc)
       $ cpus_arg $ pairs_arg
       $ Arg.(value & opt int 1_000_000 & info [ "b"; "bytes" ] ~docv:"BYTES" ~doc:"Bytes per pair.")
       $ per_conn_arg $ top_arg)
@@ -697,7 +696,7 @@ let setupstats_cmd =
         Sched.suspend (fun k -> wake := k));
     let total = pairs * conns in
     Printf.printf "setupstats: userlib, %s, %d pair(s) x %d connections%s\n"
-      (match network with World.Ethernet -> "ethernet" | World.An1 -> "an1" | World.Wan -> "wan")
+      (World.network_name network)
       pairs conns
       (if sequential then ", sequential oracle (all switches off)" else "");
     Printf.printf "mean connect latency under load: %.2f ms\n" (Time.to_ms_f (!lat / total));

@@ -1,6 +1,6 @@
 type t =
   | In_kernel
-  | Single_server of Org_single_server.variant
+  | Single_server of [ `Mapped | `Message ]
   | Dedicated_servers
   | User_library
 

@@ -4,8 +4,10 @@
 
 type t =
   | In_kernel  (** monolithic, kernel-resident (UNIX/Ultrix) *)
-  | Single_server of Org_single_server.variant
-      (** monolithic, one trusted server (Mach 3.0/UX) *)
+  | Single_server of [ `Mapped | `Message ]
+      (** monolithic, one trusted server (Mach 3.0/UX); the device is
+          mapped into the server, or the driver stays in the kernel
+          behind a message interface (paper §1.2) *)
   | Dedicated_servers  (** per-protocol + device servers (rare case) *)
   | User_library  (** the paper's proposed structure *)
 

@@ -9,14 +9,15 @@ module Nic = Uln_net.Nic
 module Lance = Uln_net.Lance
 module An1_nic = Uln_net.An1_nic
 module Demux = Uln_filter.Demux
+module Tcp_params = Uln_proto.Tcp_params
 
 type network = Ethernet | An1 | Wan
 
-type impl =
-  | K of Org_inkernel.t
-  | S of Org_single_server.t
-  | D of Org_dedicated.t
-  | U of Org_userlib.t
+let networks = [ (Ethernet, "ethernet"); (An1, "an1"); (Wan, "wan") ]
+let network_name n = List.assoc n networks
+let network_of_name s = List.find_map (fun (n, name) -> if name = s then Some n else None) networks
+
+type impl = Shared of Shared_stack.t | Library of { netio : Netio.t; registry : Registry.t }
 
 type host = { machine : Machine.t; h_nic : Nic.t; ip : Ip.t; impl : impl }
 
@@ -26,7 +27,7 @@ type t = {
   organization : Organization.t;
   the_link : Link.t;
   hosts : host array;
-  tcp_params : Uln_proto.Tcp_params.t;
+  tcp_params : Tcp_params.t;
 }
 
 let sched t = t.sched
@@ -39,7 +40,7 @@ let machine t i = t.hosts.(i).machine
 let nic t i = t.hosts.(i).h_nic
 
 let create ?(costs = Costs.r3000) ?(seed = 1) ?(demux_mode = Demux.Interpreted)
-    ?quota ?(tcp_params = Uln_proto.Tcp_params.default)
+    ?quota ?(tcp_params = Tcp_params.default)
     ?(num_hosts = 2) ?(cpus = 1) ?an1_mtu ?(wan_delay = Uln_engine.Time.ms 20) ~network
     ~org () =
   let sched = Sched.create () in
@@ -69,12 +70,17 @@ let create ?(costs = Costs.r3000) ?(seed = 1) ?(demux_mode = Demux.Interpreted)
     let ip = Ip.make 10 0 0 (i + 1) in
     let impl =
       match org with
-      | Organization.In_kernel -> K (Org_inkernel.create machine h_nic ~ip ~tcp_params ())
-      | Organization.Single_server variant ->
-          S (Org_single_server.create machine h_nic ~ip ~variant ~tcp_params ())
-      | Organization.Dedicated_servers -> D (Org_dedicated.create machine h_nic ~ip ~tcp_params ())
       | Organization.User_library ->
-          U (Org_userlib.create machine h_nic ~ip ~mode:demux_mode ?quota ~tcp_params ())
+          (* The demux and interrupt switches live in tcp_params with
+             the other ablations; thread them to the network I/O module
+             they configure. *)
+          let netio =
+            Netio.create machine h_nic ~mode:demux_mode
+              ~flow_cache:tcp_params.Tcp_params.flow_cache ~hier:tcp_params.Tcp_params.hier_demux
+              ~napi:tcp_params.Tcp_params.int_suppress ()
+          in
+          Library { netio; registry = Registry.create machine netio ~ip ~tcp_params ?quota () }
+      | shared -> Shared (Shared_stack.create shared machine h_nic ~ip ~tcp_params ())
     in
     { machine; h_nic; ip; impl }
   in
@@ -85,26 +91,21 @@ let create ?(costs = Costs.r3000) ?(seed = 1) ?(demux_mode = Demux.Interpreted)
     hosts = Array.init num_hosts mk_host;
     tcp_params }
 
+let library ?cpu t ~host name =
+  let h = t.hosts.(host) in
+  match h.impl with
+  | Library { netio; registry } ->
+      Some
+        (Protolib.create h.machine netio registry ~name ~ip:h.ip ~tcp_params:t.tcp_params ?cpu ())
+  | Shared _ -> None
+
 let app ?cpu t ~host name =
   match t.hosts.(host).impl with
-  | K k -> Org_inkernel.app ?cpu k ~name
-  | S s -> Org_single_server.app s ~name
-  | D d -> Org_dedicated.app d ~name
-  | U u -> Org_userlib.app ?cpu u ~name
+  | Shared s -> Shared_stack.app ?cpu s ~name
+  | Library _ -> Protolib.app (Option.get (library ?cpu t ~host name))
 
-let netio t i = match t.hosts.(i).impl with U u -> Some (Org_userlib.netio u) | _ -> None
-
-let library ?cpu t ~host name =
-  match t.hosts.(host).impl with
-  | U u -> Some (Org_userlib.library ?cpu u ~name)
-  | K _ | S _ | D _ -> None
-
-let registry t i =
-  match t.hosts.(i).impl with U u -> Some (Org_userlib.registry u) | _ -> None
+let netio t i = match t.hosts.(i).impl with Library l -> Some l.netio | Shared _ -> None
+let registry t i = match t.hosts.(i).impl with Library l -> Some l.registry | Shared _ -> None
 
 let host_stack t i =
-  match t.hosts.(i).impl with
-  | K k -> Some (Org_inkernel.stack k)
-  | S s -> Some (Org_single_server.stack s)
-  | D d -> Some (Org_dedicated.stack d)
-  | U _ -> None
+  match t.hosts.(i).impl with Shared s -> Some (Shared_stack.stack s) | Library _ -> None

@@ -9,6 +9,12 @@ type network = Ethernet | An1 | Wan
     long propagation delay ([wan_delay], default 20 ms one way) — the
     high bandwidth-delay-product environment of the WAN bench. *)
 
+val network_name : network -> string
+(** ["ethernet" | "an1" | "wan"]: the [network] column of every bench
+    table and the CLI's spelling. *)
+
+val network_of_name : string -> network option
+
 type t
 
 val create :

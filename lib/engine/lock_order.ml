@@ -16,19 +16,19 @@ type rank_entry = { re_pattern : string; re_rank : int; re_what : string }
 
 (* Lower rank = acquired first (outermost).  Patterns are globs where
    '*' matches any run of characters; they cover the lock names the
-   tree creates today (org_inkernel's big lock and per-CPU stack locks,
-   netio's receive semaphore). *)
+   tree creates today (the in-kernel shared stack's big lock and
+   per-CPU stack locks, netio's receive semaphore). *)
 let hierarchy =
   [ { re_pattern = "*.bkl";
       re_rank = 10;
-      re_what = "per-machine big kernel lock (org_inkernel, Big_lock mode)" };
+      re_what = "per-machine big kernel lock (in-kernel shared stack, Big_lock mode)" };
     { re_pattern = "*.registry.shard*.lock";
       re_rank = 15;
       re_what = "per-shard registry table lock (shard_registry mode); \
                  one-at-a-time discipline — never nested with a sibling shard" };
     { re_pattern = "*.stack*.lock";
       re_rank = 20;
-      re_what = "per-CPU protocol stack lock (org_inkernel, Per_conn mode)" };
+      re_what = "per-CPU protocol stack lock (in-kernel shared stack, Per_conn mode)" };
     { re_pattern = "*.rx_sem";
       re_rank = 30;
       re_what = "receive-notification semaphore (netio); innermost, never held across other locks" } ]

@@ -1120,6 +1120,10 @@ let listener_witness (_ : listener) : [ `Listen ] Tcp_fsm.state =
 let accept l = Mailbox.recv l.backlog
 let close_listener t l = Hashtbl.remove t.listeners l.lport
 
+let port_in_use t port =
+  Hashtbl.mem t.listeners port
+  || Seq.exists (fun (_, _, local) -> local = port) (Hashtbl.to_seq_keys t.pcbs)
+
 let check_alive c op =
   if c.detached then raise (Connection_error (op ^ ": connection was handed off"));
   match c.error with Some e -> raise (Connection_error e) | None -> ()

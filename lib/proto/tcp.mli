@@ -126,6 +126,10 @@ val accept : listener -> conn * [ `Established ] Tcp_fsm.state
 
 val close_listener : t -> listener -> unit
 
+val port_in_use : t -> int -> bool
+(** Whether a listener or a connection in any state (TIME_WAIT
+    included) holds this local port. *)
+
 val close : conn -> unit
 (** Orderly release: queue a FIN behind any buffered data.  Returns
     immediately; use {!await_closed} to drain. *)

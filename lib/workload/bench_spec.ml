@@ -389,11 +389,12 @@ let tx_params =
    episode/frame counters prove the offload actually engaged rather
    than falling back per-segment. *)
 let tx_bulk_cell ?(total_bytes = 4_000_000) network config =
-  let name = Printf.sprintf "tx bulk %s/%s" (E.net_name network) config in
+  let name = Printf.sprintf "tx bulk %s/%s" (World.network_name network) config in
   spec name ~preset_name:config ~preset:(List.assoc config tx_params)
     ~keys:[ "mbps"; "tx_cpu_ns_per_byte"; "gso_episodes" ]
     ~size:
-      (Printf.sprintf "%s, %d MB in 8192 B writes" (E.net_name network) (total_bytes / 1_000_000))
+      (Printf.sprintf "%s, %d MB in 8192 B writes" (World.network_name network)
+         (total_bytes / 1_000_000))
     (fun prm ->
       let w = World.create ~network ~org:Org.User_library ~tcp_params:prm () in
       let r = Bulk.run ~total_bytes ~write_size:8192 w in
@@ -401,7 +402,7 @@ let tx_bulk_cell ?(total_bytes = 4_000_000) network config =
       let txq = Uln_core.Netio.txq_stats (Option.get (World.netio w 0)) in
       [ [ ("row", jstr name);
           ("config", jstr config);
-          ("network", jstr (E.net_name network));
+          ("network", jstr (World.network_name network));
           ("mbps", jfloat r.Bulk.mbps);
           ("bytes", jint r.Bulk.bytes);
           ("retransmissions", jint r.Bulk.retransmissions);
@@ -518,7 +519,7 @@ let notes lines ppf _ = List.iter (Format.fprintf ppf "  %s@.") lines
 
 let series_spec ~table ~sizes ~keys cell (network, system, org, preset) =
   spec
-    (Printf.sprintf "%s %s/%s" table (E.net_name network) system)
+    (Printf.sprintf "%s %s/%s" table (World.network_name network) system)
     ~preset_name:(if preset = Tcp_params.default then "default" else "default+zero_copy")
     ~preset ~keys ~size:(String.concat "/" (List.map string_of_int sizes) ^ " B")
     (fun prm -> List.map (cell ~tcp_params:prm (network, system, org)) sizes)
@@ -545,6 +546,25 @@ let targets =
     table ~diffcheck:true "table5" "Table 5 (demultiplexing cost)"
       [ fixed "table5" ~size:"400 KB in 1460 B writes" ~keys:[ "us_per_packet" ] (fun () ->
             List.map t5_fields (E.table5 ())) ];
+    (* The organizations the paper describes but does not measure,
+       pinned at the reduced sizes the ablations report prints. *)
+    table ~diffcheck:true "orgs" "Extended organizations (message driver, dedicated servers)"
+      (let series =
+         List.concat_map
+           (fun network ->
+             List.map
+               (fun org -> (network, E.sys_name org, org, Tcp_params.default))
+               [ Org.Single_server `Message; Org.Dedicated_servers ])
+           [ World.Ethernet; World.An1 ]
+       in
+       List.map
+         (series_spec ~table:"orgs table2" ~sizes:E.t2_sizes ~keys:[ "mbps" ]
+            (fun ~tcp_params c s -> t2_fields (E.t2_cell ~total_bytes:1_500_000 ~tcp_params c s)))
+         series
+       @ List.map
+           (series_spec ~table:"orgs table3" ~sizes:E.t3_sizes ~keys:[ "rtt_ms"; "p99_us" ]
+              (fun ~tcp_params c s -> t3_fields (E.t3_cell ~exchanges:10 ~tcp_params c s)))
+           series);
     table "scale" "Connection scaling: flow-cache demux, zero-copy ablation, 64k-1M sparse sweep"
       [ fixed "flow-cache scaling" ~size:"1-1024 connections" ~keys:[ "scan_cycles"; "hit_cycles" ]
           (fun () -> List.map scale_fields (E.scale ()));

@@ -58,4 +58,3 @@ val diffcheck : Format.formatter -> bool
 
 val section : Format.formatter -> string -> unit
 val print_rows : Format.formatter -> row list -> unit
-val t2_fields : Experiments.t2_row -> row

@@ -47,8 +47,6 @@ type zc_row = {
   zc_gain_pct : float;
 }
 
-let net_name = function World.Ethernet -> "ethernet" | World.An1 -> "an1" | World.Wan -> "wan"
-
 let sys_name = function
   | Organization.In_kernel -> "ultrix"
   | Organization.Single_server `Mapped -> "mach-ux"
@@ -62,8 +60,6 @@ let systems_for network =
       [ Organization.In_kernel; Organization.Single_server `Mapped; Organization.User_library ]
   | World.An1 -> [ Organization.In_kernel; Organization.User_library ]
   | World.Wan -> [ Organization.User_library ]
-
-let extended_systems = [ Organization.Single_server `Message; Organization.Dedicated_servers ]
 
 (* The zero-copy ablation runs the paper's system with the loaning data
    path switched on; everything else about the world is identical. *)
@@ -80,11 +76,12 @@ let table1 ?(quick = false) () =
 (* One series per (network, system): the paper's organizations, then
    the zero-copy ablation of the paper's system (no paper column: the
    measured system always copied). *)
-let series ?(extended = false) () =
+let series () =
   List.concat_map
     (fun network ->
-      let orgs = systems_for network @ if extended then extended_systems else [] in
-      List.map (fun org -> (network, sys_name org, org, Uln_proto.Tcp_params.default)) orgs
+      List.map
+        (fun org -> (network, sys_name org, org, Uln_proto.Tcp_params.default))
+        (systems_for network)
       @ [ (network, "userlib-zc", Organization.User_library, zc_params) ])
     [ World.Ethernet; World.An1 ]
 
@@ -93,36 +90,36 @@ let t3_sizes = [ 1; 512; 1460 ]
 
 let t2_cell ?(total_bytes = 4_000_000) ~tcp_params (network, system, org) size =
   let r = Bulk.measure ~total_bytes ~tcp_params ~write_size:size ~network ~org () in
-  { t2_network = net_name network;
+  { t2_network = World.network_name network;
     t2_system = system;
     t2_size = size;
     t2_mbps = r.Bulk.mbps;
-    t2_paper = Paper_ref.lookup2 Paper_ref.table2 (net_name network) system size }
+    t2_paper = Paper_ref.lookup2 Paper_ref.table2 (World.network_name network) system size }
 
 let t3_cell ?(exchanges = 50) ~tcp_params (network, system, org) size =
   let r = Pingpong.measure ~exchanges ~tcp_params ~size ~network ~org () in
-  { t3_network = net_name network;
+  { t3_network = World.network_name network;
     t3_system = system;
     t3_size = size;
     t3_rtt_ms = Time.to_ms_f r.Pingpong.avg_rtt;
     t3_rtt = r.Pingpong.rtt;
-    t3_paper = Paper_ref.lookup2 Paper_ref.table3 (net_name network) system size }
+    t3_paper = Paper_ref.lookup2 Paper_ref.table3 (World.network_name network) system size }
 
-let table2 ?(quick = false) ?extended () =
+let table2 ?(quick = false) () =
   (* Quick mode still needs enough bytes to get past slow start and the
      initial Nagle/delayed-ACK transient. *)
   let total_bytes = if quick then 1_500_000 else 4_000_000 in
   List.concat_map
     (fun (network, system, org, tcp_params) ->
       List.map (t2_cell ~total_bytes ~tcp_params (network, system, org)) t2_sizes)
-    (series ?extended ())
+    (series ())
 
-let table3 ?(quick = false) ?extended () =
+let table3 ?(quick = false) () =
   let exchanges = if quick then 10 else 50 in
   List.concat_map
     (fun (network, system, org, tcp_params) ->
       List.map (t3_cell ~exchanges ~tcp_params (network, system, org)) t3_sizes)
-    (series ?extended ())
+    (series ())
 
 (* --- Table 4 ---------------------------------------------------------- *)
 
@@ -133,10 +130,10 @@ let table4 ?(quick = false) () =
     let paper =
       List.fold_left
         (fun acc (n, s, v) ->
-          if n = net_name network && s = sys_name org then Some v else acc)
+          if n = World.network_name network && s = sys_name org then Some v else acc)
         None Paper_ref.table4
     in
-    { t4_network = net_name network;
+    { t4_network = World.network_name network;
       t4_system = sys_name org;
       t4_setup_ms = Time.to_ms_f r.Setup.avg_setup;
       t4_paper = paper }
@@ -463,7 +460,7 @@ let zero_copy_ablation ?(quick = false) ?(sizes = [ 512; 1024; 2048; 4096 ]) () 
           in
           let copy = run Uln_proto.Tcp_params.default in
           let zc = run zc_params in
-          { zc_network = net_name network;
+          { zc_network = World.network_name network;
             zc_size = size;
             zc_mbps_copy = copy;
             zc_mbps_zero_copy = zc;

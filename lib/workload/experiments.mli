@@ -29,9 +29,6 @@ type t4_row = {
 
 type t5_row = { t5_interface : string; t5_us : float; t5_paper : float option }
 
-val net_name : Uln_core.World.network -> string
-(** ["ethernet" | "an1" | "wan"] — the [network] column of every table. *)
-
 val sys_name : Uln_core.Organization.t -> string
 (** The paper's name for an organization's host system ("ultrix",
     "mach-ux", "userlib", ...) — the [system] column of every table. *)
@@ -56,13 +53,11 @@ val table1 : ?quick:bool -> unit -> Raw_xchg.row list
 (** Mechanism overhead vs raw link saturation (Ethernet). *)
 
 val series :
-  ?extended:bool ->
   unit ->
   (Uln_core.World.network * string * Uln_core.Organization.t * Uln_proto.Tcp_params.t) list
 (** The rows of Tables 2 and 3, one [(network, system, org, preset)] per
     measured series in table order: the paper's organizations, then the
-    zero-copy [userlib-zc] ablation.  [extended] adds the organizations
-    the paper describes but does not measure. *)
+    zero-copy [userlib-zc] ablation. *)
 
 val t2_sizes : int list
 val t3_sizes : int list
@@ -83,12 +78,10 @@ val t3_cell :
   t3_row
 (** One Table 3 cell (default 50 exchanges) at one message size. *)
 
-val table2 : ?quick:bool -> ?extended:bool -> unit -> t2_row list
-(** TCP throughput across organizations and networks.  [extended] adds
-    the organizations the paper describes but does not measure
-    (message-driver variant, dedicated servers). *)
+val table2 : ?quick:bool -> unit -> t2_row list
+(** TCP throughput across organizations and networks. *)
 
-val table3 : ?quick:bool -> ?extended:bool -> unit -> t3_row list
+val table3 : ?quick:bool -> unit -> t3_row list
 (** Round-trip latency. *)
 
 val table4 : ?quick:bool -> unit -> t4_row list

@@ -455,6 +455,34 @@ let test_pass_connection_requires_ownership () =
              with Failure _ -> true);
           conn.Sockets.close ())
 
+(* A shared-stack host allocates ephemeral ports from 49152-65535:
+   more sequential connects than the range holds must all succeed, so
+   the allocator has to wrap, and skip the port of the first
+   connection, which stays open. *)
+let ephemeral_wrap_case (label, org) =
+  Alcotest.test_case (label ^ " 16,400 connects") `Quick (fun () ->
+      let w =
+        World.create ~costs:Uln_host.Costs.zero ~tcp_params:Uln_proto.Tcp_params.fast
+          ~network:World.Ethernet ~org ()
+      in
+      let n = 16_400 in
+      let server = World.app w ~host:1 "server" and client = World.app w ~host:0 "client" in
+      Sched.spawn (World.sched w) ~name:"server" (fun () ->
+          let l = server.Sockets.listen ~port:80 in
+          for _ = 1 to n do
+            (l.Sockets.accept ()).Sockets.close ()
+          done);
+      let ok = ref 0 in
+      Sched.block_on (World.sched w) (fun () ->
+          for i = 1 to n do
+            match client.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:80 with
+            | Ok c ->
+                incr ok;
+                if i > 1 then c.Sockets.close ()
+            | Error _ -> ()
+          done);
+      check (label ^ " connects") n !ok)
+
 let () =
   Alcotest.run "core"
     [ ( "transfer-ethernet",
@@ -486,4 +514,7 @@ let () =
         [ Alcotest.test_case "pass between apps" `Quick test_pass_connection_between_apps;
           Alcotest.test_case "requires ownership" `Quick test_pass_connection_requires_ownership ] );
       ( "figures",
-        [ Alcotest.test_case "descriptions" `Quick test_organization_descriptions ] ) ]
+        [ Alcotest.test_case "descriptions" `Quick test_organization_descriptions ] );
+      ( "ephemeral",
+        List.map ephemeral_wrap_case
+          (List.filter (fun (_, o) -> o <> Organization.User_library) orgs_to_test) ) ]

@@ -472,6 +472,49 @@ let test_bkl_contention_visible () =
   check "per-stack locks do not contend" 0 p.Smp.r_lock_contended;
   check_bool "per-conn beats the big lock" true (p.Smp.r_mbps > r.Smp.r_mbps)
 
+(* Tcp_params.smp_locking promises that a 1-CPU machine never takes a
+   lock: an in-kernel host with one CPU runs one stack and no netisr
+   lock, so both disciplines give the same run and register no mutex. *)
+let test_uniproc_inkernel_lock_free () =
+  let run locking =
+    let w =
+      World.create ~network:World.Ethernet ~org:Organization.In_kernel
+        ~tcp_params:{ Uln_proto.Tcp_params.default with Uln_proto.Tcp_params.smp_locking = locking }
+        ()
+    in
+    let sched = World.sched w in
+    let server = World.app w ~host:1 "server" and client = World.app w ~host:0 "client" in
+    let got = Buffer.create 40_000 in
+    Sched.spawn sched ~name:"server" (fun () ->
+        let conn = (server.Sockets.listen ~port:80).Sockets.accept () in
+        let rec drain () =
+          match conn.Sockets.recv ~max:65536 with
+          | Some v ->
+              Buffer.add_string got (View.to_string v);
+              drain ()
+          | None -> conn.Sockets.close ()
+        in
+        drain ());
+    Sched.block_on sched (fun () ->
+        match client.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:80 with
+        | Error e -> failwith e
+        | Ok conn ->
+            conn.Sockets.send (View.of_string (pattern 40_000));
+            conn.Sockets.close ();
+            conn.Sockets.await_closed ());
+    let mutexes =
+      List.filter
+        (fun (r : Semaphore.stats) -> r.Semaphore.s_kind = "mutex")
+        (Semaphore.registered ~sched ())
+    in
+    check "no mutex registered" 0 (List.length mutexes);
+    (Sched.now sched, Buffer.contents got)
+  in
+  let big_clock, big_bytes = run `Big_lock and per_clock, per_bytes = run `Per_conn in
+  check "same final clock" (Time.to_ns big_clock) (Time.to_ns per_clock);
+  check_str "same bytes received" big_bytes per_bytes;
+  check_str "bytes intact" (pattern 40_000) big_bytes
+
 let test_affinity_change_mid_connection () =
   (* The inetd handoff re-pins a live connection's channel to the new
      library's CPU (Netio.set_channel_affinity + Demux.set_affinity
@@ -539,7 +582,9 @@ let () =
           Alcotest.test_case "ABBA reported, not deadlocked" `Quick
             test_abba_reported_not_deadlocked;
           Alcotest.test_case "declared order stays clean" `Quick
-            test_forward_order_clean ] );
+            test_forward_order_clean;
+          Alcotest.test_case "1-CPU inkernel takes no lock" `Quick
+            test_uniproc_inkernel_lock_free ] );
       ( "steering",
         [ Alcotest.test_case "affinity recorded" `Quick test_demux_affinity_recorded;
           Alcotest.test_case "re-pin flushes cache" `Quick test_demux_set_affinity_never_stale;
