@@ -1,8 +1,9 @@
 (* netlab: command-line driver for the user-level networking testbed.
 
    Subcommands run individual experiments against any protocol
-   organization and network, print the paper's tables, or describe the
-   organization structures (Figures 1 and 2). *)
+   organization and network, print the paper's tables, snapshot every
+   counter of a scenario, or describe the organization structures
+   (Figures 1 and 2). *)
 
 open Cmdliner
 module World = Uln_core.World
@@ -184,723 +185,86 @@ let snoop_cmd =
          "Run a short request-response exchange and print every frame on the wire, decoded           (ARP, handshake, data, teardown).")
     Term.(const run $ org_arg $ network_arg)
 
-let bufstats_cmd =
-  let module Protolib = Uln_core.Protolib in
-  let module Sockets = Uln_core.Sockets in
-  let module Sched = Uln_engine.Sched in
+let stats_cmd =
+  let module S = Uln_workload.Snapshot in
+  let module B = Uln_workload.Bench_spec in
   let module Time = Uln_engine.Time in
-  let module View = Uln_buf.View in
-  let run network bytes size copying =
-    let tcp_params =
-      { Uln_proto.Tcp_params.default with Uln_proto.Tcp_params.zero_copy = not copying }
+  let run org network cpus pairs servers conns bytes size (_, tcp_params) hold max_conns
+      delay_ms loss every prefixes json trace =
+    let conf =
+      { S.org; network; cpus; pairs; servers; conns; bytes; size; tcp_params; hold; max_conns;
+        delay_ms; loss }
     in
-    let w = World.create ~tcp_params ~network ~org:Organization.User_library () in
-    let sched = World.sched w in
-    let source_lib =
-      match World.library w ~host:0 "source" with Some l -> l | None -> assert false
-    in
-    let sink_lib =
-      match World.library w ~host:1 "sink" with Some l -> l | None -> assert false
-    in
-    let source = Protolib.app source_lib and sink = Protolib.app sink_lib in
-    Printf.printf "bufstats: userlib %s data path, %s, %d bytes in %d-byte writes\n"
-      (if copying then "copying" else "zero-copy")
-      (World.network_name network)
-      bytes size;
-    Printf.printf "%8s  %-6s  %11s  %9s  %9s  %9s  %7s  %7s\n" "t(ms)" "host" "pool use/cap"
-      "exhausted" "loaned(B)" "doorbells" "batches" "sync-fb";
-    let finished = ref false in
-    let last = ref None in
-    (* Sample both libraries' buffer accounting on a fixed simulated-time
-       cadence while the transfer runs. *)
-    Sched.spawn sched ~name:"sampler" (fun () ->
-        let rec go () =
-          if not !finished then begin
-            Sched.sleep sched (Time.ms 100);
-            let line name lib =
-              match Protolib.bufstats lib with
-              | [] -> ()
-              | s :: _ ->
-                  if s.Protolib.bs_tx_doorbells > 0 then last := Some (name, s);
-                  Printf.printf "%8.1f  %-6s  %8d/%-3d  %9d  %9d  %9d  %7d  %7d\n"
-                    (Time.to_ms_f (Time.diff (Sched.now sched) Time.zero))
-                    name s.Protolib.bs_pool_in_use s.Protolib.bs_pool_capacity
-                    s.Protolib.bs_pool_exhausted s.Protolib.bs_loaned_bytes
-                    s.Protolib.bs_tx_doorbells s.Protolib.bs_tx_batches
-                    s.Protolib.bs_tx_sync_fallbacks
-            in
-            line "source" source_lib;
-            line "sink" sink_lib;
-            go ()
-          end
-        in
-        go ());
-    let t_end = ref Time.zero in
-    Sched.spawn sched ~name:"sink" (fun () ->
-        let l = sink.Sockets.listen ~port:5001 in
-        let conn = l.Sockets.accept () in
-        let rec drain () =
-          match conn.Sockets.recv_loan ~max:65536 with
-          | None -> ()
-          | Some v ->
-              conn.Sockets.return_loan v;
-              drain ()
-        in
-        drain ();
-        (* Data is fully delivered: stop the sampler here so the
-           connection-teardown timers (TIME_WAIT runs for minutes of
-           simulated time) do not flood the output with idle samples. *)
-        t_end := Sched.now sched;
-        finished := true;
-        conn.Sockets.close ());
-    let t0 = ref Time.zero in
-    Sched.block_on sched (fun () ->
-        match source.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:5001 with
-        | Error e -> failwith ("bufstats connect: " ^ e)
-        | Ok conn ->
-            t0 := Sched.now sched;
-            let chunk = View.create size in
-            View.fill chunk 'b';
-            for _ = 1 to (bytes + size - 1) / size do
-              match conn.Sockets.alloc_tx size with
-              | Some owned ->
-                  View.fill owned 'b';
-                  conn.Sockets.send_owned owned
-              | None -> conn.Sockets.send chunk
-            done;
-            conn.Sockets.close ();
-            conn.Sockets.await_closed ());
-    (match !last with
-    | Some (name, s) when s.Protolib.bs_tx_batch_hist <> [] ->
-        Printf.printf "tx batch histogram (%s): %s\n" name
-          (String.concat " "
-             (List.map
-                (fun (sz, n) -> Printf.sprintf "%dx%d" sz n)
-                s.Protolib.bs_tx_batch_hist))
-    | _ -> ());
-    let secs = Time.to_sec_f (Time.diff !t_end !t0) in
-    if secs > 0. then
-      Printf.printf "throughput: %.2f Mb/s\n" (float_of_int bytes *. 8. /. secs /. 1e6)
+    let every = Option.map Time.ms every in
+    let out = ref [] in
+    with_trace trace (fun () ->
+        S.run ?every ~prefixes conf (fun _ rows -> out := List.rev_append rows !out));
+    let rows = List.rev !out in
+    if json then print_string (B.json_contents "stats" rows)
+    else B.print_rows Format.std_formatter rows
   in
-  let copying_arg =
-    Arg.(
-      value & flag
-      & info [ "copying" ]
-          ~doc:"Run the copying oracle instead of the zero-copy data path (for comparison).")
+  let preset_conv =
+    let parse s =
+      match S.preset s with
+      | Some p -> Ok (s, p)
+      | None -> Error (`Msg (Printf.sprintf "unknown preset %S" s))
+    in
+    Arg.conv (parse, fun ppf (s, _) -> Format.pp_print_string ppf s)
   in
+  let count =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let int_opt ?(kind = count) names default docv doc =
+    Arg.(value & opt kind default & info names ~docv ~doc)
+  in
+  let flag names doc = Arg.(value & flag & info names ~doc) in
   Cmd.v
-    (Cmd.info "bufstats"
+    (Cmd.info "stats"
        ~doc:
-         "Run a user-library bulk transfer and stream its buffer accounting: transmit-pool \
-          occupancy and exhaustion, outstanding receive loans, and the doorbell-coalescing \
-          batch histogram.")
+         "Run K client/server pairs, each making N connections of B bytes, and print one \
+          snapshot of every counter in the world (CPUs, network I/O, registry, libraries, \
+          stacks, live connections, contended locks) as name/value rows, taken after the last \
+          byte is delivered and before close.")
     Term.(
-      const run $ network_arg
-      $ Arg.(value & opt int 2_000_000 & info [ "b"; "bytes" ] ~docv:"BYTES" ~doc:"Bytes to transfer.")
-      $ size_arg 4096 "User packet size."
-      $ copying_arg)
-
-let rxstats_cmd =
-  let module Protolib = Uln_core.Protolib in
-  let module Sockets = Uln_core.Sockets in
-  let module Sched = Uln_engine.Sched in
-  let module View = Uln_buf.View in
-  let run network bytes size per_packet =
-    let tcp_params =
-      if per_packet then Uln_proto.Tcp_params.fast else Uln_proto.Tcp_params.coalesced
-    in
-    let w = World.create ~tcp_params ~network ~org:Organization.User_library () in
-    let sched = World.sched w in
-    let sink_lib =
-      match World.library w ~host:1 "sink" with Some l -> l | None -> assert false
-    in
-    let source =
-      match World.library w ~host:0 "source" with
-      | Some l -> Protolib.app l
-      | None -> assert false
-    in
-    let sink = Protolib.app sink_lib in
-    Printf.printf "rxstats: userlib %s receive path, %s, %d bytes in %d-byte writes\n"
-      (if per_packet then "per-packet" else "coalesced")
-      (World.network_name network)
-      bytes size;
-    (* Capture the receiver's statistics after the payload has drained
-       but before close detaches the connection (the GRO/ACK counters
-       are summed over connections still open). *)
-    let stats = ref None in
-    Sched.spawn sched ~name:"sink" (fun () ->
-        let l = sink.Sockets.listen ~port:5001 in
-        let conn = l.Sockets.accept () in
-        let got = ref 0 in
-        let rec drain () =
-          match conn.Sockets.recv ~max:65536 with
-          | None -> ()
-          | Some v ->
-              got := !got + View.length v;
-              drain ()
-        in
-        drain ();
-        stats := Some (Protolib.rxstats sink_lib, !got);
-        conn.Sockets.close ());
-    Sched.block_on sched (fun () ->
-        match source.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:5001 with
-        | Error e -> failwith ("rxstats connect: " ^ e)
-        | Ok conn ->
-            let chunk = View.create size in
-            View.fill chunk 'r';
-            for _ = 1 to (bytes + size - 1) / size do
-              conn.Sockets.send chunk
-            done;
-            conn.Sockets.close ();
-            conn.Sockets.await_closed ());
-    match !stats with
-    | None -> failwith "rxstats: transfer did not complete"
-    | Some (s, got) ->
-        Printf.printf "delivered:        %d bytes\n" got;
-        Printf.printf "rx wakeups:       %d (%d frames, %.2f frames/wakeup)\n" s.Protolib.rs_wakeups
-          s.Protolib.rs_frames
-          (if s.Protolib.rs_wakeups = 0 then 0.
-           else float_of_int s.Protolib.rs_frames /. float_of_int s.Protolib.rs_wakeups);
-        Printf.printf "burst histogram:  %s\n"
-          (match s.Protolib.rs_burst_hist with
-          | [] -> "(empty)"
-          | h ->
-              String.concat " "
-                (List.map (fun (sz, n) -> Printf.sprintf "%dx%d" sz n) h));
-        Printf.printf "gro:              %d segments merged into %d flushes\n"
-          s.Protolib.rs_gro_merged s.Protolib.rs_gro_flushes;
-        Printf.printf "acks elided:      %d\n" s.Protolib.rs_acks_elided;
-        Printf.printf "napi:             %d interrupts, %d polls, %d polled frames\n"
-          s.Protolib.rs_interrupts s.Protolib.rs_polls s.Protolib.rs_polled_frames;
-        Printf.printf "ring:             %d early drops, %d overflows\n" s.Protolib.rs_ring_drops
-          s.Protolib.rs_ring_overflows
-  in
-  let per_packet_arg =
-    Arg.(
-      value & flag
-      & info [ "per-packet" ]
-          ~doc:
-            "Run the interrupt-per-packet baseline instead of the coalescing fast path (for \
-             comparison).")
-  in
-  Cmd.v
-    (Cmd.info "rxstats"
-       ~doc:
-         "Run a user-library small-message transfer and print the receive-path coalescing \
-          statistics: burst-size histogram and frames per wakeup, GRO merges, ACKs elided, \
-          interrupts versus NAPI polls, and bounded-ring drops.")
-    Term.(
-      const run $ network_arg
-      $ Arg.(value & opt int 400_000 & info [ "b"; "bytes" ] ~docv:"BYTES" ~doc:"Bytes to transfer.")
-      $ size_arg 512 "User write size."
-      $ per_packet_arg)
-
-let txstats_cmd =
-  let module Protolib = Uln_core.Protolib in
-  let module Sockets = Uln_core.Sockets in
-  let module Sched = Uln_engine.Sched in
-  let module View = Uln_buf.View in
-  let run network bytes size per_segment =
-    let tcp_params =
-      if per_segment then
-        { Uln_proto.Tcp_params.fast with Uln_proto.Tcp_params.zero_copy = true }
-      else Uln_proto.Tcp_params.tx_fast
-    in
-    let w = World.create ~tcp_params ~network ~org:Organization.User_library () in
-    let sched = World.sched w in
-    let source_lib =
-      match World.library w ~host:0 "source" with Some l -> l | None -> assert false
-    in
-    let sink =
-      match World.library w ~host:1 "sink" with
-      | Some l -> Protolib.app l
-      | None -> assert false
-    in
-    let source = Protolib.app source_lib in
-    Printf.printf "txstats: userlib %s transmit path, %s, %d bytes in %d-byte writes\n"
-      (if per_segment then "per-segment (zero-copy baseline)" else "tx_fast")
-      (World.network_name network)
-      bytes size;
-    (* Capture the sender's statistics from the sink thread once the
-       stream has fully drained (the source has sent its FIN, so every
-       data byte is ACKed, but its connection is still attached — the
-       per-engine GSO/pacer counters are summed over
-       connections still open). *)
-    let stats = ref None in
-    Sched.spawn sched ~name:"sink" (fun () ->
-        let l = sink.Sockets.listen ~port:5001 in
-        let conn = l.Sockets.accept () in
-        let got = ref 0 in
-        let rec drain () =
-          match conn.Sockets.recv_loan ~max:65536 with
-          | None -> ()
-          | Some v ->
-              got := !got + View.length v;
-              conn.Sockets.return_loan v;
-              drain ()
-        in
-        drain ();
-        stats := Some (Protolib.txstats source_lib, !got);
-        conn.Sockets.close ());
-    Sched.block_on sched (fun () ->
-        match source.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:5001 with
-        | Error e -> failwith ("txstats connect: " ^ e)
-        | Ok conn ->
-            let chunk = View.create size in
-            View.fill chunk 't';
-            for _ = 1 to (bytes + size - 1) / size do
-              match conn.Sockets.alloc_tx size with
-              | Some owned ->
-                  View.fill owned 't';
-                  conn.Sockets.send_owned owned
-              | None -> conn.Sockets.send chunk
-            done;
-            conn.Sockets.close ();
-            conn.Sockets.await_closed ());
-    match !stats with
-    | None -> failwith "txstats: transfer did not complete"
-    | Some (s, got) ->
-        Printf.printf "delivered:        %d bytes\n" got;
-        Printf.printf "gso (stack):      %d oversized sends, %d per-segment fallbacks\n"
-          s.Protolib.ts_gso_sends s.Protolib.ts_gso_fallbacks;
-        Printf.printf "gso (nic):        %d episodes cut into %d frames (%.2f frames/episode)\n"
-          s.Protolib.ts_gso_episodes s.Protolib.ts_gso_frames
-          (if s.Protolib.ts_gso_episodes = 0 then 0.
-           else float_of_int s.Protolib.ts_gso_frames /. float_of_int s.Protolib.ts_gso_episodes);
-        Printf.printf "pacer:            %d deferred sends, %.0f us total (%.1f us avg)\n"
-          s.Protolib.ts_pacer_waits s.Protolib.ts_pacer_wait_us
-          (if s.Protolib.ts_pacer_waits = 0 then 0.
-           else s.Protolib.ts_pacer_wait_us /. float_of_int s.Protolib.ts_pacer_waits);
-        Printf.printf "pacer wait hist:  %s\n"
-          (match s.Protolib.ts_pacer_hist with
-          | [] -> "(empty)"
-          | h ->
-              String.concat " "
-                (List.map (fun (b, n) -> Printf.sprintf "[%d-%dus]x%d" (1 lsl b) (1 lsl (b + 1)) n) h))
-  in
-  let per_segment_arg =
-    Arg.(
-      value & flag
-      & info [ "per-segment" ]
-          ~doc:
-            "Run the per-segment zero-copy baseline instead of the transmit fast path (for \
-             comparison).")
-  in
-  Cmd.v
-    (Cmd.info "txstats"
-       ~doc:
-         "Run a user-library bulk transfer and print the transmit fast-path statistics: GSO \
-          episodes and frames per episode, and the pacer's queue-delay histogram.")
-    Term.(
-      const run $ network_arg
-      $ Arg.(value & opt int 400_000 & info [ "b"; "bytes" ] ~docv:"BYTES" ~doc:"Bytes to transfer.")
-      (* Default to the tx-pool buffer size so alloc_tx succeeds and the
-         zero-copy release batching is visible; larger writes fall back
-         to the copying path and report zero releases. *)
-      $ size_arg Uln_core.Calibration.tx_pool_buffer_size "User write size."
-      $ per_segment_arg)
-
-let cpustats_cmd =
-  let module Sockets = Uln_core.Sockets in
-  let module Sched = Uln_engine.Sched in
-  let module Semaphore = Uln_engine.Semaphore in
-  let module Machine = Uln_host.Machine in
-  let module Cpu = Uln_host.Cpu in
-  let module View = Uln_buf.View in
-  let run org network cpus pairs bytes per_conn top =
-    let tcp_params =
-      { Uln_proto.Tcp_params.default with
-        Uln_proto.Tcp_params.snd_buf = 65535;
-        rcv_buf = 65535;
-        smp_locking = (if per_conn then `Per_conn else `Big_lock) }
-    in
-    let w = World.create ~cpus ~tcp_params ~network ~org () in
-    let sched = World.sched w in
-    let finished = Semaphore.create () in
-    let last_rx = ref Uln_engine.Time.zero in
-    Printf.printf "cpustats: %s, %s, %d CPU(s), %d pair(s), %d bytes each%s\n"
-      (Organization.name org)
-      (World.network_name network)
-      cpus pairs bytes
-      (match org with
-      | Organization.In_kernel ->
-          if per_conn then ", per-connection locks" else ", big kernel lock"
-      | _ -> "");
-    for p = 0 to pairs - 1 do
-      let cpu = p mod cpus in
-      let port = 9000 + p in
-      let sink = World.app ~cpu w ~host:1 (Printf.sprintf "sink%d" p) in
-      Sched.spawn sched ~name:(Printf.sprintf "sink%d" p) (fun () ->
-          let l = sink.Sockets.listen ~port in
-          let conn = l.Sockets.accept () in
-          let rec drain () =
-            match conn.Sockets.recv ~max:65536 with
-            | Some _ ->
-                let now = Sched.now sched in
-                if Uln_engine.Time.compare now !last_rx > 0 then last_rx := now;
-                drain ()
-            | None -> ()
-          in
-          drain ();
-          conn.Sockets.close ();
-          Semaphore.signal finished);
-      let source = World.app ~cpu w ~host:0 (Printf.sprintf "source%d" p) in
-      Sched.spawn sched ~name:(Printf.sprintf "source%d" p) (fun () ->
-          match
-            source.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:port
-          with
-          | Error e -> failwith e
-          | Ok conn ->
-              let chunk = View.create 8192 in
-              View.fill chunk 'c';
-              for _ = 1 to (bytes + 8191) / 8192 do
-                conn.Sockets.send chunk
-              done;
-              conn.Sockets.close ();
-              conn.Sockets.await_closed ())
-    done;
-    Sched.block_on sched (fun () ->
-        for _ = 1 to pairs do
-          Semaphore.wait finished
-        done);
-    (* Utilization against the transfer window (last payload byte), not
-       the minutes of simulated TIME_WAIT teardown that follow. *)
-    let now = !last_rx in
-    Printf.printf "\n%-16s %10s %6s %11s %12s\n" "cpu" "busy(ms)" "util" "migrations"
-      "penalty(ms)";
-    for h = 0 to World.num_hosts w - 1 do
-      Array.iter
-        (fun c ->
-          Printf.printf "%-16s %10.2f %5.1f%% %11d %12.2f\n" (Cpu.name c)
-            (float_of_int (Cpu.busy_ns c) /. 1e6)
-            (100. *. Cpu.utilization c now)
-            (Cpu.migrations c)
-            (float_of_int (Cpu.migrate_ns c) /. 1e6))
-        (World.machine w h).Machine.cpus
-    done;
-    (match World.netio w 1 with
-    | Some n ->
-        Printf.printf "rx-ring steering migrations (host1 netio): %d\n"
-          (Uln_core.Netio.migrations n)
-    | None -> ());
-    let locks =
-      List.sort
-        (fun (a : Semaphore.stats) b ->
-          compare b.Semaphore.s_total_wait_ns a.Semaphore.s_total_wait_ns)
-        (Semaphore.registered ~sched ())
-    in
-    let contended = List.filter (fun s -> s.Semaphore.s_contended > 0) locks in
-    if contended = [] then print_string "\nno contended locks\n"
-    else begin
-      Printf.printf "\ntop contended locks (of %d named):\n" (List.length locks);
-      Printf.printf "%-28s %-10s %10s %10s %10s %9s\n" "lock" "kind" "acquis."
-        "contended" "wait(ms)" "max(ms)";
-      List.iteri
-        (fun i (s : Semaphore.stats) ->
-          if i < top then
-            Printf.printf "%-28s %-10s %10d %10d %10.2f %9.2f\n" s.Semaphore.s_name
-              s.Semaphore.s_kind s.Semaphore.s_acquisitions s.Semaphore.s_contended
-              (float_of_int s.Semaphore.s_total_wait_ns /. 1e6)
-              (float_of_int s.Semaphore.s_max_wait_ns /. 1e6))
-        contended
-    end
-  in
-  let cpus_arg =
-    Arg.(value & opt int 2 & info [ "c"; "cpus" ] ~docv:"N" ~doc:"Simulated CPUs per host.")
-  in
-  let pairs_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "p"; "pairs" ] ~docv:"N" ~doc:"Concurrent sender/sink pairs (pinned round-robin).")
-  in
-  let per_conn_arg =
-    Arg.(
-      value & flag
-      & info [ "per-conn" ]
-          ~doc:"In-kernel locking ablation: per-connection locks instead of the big kernel lock.")
-  in
-  let top_arg =
-    Arg.(value & opt int 8 & info [ "top" ] ~docv:"K" ~doc:"Contended locks to list.")
-  in
-  Cmd.v
-    (Cmd.info "cpustats"
-       ~doc:
-         "Run pinned concurrent transfers on a multiprocessor host and print per-CPU \
-          utilization, cross-CPU packet migrations, and the most contended locks.")
-    Term.(
-      const run $ org_arg $ Arg.(value & opt network_conv World.An1
-      & info [ "n"; "network" ] ~docv:"NET" ~doc:network_doc)
-      $ cpus_arg $ pairs_arg
-      $ Arg.(value & opt int 1_000_000 & info [ "b"; "bytes" ] ~docv:"BYTES" ~doc:"Bytes per pair.")
-      $ per_conn_arg $ top_arg)
-
-let setupstats_cmd =
-  let module Sockets = Uln_core.Sockets in
-  let module Registry = Uln_core.Registry in
-  let module Protolib = Uln_core.Protolib in
-  let module Tcp_params = Uln_proto.Tcp_params in
-  let module Sched = Uln_engine.Sched in
-  let module Time = Uln_engine.Time in
-  let run network pairs conns sequential =
-    let tcp_params =
-      if sequential then Tcp_params.fast
-      else
-        { Tcp_params.fast with
-          Tcp_params.overlap_setup = true;
-          channel_pool = true;
-          endpoint_lease = true;
-          time_wait_wheel = true }
-    in
-    let w =
-      World.create ~network ~org:Organization.User_library ~tcp_params
-        ~num_hosts:(pairs + 1) ()
-    in
-    let sched = World.sched w in
-    for i = 0 to pairs - 1 do
-      let app = World.app w ~host:(1 + i) (Printf.sprintf "srv%d" i) in
-      Sched.spawn sched ~name:(Printf.sprintf "srv%d" i) (fun () ->
-          let l = app.Sockets.listen ~port:(9000 + i) in
-          for _ = 1 to conns do
-            let c = l.Sockets.accept () in
-            c.Sockets.close ()
-          done)
-    done;
-    let libs =
-      List.init pairs (fun i ->
-          match World.library w ~host:0 (Printf.sprintf "cli%d" i) with
-          | Some l -> l
-          | None -> assert false)
-    in
-    let lat = ref 0 in
-    Sched.block_on sched (fun () ->
-        let remaining = ref pairs in
-        let wake = ref (fun () -> ()) in
-        List.iteri
-          (fun i lib ->
-            let app = Protolib.app lib in
-            Sched.spawn sched ~name:(Printf.sprintf "cli%d" i) (fun () ->
-                for _ = 1 to conns do
-                  let t0 = Sched.now sched in
-                  match
-                    app.Sockets.connect ~src_port:0 ~dst:(World.host_ip w (1 + i))
-                      ~dst_port:(9000 + i)
-                  with
-                  | Error e -> failwith ("setupstats connect: " ^ e)
-                  | Ok c ->
-                      lat := !lat + Time.diff (Sched.now sched) t0;
-                      c.Sockets.close ()
-                done;
-                decr remaining;
-                if !remaining = 0 then !wake ()))
-          libs;
-        Sched.suspend (fun k -> wake := k));
-    let total = pairs * conns in
-    Printf.printf "setupstats: userlib, %s, %d pair(s) x %d connections%s\n"
-      (World.network_name network)
-      pairs conns
-      (if sequential then ", sequential oracle (all switches off)" else "");
-    Printf.printf "mean connect latency under load: %.2f ms\n" (Time.to_ms_f (!lat / total));
-    match World.registry w 0 with
-    | None -> ()
-    | Some r ->
-        let legs = Registry.setup_legs r in
-        Printf.printf "\nregistry setup legs (host0, mean over %d registry-path connects):\n"
-          legs.Registry.sl_samples;
-        Printf.printf "  %-34s %8.2f ms\n" "dispatch + port allocation"
-          (legs.Registry.sl_port_alloc_us /. 1000.);
-        Printf.printf "  %-34s %8.2f ms\n" "SYN round trip (overlaps build)"
-          (legs.Registry.sl_round_trip_us /. 1000.);
-        Printf.printf "  %-34s %8.2f ms\n" "build join + activate + export"
-          (legs.Registry.sl_finish_us /. 1000.);
-        Printf.printf "  %-34s %8.2f ms\n" "total" (legs.Registry.sl_total_us /. 1000.);
-        let p = Registry.pool_stats r in
-        let denom = p.Registry.ps_hits + p.Registry.ps_misses in
-        Printf.printf "\nchannel pool: %d hits / %d misses (%.0f%% hit rate), %d parked now\n"
-          p.Registry.ps_hits p.Registry.ps_misses
-          (if denom = 0 then 0.
-           else 100. *. float_of_int p.Registry.ps_hits /. float_of_int denom)
-          p.Registry.ps_parked;
-        let ls = Registry.lease_stats r in
-        let leased, fallbacks, free_ports, free_chans =
-          List.fold_left
-            (fun (a, b, c, d) lib ->
-              let s = Protolib.leasestats lib in
-              ( a + s.Protolib.lst_leased_connects,
-                b + s.Protolib.lst_fallbacks,
-                c + s.Protolib.lst_free_ports,
-                d + s.Protolib.lst_free_channels ))
-            (0, 0, 0, 0) libs
-        in
-        Printf.printf
-          "leases: %d granted (%d active); %d leased connects (%.0f%% hit rate), %d fallbacks, \
-           %d idle ports, %d idle channels\n"
-          ls.Registry.ls_granted ls.Registry.ls_active leased
-          (100. *. float_of_int leased /. float_of_int total)
-          fallbacks free_ports free_chans;
-        let tw = Registry.time_wait_stats r in
-        Printf.printf
-          "time-wait wheel: %d parked now / %d capacity, %d parked total, %d evicted\n"
-          tw.Registry.tw_pending tw.Registry.tw_capacity tw.Registry.tw_parked_total
-          tw.Registry.tw_evicted
-  in
-  let pairs_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "p"; "pairs" ] ~docv:"N" ~doc:"Concurrent client/server pairs.")
-  in
-  let conns_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "c"; "conns" ] ~docv:"N" ~doc:"Connections per pair (connect then close).")
-  in
-  let sequential_arg =
-    Arg.(
-      value & flag
-      & info [ "sequential" ]
-          ~doc:
-            "Run the sequential oracle (overlap, pooling, leases and the TIME_WAIT wheel all \
-             off) instead of the fast path.")
-  in
-  Cmd.v
-    (Cmd.info "setupstats"
-       ~doc:
-         "Run a user-library connection churn and print the setup-plane accounting: per-leg \
-          setup-latency breakdown, endpoint-lease hit rate, channel-pool occupancy, and \
-          TIME_WAIT wheel population.")
-    Term.(const run $ network_arg $ pairs_arg $ conns_arg $ sequential_arg)
-
-let regstats_cmd =
-  let module Sockets = Uln_core.Sockets in
-  let module Registry = Uln_core.Registry in
-  let module Protolib = Uln_core.Protolib in
-  let module Tcp_params = Uln_proto.Tcp_params in
-  let module Sched = Uln_engine.Sched in
-  let run network tenants conns max_conns cpus flat =
-    let tcp_params =
-      { Tcp_params.fast with
-        Tcp_params.shard_registry = not flat;
-        hier_demux = not flat }
-    in
-    let quota =
-      { Registry.q_max_conns = max_conns;
-        q_max_mem_bytes = Registry.default_quota.Registry.q_max_mem_bytes }
-    in
-    let w =
-      World.create ~network ~org:Organization.User_library ~tcp_params ~quota ~cpus ()
-    in
-    let sched = World.sched w in
-    (* One server principal per tenant so each side's admission is
-       independently visible; every pair holds its connections while the
-       tables print, then the run exits. *)
-    let succ = min conns max_conns in
-    for k = 0 to tenants - 1 do
-      let app = World.app w ~host:1 (Printf.sprintf "srv%d" k) in
-      Sched.spawn sched ~name:(Printf.sprintf "srv%d" k) (fun () ->
-          let l = app.Sockets.listen ~port:(6000 + k) in
-          ignore (List.init succ (fun _ -> l.Sockets.accept ())))
-    done;
-    let libs =
-      List.init tenants (fun k ->
-          match World.library w ~host:0 (Printf.sprintf "tenant%d" k) with
-          | Some l -> l
-          | None -> assert false)
-    in
-    Sched.block_on sched (fun () ->
-        let held =
-          List.mapi
-            (fun k lib ->
-              List.filter_map
-                (fun _ ->
-                  match
-                    Protolib.connect_q lib ~src_port:0 ~dst:(World.host_ip w 1)
-                      ~dst_port:(6000 + k)
-                  with
-                  | Ok c -> Some c
-                  | Error (Registry.Quota_exceeded _) -> None
-                  | Error (Registry.Refused m) -> failwith ("regstats connect: " ^ m))
-                (List.init conns Fun.id))
-            libs
-        in
-        let reg0 = Option.get (World.registry w 0) in
-        let reg1 = Option.get (World.registry w 1) in
-        let lim = Registry.quota_limits reg0 in
-        Printf.printf
-          "regstats: userlib, %d tenant(s) x %d connect(s), quota %d conns / %d bytes per \
-           principal\n"
-          tenants conns lim.Registry.q_max_conns lim.Registry.q_max_mem_bytes;
-        Printf.printf "registry: %s, %d shard(s)\n"
-          (if Registry.sharded reg0 then "sharded" else "flat")
-          (Registry.num_shards reg0);
-        let tenant_table label = function
-          | [] -> Printf.printf "\n%s: no principals admitted\n" label
-          | stats ->
-              Printf.printf "\n%s per-principal quota accounting:\n" label;
-              Printf.printf "  %-24s %8s %8s %12s %8s\n" "principal" "active" "peak"
-                "mem(bytes)" "denied";
-              List.iter
-                (fun (s : Registry.tenant_stats) ->
-                  Printf.printf "  %-24s %8d %8d %12d %8d\n" s.Registry.ts_principal
-                    s.Registry.ts_active s.Registry.ts_peak s.Registry.ts_mem_bytes
-                    s.Registry.ts_denied)
-                stats
-        in
-        (* The client side through the library surface, the server side
-           straight off its registry. *)
-        tenant_table "host0 (clients)" (Protolib.quotastats (List.hd libs));
-        tenant_table "host1 (servers)" (Registry.tenant_stats reg1);
-        let shard_table label reg =
-          Printf.printf "\n%s shards:\n" label;
-          Printf.printf "  %-6s %4s %6s %8s %8s %12s %10s\n" "shard" "cpu" "ports"
-            "pending" "tw" "acquisitions" "contended";
-          List.iter
-            (fun (s : Registry.shard_stats) ->
-              Printf.printf "  %-6d %4d %6d %8d %8d %12d %10d\n" s.Registry.ss_shard
-                s.Registry.ss_cpu s.Registry.ss_ports s.Registry.ss_pending
-                s.Registry.ss_tw_pending s.Registry.ss_lock_acquisitions
-                s.Registry.ss_lock_contended)
-            (Registry.shard_stats reg)
-        in
-        shard_table "host0" reg0;
-        shard_table "host1" reg1;
-        List.iter (List.iter (fun (c : Sockets.conn) -> c.Sockets.close ())) held)
-  in
-  let tenants_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "t"; "tenants" ] ~docv:"N" ~doc:"Client principals on host 0.")
-  in
-  let conns_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "c"; "conns" ] ~docv:"N"
-          ~doc:"Connections each tenant attempts (held while the tables print).")
-  in
-  let max_conns_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:"Per-principal connection quota (below $(b,--conns) shows typed denials).")
-  in
-  let cpus_arg =
-    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N" ~doc:"Simulated CPUs per host.")
-  in
-  let flat_arg =
-    Arg.(
-      value & flag
-      & info [ "flat" ]
-          ~doc:
-            "Run the flat-table oracle (sharded registry and hierarchical demux off) instead \
-             of the sharded control plane.")
-  in
-  Cmd.v
-    (Cmd.info "regstats"
-       ~doc:
-         "Run a multi-tenant connection workload and print the registry control-plane \
-          accounting: per-principal quota consumption (active, peak, pinned memory, typed \
-          denials) and per-shard table population and lock contention.")
-    Term.(
-      const run $ network_arg $ tenants_arg $ conns_arg $ max_conns_arg $ cpus_arg
-      $ flat_arg)
+      const run $ org_arg $ network_arg
+      $ int_opt [ "c"; "cpus" ] 1 "N" "Simulated CPUs per host."
+      $ int_opt [ "p"; "pairs" ] 1 "K" "Client/server pairs (pair p pinned to CPU p mod N)."
+      $ int_opt [ "servers" ] 1 "M" "Server hosts; pair p's server runs on host 1 + p mod M."
+      $ int_opt [ "conns" ] 1 "N" "Connections each pair makes, one after another."
+      $ int_opt ~kind:Arg.int [ "b"; "bytes" ] 400_000 "BYTES" "Bytes per connection."
+      $ int_opt [ "s"; "size" ] 4096 "BYTES" "Write size."
+      $ Arg.(
+          value
+          & opt preset_conv ("default", Uln_proto.Tcp_params.default)
+          & info [ "preset" ] ~docv:"NAME"
+              ~doc:
+                "TCP parameters: a Tcp_params preset (default, fast, wan, coalesced, tx_fast) \
+                 or the name or preset name of any bench spec (+lease, zc-base, per_conn, ...).")
+      $ flag [ "hold" ] "Hold every connection open until the snapshot."
+      $ Arg.(
+          value
+          & opt (some count) None
+          & info [ "max-conns" ] ~docv:"N" ~doc:"Per-principal connection quota.")
+      $ int_opt ~kind:Arg.int [ "delay" ] 20 "MS" "One-way propagation delay on the wan network."
+      $ Arg.(
+          value & opt float 0.
+          & info [ "loss" ] ~docv:"P" ~doc:"Independent per-frame drop probability.")
+      $ Arg.(
+          value
+          & opt (some count) None
+          & info [ "every" ] ~docv:"MS"
+              ~doc:"Also snapshot every MS of simulated time while the transfer runs.")
+      $ Arg.(
+          value & opt_all string []
+          & info [ "prefix" ] ~docv:"P"
+              ~doc:"Only counters whose name starts with P (repeatable: any of them).")
+      $ flag [ "json" ] "Print the rows as a BENCH-style JSON document."
+      $ trace_arg)
 
 let filter_lint_cmd =
   let open Uln_filter in
@@ -1073,112 +437,6 @@ let proto_check_cmd =
     Term.(
       const run $ json_arg $ seed_unhandled_arg $ seed_cycle_arg $ params_arg $ root_arg)
 
-let connstats_cmd =
-  let module Sched = Uln_engine.Sched in
-  let module Time = Uln_engine.Time in
-  let module View = Uln_buf.View in
-  let module Stack = Uln_proto.Stack in
-  let module Tcp = Uln_proto.Tcp in
-  let run network bytes preset delay_ms loss trace =
-    let tcp_params =
-      match preset with
-      | "default" -> Uln_proto.Tcp_params.default
-      | "fast" -> Uln_proto.Tcp_params.fast
-      | "wan" -> Uln_proto.Tcp_params.wan
-      | s -> failwith (Printf.sprintf "unknown preset %S (default|fast|wan)" s)
-    in
-    with_trace trace @@ fun () ->
-    let w =
-      World.create ~costs:Uln_host.Costs.zero ~tcp_params
-        ~wan_delay:(Time.ms delay_ms) ~network ~org:Organization.In_kernel ()
-    in
-    let sched = World.sched w in
-    if loss > 0. then
-      Uln_net.Link.set_fault (World.link w)
-        (Uln_net.Fault.create ~rng:(Uln_engine.Rng.create ~seed:11) ~drop:loss ());
-    let stack i =
-      match World.host_stack w i with Some s -> s | None -> assert false
-    in
-    let sink = (stack 1).Stack.tcp and source = (stack 0).Stack.tcp in
-    let sink_conn = ref None in
-    Sched.spawn sched ~name:"connstats.sink" (fun () ->
-        let l = Tcp.listen sink ~port:5001 in
-        let conn, _w = Tcp.accept l in
-        sink_conn := Some conn;
-        let rec drain () =
-          match Tcp.read conn ~max:65536 with None -> () | Some _ -> drain ()
-        in
-        drain ();
-        Tcp.close conn);
-    let client_opts = ref None in
-    Sched.block_on sched (fun () ->
-        match
-          Tcp.connect source ~src_port:4000 ~dst:(World.host_ip w 1) ~dst_port:5001
-        with
-        | Error e -> failwith ("connstats connect: " ^ e)
-        | Ok (conn, _w) ->
-            let chunk = View.create 16384 in
-            View.fill chunk 'c';
-            for _ = 1 to (bytes + 16383) / 16384 do
-              Tcp.write conn chunk
-            done;
-            Tcp.await_drained conn;
-            client_opts := Some (Tcp.conn_options conn);
-            Tcp.close conn;
-            Tcp.await_closed conn);
-    let print_conn name (o : Tcp.conn_options) =
-      Printf.printf "%s:\n" name;
-      Printf.printf "  window scaling     snd_scale=%d rcv_scale=%d\n" o.Tcp.co_snd_scale
-        o.Tcp.co_rcv_scale;
-      Printf.printf "  sack               %b\n" o.Tcp.co_sack;
-      Printf.printf "  timestamps         %b\n" o.Tcp.co_timestamps;
-      Printf.printf "  congestion control %s\n" o.Tcp.co_cong;
-      Printf.printf "  unknown options    %d\n" o.Tcp.co_unknown_opts;
-      Printf.printf "  window clamps      %d\n" o.Tcp.co_wnd_clamps;
-      Printf.printf "  retransmits        rto=%d fast=%d sack=%d\n" o.Tcp.co_rto_rexmits
-        o.Tcp.co_fast_rexmits o.Tcp.co_sack_rexmits;
-      Printf.printf "  recovery episodes  %d\n" (List.length o.Tcp.co_recovery_us)
-    in
-    (match !client_opts with
-    | Some o -> print_conn "client (sender)" o
-    | None -> ());
-    (match !sink_conn with
-    | Some c -> print_conn "server (receiver)" (Tcp.conn_options c)
-    | None -> ());
-    Printf.printf "engine (sender): segments_out=%d retransmissions=%d unknown_options=%d\n"
-      (Tcp.segments_out source) (Tcp.retransmissions source)
-      (Tcp.unknown_options source)
-  in
-  let preset_arg =
-    Arg.(
-      value & opt string "wan"
-      & info [ "preset" ] ~docv:"PRESET"
-          ~doc:"TCP parameter preset: default | fast | wan (RFC1323 + SACK + Cubic).")
-  in
-  let delay_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "delay" ] ~docv:"MS" ~doc:"One-way propagation delay on the wan network.")
-  in
-  let loss_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "loss" ] ~docv:"P" ~doc:"Independent per-frame drop probability.")
-  in
-  Cmd.v
-    (Cmd.info "connstats"
-       ~doc:
-         "Run one bulk transfer and print each side's negotiated TCP options (window \
-          scale, SACK, timestamps, congestion control) and per-connection counters: \
-          unknown option kinds seen, 16-bit window clamps, scoreboard retransmissions \
-          and completed loss-recovery episodes.")
-    Term.(
-      const run $ network_arg
-      $ Arg.(
-          value & opt int 2_000_000
-          & info [ "b"; "bytes" ] ~docv:"BYTES" ~doc:"Bytes to transfer.")
-      $ preset_arg $ delay_arg $ loss_arg $ trace_arg)
-
 let () =
   let doc = "user-level network protocol testbed (SIGCOMM '93 reproduction)" in
   let info = Cmd.info "netlab" ~version:"1.0.0" ~doc in
@@ -1186,6 +444,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ throughput_cmd; latency_cmd; setup_cmd; orgs_cmd; table_cmd; snoop_cmd; rrp_cmd;
-            bufstats_cmd; rxstats_cmd; txstats_cmd; cpustats_cmd; setupstats_cmd; regstats_cmd;
-            connstats_cmd;
-            filter_lint_cmd; proto_check_cmd ]))
+            stats_cmd; filter_lint_cmd; proto_check_cmd ]))

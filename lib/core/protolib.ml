@@ -939,6 +939,8 @@ let exit_app t ~graceful =
       Ipc.call (Registry.release_lease_port t.registry) ~size:32
         { lh.lh_grant with Registry.lg_channels = lh.lh_free_channels }
 
+let conns t = List.rev_map (fun lc -> (lc.stack.Stack.tcp, lc.conn)) t.conns
+
 let bufstats t =
   List.rev_map
     (fun lc ->
@@ -1058,8 +1060,6 @@ let leasestats t =
     lst_fallbacks = t.lease_fallbacks;
     lst_free_ports = fp;
     lst_free_channels = fc }
-
-let quotastats t = Registry.tenant_stats t.registry
 
 let app t =
   { Sockets.app_name = t.name;

@@ -74,6 +74,10 @@ val cpu : t -> Uln_host.Cpu.t
 
 val live_connections : t -> int
 
+val conns : t -> (Uln_proto.Tcp.t * Uln_proto.Tcp.conn) list
+(** Each live connection with its private engine, in {!bufstats}
+    order. *)
+
 (** Buffer-management statistics of one live connection: transmit loan
     pool occupancy, receive loans outstanding against the TCP window,
     and the batched-transmit (doorbell coalescing) counters.  All zero
@@ -147,7 +151,3 @@ type leasestats = {
 }
 
 val leasestats : t -> leasestats
-
-val quotastats : t -> Registry.tenant_stats list
-(** Per-principal quota accounting of this library's registry (the
-    [netlab regstats] surface). *)

@@ -96,7 +96,7 @@ type lease_grant = {
 type lease_error = Out_of_ports
 
 (* Per-connection wall-clock legs of the most recent setups, for the
-   observability surface (netlab setupstats). *)
+   observability surface (netlab stats). *)
 type leg_totals = {
   mutable lt_samples : int;
   mutable lt_port_alloc_us : float;
@@ -1260,41 +1260,47 @@ and do_release_udp t (port, channel) =
   Netio.destroy_channel t.netio ~caller:t.dom channel;
   Hashtbl.remove t.udp_ports port
 
-and do_bind_rrp t (app, is_server, port) =
-  let port =
-    if port = 0 then begin
-      t.rrp_ephemeral <- t.rrp_ephemeral + 1;
-      t.rrp_ephemeral
+(* Client ports come round robin from 40001-65535, skipping any port
+   still bound (served ports included). *)
+and rrp_client_port t =
+  let rec go n =
+    if n > 65535 - 40000 then None
+    else begin
+      t.rrp_ephemeral <- (if t.rrp_ephemeral >= 65535 then 40001 else t.rrp_ephemeral + 1);
+      if Hashtbl.mem t.rrp_ports t.rrp_ephemeral then go (n + 1) else Some t.rrp_ephemeral
     end
-    else port
   in
-  if Hashtbl.mem t.rrp_ports port then Error (Printf.sprintf "rrp port %d in use" port)
-  else begin
-    charge t Calibration.registry_port_alloc;
-    let filter =
-      if is_server then Program.rrp_server ~dst_ip:t.my_ip ~port
-      else Program.rrp_client ~dst_ip:t.my_ip ~port
-    in
-    let ch = Netio.create_channel t.netio ~caller:t.dom ~owner:app ~use_bqi:false in
-    let refuse e =
-      Netio.destroy_channel t.netio ~caller:t.dom ch;
-      Error e
-    in
-    match Netio.filter_conflict t.netio ch filter with
-    | Some desc -> refuse (conflict_error desc)
-    | None -> (
-        charge t Calibration.registry_channel_setup;
-        let template =
-          Template.rrp_endpoint ~src_ip:t.my_ip
-            ~role:(if is_server then `Server else `Client)
-            ~port ()
-        in
-        try
-          Netio.activate t.netio ~caller:t.dom ch ~filter ~template;
-          Hashtbl.replace t.rrp_ports port ();
-          Ok (ch, port)
-        with Verify.Rejected e -> refuse (verifier_error e))
-  end
+  go 1
+
+and do_bind_rrp t (app, is_server, port) =
+  match if port = 0 then rrp_client_port t else Some port with
+  | None -> Error "every rrp client port is bound"
+  | Some port when Hashtbl.mem t.rrp_ports port -> Error (Printf.sprintf "rrp port %d in use" port)
+  | Some port ->
+      charge t Calibration.registry_port_alloc;
+      let filter =
+        if is_server then Program.rrp_server ~dst_ip:t.my_ip ~port
+        else Program.rrp_client ~dst_ip:t.my_ip ~port
+      in
+      let ch = Netio.create_channel t.netio ~caller:t.dom ~owner:app ~use_bqi:false in
+      let refuse e =
+        Netio.destroy_channel t.netio ~caller:t.dom ch;
+        Error e
+      in
+      match Netio.filter_conflict t.netio ch filter with
+      | Some desc -> refuse (conflict_error desc)
+      | None -> (
+          charge t Calibration.registry_channel_setup;
+          let template =
+            Template.rrp_endpoint ~src_ip:t.my_ip
+              ~role:(if is_server then `Server else `Client)
+              ~port ()
+          in
+          try
+            Netio.activate t.netio ~caller:t.dom ch ~filter ~template;
+            Hashtbl.replace t.rrp_ports port ();
+            Ok (ch, port)
+          with Verify.Rejected e -> refuse (verifier_error e))
 
 and do_release_rrp t (port, channel) =
   Netio.destroy_channel t.netio ~caller:t.dom channel;

@@ -201,7 +201,7 @@ type setup_legs = {
 
 val setup_legs : t -> setup_legs
 (** Mean wall-clock breakdown of active connects served, registry-side
-    (the [netlab setupstats] surface). *)
+    (the [netlab stats] [registry.legs.*] rows). *)
 
 type tenant_stats = {
   ts_principal : string;
@@ -213,7 +213,7 @@ type tenant_stats = {
 
 val tenant_stats : t -> tenant_stats list
 (** Per-principal quota accounting, sorted by principal (the
-    [netlab regstats] surface). *)
+    [netlab stats] [registry.tenant.*] rows). *)
 
 val quota_limits : t -> quota
 

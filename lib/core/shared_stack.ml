@@ -335,7 +335,7 @@ let create org machine (nic : Nic.t) ~ip ~tcp_params () =
     qs;
   t
 
-let stack t = t.stacks.(0)
+let stacks t = Array.to_list t.stacks
 
 (* The next port of 49152-65535, round robin, skipping any port a
    listener or connection of any stack still holds (TIME_WAIT

@@ -35,5 +35,6 @@ val app : ?cpu:int -> t -> name:string -> Sockets.app
     (and steer inbound traffic to) that CPU's stack; a server ignores
     it. *)
 
-val stack : t -> Uln_proto.Stack.t
-(** The boot CPU's stack (for statistics). *)
+val stacks : t -> Uln_proto.Stack.t list
+(** One stack per CPU in the kernel, one in a server; the boot CPU's
+    first. *)

@@ -19,7 +19,13 @@ let network_of_name s = List.find_map (fun (n, name) -> if name = s then Some n 
 
 type impl = Shared of Shared_stack.t | Library of { netio : Netio.t; registry : Registry.t }
 
-type host = { machine : Machine.t; h_nic : Nic.t; ip : Ip.t; impl : impl }
+type host = {
+  machine : Machine.t;
+  h_nic : Nic.t;
+  ip : Ip.t;
+  impl : impl;
+  mutable libs : (string * Protolib.t) list; (* newest first *)
+}
 
 type t = {
   sched : Sched.t;
@@ -82,7 +88,7 @@ let create ?(costs = Costs.r3000) ?(seed = 1) ?(demux_mode = Demux.Interpreted)
           Library { netio; registry = Registry.create machine netio ~ip ~tcp_params ?quota () }
       | shared -> Shared (Shared_stack.create shared machine h_nic ~ip ~tcp_params ())
     in
-    { machine; h_nic; ip; impl }
+    { machine; h_nic; ip; impl; libs = [] }
   in
   { sched;
     net = network;
@@ -95,9 +101,14 @@ let library ?cpu t ~host name =
   let h = t.hosts.(host) in
   match h.impl with
   | Library { netio; registry } ->
-      Some
-        (Protolib.create h.machine netio registry ~name ~ip:h.ip ~tcp_params:t.tcp_params ?cpu ())
+      let lib =
+        Protolib.create h.machine netio registry ~name ~ip:h.ip ~tcp_params:t.tcp_params ?cpu ()
+      in
+      h.libs <- (name, lib) :: h.libs;
+      Some lib
   | Shared _ -> None
+
+let libraries t i = List.rev t.hosts.(i).libs
 
 let app ?cpu t ~host name =
   match t.hosts.(host).impl with
@@ -107,5 +118,5 @@ let app ?cpu t ~host name =
 let netio t i = match t.hosts.(i).impl with Library l -> Some l.netio | Shared _ -> None
 let registry t i = match t.hosts.(i).impl with Library l -> Some l.registry | Shared _ -> None
 
-let host_stack t i =
-  match t.hosts.(i).impl with Shared s -> Some (Shared_stack.stack s) | Library _ -> None
+let host_stacks t i =
+  match t.hosts.(i).impl with Shared s -> Shared_stack.stacks s | Library _ -> []

@@ -64,7 +64,12 @@ val library : ?cpu:int -> t -> host:int -> string -> Protolib.t option
     organization only) — exposes {!Protolib.pass_connection} in addition
     to the socket interface. *)
 
+val libraries : t -> int -> (string * Protolib.t) list
+(** Every library created on a host (by {!library} or {!app}) with its
+    name, oldest first. *)
+
 val registry : t -> int -> Registry.t option
 
-val host_stack : t -> int -> Uln_proto.Stack.t option
-(** The shared kernel/server stack (monolithic organizations only). *)
+val host_stacks : t -> int -> Uln_proto.Stack.t list
+(** The shared kernel/server stacks, boot CPU's first (shared-stack
+    organizations only; [[]] on a library host). *)

@@ -1120,6 +1120,11 @@ let listener_witness (_ : listener) : [ `Listen ] Tcp_fsm.state =
 let accept l = Mailbox.recv l.backlog
 let close_listener t l = Hashtbl.remove t.listeners l.lport
 
+let conns t =
+  Hashtbl.fold (fun k c acc -> (k, c) :: acc) t.pcbs []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
 let port_in_use t port =
   Hashtbl.mem t.listeners port
   || Seq.exists (fun (_, _, local) -> local = port) (Hashtbl.to_seq_keys t.pcbs)

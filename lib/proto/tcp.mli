@@ -126,6 +126,9 @@ val accept : listener -> conn * [ `Established ] Tcp_fsm.state
 
 val close_listener : t -> listener -> unit
 
+val conns : t -> conn list
+(** The engine's connections (TIME_WAIT included), in 4-tuple order. *)
+
 val port_in_use : t -> int -> bool
 (** Whether a listener or a connection in any state (TIME_WAIT
     included) holds this local port. *)
@@ -218,7 +221,7 @@ type conn_options = {
       (** completed loss-recovery episode durations, newest first *)
 }
 (** Negotiated-option state and loss-recovery diagnostics of one
-    connection (netlab's conn stats; the WAN bench's recovery samples). *)
+    connection (the [netlab stats] snapshot; the WAN bench's recovery samples). *)
 
 val conn_options : conn -> conn_options
 

@@ -582,8 +582,7 @@ let targets =
          (fun (org, locking) ->
            spec
              (Printf.sprintf "smp %s/%s" (E.sys_name org) (locking_name locking))
-             ~preset_name:(locking_name locking)
-             ~preset:{ Tcp_params.default with Tcp_params.smp_locking = locking }
+             ~preset_name:(locking_name locking) ~preset:(Smp.params locking)
              ~keys:[ "mbps"; "avg_util"; "lock_contended" ]
              ~size:"1 MB per pair, 1-8 CPUs x 1-8 pairs"
              (fun prm ->
@@ -659,8 +658,7 @@ let targets =
            (bulk_cell ~system:"userlib");
          spec "bulk userlib-zc" ~preset_name:"default+zero_copy" ~preset:zc_preset ~keys:[ "mbps" ]
            ~size:bulk_size (bulk_cell ~system:"userlib-zc");
-         spec "smp" ~preset_name:"in-kernel per_conn"
-           ~preset:{ Tcp_params.default with Tcp_params.smp_locking = `Per_conn }
+         spec "smp" ~preset_name:"in-kernel per_conn" ~preset:(Smp.params `Per_conn)
            ~keys:[ "mbps"; "avg_util"; "lock_contended" ]
            ~size:"in-kernel, 2 CPUs x 2 pairs, 1 MB per pair"
            (fun prm -> [ smp_cell ~org:Org.In_kernel ~cpus:2 ~pairs:2 prm ]);

@@ -51,6 +51,11 @@ val run : ?json:bool -> Format.formatter -> target -> unit
 (** Print the target's section, its rows and trailer; with [json], also
     write [BENCH_<target>.json] to the working directory. *)
 
+val json_contents : string -> row list -> string
+(** The [BENCH_<target>.json] document of these rows, validated by
+    {!Jout.validate}.
+    @raise Failure if it would not parse. *)
+
 val diffcheck : Format.formatter -> bool
 (** Re-derive every [diffcheck] target and compare it byte for byte
     with its committed file in the working directory; [true] when all

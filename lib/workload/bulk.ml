@@ -53,9 +53,9 @@ let run ?(total_bytes = 4_000_000) ~write_size w =
           done;
           conn.Sockets.close ();
           conn.Sockets.await_closed ());
-  (match World.host_stack w 0 with
-  | Some stack -> sender_retransmits := Uln_proto.Tcp.retransmissions stack.Uln_proto.Stack.tcp
-  | None -> ());
+  (match World.host_stacks w 0 with
+  | stack :: _ -> sender_retransmits := Uln_proto.Tcp.retransmissions stack.Uln_proto.Stack.tcp
+  | [] -> ());
   let bytes = Stats.Meter.total meter in
   { mbps = Stats.Meter.megabits_per_sec meter;
     bytes;

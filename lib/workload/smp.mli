@@ -34,6 +34,10 @@ type result = {
   r_lock_wait_ns : int;  (** total time blocked on kernel locks *)
 }
 
+val params : [ `Big_lock | `Per_conn ] -> Uln_proto.Tcp_params.t
+(** The parameters [run] builds its world with: the defaults with
+    65535-byte socket buffers and the given locking. *)
+
 val run :
   ?bytes_per_pair:int ->
   ?locking:[ `Big_lock | `Per_conn ] ->

@@ -38,9 +38,7 @@ let measure ?(total_bytes = 8_000_000) ?(write_size = 65536) ?(seed = 7) ~delay 
   let sched = World.sched w in
   if loss > 0. then
     Link.set_fault (World.link w) (Fault.create ~rng:(Rng.create ~seed:(seed + 1)) ~drop:loss ());
-  let stack i =
-    match World.host_stack w i with Some s -> s | None -> assert false
-  in
+  let stack i = List.hd (World.host_stacks w i) in
   let sink = (stack 1).Stack.tcp and source = (stack 0).Stack.tcp in
   let received = ref 0 in
   Sched.spawn sched ~name:"wan.sink" (fun () ->

@@ -3,7 +3,8 @@
    hand edit, merge damage, or an emitter regression fails the build).
    The scale and churn files additionally must carry the sparse-sweep
    percentile fields — a regenerated file that silently dropped the
-   64k-1M rows would otherwise still parse. *)
+   64k-1M rows would otherwise still parse — and each [netlab stats]
+   snapshot a counter of every surface. *)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -38,6 +39,14 @@ let required_fields = function
         "ring_drops"; "ring_overflows"; "interrupts"; "polls";
         "p50_us"; "p99_us"; "p999_us"; "saturation_rps";
         "per-packet"; "coalesced" ]
+  | "stats.json" ->
+      [ "host1.cpu1.busy_ns"; "host1.netio.rx_wakeups"; "host0.registry.legs.samples";
+        "host0.lib.cli0.tx.gso_sends"; "host1.lib.srv1.conn0.rexmit.rto";
+        "host1.lib.srv1.conn0.buf.loaned_bytes"; "locks.named"; "rx_sem.contended";
+        "run.delivered_bytes" ]
+  | "stats-inkernel.json" ->
+      [ "host0.stack0.segments_out"; "host0.stack0.conn0.cong"; "host1.stack0.conn0.rexmit.sack";
+        "run.mbps" ]
   | _ -> []
 
 let () =

@@ -483,6 +483,200 @@ let ephemeral_wrap_case (label, org) =
           done);
       check (label ^ " connects") n !ok)
 
+(* A user-library host hands RRP client ports out of 40001-65535: the
+   allocator must wrap once the range is used up, and skip a port a
+   server holds. *)
+let rrp_world () =
+  World.create ~costs:Uln_host.Costs.zero ~network:World.Ethernet
+    ~org:Organization.User_library ()
+
+let test_rrp_client_ports_wrap () =
+  let w = rrp_world () in
+  let app = World.app w ~host:0 "rrp" in
+  let n = 25_600 in
+  let bound = ref 0 in
+  Sched.block_on (World.sched w) (fun () ->
+      for _ = 1 to n do
+        let cl = app.Sockets.rrp_client () in
+        incr bound;
+        cl.Sockets.rrp_client_close ()
+      done);
+  check "client binds" n !bound
+
+let test_rrp_client_skips_served_port () =
+  let w = rrp_world () in
+  let app = World.app w ~host:0 "rrp" and peer = World.app w ~host:1 "peer" in
+  Sched.block_on (World.sched w) (fun () ->
+      let _local = app.Sockets.rrp_serve ~port:40001 (fun r -> r) in
+      let _echo = peer.Sockets.rrp_serve ~port:300 (fun r -> r) in
+      let cl = app.Sockets.rrp_client () in
+      match cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 (View.of_string "ping") with
+      | Ok v -> Alcotest.(check string) "echo" "ping" (View.to_string v)
+      | Error e -> Alcotest.fail e)
+
+(* The snapshot reads the same numbers as the typed accessors, at the
+   instant the driver takes it: every host's CPUs, network I/O module,
+   registry and libraries, every shared stack and its connections, and
+   the contended named locks. *)
+module Snapshot = Uln_workload.Snapshot
+module Jout = Uln_workload.Jout
+module Protolib = Uln_core.Protolib
+module Tcp = Uln_proto.Tcp
+
+let check_snapshot w rows =
+  let value name =
+    match List.find_opt (fun r -> List.assoc "name" r = Jout.str name) rows with
+    | Some r -> List.assoc "value" r
+    | None -> Alcotest.failf "snapshot has no %s" name
+  in
+  let expect prefix =
+    List.iter (fun (k, v) -> Alcotest.(check string) (prefix ^ k) v (value (prefix ^ k)))
+  in
+  let i k v = (k, Jout.int v) and f k v = (k, Jout.float v) in
+  let hist k = List.map (fun (b, n) -> i (Printf.sprintf "%s.%d" k b) n) in
+  let sched = World.sched w in
+  for h = 0 to World.num_hosts w - 1 do
+    let host = Printf.sprintf "host%d." h in
+    Array.iteri
+      (fun k c ->
+        expect (Printf.sprintf "%scpu%d." host k)
+          [ i "busy_ns" (Uln_host.Cpu.busy_ns c); i "migrations" (Uln_host.Cpu.migrations c) ])
+      (World.machine w h).Uln_host.Machine.cpus;
+    Option.iter
+      (fun n ->
+        expect (host ^ "netio.")
+          ([ i "sends_rejected" (Netio.sends_rejected n);
+             i "unmatched_drops" (Netio.unmatched_drops n); i "hw_demuxed" (Netio.hw_demuxed n);
+             i "sw_demuxed" (Netio.sw_demuxed n); i "migrations" (Netio.migrations n) ]
+          @ hist "rx_burst" (Netio.rx_burst_histogram n)))
+      (World.netio w h);
+    Option.iter
+      (fun r ->
+        let open Registry in
+        let l = setup_legs r and p = pool_stats r and ls = lease_stats r in
+        let tw = time_wait_stats r in
+        expect (host ^ "registry.")
+          ([ i "legs.samples" l.sl_samples; f "legs.port_alloc_us" l.sl_port_alloc_us;
+             f "legs.round_trip_us" l.sl_round_trip_us; f "legs.finish_us" l.sl_finish_us;
+             f "legs.total_us" l.sl_total_us; i "pool.hits" p.ps_hits;
+             i "pool.misses" p.ps_misses; i "pool.parked" p.ps_parked;
+             i "lease.granted" ls.ls_granted; i "lease.active" ls.ls_active;
+             i "tw.pending" tw.tw_pending; i "tw.parked_total" tw.tw_parked_total;
+             i "tw.evicted" tw.tw_evicted; i "tw.capacity" tw.tw_capacity ]
+          @ List.concat_map
+              (fun s ->
+                let t = "tenant." ^ s.ts_principal ^ "." in
+                [ i (t ^ "active") s.ts_active; i (t ^ "peak") s.ts_peak;
+                  i (t ^ "mem_bytes") s.ts_mem_bytes; i (t ^ "denied") s.ts_denied ])
+              (tenant_stats r)
+          @ List.concat_map
+              (fun s ->
+                let t = Printf.sprintf "shard%d." s.ss_shard in
+                [ i (t ^ "ports") s.ss_ports; i (t ^ "pending") s.ss_pending;
+                  i (t ^ "tw_pending") s.ss_tw_pending;
+                  i (t ^ "lock_acquisitions") s.ss_lock_acquisitions;
+                  i (t ^ "lock_contended") s.ss_lock_contended ])
+              (shard_stats r)))
+      (World.registry w h);
+    List.iter
+      (fun (name, lib) ->
+        let open Protolib in
+        let rx = rxstats lib and tx = txstats lib and ls = leasestats lib in
+        expect (host ^ "netio.")
+          [ i "rx_wakeups" rx.rs_wakeups; i "rx_frames" rx.rs_frames;
+            i "napi.interrupts" rx.rs_interrupts; i "napi.polls" rx.rs_polls;
+            i "napi.polled_frames" rx.rs_polled_frames; i "napi.ring_drops" rx.rs_ring_drops;
+            i "ring_overflows" rx.rs_ring_overflows; i "txq.gso_episodes" tx.ts_gso_episodes;
+            i "txq.gso_frames" tx.ts_gso_frames ];
+        expect (host ^ "lib." ^ name ^ ".")
+          ([ i "rx.gro_merged" rx.rs_gro_merged; i "rx.gro_flushes" rx.rs_gro_flushes;
+             i "rx.acks_elided" rx.rs_acks_elided; i "tx.gso_sends" tx.ts_gso_sends;
+             i "tx.gso_fallbacks" tx.ts_gso_fallbacks; i "tx.pacer_waits" tx.ts_pacer_waits;
+             f "tx.pacer_wait_us" tx.ts_pacer_wait_us;
+             i "lease.leased_connects" ls.lst_leased_connects;
+             i "lease.fallbacks" ls.lst_fallbacks; i "lease.free_ports" ls.lst_free_ports;
+             i "lease.free_channels" ls.lst_free_channels ]
+          @ hist "tx.pacer_hist" tx.ts_pacer_hist
+          @ List.concat
+              (List.mapi
+                 (fun k s ->
+                   let b = Printf.sprintf "conn%d.buf." k in
+                   [ i (b ^ "pool_in_use") s.bs_pool_in_use;
+                     i (b ^ "pool_exhausted") s.bs_pool_exhausted;
+                     i (b ^ "loaned_bytes") s.bs_loaned_bytes;
+                     i (b ^ "tx_doorbells") s.bs_tx_doorbells;
+                     i (b ^ "tx_batches") s.bs_tx_batches ]
+                   @ hist (b ^ "tx_batch_hist") s.bs_tx_batch_hist)
+                 (bufstats lib))))
+      (World.libraries w h);
+    List.iteri
+      (fun k s ->
+        let tcp = s.Uln_proto.Stack.tcp in
+        let stack = Printf.sprintf "%sstack%d." host k in
+        expect stack
+          [ i "segments_out" (Tcp.segments_out tcp); i "retransmissions" (Tcp.retransmissions tcp) ];
+        List.iteri
+          (fun j c ->
+            let o = Tcp.conn_options c in
+            expect (Printf.sprintf "%sconn%d." stack j)
+              [ i "snd_scale" o.Tcp.co_snd_scale; i "rexmit.rto" o.Tcp.co_rto_rexmits;
+                i "rexmit.fast" o.Tcp.co_fast_rexmits; i "rexmit.sack" o.Tcp.co_sack_rexmits ])
+          (Tcp.conns tcp))
+      (World.host_stacks w h)
+  done;
+  let locks = Uln_engine.Semaphore.registered ~sched () in
+  expect "locks." [ i "named" (List.length locks) ];
+  List.iter
+    (fun (s : Uln_engine.Semaphore.stats) ->
+      if s.s_contended > 0 then
+        expect ("locks." ^ s.s_name ^ ".")
+          [ i "acquisitions" s.s_acquisitions; i "contended" s.s_contended;
+            i "wait_ns" s.s_total_wait_ns; i "max_wait_ns" s.s_max_wait_ns ])
+    locks;
+  value
+
+(* Run the driver, compare its final snapshot with the accessors, and
+   hand back the lookup for the case's own sanity checks. *)
+let snapshot_case label conf checks =
+  Alcotest.test_case label `Quick (fun () ->
+      let seen = ref 0 in
+      Snapshot.run conf (fun w rows ->
+          incr seen;
+          checks (check_snapshot w rows));
+      check "one final snapshot" 1 !seen)
+
+let nonzero value name = check_bool (name ^ " nonzero") true (value name <> "0")
+
+let snapshot_cases =
+  let preset name = Option.get (Snapshot.preset name) in
+  [ snapshot_case "coalesced userlib bulk"
+      { Snapshot.default with tcp_params = preset "coalesced"; bytes = 100_000; size = 512 }
+      (fun value ->
+        nonzero value "host1.lib.srv0.rx.gro_merged";
+        Alcotest.(check string) "delivered" "100352" (value "run.delivered_bytes"));
+    snapshot_case "+lease churn"
+      { Snapshot.default with
+        tcp_params = preset "+lease";
+        pairs = 2;
+        servers = 2;
+        conns = 16;
+        bytes = 0 }
+      (fun value ->
+        nonzero value "host0.lib.cli0.lease.leased_connects";
+        Alcotest.(check string) "connects" "32" (value "run.connects"));
+    snapshot_case "2-CPU inkernel per_conn"
+      { Snapshot.default with
+        org = Organization.In_kernel;
+        network = World.An1;
+        tcp_params = preset "per_conn";
+        cpus = 2;
+        pairs = 2;
+        bytes = 200_000;
+        size = 8192 }
+      (fun value ->
+        nonzero value "host1.cpu1.busy_ns";
+        Alcotest.(check string) "per-CPU stack locks" "4" (value "locks.named")) ]
+
 let () =
   Alcotest.run "core"
     [ ( "transfer-ethernet",
@@ -517,4 +711,8 @@ let () =
         [ Alcotest.test_case "descriptions" `Quick test_organization_descriptions ] );
       ( "ephemeral",
         List.map ephemeral_wrap_case
-          (List.filter (fun (_, o) -> o <> Organization.User_library) orgs_to_test) ) ]
+          (List.filter (fun (_, o) -> o <> Organization.User_library) orgs_to_test)
+        @ [ Alcotest.test_case "userlib rrp 25,600 binds" `Quick test_rrp_client_ports_wrap;
+            Alcotest.test_case "userlib rrp skips a served port" `Quick
+              test_rrp_client_skips_served_port ] );
+      ("snapshot", snapshot_cases) ]

@@ -516,8 +516,8 @@ let userlib_transfer ~zero_copy n =
           conn.Sockets.close ();
           conn.Sockets.await_closed ());
   let segments =
-    match (W.host_stack w 0, W.host_stack w 1) with
-    | Some s0, Some s1 ->
+    match (W.host_stacks w 0, W.host_stacks w 1) with
+    | s0 :: _, s1 :: _ ->
         Tcp.segments_out s0.Stack.tcp + Tcp.segments_out s1.Stack.tcp
     | _ -> -1
   in
