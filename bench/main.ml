@@ -4,8 +4,8 @@
    paths (real execution time).
 
    The table targets are data ({!Uln_workload.Bench_spec}); this driver
-   adds the prose reports (figures, ablations, motivation, filteropt,
-   micro) and dispatches.  Usage: main.exe [--json] [TARGET]; with no
+   adds the prose reports (figures, ablations, filteropt, micro) and
+   dispatches.  Usage: main.exe [--json] [TARGET]; with no
    target, [all].  With --json each table target also writes its rows
    to BENCH_<target>.json in the working directory. *)
 
@@ -95,66 +95,6 @@ let run_ablations () =
   Format.fprintf ppf
     "  (the other fast-path switches are measured leave-one-out by the@.";
   Format.fprintf ppf "   switches target)@.";
-  Format.fprintf ppf "@."
-
-let run_motivation () =
-  section "Motivation (SS1.1): request-response vs byte-stream protocols";
-  let module World = Uln_core.World in
-  let module Sockets = Uln_core.Sockets in
-  let module Sched = Uln_engine.Sched in
-  let org = Uln_core.Organization.User_library in
-  List.iter
-    (fun network ->
-      let label = World.network_name network in
-      (* RRP: single-transaction latency (512 B each way). *)
-      let w = World.create ~network ~org () in
-      let server = World.app w ~host:1 "s" and client = World.app w ~host:0 "c" in
-      let rrp_ms =
-        Sched.block_on (World.sched w) (fun () ->
-            let _svc = server.Sockets.rrp_serve ~port:300 (fun req -> req) in
-            let cl = client.Sockets.rrp_client () in
-            let payload = View.create 512 in
-            ignore (cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 payload);
-            let t0 = Sched.now (World.sched w) in
-            let n = 20 in
-            for _ = 1 to n do
-              ignore (cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 payload)
-            done;
-            Time.to_ms_f (Time.diff (Sched.now (World.sched w)) t0) /. float_of_int n)
-      in
-      (* TCP: persistent-connection RTT and bulk throughput. *)
-      let tcp_rtt =
-        (Uln_workload.Pingpong.measure ~exchanges:20 ~size:512 ~network ~org ()).Uln_workload
-        .Pingpong
-          .avg_rtt
-      in
-      let tcp_tput =
-        (Uln_workload.Bulk.measure ~total_bytes:2_000_000 ~write_size:4096 ~network ~org ())
-          .Uln_workload.Bulk.mbps
-      in
-      (* RRP used for bulk: back-to-back 1400-byte transactions. *)
-      let rrp_tput =
-        let w = World.create ~network ~org () in
-        let server = World.app w ~host:1 "s" and client = World.app w ~host:0 "c" in
-        Sched.block_on (World.sched w) (fun () ->
-            let _svc = server.Sockets.rrp_serve ~port:300 (fun _ -> View.create 1) in
-            let cl = client.Sockets.rrp_client () in
-            let payload = View.create 1400 in
-            let n = 300 in
-            let t0 = Sched.now (World.sched w) in
-            for _ = 1 to n do
-              ignore (cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 payload)
-            done;
-            let span = Time.diff (Sched.now (World.sched w)) t0 in
-            float_of_int (n * 1400 * 8) /. Uln_engine.Time.to_sec_f span /. 1e6)
-      in
-      Format.fprintf ppf
-        "  %-9s 512B exchange: RRP %5.2f ms vs TCP %5.2f ms | bulk: RRP %5.2f Mb/s vs TCP %5.2f Mb/s@."
-        label rrp_ms (Time.to_ms_f tcp_rtt) rrp_tput tcp_tput)
-    [ World.Ethernet; World.An1 ];
-  Format.fprintf ppf
-    "  (specialized protocols achieve remarkably low latencies but do not@.";
-  Format.fprintf ppf "   always deliver the highest throughput - both run as libraries)@.";
   Format.fprintf ppf "@."
 
 let run_filteropt () =
@@ -316,13 +256,13 @@ let run_smoke () =
   run_filteropt ()
 
 (* [all] runs the table targets through the switch audit, then the
-   prose reports, with [contention] after [motivation]. *)
+   figures and ablations, then [motivation] and [contention]. *)
 let all =
   let tables = List.map (fun t -> (t.B.target, table t)) B.targets in
-  let contention = [ ("contention", List.assoc "contention" tables) ] in
-  List.remove_assoc "contention" tables
-  @ [ ("figures", run_figures); ("ablations", run_ablations); ("motivation", run_motivation) ]
-  @ contention
+  let late (name, _) = List.mem name [ "motivation"; "contention" ] in
+  List.filter (fun t -> not (late t)) tables
+  @ [ ("figures", run_figures); ("ablations", run_ablations) ]
+  @ List.filter late tables
   @ [ ("filteropt", run_filteropt); ("micro", run_micro) ]
 
 let targets =

@@ -127,26 +127,12 @@ let table_cmd =
 
 let rrp_cmd =
   let run org network size =
-    let w = World.create ~network ~org () in
-    let server = World.app w ~host:1 "rrp-server" in
-    let client = World.app w ~host:0 "rrp-client" in
-    let ms =
-      Uln_engine.Sched.block_on (World.sched w) (fun () ->
-          let _svc = server.Uln_core.Sockets.rrp_serve ~port:300 (fun req -> req) in
-          let cl = client.Uln_core.Sockets.rrp_client () in
-          let payload = Uln_buf.View.create size in
-          ignore (cl.Uln_core.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 payload);
-          let t0 = Uln_engine.Sched.now (World.sched w) in
-          let n = 30 in
-          for _ = 1 to n do
-            ignore (cl.Uln_core.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 payload)
-          done;
-          Uln_engine.Time.to_ms_f
-            (Uln_engine.Time.diff (Uln_engine.Sched.now (World.sched w)) t0)
-          /. float_of_int n)
+    let n = 30 in
+    let span =
+      Uln_workload.Experiments.rrp_calls ~warmup:1 ~calls:n ~size ~reply:Fun.id ~network ~org ()
     in
-    Printf.printf "%s: rrp transaction (%d B each way): %.2f ms
-" (Organization.name org) size ms
+    Printf.printf "%s: rrp transaction (%d B each way): %.2f ms\n" (Organization.name org) size
+      (Uln_engine.Time.to_ms_f span /. float_of_int n)
   in
   Cmd.v
     (Cmd.info "rrp"

@@ -38,17 +38,18 @@ type lease_home = {
   mutable lh_free_channels : Netio.channel list;
 }
 
-(* One connection's registration with the library's coalesced receive
-   service (rx_coalesce): a poll episode sweeps {e every} channel of
-   the library, so a fan-in of single-frame-per-connection arrivals —
-   the incast/RPC pattern — pays one notification chain per burst, not
-   one per connection.  Per-connection receive threads cannot buy that
-   amortization: each response lands in its own ring and would wake
-   its own thread. *)
+(* One endpoint's registration with the library's receive service.
+   Under rx_coalesce a poll episode sweeps {e every} channel of the
+   library, so a fan-in of single-frame-per-endpoint arrivals — the
+   incast/RPC pattern — pays one notification chain per burst, not one
+   per endpoint.  Per-endpoint receive threads cannot buy that
+   amortization: each response lands in its own ring and would wake its
+   own thread. *)
 type rx_entry = {
   re_channel : Netio.channel;
   re_stack : Stack.t;
   re_zc : bool;
+  re_learn : bool; (* datagram endpoint: learn peer MACs from frames *)
   re_released : unit -> bool;
 }
 
@@ -105,6 +106,9 @@ let cpu t = t.cpu
 let charge t span = Cpu.use t.cpu span
 let costs t = t.machine.Machine.costs
 
+(* A switch of an optional parameter set: off under the stack default. *)
+let switch prm f = match prm with Some p -> f p | None -> false
+
 (* Parking a residue must not charge the engine thread mid-segment, so
    the hook only queues; a spawned thread pays for the actual send.
    The flush bounds how long a residue sits local — far inside the
@@ -148,27 +152,32 @@ let learn_peer stack (frame : Uln_net.Frame.t) =
         frame.Uln_net.Frame.src
   end
 
+(* TCP endpoints know their peer from the handshake; only datagram
+   endpoints pay the per-frame flatten. *)
+let rx_input e frame =
+  if e.re_learn then learn_peer e.re_stack frame;
+  Stack.input e.re_stack frame
+
 let drop_txpool lc = match lc.txpool with Some p -> Shared_mem.destroy p | None -> ()
 
-(* Release the connection's resources with the registry once it is fully
-   closed (TIME_WAIT served locally by the library). *)
+(* Return a closed connection's port and channel: to the lease it came
+   from, or to the registry. *)
+let retire t lc =
+  match lc.retire with
+  | Some f -> f ()
+  | None ->
+      Ipc.call (Registry.release_port t.registry) ~size:16 (Tcp.local_port lc.conn, lc.channel)
+
+(* Release the connection's resources once it is fully closed
+   (TIME_WAIT served locally by the library). *)
 let release t lc =
   if not lc.released then begin
     lc.released <- true;
     drop_txpool lc;
     t.conns <- List.filter (fun c -> c != lc) t.conns;
-    match lc.retire with
-    | Some f -> f ()
-    | None ->
-        Ipc.call (Registry.release_port t.registry) ~size:16
-          (Tcp.local_port lc.conn, lc.channel)
+    retire t lc
   end
 
-(* Build the per-connection library instance: a private engine, a
-   receive thread on the channel semaphore, and the socket operations.
-   [params] overrides the library default — the paper's "canned options"
-   customization (SS5): each connection gets its own engine, so each can
-   be tuned to its application without touching anyone else. *)
 (* The transmit loan pool is a separate pinned region, not the channel
    region: on BQI hardware every channel buffer is committed to the
    controller's receive ring, so loans for the send direction need
@@ -186,20 +195,17 @@ let make_txpool t ~zero_copy =
     Some pool
   end
 
-(* The per-connection receive thread: waits on the channel semaphore,
-   drains the shared ring, upcalls into the engine. *)
-let spawn_rx t ~zero_copy ~channel ~stack ~is_released =
+(* The library's one receive service.  Every channel-backed endpoint —
+   TCP connection, UDP port, RRP client or server — gets a receive
+   thread that waits on its channel semaphore, drains the shared ring
+   and upcalls into the endpoint's engine; under rx_coalesce the
+   endpoint also joins the library-wide poll episode. *)
+let spawn_rx t e =
   let c = costs t in
-  let coalesce =
-    match t.tcp_params with
-    | Some p -> p.Uln_proto.Tcp_params.rx_coalesce
-    | None -> false
-  in
-  if coalesce then
-    t.rx_entries <-
-      { re_channel = channel; re_stack = stack; re_zc = zero_copy; re_released = is_released }
-      :: t.rx_entries;
-  let entry_pending e =
+  let channel = e.re_channel and zero_copy = e.re_zc and is_released = e.re_released in
+  let coalesce = switch t.tcp_params (fun p -> p.Uln_proto.Tcp_params.rx_coalesce) in
+  if coalesce then t.rx_entries <- e :: t.rx_entries;
+  let pending e =
     (not (e.re_released ()))
     && (try Netio.rx_pending e.re_channel ~from_domain:t.dom
         with Uln_host.Capability.Violation _ -> false)
@@ -239,7 +245,7 @@ let spawn_rx t ~zero_copy ~channel ~stack ~is_released =
                       else Calibration.userlib_rx_per_segment)
                  else Calibration.userlib_rx_gro_frame);
               incr total;
-              Stack.input e.re_stack frame;
+              rx_input e frame;
               Netio.recycle t.netio e.re_channel;
               go ()
         in
@@ -273,7 +279,7 @@ let spawn_rx t ~zero_copy ~channel ~stack ~is_released =
       (* Budget ran out mid-flood: frames already in the rings rode
          signals this episode consumed, so open the next episode right
          away instead of stranding them behind the semaphores. *)
-      if List.exists entry_pending t.rx_entries then run ()
+      if List.exists pending t.rx_entries then run ()
     in
     run ()
   in
@@ -286,13 +292,8 @@ let spawn_rx t ~zero_copy ~channel ~stack ~is_released =
          without charging the notification chain for work already done.
          (The plain copying path never polls, so its signals always
          find work; its accounting is untouched.) *)
-      let own_pending () =
-        try Netio.rx_pending channel ~from_domain:t.dom
-        with Uln_host.Capability.Violation _ -> false
-      in
       let stale =
-        if coalesce then t.rx_draining || not (own_pending ())
-        else zero_copy && not (own_pending ())
+        if coalesce then t.rx_draining || not (pending e) else zero_copy && not (pending e)
       in
       if stale then rx_loop ()
       else if coalesce then begin
@@ -323,7 +324,7 @@ let spawn_rx t ~zero_copy ~channel ~stack ~is_released =
             (Time.span_add c.Costs.user_thread_switch
                (if zero_copy then Calibration.userlib_rx_per_segment_zc
                 else Calibration.userlib_rx_per_segment));
-          Stack.input stack frame;
+          rx_input e frame;
           Netio.recycle t.netio channel
         in
         let rec drain n =
@@ -439,18 +440,18 @@ let make_ops t ~zero_copy ~txpool ~conn =
     conn_fsm = (fun () -> Tcp.fsm conn);
     await_closed = (fun () -> Tcp.await_closed conn) }
 
-(* Build the per-connection library instance: a private engine, a
-   receive thread on the channel semaphore, and the socket operations.
-   [params] overrides the library default — the paper's "canned options"
-   customization (SS5): each connection gets its own engine, so each can
-   be tuned to its application without touching anyone else. *)
-let adopt_parts t ?params ~snapshot ~channel ~remote_mac () =
+(* The one endpoint builder: pin the channel to this library's CPU
+   before anything else runs (rx notification, send charges and the
+   engine all move with it), then build a private engine on a split of
+   the machine's randomness whose transmit enters the kernel through the
+   channel.  Under zero copy, transmission goes through the channel's
+   descriptor ring: the library queues and rings the doorbell, and one
+   kernel drain picks up every descriptor present (doorbell coalescing).
+   Datagram endpoints pass no [tcp_params]. *)
+let endpoint t ?tcp_params channel =
   let m = t.machine in
   let nic = Netio.nic t.netio in
-  (* Pin the channel to this library's CPU before anything else runs:
-     rx notification, send charges and the engine all move with it. *)
   Netio.set_channel_affinity t.netio channel t.cpu_idx;
-  let tcp_params = match params with Some p -> Some p | None -> t.tcp_params in
   let env =
     Proto_env.create m.Machine.sched t.cpu m.Machine.costs
       ~rng:(Rng.split m.Machine.rng)
@@ -458,12 +459,7 @@ let adopt_parts t ?params ~snapshot ~channel ~remote_mac () =
         (Option.map (fun p -> p.Uln_proto.Tcp_params.timer_granularity) tcp_params)
       ()
   in
-  let zero_copy =
-    match tcp_params with Some p -> p.Uln_proto.Tcp_params.zero_copy | None -> false
-  in
-  (* Under zero copy, transmission goes through the channel's descriptor
-     ring: the library queues and rings the doorbell, and one kernel
-     drain picks up every descriptor present (doorbell coalescing). *)
+  let zero_copy = switch tcp_params (fun p -> p.Uln_proto.Tcp_params.zero_copy) in
   let tx frame =
     if zero_copy then Netio.send_batched t.netio channel ~from_domain:t.dom frame
     else Netio.send t.netio channel ~from_domain:t.dom frame
@@ -473,15 +469,36 @@ let adopt_parts t ?params ~snapshot ~channel ~remote_mac () =
       ~netif:{ Stack.mtu = nic.Nic.mtu; mac = nic.Nic.mac; tx }
       ~ip_addr:t.host_ip ?tcp_params ()
   in
-  Stack.add_static_arp stack snapshot.Tcp.snap_remote_ip remote_mac;
-  let conn = Tcp.import stack.Stack.tcp snapshot in
+  (stack, zero_copy)
+
+let tcp_rx ~zero_copy ~channel ~stack is_released =
+  { re_channel = channel; re_stack = stack; re_zc = zero_copy; re_learn = false;
+    re_released = is_released }
+
+(* Register a connection with the library and open its socket
+   operations; its final close releases it, [retire] = [None] returning
+   its port and channel to the registry. *)
+let attach t ?retire ~zero_copy ~channel ~stack conn =
   let txpool = make_txpool t ~zero_copy in
-  let lc = { stack; conn; channel; txpool; released = false; ops = None; retire = None } in
+  let lc = { stack; conn; channel; txpool; released = false; ops = None; retire } in
   t.conns <- lc :: t.conns;
-  spawn_rx t ~zero_copy ~channel ~stack ~is_released:(fun () -> lc.released);
   Tcp.on_closed conn (fun () -> release t lc);
   let ops = make_ops t ~zero_copy ~txpool ~conn in
   lc.ops <- Some ops;
+  (lc, ops)
+
+(* A connection handed off by the registry (or passed by another
+   library): a private engine imports the established state.  [params]
+   overrides the library default — the paper's "canned options"
+   customization (SS5): each connection gets its own engine, so each can
+   be tuned to its application without touching anyone else. *)
+let adopt_parts t ?params ~snapshot ~channel ~remote_mac () =
+  let tcp_params = match params with Some p -> Some p | None -> t.tcp_params in
+  let stack, zero_copy = endpoint t ?tcp_params channel in
+  Stack.add_static_arp stack snapshot.Tcp.snap_remote_ip remote_mac;
+  let conn = Tcp.import stack.Stack.tcp snapshot in
+  let lc, ops = attach t ~zero_copy ~channel ~stack conn in
+  spawn_rx t (tcp_rx ~zero_copy ~channel ~stack (fun () -> lc.released));
   ops
 
 (* Leased connect (endpoint_lease switch): the library already holds a
@@ -492,77 +509,39 @@ let adopt_parts t ?params ~snapshot ~channel ~remote_mac () =
    library runs the three-way handshake on its own engine, so there is
    no state export/import and no handoff window. *)
 let leased_parts t ?params ~lh ~channel ~local_port ~dst ~dst_port ~remote_mac () =
-  let m = t.machine in
-  let nic = Netio.nic t.netio in
-  Netio.set_channel_affinity t.netio channel t.cpu_idx;
   let tcp_params = match params with Some p -> Some p | None -> t.tcp_params in
-  let env =
-    Proto_env.create m.Machine.sched t.cpu m.Machine.costs
-      ~rng:(Rng.split m.Machine.rng)
-      ?timer_granularity:
-        (Option.map (fun p -> p.Uln_proto.Tcp_params.timer_granularity) tcp_params)
-      ()
-  in
-  let zero_copy =
-    match tcp_params with Some p -> p.Uln_proto.Tcp_params.zero_copy | None -> false
-  in
-  let tx frame =
-    if zero_copy then Netio.send_batched t.netio channel ~from_domain:t.dom frame
-    else Netio.send t.netio channel ~from_domain:t.dom frame
-  in
-  let stack =
-    Stack.create env
-      ~netif:{ Stack.mtu = nic.Nic.mtu; mac = nic.Nic.mac; tx }
-      ~ip_addr:t.host_ip ?tcp_params ()
-  in
+  let stack, zero_copy = endpoint t ?tcp_params channel in
   Stack.add_static_arp stack dst remote_mac;
   (* The receive thread must exist before the handshake: the SYN-ACK
      arrives in this channel's ring. *)
   let released = ref false in
-  spawn_rx t ~zero_copy ~channel ~stack ~is_released:(fun () -> !released);
+  spawn_rx t (tcp_rx ~zero_copy ~channel ~stack (fun () -> !released));
+  (* Fully closed (or never opened): the quiet period was either served
+     by this engine or parked on the registry wheel — both port and
+     channel go back to the lease's free lists.  The free lists are
+     FIFO, so a parked tuple is not re-stamped until every other leased
+     port has cycled. *)
+  let retire () =
+    released := true;
+    Netio.release_leased t.netio channel ~from_domain:t.dom;
+    lh.lh_free_ports <- lh.lh_free_ports @ [ local_port ];
+    lh.lh_free_channels <- lh.lh_free_channels @ [ channel ]
+  in
   match Tcp.connect stack.Stack.tcp ~src_port:local_port ~dst ~dst_port with
   | Error e ->
-      released := true;
-      Netio.release_leased t.netio channel ~from_domain:t.dom;
-      lh.lh_free_ports <- lh.lh_free_ports @ [ local_port ];
-      lh.lh_free_channels <- lh.lh_free_channels @ [ channel ];
+      retire ();
       Error e
   | Ok (conn, _established) ->
       (* With the wheel on, the quiet period migrates to the registry:
          the residue joins the next coalesced one-way park message and
          the local control block finishes at once, so the lease's port
          and channel recycle at churn rate instead of once per 2MSL. *)
-      let wheel =
-        match tcp_params with
-        | Some p -> p.Uln_proto.Tcp_params.time_wait_wheel
-        | None -> false
-      in
-      if wheel then
+      if switch tcp_params (fun p -> p.Uln_proto.Tcp_params.time_wait_wheel) then
         Tcp.set_time_wait_hook stack.Stack.tcp (fun c ->
             let remote_ip, remote_port = Tcp.remote_addr c in
             tw_queue t (remote_ip, remote_port, Tcp.local_port c);
             true);
-      let txpool = make_txpool t ~zero_copy in
-      let lc =
-        { stack; conn; channel; txpool; released = false; ops = None; retire = None }
-      in
-      lc.retire <-
-        Some
-          (fun () ->
-            (* Fully closed: the quiet period was either served by this
-               engine or parked on the registry wheel — both port and
-               channel go back to the lease's free lists.  The free
-               lists are FIFO, so a parked tuple is not re-stamped until
-               every other leased port has cycled. *)
-            released := true;
-            Netio.release_leased t.netio channel ~from_domain:t.dom;
-            lh.lh_free_ports <- lh.lh_free_ports @ [ local_port ];
-            lh.lh_free_channels <- lh.lh_free_channels @ [ channel ]);
-      t.conns <- lc :: t.conns;
-      Tcp.on_closed conn (fun () -> release t lc);
-      let ops = make_ops t ~zero_copy ~txpool ~conn in
-      lc.ops <- Some ops;
-      Ok ops
+      Ok (snd (attach t ~retire ~zero_copy ~channel ~stack conn))
 
 let adopt t ?params (grant : Registry.grant) =
   adopt_parts t ?params ~snapshot:grant.Registry.snapshot ~channel:grant.Registry.channel
@@ -694,9 +673,7 @@ let connect_leased ?params t ~dst ~dst_port =
    connection, so its failures stay descriptive. *)
 let connect_q ?params t ~src_port ~dst ~dst_port =
   let prm = match params with Some p -> Some p | None -> t.tcp_params in
-  let leased =
-    match prm with Some p -> p.Uln_proto.Tcp_params.endpoint_lease | None -> false
-  in
+  let leased = switch prm (fun p -> p.Uln_proto.Tcp_params.endpoint_lease) in
   (* An explicit source port lies outside any leased block: registry path. *)
   if leased && src_port = 0 then
     match connect_leased ?params t ~dst ~dst_port with
@@ -725,122 +702,21 @@ let listen t ~port =
             | Error e -> failwith ("accept: " ^ Registry.error_to_string e)
             | Ok grant -> adopt t grant) }
 
-(* Connectionless endpoints (paper SS5): the registry authorises the port
-   and builds the channel during a binding phase; datagrams then flow
-   directly between the library and the network I/O module. *)
-let udp_bind t ~port =
-  match Ipc.call (Registry.bind_udp_port t.registry) ~size:32 (t.dom, port) with
-  | Error e -> failwith ("udp_bind: " ^ e)
-  | Ok channel ->
-      let m = t.machine in
-      let nic = Netio.nic t.netio in
-      let c = costs t in
-      Netio.set_channel_affinity t.netio channel t.cpu_idx;
-      let env =
-        Proto_env.create m.Machine.sched t.cpu m.Machine.costs
-          ~rng:(Rng.split m.Machine.rng) ()
-      in
-      let tx frame = Netio.send t.netio channel ~from_domain:t.dom frame in
-      let stack =
-        Stack.create env
-          ~netif:{ Stack.mtu = nic.Uln_net.Nic.mtu; mac = nic.Uln_net.Nic.mac; tx }
-          ~ip_addr:t.host_ip ()
-      in
-      let ep = Uln_proto.Udp.bind stack.Stack.udp ~port in
-      let closed = ref false in
-      let rec rx_loop () =
-        Semaphore.wait (Netio.rx_sem channel);
-        if not !closed then begin
-          Sched.sleep m.Machine.sched c.Costs.wakeup_latency;
-          charge t
-            (Time.span_add c.Costs.semaphore_wakeup
-               (Time.span_add c.Costs.context_switch Calibration.userlib_batch_overhead));
-          let rec drain () =
-            match Netio.rx_pop channel ~from_domain:t.dom with
-            | None -> ()
-            | Some frame ->
-                charge t
-                  (Time.span_add c.Costs.user_thread_switch Calibration.userlib_rx_per_segment);
-                learn_peer stack frame;
-                Stack.input stack frame;
-                drain ()
-          in
-          (try drain () with Uln_host.Capability.Violation _ -> ());
-          rx_loop ()
-        end
-      in
-      Sched.spawn m.Machine.sched ~name:(t.name ^ ".udp_rx") rx_loop;
-      (* The registry owns ARP; the library asks it once per peer. *)
-      let ensure_mac dst =
-        match Uln_proto.Arp.lookup stack.Stack.arp dst with
-        | Some _ -> ()
-        | None ->
-            let mac = Ipc.call (Registry.resolve_mac_port t.registry) ~size:16 dst in
-            Stack.add_static_arp stack dst mac
-      in
-      { Sockets.sendto =
-          (fun ~dst ~dst_port data ->
-            charge t
-              (Time.span_add c.Costs.library_call
-                 (Time.span_add c.Costs.socket_layer Calibration.userlib_per_write));
-            ensure_mac dst;
-            Uln_proto.Udp.sendto stack.Stack.udp ~src_port:port ~dst ~dst_port data);
-        recv_from =
-          (fun () ->
-            charge t c.Costs.library_call;
-            let d = Uln_proto.Udp.recv ep in
-            (d.Uln_proto.Udp.src, d.Uln_proto.Udp.src_port, d.Uln_proto.Udp.data));
-        udp_close =
-          (fun () ->
-            closed := true;
-            Uln_proto.Udp.unbind stack.Stack.udp ep;
-            Ipc.call (Registry.release_udp_port t.registry) ~size:16 (port, channel)) }
-
-(* The request-response transport through the registry's binding phase:
-   software demux, source-pinning template, direct data path. *)
-let rrp_endpoint t ~is_server ~port =
-  match
-    Ipc.call (Registry.bind_rrp_port t.registry) ~size:32 (t.dom, is_server, port)
-  with
-  | Error e -> failwith ("rrp bind: " ^ e)
+(* Connectionless endpoints (paper SS5): the registry authorises the
+   port and builds the channel during a binding phase; datagrams then
+   flow directly between the library and the network I/O module.
+   Returns the endpoint's stack, its port, an idempotent close, and the
+   registry-backed ARP fill for a destination. *)
+let dgram_bind t kind ~port =
+  match Ipc.call (Registry.bind_dgram_port t.registry) ~size:32 (t.dom, kind, port) with
+  | Error e -> failwith ("bind: " ^ e)
   | Ok (channel, port) ->
-      let m = t.machine in
-      let nic = Netio.nic t.netio in
-      let c = costs t in
-      Netio.set_channel_affinity t.netio channel t.cpu_idx;
-      let env =
-        Proto_env.create m.Machine.sched t.cpu m.Machine.costs
-          ~rng:(Rng.split m.Machine.rng) ()
-      in
-      let tx frame = Netio.send t.netio channel ~from_domain:t.dom frame in
-      let stack =
-        Stack.create env
-          ~netif:{ Stack.mtu = nic.Uln_net.Nic.mtu; mac = nic.Uln_net.Nic.mac; tx }
-          ~ip_addr:t.host_ip ()
-      in
+      let stack, _ = endpoint t channel in
       let closed = ref false in
-      let rec rx_loop () =
-        Semaphore.wait (Netio.rx_sem channel);
-        if not !closed then begin
-          Sched.sleep m.Machine.sched c.Costs.wakeup_latency;
-          charge t
-            (Time.span_add c.Costs.semaphore_wakeup
-               (Time.span_add c.Costs.context_switch Calibration.userlib_batch_overhead));
-          let rec drain () =
-            match Netio.rx_pop channel ~from_domain:t.dom with
-            | None -> ()
-            | Some frame ->
-                charge t
-                  (Time.span_add c.Costs.user_thread_switch Calibration.userlib_rx_per_segment);
-                learn_peer stack frame;
-                Stack.input stack frame;
-                drain ()
-          in
-          (try drain () with Uln_host.Capability.Violation _ -> ());
-          rx_loop ()
-        end
-      in
-      Sched.spawn m.Machine.sched ~name:(t.name ^ ".rrp_rx") rx_loop;
+      spawn_rx t
+        { re_channel = channel; re_stack = stack; re_zc = false; re_learn = true;
+          re_released = (fun () -> !closed) };
+      (* The registry owns ARP; the library asks it once per peer. *)
       let ensure_mac dst =
         match Uln_proto.Arp.lookup stack.Stack.arp dst with
         | Some _ -> ()
@@ -851,13 +727,36 @@ let rrp_endpoint t ~is_server ~port =
       let close () =
         if not !closed then begin
           closed := true;
-          Ipc.call (Registry.release_rrp_port t.registry) ~size:16 (port, channel)
+          Ipc.call (Registry.release_dgram_port t.registry) ~size:16 (kind, port, channel)
         end
       in
-      (stack, port, ensure_mac, close)
+      (stack, port, close, ensure_mac)
 
+let udp_bind t ~port =
+  let stack, port, close, ensure_mac = dgram_bind t Registry.Udp ~port in
+  let c = costs t in
+  let ep = Uln_proto.Udp.bind stack.Stack.udp ~port in
+  { Sockets.sendto =
+      (fun ~dst ~dst_port data ->
+        charge t
+          (Time.span_add c.Costs.library_call
+             (Time.span_add c.Costs.socket_layer Calibration.userlib_per_write));
+        ensure_mac dst;
+        Uln_proto.Udp.sendto stack.Stack.udp ~src_port:port ~dst ~dst_port data);
+    recv_from =
+      (fun () ->
+        charge t c.Costs.library_call;
+        let d = Uln_proto.Udp.recv ep in
+        (d.Uln_proto.Udp.src, d.Uln_proto.Udp.src_port, d.Uln_proto.Udp.data));
+    udp_close =
+      (fun () ->
+        Uln_proto.Udp.unbind stack.Stack.udp ep;
+        close ()) }
+
+(* The request-response transport through the same binding phase:
+   software demux, source-pinning template, direct data path. *)
 let rrp_client t =
-  let stack, port, ensure_mac, close = rrp_endpoint t ~is_server:false ~port:0 in
+  let stack, port, close, ensure_mac = dgram_bind t (Registry.Rrp `Client) ~port:0 in
   let c = costs t in
   { Sockets.rrp_call =
       (fun ~dst ~dst_port data ->
@@ -867,7 +766,7 @@ let rrp_client t =
     rrp_client_close = close }
 
 let rrp_serve t ~port handler =
-  let stack, _port, _ensure_mac, close = rrp_endpoint t ~is_server:true ~port in
+  let stack, port, close, _ = dgram_bind t (Registry.Rrp `Server) ~port in
   let c = costs t in
   let srv =
     Uln_proto.Rrp.serve stack.Stack.rrp ~port (fun req ->
@@ -885,11 +784,7 @@ let exit_app t ~graceful =
      peer otherwise. *)
   let open_conns = t.conns in
   t.conns <- [];
-  let wheel =
-    match t.tcp_params with
-    | Some p -> p.Uln_proto.Tcp_params.time_wait_wheel
-    | None -> false
-  in
+  let wheel = switch t.tcp_params (fun p -> p.Uln_proto.Tcp_params.time_wait_wheel) in
   let batch = ref [] in
   List.iter
     (fun lc ->
@@ -912,13 +807,9 @@ let exit_app t ~graceful =
             else
               Ipc.call (Registry.inherit_conn t.registry) ~size:128
                 (snap, lc.channel, graceful)
-        | _ -> (
+        | _ ->
             Tcp.abort lc.conn;
-            match lc.retire with
-            | Some f -> f ()
-            | None ->
-                Ipc.call (Registry.release_port t.registry) ~size:16
-                  (Tcp.local_port lc.conn, lc.channel))
+            retire t lc
       end)
     open_conns;
   (match !batch with

@@ -11,7 +11,11 @@
     Per the paper, each connection gets its own protocol engine and
     receive thread ("protocol control block lookups are eliminated by
     having separate threads per connection that are upcalled"), and the
-    buffer organization eliminates byte copying at every write size. *)
+    buffer organization eliminates byte copying at every write size.
+    Every endpoint — a handed-off or leased TCP connection, a UDP port,
+    an RRP client or server — is built the same way: one channel, one
+    private engine, one receive thread of the library's receive
+    service. *)
 
 type t
 

@@ -35,6 +35,7 @@ type connect_req = {
 }
 
 type accept_req = { a_app : Addr_space.t; a_port : int }
+type dgram = Udp | Rrp of [ `Server | `Client ]
 
 (* Typed service errors.  [Quota_exceeded] is the admission-control
    outcome a library can recover from (shed load, close connections,
@@ -176,14 +177,13 @@ type t = {
   lease_p : (Addr_space.t, (lease_grant, lease_error) result) Ipc.t;
   release_lease_p : (lease_grant, unit) Ipc.t;
   park_tw_p : ((Ip.t * int * int) list, unit) Ipc.t;
-  bind_udp_p : (Addr_space.t * int, (Netio.channel, string) result) Ipc.t;
-  release_udp_p : (int * Netio.channel, unit) Ipc.t;
+  bind_dgram_p : (Addr_space.t * dgram * int, (Netio.channel * int, string) result) Ipc.t;
+  release_dgram_p : (dgram * int * Netio.channel, unit) Ipc.t;
   resolve_p : (Ip.t, Mac.t) Ipc.t;
-  bind_rrp_p : (Addr_space.t * bool * int, (Netio.channel * int, string) result) Ipc.t;
-  release_rrp_p : (int * Netio.channel, unit) Ipc.t;
-  udp_ports : (int, unit) Hashtbl.t;
-  rrp_ports : (int, unit) Hashtbl.t;
-  mutable rrp_ephemeral : int;
+  (* Datagram bindings keyed by (IP protocol, port): UDP (17) and RRP
+     (81) port spaces are disjoint, as on the wire. *)
+  dgram_ports : (int * int, unit) Hashtbl.t;
+  mutable dgram_ephemeral : int;
 }
 
 let domain t = t.dom
@@ -335,11 +335,9 @@ let inherit_batch t = t.inherit_batch_p
 let lease_port t = t.lease_p
 let release_lease_port t = t.release_lease_p
 let park_time_wait_port t = t.park_tw_p
-let bind_udp_port t = t.bind_udp_p
-let release_udp_port t = t.release_udp_p
+let bind_dgram_port t = t.bind_dgram_p
+let release_dgram_port t = t.release_dgram_p
 let resolve_mac_port t = t.resolve_p
-let bind_rrp_port t = t.bind_rrp_p
-let release_rrp_port t = t.release_rrp_p
 
 (* {2 Tenant quota accounting}
 
@@ -439,6 +437,9 @@ let conn_template t ~remote_ip ~remote_port ~local_port ~bqi =
 
 let charge t span = Cpu.use t.machine.Machine.cpu span
 
+(* A datagram binding's key in the (IP protocol, port) table. *)
+let dgram_key kind port = ((match kind with Udp -> 17 | Rrp _ -> 81), port)
+
 (* Verifier admission failures surface to applications as the typed
    IPC error of the operation that tried to install the filter. *)
 let verifier_error e = Format.asprintf "filter rejected: %a" Verify.pp_error e
@@ -533,6 +534,13 @@ let record_legs t ~t0 ~t1 ~t2 ~t3 =
    one shard). *)
 let tw_cap t = Stdlib.max 1 (Calibration.time_wait_capacity / t.nshards)
 
+(* Free a port that a connection held, unless a listener or a lease has
+   claimed it since.  Callers hold [sh]'s lock when sharded. *)
+let free_in_use sh port =
+  match Hashtbl.find_opt sh.sh_ports port with
+  | Some In_use -> Hashtbl.remove sh.sh_ports port
+  | Some (Listening _ | Leased) | None -> ()
+
 (* Callers hold [sh]'s lock when sharded. *)
 let tw_expire_u t sh entry =
   if not entry.e_done then begin
@@ -542,9 +550,7 @@ let tw_expire_u t sh entry =
     | Some k -> Netio.remove_filter t.netio ~caller:t.dom k
     | None -> ());
     Hashtbl.remove sh.sh_tw_entries entry.e_key;
-    match Hashtbl.find_opt sh.sh_ports entry.e_port with
-    | Some In_use -> Hashtbl.remove sh.sh_ports entry.e_port
-    | Some (Listening _ | Leased) | None -> ()
+    free_in_use sh entry.e_port
   end
 
 (* Claim an inherited connection's 2MSL quiet period: instead of a live
@@ -729,14 +735,11 @@ let rec create machine netio ~ip ?tcp_params ?(quota = default_quota) () =
          lease_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.lease";
          release_lease_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.release_lease";
          park_tw_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.park_tw";
-         bind_udp_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.bind_udp";
-         release_udp_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.release_udp";
+         bind_dgram_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.bind_dgram";
+         release_dgram_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.release_dgram";
          resolve_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.resolve";
-         bind_rrp_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.bind_rrp";
-         release_rrp_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.release_rrp";
-         udp_ports = Hashtbl.create 16;
-         rrp_ports = Hashtbl.create 16;
-         rrp_ephemeral = 40000 })
+         dgram_ports = Hashtbl.create 16;
+         dgram_ephemeral = 40000 })
   in
   let t = Lazy.force t in
   (* Receive loop: handshake/ARP traffic routed to the registry channel. *)
@@ -1111,10 +1114,7 @@ and do_release t (port, channel) =
   drop_handoff t channel;
   put_channel t channel;
   let sh = shard_of_port t port in
-  shard_sync ~site:"registry.release" t sh (fun () ->
-      match Hashtbl.find_opt sh.sh_ports port with
-      | Some In_use -> Hashtbl.remove sh.sh_ports port
-      | Some (Listening _ | Leased) | None -> ())
+  shard_sync ~site:"registry.release" t sh (fun () -> free_in_use sh port)
 
 and do_inherit t (snapshot, channel, graceful) =
   do_inherit_one t (snapshot, channel) ~graceful
@@ -1133,10 +1133,7 @@ and do_inherit_one t (snapshot, channel) ~graceful =
   let key = pending_key ~remote_ip ~remote_port ~local_port in
   let sh = shard_of_key t key in
   let free_port () =
-    shard_sync ~site:"registry.inherit_close" t sh (fun () ->
-        match Hashtbl.find_opt sh.sh_ports local_port with
-        | Some In_use -> Hashtbl.remove sh.sh_ports local_port
-        | Some (Listening _ | Leased) | None -> ())
+    shard_sync ~site:"registry.inherit_close" t sh (fun () -> free_in_use sh local_port)
   in
   if wheel && not graceful then begin
     (* Abnormal exit with the wheel on: batched RST sweep.  No filter
@@ -1234,53 +1231,39 @@ and do_release_lease t (g : lease_grant) =
     g.lg_channels;
   t.leases_active <- t.leases_active - 1
 
-and do_bind_udp t (app, port) =
-  if Hashtbl.mem t.udp_ports port then Error (Printf.sprintf "udp port %d in use" port)
-  else begin
-    charge t Calibration.registry_port_alloc;
-    let filter = Program.udp_port ~dst_ip:t.my_ip ~dst_port:port in
-    let ch = Netio.create_channel t.netio ~caller:t.dom ~owner:app ~use_bqi:false in
-    let refuse e =
-      Netio.destroy_channel t.netio ~caller:t.dom ch;
-      Error e
-    in
-    match Netio.filter_conflict t.netio ch filter with
-    | Some desc -> refuse (conflict_error desc)
-    | None -> (
-        charge t Calibration.registry_channel_setup;
-        try
-          Netio.activate t.netio ~caller:t.dom ch ~filter
-            ~template:(Template.udp_bound ~src_ip:t.my_ip ~src_port:port ());
-          Hashtbl.replace t.udp_ports port ();
-          Ok ch
-        with Verify.Rejected e -> refuse (verifier_error e))
-  end
-
-and do_release_udp t (port, channel) =
-  Netio.destroy_channel t.netio ~caller:t.dom channel;
-  Hashtbl.remove t.udp_ports port
-
-(* Client ports come round robin from 40001-65535, skipping any port
-   still bound (served ports included). *)
-and rrp_client_port t =
+(* The binding phase of every connectionless endpoint (paper SS5): one
+   (protocol, port) table, one client-port allocator, one channel
+   build.  Client ports come round robin from 40001-65535, skipping any
+   port of the protocol still bound (served ports included). *)
+and dgram_client_port t kind =
   let rec go n =
     if n > 65535 - 40000 then None
     else begin
-      t.rrp_ephemeral <- (if t.rrp_ephemeral >= 65535 then 40001 else t.rrp_ephemeral + 1);
-      if Hashtbl.mem t.rrp_ports t.rrp_ephemeral then go (n + 1) else Some t.rrp_ephemeral
+      t.dgram_ephemeral <- (if t.dgram_ephemeral >= 65535 then 40001 else t.dgram_ephemeral + 1);
+      if Hashtbl.mem t.dgram_ports (dgram_key kind t.dgram_ephemeral) then go (n + 1)
+      else Some t.dgram_ephemeral
     end
   in
   go 1
 
-and do_bind_rrp t (app, is_server, port) =
-  match if port = 0 then rrp_client_port t else Some port with
-  | None -> Error "every rrp client port is bound"
-  | Some port when Hashtbl.mem t.rrp_ports port -> Error (Printf.sprintf "rrp port %d in use" port)
+and do_bind_dgram t (app, kind, port) =
+  let name = match kind with Udp -> "udp" | Rrp _ -> "rrp" in
+  match if port = 0 then dgram_client_port t kind else Some port with
+  | None -> Error (Printf.sprintf "every %s client port is bound" name)
+  | Some port when Hashtbl.mem t.dgram_ports (dgram_key kind port) ->
+      Error (Printf.sprintf "%s port %d in use" name port)
   | Some port ->
       charge t Calibration.registry_port_alloc;
-      let filter =
-        if is_server then Program.rrp_server ~dst_ip:t.my_ip ~port
-        else Program.rrp_client ~dst_ip:t.my_ip ~port
+      let src_ip = t.my_ip in
+      let filter, template =
+        match kind with
+        | Udp ->
+            ( Program.udp_port ~dst_ip:src_ip ~dst_port:port,
+              Template.udp_bound ~src_ip ~src_port:port () )
+        | Rrp role ->
+            ( (match role with `Server -> Program.rrp_server | `Client -> Program.rrp_client)
+                ~dst_ip:src_ip ~port,
+              Template.rrp_endpoint ~src_ip ~role ~port () )
       in
       let ch = Netio.create_channel t.netio ~caller:t.dom ~owner:app ~use_bqi:false in
       let refuse e =
@@ -1291,20 +1274,15 @@ and do_bind_rrp t (app, is_server, port) =
       | Some desc -> refuse (conflict_error desc)
       | None -> (
           charge t Calibration.registry_channel_setup;
-          let template =
-            Template.rrp_endpoint ~src_ip:t.my_ip
-              ~role:(if is_server then `Server else `Client)
-              ~port ()
-          in
           try
             Netio.activate t.netio ~caller:t.dom ch ~filter ~template;
-            Hashtbl.replace t.rrp_ports port ();
+            Hashtbl.replace t.dgram_ports (dgram_key kind port) ();
             Ok (ch, port)
           with Verify.Rejected e -> refuse (verifier_error e))
 
-and do_release_rrp t (port, channel) =
+and do_release_dgram t (kind, port, channel) =
   Netio.destroy_channel t.netio ~caller:t.dom channel;
-  Hashtbl.remove t.rrp_ports port
+  Hashtbl.remove t.dgram_ports (dgram_key kind port)
 
 and serve t =
   Ipc.serve_concurrent t.connect_p (fun req -> (do_connect t req, 256));
@@ -1316,10 +1294,8 @@ and serve t =
   Ipc.serve_concurrent t.lease_p (fun app -> (do_lease t app, 512));
   Ipc.serve_concurrent t.release_lease_p (fun g -> (do_release_lease t g, 16));
   Ipc.serve_oneway t.park_tw_p (do_park_tw t);
-  Ipc.serve_concurrent t.bind_udp_p (fun req -> (do_bind_udp t req, 128));
-  Ipc.serve_concurrent t.release_udp_p (fun req -> (do_release_udp t req, 16));
-  Ipc.serve_concurrent t.bind_rrp_p (fun req -> (do_bind_rrp t req, 128));
-  Ipc.serve_concurrent t.release_rrp_p (fun req -> (do_release_rrp t req, 16));
+  Ipc.serve_concurrent t.bind_dgram_p (fun req -> (do_bind_dgram t req, 128));
+  Ipc.serve_concurrent t.release_dgram_p (fun req -> (do_release_dgram t req, 16));
   Ipc.serve_concurrent t.resolve_p (fun ip -> (resolve_mac t ip, 16));
   (* Cross-shard deferred work: each shard drains its own post port on
      its own CPU. *)

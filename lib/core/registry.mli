@@ -87,31 +87,29 @@ val release_port : t -> (int * Netio.channel, unit) Uln_host.Ipc.t
 (** Final close: the library has finished TIME_WAIT; free the port and
     destroy the channel. *)
 
-val bind_udp_port :
-  t -> (Uln_host.Addr_space.t * int, (Netio.channel, string) result) Uln_host.Ipc.t
-(** The binding phase for connectionless protocols (paper §5): allocate
-    a UDP port, build a channel whose filter matches datagrams to it and
-    whose template pins the sender's own address/port.  Demultiplexing
-    is software-only — with no setup handshake there is no opportunity
-    to exchange BQIs, exactly the difficulty the paper notes. *)
+(** A connectionless endpoint: UDP, or the request-response transport
+    in its server or client role. *)
+type dgram = Udp | Rrp of [ `Server | `Client ]
 
-val release_udp_port : t -> (int * Netio.channel, unit) Uln_host.Ipc.t
+val bind_dgram_port :
+  t ->
+  (Uln_host.Addr_space.t * dgram * int, (Netio.channel * int, string) result) Uln_host.Ipc.t
+(** The binding phase for connectionless protocols (paper §5):
+    [(app, kind, port)] — port 0 allocates a client port, round robin
+    over 40001-65535, skipping bound ones.  Builds a channel whose
+    filter matches datagrams to the port and whose template pins the
+    sender's own address/port, and returns it with the port.  Ports are
+    keyed by (IP protocol, port), so UDP (17) and RRP (81) hold the same
+    number independently.  Demultiplexing is software-only — with no
+    setup handshake there is no opportunity to exchange BQIs, exactly
+    the difficulty the paper notes. *)
+
+val release_dgram_port : t -> (dgram * int * Netio.channel, unit) Uln_host.Ipc.t
+(** Free a datagram binding's port and destroy its channel. *)
 
 val resolve_mac_port : t -> (Uln_addr.Ip.t, Uln_addr.Mac.t) Uln_host.Ipc.t
 (** Link-address resolution service: the registry owns ARP on its host;
     libraries query it and cache the result. *)
-
-val bind_rrp_port :
-  t ->
-  ( Uln_host.Addr_space.t * bool * int,
-    (Netio.channel * int, string) result )
-  Uln_host.Ipc.t
-(** Binding phase for the request-response transport: [(app, is_server,
-    port)] — port 0 allocates an ephemeral client port.  Returns the
-    activated channel and the port.  As with UDP, demultiplexing is
-    software-only (no handshake in which to exchange BQIs). *)
-
-val release_rrp_port : t -> (int * Netio.channel, unit) Uln_host.Ipc.t
 
 val inherit_conn :
   t -> (Uln_proto.Tcp.snapshot * Netio.channel * bool, unit) Uln_host.Ipc.t

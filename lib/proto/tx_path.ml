@@ -177,12 +177,18 @@ let gso_size stats (prm : Tcp_params.t) ~len ~mss =
 let pace_blocked t (prm : Tcp_params.t) env ~rtt_min_us =
   prm.Tcp_params.pacing && rtt_min_us > 0. && Time.( < ) (Proto_env.now env) t.pace_next
 
-(* A blocked send: one pacer shot on the timer wheel runs [resume]. *)
+(* A blocked send: one pacer shot on the timer wheel runs [resume].
+   The recorded deferral runs from the instant the send blocked, read
+   before the scheduling charge: [pace_blocked] has just seen that
+   instant short of [pace_next], so it is positive even when the charge
+   queues behind other work on the CPU.  The shot itself is armed from
+   after the charge. *)
 let hold t stats env ~resume =
   if t.pacer = None then begin
+    let blocked_at = Proto_env.now env in
     Proto_env.charge env env.Proto_env.costs.Costs.pacer_sched;
     let delay = Time.diff t.pace_next (Proto_env.now env) in
-    let us = Time.to_us_f delay in
+    let us = Time.to_us_f (Time.diff t.pace_next blocked_at) in
     stats.pacer_waits <- stats.pacer_waits + 1;
     stats.pacer_wait_us <- stats.pacer_wait_us +. us;
     let bucket =

@@ -464,6 +464,37 @@ let contention_cell pairs prm =
         jfloat (float_of_int (pairs * bytes * 8) /. Time.to_sec_f (Time.to_ns !finished) /. 1e6)
       ) ] ]
 
+(* The intro's protocol-multiplicity claim (paper SS1.1), both
+   transports as user libraries: 20 timed 512 B exchanges (after one
+   warm-up RRP call) and bulk as 300 back-to-back 1400 B RRP calls
+   against a 2 MB TCP transfer. *)
+let motivation_cell network =
+  let org = Org.User_library in
+  fixed
+    (Printf.sprintf "motivation %s" (World.network_name network))
+    ~keys:[ "rrp_exchange_ms"; "tcp_exchange_ms"; "rrp_mbps"; "tcp_mbps" ]
+    ~size:"20 x 512 B exchanges; 300 x 1400 B RRP calls vs 2 MB of TCP"
+    (fun () ->
+      let rrp_ms =
+        Time.to_ms_f
+          (E.rrp_calls ~warmup:1 ~calls:20 ~size:512 ~reply:Fun.id ~network ~org ())
+        /. 20.
+      in
+      let tcp_rtt = (Pingpong.measure ~exchanges:20 ~size:512 ~network ~org ()).Pingpong.avg_rtt in
+      let tcp_mbps =
+        (Bulk.measure ~total_bytes:2_000_000 ~write_size:4096 ~network ~org ()).Bulk.mbps
+      in
+      let rrp_span =
+        E.rrp_calls ~calls:300 ~size:1400
+          ~reply:(fun _ -> Uln_buf.View.create 1)
+          ~network ~org ()
+      in
+      [ [ ("network", jstr (World.network_name network));
+          ("rrp_exchange_ms", jfloat rrp_ms);
+          ("tcp_exchange_ms", jfloat (Time.to_ms_f tcp_rtt));
+          ("rrp_mbps", jfloat (float_of_int (300 * 1400 * 8) /. Time.to_sec_f rrp_span /. 1e6));
+          ("tcp_mbps", jfloat tcp_mbps) ] ])
+
 (* --- printing ---------------------------------------------------------- *)
 
 let section ppf title = Format.fprintf ppf "@.=== %s ===@." title
@@ -697,6 +728,13 @@ let targets =
           [ "wan+wscale"; "wan+wscale+sack"; "wan+sack+cubic" ]
       @ [ rpc_cell ~scenario:"rpc/fanout" ~requests:300 ~config:"coalesced" fanout "rpc/fanout";
           overload_cell ~mults:[ 4.0 ] ~config:"coalesced" ~preset:coalesced "incast/overload" ]);
+    table ~diffcheck:true "motivation"
+      "Motivation (SS1.1): request-response vs byte-stream protocols"
+      ~trailer:
+        (notes
+           [ "(specialized protocols achieve remarkably low latencies but do not";
+             " always deliver the highest throughput - both run as libraries)" ])
+      (List.map motivation_cell [ World.Ethernet; World.An1 ]);
     table "contention" "Shared-segment scaling: aggregate goodput vs concurrent pairs (Ethernet)"
       ~trailer:
         (notes

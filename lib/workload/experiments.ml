@@ -482,6 +482,29 @@ let print_breakdown ppf rows =
     rows;
   Format.fprintf ppf "@]"
 
+(* --- request-response transport (motivation, paper SS1.1) ----------- *)
+
+(* Back-to-back RRP transactions from host 0 to a server on host 1:
+   [warmup] untimed calls first, then the span of [calls] timed ones. *)
+let rrp_calls ?(warmup = 0) ~calls ~size ~reply ~network ~org () =
+  let module Sockets = Uln_core.Sockets in
+  let module Sched = Uln_engine.Sched in
+  let w = World.create ~network ~org () in
+  let server = World.app w ~host:1 "rrp-server" and client = World.app w ~host:0 "rrp-client" in
+  Sched.block_on (World.sched w) (fun () ->
+      let _svc = server.Sockets.rrp_serve ~port:300 reply in
+      let cl = client.Sockets.rrp_client () in
+      let payload = Uln_buf.View.create size in
+      let call () = ignore (cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 payload) in
+      for _ = 1 to warmup do
+        call ()
+      done;
+      let t0 = Sched.now (World.sched w) in
+      for _ = 1 to calls do
+        call ()
+      done;
+      Time.diff (Sched.now (World.sched w)) t0)
+
 let print_figures ppf () =
   Format.fprintf ppf "@[<v>Figure 1: alternative organizations of protocols@,@,";
   List.iter (fun o -> Format.fprintf ppf "%a@," Organization.describe o) Organization.all;

@@ -148,6 +148,19 @@ val zero_copy_ablation : ?quick:bool -> ?sizes:int list -> unit -> zc_row list
     network — identical worlds otherwise, so the difference is exactly
     the loaning/scatter-gather/doorbell machinery. *)
 
+val rrp_calls :
+  ?warmup:int ->
+  calls:int ->
+  size:int ->
+  reply:(Uln_buf.View.t -> Uln_buf.View.t) ->
+  network:Uln_core.World.network ->
+  org:Uln_core.Organization.t ->
+  unit ->
+  Uln_engine.Time.span
+(** Back-to-back RRP transactions of [size]-byte requests from host 0
+    to a [reply] server on host 1 of a fresh world: [warmup] (default 0)
+    untimed calls, then the simulated span of [calls] timed ones. *)
+
 val print_breakdown : Format.formatter -> (string * float * float option) list -> unit
 val print_figures : Format.formatter -> unit -> unit
 (** Figures 1 and 2: organization structure, derived from the

@@ -27,6 +27,8 @@ let required_fields = function
         "recovery_samples"; "recovery_p50_us"; "recovery_p99_us"; "recovery_p999_us";
         "wan-baseline"; "wan+wscale"; "wan+wscale+sack"; "wan+sack+newreno"; "wan+sack+cubic" ]
   | "BENCH_table3.json" -> [ "rtt_ms"; "p50_us"; "p99_us"; "p999_us" ]
+  | "BENCH_motivation.json" ->
+      [ "ethernet"; "an1"; "rrp_exchange_ms"; "tcp_exchange_ms"; "rrp_mbps"; "tcp_mbps" ]
   | "BENCH_rpc.json" ->
       [ "scenario"; "config"; "servers"; "requests";
         "offered_rps"; "delivered_rps"; "completed"; "expired";

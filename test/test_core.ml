@@ -367,6 +367,93 @@ let test_udp_userlib_port_collision () =
       let ep2 = b.Sockets.udp_bind ~port:1000 in
       ep2.Sockets.udp_close ())
 
+(* One (IP protocol, port) binding table: UDP and RRP port spaces are
+   disjoint, a second bind of the same (protocol, port) is refused, a
+   stopped RRP server's port is free again, and a datagram close is
+   idempotent. *)
+let bind_fails f =
+  try
+    ignore (f ());
+    false
+  with Failure _ -> true
+
+let test_udp_rrp_share_port_number () =
+  let w = userlib_world () in
+  let a = World.app w ~host:0 "a" and b = World.app w ~host:0 "b" in
+  Sched.block_on (World.sched w) (fun () ->
+      let ep = a.Sockets.udp_bind ~port:300 in
+      let srv = b.Sockets.rrp_serve ~port:300 (fun r -> r) in
+      check_bool "udp 300 still held" true (bind_fails (fun () -> b.Sockets.udp_bind ~port:300));
+      check_bool "rrp 300 still held" true
+        (bind_fails (fun () -> a.Sockets.rrp_serve ~port:300 (fun r -> r)));
+      srv.Sockets.rrp_stop ();
+      ep.Sockets.udp_close ())
+
+let test_rrp_server_rebinds_after_stop () =
+  let w = userlib_world () in
+  let a = World.app w ~host:0 "a" and b = World.app w ~host:0 "b" in
+  let peer = World.app w ~host:1 "peer" in
+  Sched.block_on (World.sched w) (fun () ->
+      let srv = a.Sockets.rrp_serve ~port:300 (fun r -> r) in
+      srv.Sockets.rrp_stop ();
+      let srv2 = b.Sockets.rrp_serve ~port:300 (fun _ -> View.of_string "b") in
+      let cl = peer.Sockets.rrp_client () in
+      (match cl.Sockets.rrp_call ~dst:(World.host_ip w 0) ~dst_port:300 (View.of_string "q") with
+      | Ok v -> Alcotest.(check string) "new server answers" "b" (View.to_string v)
+      | Error e -> Alcotest.fail e);
+      srv2.Sockets.rrp_stop ())
+
+let test_dgram_double_close () =
+  let w = userlib_world () in
+  let a = World.app w ~host:0 "a" and b = World.app w ~host:0 "b" in
+  let c = World.app w ~host:0 "c" in
+  Sched.block_on (World.sched w) (fun () ->
+      let ep = a.Sockets.udp_bind ~port:1000 in
+      ep.Sockets.udp_close ();
+      let ep2 = b.Sockets.udp_bind ~port:1000 in
+      ep.Sockets.udp_close ();
+      check_bool "udp port stays bound" true (bind_fails (fun () -> c.Sockets.udp_bind ~port:1000));
+      ep2.Sockets.udp_close ();
+      let srv = a.Sockets.rrp_serve ~port:400 (fun r -> r) in
+      srv.Sockets.rrp_stop ();
+      let srv2 = b.Sockets.rrp_serve ~port:400 (fun r -> r) in
+      srv.Sockets.rrp_stop ();
+      check_bool "rrp port stays bound" true
+        (bind_fails (fun () -> c.Sockets.rrp_serve ~port:400 (fun r -> r)));
+      srv2.Sockets.rrp_stop ())
+
+(* Under rx_coalesce datagram channels join the library's poll
+   episode alongside its TCP connections. *)
+let test_dgram_coalesced () =
+  let w =
+    World.create ~network:World.An1 ~org:Organization.User_library
+      ~tcp_params:Uln_proto.Tcp_params.coalesced ()
+  in
+  let server = World.app w ~host:1 "srv" and client = World.app w ~host:0 "cli" in
+  Sched.spawn (World.sched w) ~name:"udp-echo" (fun () ->
+      let ep = server.Sockets.udp_bind ~port:9 in
+      for _ = 1 to 5 do
+        let src, src_port, data = ep.Sockets.recv_from () in
+        ep.Sockets.sendto ~dst:src ~dst_port:src_port data
+      done;
+      ep.Sockets.udp_close ());
+  Sched.block_on (World.sched w) (fun () ->
+      let srv = server.Sockets.rrp_serve ~port:300 (fun r -> r) in
+      let cl = client.Sockets.rrp_client () in
+      let ep = client.Sockets.udp_bind ~port:10 in
+      for i = 1 to 5 do
+        let msg = string_of_int i in
+        (match cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 (View.of_string msg) with
+        | Ok v -> Alcotest.(check string) "rrp echo" msg (View.to_string v)
+        | Error e -> Alcotest.fail e);
+        ep.Sockets.sendto ~dst:(World.host_ip w 1) ~dst_port:9 (View.of_string msg);
+        let _, _, data = ep.Sockets.recv_from () in
+        Alcotest.(check string) "udp echo" msg (View.to_string data)
+      done;
+      ep.Sockets.udp_close ();
+      cl.Sockets.rrp_client_close ();
+      srv.Sockets.rrp_stop ())
+
 let test_udp_userlib_bypasses_registry () =
   let w = userlib_world () in
   let server = World.app w ~host:1 "srv" in
@@ -703,7 +790,15 @@ let () =
               @ [ Alcotest.test_case "userlib port collision" `Quick
                     test_udp_userlib_port_collision;
                   Alcotest.test_case "userlib bypasses registry" `Quick
-                    test_udp_userlib_bypasses_registry ]);
+                    test_udp_userlib_bypasses_registry;
+                  Alcotest.test_case "udp and rrp share a port number" `Quick
+                    test_udp_rrp_share_port_number;
+                  Alcotest.test_case "rrp server rebinds after stop" `Quick
+                    test_rrp_server_rebinds_after_stop;
+                  Alcotest.test_case "datagram close is idempotent" `Quick
+                    test_dgram_double_close;
+                  Alcotest.test_case "datagrams under rx_coalesce" `Quick
+                    test_dgram_coalesced ]);
       ( "handoff",
         [ Alcotest.test_case "pass between apps" `Quick test_pass_connection_between_apps;
           Alcotest.test_case "requires ownership" `Quick test_pass_connection_requires_ownership ] );

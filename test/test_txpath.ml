@@ -314,6 +314,70 @@ let test_tx_fast_engaged_end_to_end () =
     (ts.Protolib.ts_gso_frames > ts.Protolib.ts_gso_episodes);
   check_bool "pacer engaged" true (ts.Protolib.ts_pacer_waits > 0)
 
+(* Paced connections sharing one library CPU with the application's
+   loaned sends: a blocked send's pacer charge queues behind that work,
+   so a deferral read after the charge comes out negative (one
+   connection of 120 KB on Ethernet sums to about -2.5 ms that way).
+   Every recorded wait must be non-negative, and each one lands in
+   exactly one histogram bucket. *)
+let pacer_stats_shared_cpu ~conns =
+  let n = 120_000 and chunk = 4096 in
+  let w =
+    World.create ~tcp_params:Tcp_params.tx_fast ~network:World.Ethernet
+      ~org:Organization.User_library ()
+  in
+  let sched = World.sched w in
+  let lib host name = Option.get (World.library w ~host name) in
+  let source_lib = lib 0 "source" and sink_lib = lib 1 "sink" in
+  let source = Protolib.app source_lib and sink = Protolib.app sink_lib in
+  let drained = ref 0 and stats = ref None and accepted = ref [] in
+  Sched.spawn sched ~name:"sink" (fun () ->
+      let l = sink.Sockets.listen ~port:4000 in
+      for _ = 1 to conns do
+        let conn = l.Sockets.accept () in
+        accepted := conn :: !accepted;
+        Sched.spawn sched ~name:"drain" (fun () ->
+            let rec drain () =
+              match conn.Sockets.recv ~max:65536 with Some _ -> drain () | None -> ()
+            in
+            drain ();
+            incr drained;
+            if !drained = conns then begin
+              Sched.sleep sched (Time.ms 400);
+              stats := Some (Protolib.txstats source_lib);
+              List.iter (fun c -> c.Sockets.close ()) !accepted
+            end)
+      done);
+  for i = 1 to conns do
+    Sched.spawn sched ~name:(Printf.sprintf "source%d" i) (fun () ->
+        match source.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:4000 with
+        | Error e -> failwith ("txpath connect: " ^ e)
+        | Ok conn ->
+            for k = 0 to (n - 1) / chunk do
+              let len = Stdlib.min chunk (n - (k * chunk)) in
+              match conn.Sockets.alloc_tx len with
+              | Some owned -> conn.Sockets.send_owned owned
+              | None -> conn.Sockets.send (View.create len)
+            done;
+            conn.Sockets.close ())
+  done;
+  Sched.run sched;
+  Option.get !stats
+
+let test_pacer_waits_nonnegative_shared_cpu () =
+  List.iter
+    (fun conns ->
+      let ts = pacer_stats_shared_cpu ~conns in
+      let label what = Printf.sprintf "%d conns: %s" conns what in
+      check_bool (label "pacer engaged") true (ts.Protolib.ts_pacer_waits > 0);
+      check_bool
+        (label (Printf.sprintf "pacer_wait_us %.1f >= 0" ts.Protolib.ts_pacer_wait_us))
+        true
+        (ts.Protolib.ts_pacer_wait_us >= 0.);
+      check (label "histogram total = pacer_waits") ts.Protolib.ts_pacer_waits
+        (List.fold_left (fun a (_, k) -> a + k) 0 ts.Protolib.ts_pacer_hist))
+    [ 1; 2; 4 ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "txpath"
@@ -327,4 +391,6 @@ let () =
       ( "pacing", [ qc prop_pacing_order_and_rate ] );
       ( "tx-fast",
         [ Alcotest.test_case "composed preset engages end to end" `Quick
-            test_tx_fast_engaged_end_to_end ] ) ]
+            test_tx_fast_engaged_end_to_end;
+          Alcotest.test_case "pacer waits non-negative on a shared CPU" `Quick
+            test_pacer_waits_nonnegative_shared_cpu ] ) ]
