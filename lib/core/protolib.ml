@@ -34,8 +34,8 @@ type lib_conn = {
    (TIME_WAIT served locally), so quiet periods are respected. *)
 type lease_home = {
   lh_grant : Registry.lease_grant;
-  mutable lh_free_ports : int list;
-  mutable lh_free_channels : Netio.channel list;
+  lh_free_ports : int Queue.t;
+  lh_free_channels : Netio.channel Queue.t;
 }
 
 (* One endpoint's registration with the library's receive service.
@@ -524,13 +524,13 @@ let leased_parts t ?params ~lh ~channel ~local_port ~dst ~dst_port ~remote_mac (
   let retire () =
     released := true;
     Netio.release_leased t.netio channel ~from_domain:t.dom;
-    lh.lh_free_ports <- lh.lh_free_ports @ [ local_port ];
-    lh.lh_free_channels <- lh.lh_free_channels @ [ channel ]
+    Queue.push local_port lh.lh_free_ports;
+    Queue.push channel lh.lh_free_channels
   in
   match Tcp.connect stack.Stack.tcp ~src_port:local_port ~dst ~dst_port with
   | Error e ->
       retire ();
-      Error e
+      Error (Registry.Refused e)
   | Ok (conn, _established) ->
       (* With the wheel on, the quiet period migrates to the registry:
          the residue joins the next coalesced one-way park message and
@@ -610,12 +610,13 @@ let ensure_lease t =
   | Some lh -> Ok lh
   | None -> (
       match Ipc.call (Registry.lease_port t.registry) ~size:64 t.dom with
-      | Error Registry.Out_of_ports -> Error "lease: out of ports"
+      | Error e -> Error e
       | Ok g ->
           let lh =
             { lh_grant = g;
-              lh_free_ports = List.init g.Registry.lg_count (fun i -> g.Registry.lg_base + i);
-              lh_free_channels = g.Registry.lg_channels }
+              lh_free_ports =
+                Queue.of_seq (Seq.init g.Registry.lg_count (( + ) g.Registry.lg_base));
+              lh_free_channels = Queue.of_seq (List.to_seq g.Registry.lg_channels) }
           in
           t.lease <- Some lh;
           Ok lh)
@@ -633,52 +634,41 @@ let mac_for t dst =
 let connect_leased ?params t ~dst ~dst_port =
   match ensure_lease t with
   | Error e -> Error e
+  | Ok lh when Queue.is_empty lh.lh_free_ports -> Error Registry.Out_of_ports
+  | Ok lh when Queue.is_empty lh.lh_free_channels ->
+      (* Every lease channel is on a live connection: fall back to a
+         per-connection registry setup rather than block. *)
+      t.lease_fallbacks <- t.lease_fallbacks + 1;
+      connect_via_registry ?params t ~src_port:0 ~dst ~dst_port
   | Ok lh -> (
-      match (lh.lh_free_ports, lh.lh_free_channels) with
-      | [], _ -> Error "lease: out of ports"
-      | _, [] ->
-          (* Every lease channel is on a live connection: fall back to a
-             per-connection registry setup rather than block. *)
-          t.lease_fallbacks <- t.lease_fallbacks + 1;
-          Result.map_error Registry.error_to_string
-            (connect_via_registry ?params t ~src_port:0 ~dst ~dst_port)
-      | port :: more_ports, ch :: more_chs -> (
-          charge t Calibration.lease_local_alloc;
-          lh.lh_free_ports <- more_ports;
-          lh.lh_free_channels <- more_chs;
-          let undo () =
-            lh.lh_free_ports <- lh.lh_free_ports @ [ port ];
-            lh.lh_free_channels <- lh.lh_free_channels @ [ ch ]
-          in
-          match
-            try
-              Ok
-                (Netio.activate_leased t.netio ch ~from_domain:t.dom
-                   ~lease:lh.lh_grant.Registry.lg_lease ~remote_ip:dst ~remote_port:dst_port
-                   ~local_port:port)
-            with Uln_host.Capability.Violation m -> Error m
-          with
-          | Error e ->
-              undo ();
-              Error e
-          | Ok () ->
-              t.leased_connects <- t.leased_connects + 1;
-              let remote_mac = mac_for t dst in
-              leased_parts t ?params ~lh ~channel:ch ~local_port:port ~dst ~dst_port
-                ~remote_mac ()))
+      let port = Queue.pop lh.lh_free_ports and ch = Queue.pop lh.lh_free_channels in
+      charge t Calibration.lease_local_alloc;
+      match
+        try
+          Ok
+            (Netio.activate_leased t.netio ch ~from_domain:t.dom
+               ~lease:lh.lh_grant.Registry.lg_lease ~remote_ip:dst ~remote_port:dst_port
+               ~local_port:port)
+        with Uln_host.Capability.Violation m -> Error (Registry.Refused m)
+      with
+      | Error e ->
+          Queue.push port lh.lh_free_ports;
+          Queue.push ch lh.lh_free_channels;
+          Error e
+      | Ok () ->
+          t.leased_connects <- t.leased_connects + 1;
+          let remote_mac = mac_for t dst in
+          leased_parts t ?params ~lh ~channel:ch ~local_port:port ~dst ~dst_port ~remote_mac ())
 
 (* Typed connect: quota denials surface as {!Registry.Quota_exceeded}
-   so multi-tenant callers can shed load and retry instead of parsing a
-   message.  The leased fast path never consults the registry per
-   connection, so its failures stay descriptive. *)
+   and port exhaustion (of the registry's ranges or of the library's
+   lease) as {!Registry.Out_of_ports}, so multi-tenant callers can shed
+   load and retry instead of parsing a message. *)
 let connect_q ?params t ~src_port ~dst ~dst_port =
   let prm = match params with Some p -> Some p | None -> t.tcp_params in
   let leased = switch prm (fun p -> p.Uln_proto.Tcp_params.endpoint_lease) in
   (* An explicit source port lies outside any leased block: registry path. *)
-  if leased && src_port = 0 then
-    match connect_leased ?params t ~dst ~dst_port with
-    | Ok c -> Ok c
-    | Error e -> Error (Registry.Refused e)
+  if leased && src_port = 0 then connect_leased ?params t ~dst ~dst_port
   else connect_via_registry ?params t ~src_port ~dst ~dst_port
 
 let connect ?params t ~src_port ~dst ~dst_port =
@@ -709,7 +699,7 @@ let listen t ~port =
    registry-backed ARP fill for a destination. *)
 let dgram_bind t kind ~port =
   match Ipc.call (Registry.bind_dgram_port t.registry) ~size:32 (t.dom, kind, port) with
-  | Error e -> failwith ("bind: " ^ e)
+  | Error e -> Error ("bind: " ^ Registry.error_to_string e)
   | Ok (channel, port) ->
       let stack, _ = endpoint t channel in
       let closed = ref false in
@@ -730,10 +720,13 @@ let dgram_bind t kind ~port =
           Ipc.call (Registry.release_dgram_port t.registry) ~size:16 (kind, port, channel)
         end
       in
-      (stack, port, close, ensure_mac)
+      Ok (stack, port, close, ensure_mac)
+
+(* An explicit port that is taken is the caller's error. *)
+let bound = function Ok b -> b | Error e -> failwith e
 
 let udp_bind t ~port =
-  let stack, port, close, ensure_mac = dgram_bind t Registry.Udp ~port in
+  let stack, port, close, ensure_mac = bound (dgram_bind t Registry.Udp ~port) in
   let c = costs t in
   let ep = Uln_proto.Udp.bind stack.Stack.udp ~port in
   { Sockets.sendto =
@@ -756,17 +749,19 @@ let udp_bind t ~port =
 (* The request-response transport through the same binding phase:
    software demux, source-pinning template, direct data path. *)
 let rrp_client t =
-  let stack, port, close, ensure_mac = dgram_bind t (Registry.Rrp `Client) ~port:0 in
-  let c = costs t in
-  { Sockets.rrp_call =
-      (fun ~dst ~dst_port data ->
-        charge t (Time.span_add c.Costs.library_call Calibration.userlib_per_write);
-        ensure_mac dst;
-        Uln_proto.Rrp.call stack.Stack.rrp ~src_port:port ~dst ~dst_port data);
-    rrp_client_close = close }
+  Result.map
+    (fun (stack, port, close, ensure_mac) ->
+      let c = costs t in
+      { Sockets.rrp_call =
+          (fun ~dst ~dst_port data ->
+            charge t (Time.span_add c.Costs.library_call Calibration.userlib_per_write);
+            ensure_mac dst;
+            Uln_proto.Rrp.call stack.Stack.rrp ~src_port:port ~dst ~dst_port data);
+        rrp_client_close = close })
+    (dgram_bind t (Registry.Rrp `Client) ~port:0)
 
 let rrp_serve t ~port handler =
-  let stack, port, close, _ = dgram_bind t (Registry.Rrp `Server) ~port in
+  let stack, port, close, _ = bound (dgram_bind t (Registry.Rrp `Server) ~port) in
   let c = costs t in
   let srv =
     Uln_proto.Rrp.serve stack.Stack.rrp ~port (fun req ->
@@ -828,7 +823,7 @@ let exit_app t ~graceful =
   | Some lh ->
       t.lease <- None;
       Ipc.call (Registry.release_lease_port t.registry) ~size:32
-        { lh.lh_grant with Registry.lg_channels = lh.lh_free_channels }
+        { lh.lh_grant with Registry.lg_channels = List.of_seq (Queue.to_seq lh.lh_free_channels) }
 
 let conns t = List.rev_map (fun lc -> (lc.stack.Stack.tcp, lc.conn)) t.conns
 
@@ -945,7 +940,7 @@ let leasestats t =
   let fp, fc =
     match t.lease with
     | None -> (0, 0)
-    | Some lh -> (List.length lh.lh_free_ports, List.length lh.lh_free_channels)
+    | Some lh -> (Queue.length lh.lh_free_ports, Queue.length lh.lh_free_channels)
   in
   { lst_leased_connects = t.leased_connects;
     lst_fallbacks = t.lease_fallbacks;

@@ -58,9 +58,11 @@ val connect_q :
   dst_port:int ->
   (Sockets.conn, Registry.error) result
 (** Like the socket interface's [connect] but with the registry's typed
-    error: a {!Registry.Quota_exceeded} denial is distinguishable from
-    other refusals, so multi-tenant applications can shed connections
-    and retry rather than parse a message. *)
+    error: a {!Registry.Quota_exceeded} denial, and a
+    {!Registry.Out_of_ports} when the registry's ports or the library's
+    lease are used up, are distinguishable from other refusals, so
+    multi-tenant applications can shed connections and retry rather
+    than parse a message. *)
 
 val pass_connection : t -> Sockets.conn -> to_lib:t -> Sockets.conn
 (** Hand an established connection to another application on the same

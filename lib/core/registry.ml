@@ -37,13 +37,14 @@ type connect_req = {
 type accept_req = { a_app : Addr_space.t; a_port : int }
 type dgram = Udp | Rrp of [ `Server | `Client ]
 
-(* Typed service errors.  [Quota_exceeded] is the admission-control
-   outcome a library can recover from (shed load, close connections,
+(* Typed service errors.  [Quota_exceeded] and [Out_of_ports] are
+   outcomes a library can recover from (shed load, release ports,
    retry); everything else stays a descriptive refusal. *)
 type quota_resource = Conns | Mem
 
 type error =
   | Quota_exceeded of { principal : string; resource : quota_resource; used : int; limit : int }
+  | Out_of_ports
   | Refused of string
 
 let error_to_string = function
@@ -51,6 +52,7 @@ let error_to_string = function
       Printf.sprintf "quota exceeded for %s: %s %d of %d" principal
         (match resource with Conns -> "connections" | Mem -> "channel bytes")
         used limit
+  | Out_of_ports -> "out of ports"
   | Refused m -> m
 
 (* Per-tenant admission quota: ceilings on concurrently granted
@@ -94,8 +96,6 @@ type lease_grant = {
   lg_channels : Netio.channel list;
 }
 
-type lease_error = Out_of_ports
-
 (* Per-connection wall-clock legs of the most recent setups, for the
    observability surface (netlab stats). *)
 type leg_totals = {
@@ -134,7 +134,7 @@ type shard = {
   sh_tw_entries : (int32 * int * int, tw_entry) Hashtbl.t;
   sh_tw_order : tw_entry Queue.t;
   sh_inherit_filters : (int32 * int * int, Demux.key) Hashtbl.t;
-  mutable sh_ephemeral : int;
+  sh_space : Port_space.t; (* this shard's residue class of 49152-65535 *)
   sh_post : (unit -> unit, unit) Ipc.t option; (* Some only when sharded *)
 }
 
@@ -174,16 +174,16 @@ type t = {
   release_p : (int * Netio.channel, unit) Ipc.t;
   inherit_p : (Tcp.snapshot * Netio.channel * bool, unit) Ipc.t;
   inherit_batch_p : ((Tcp.snapshot * Netio.channel) list * bool, unit) Ipc.t;
-  lease_p : (Addr_space.t, (lease_grant, lease_error) result) Ipc.t;
+  lease_p : (Addr_space.t, (lease_grant, error) result) Ipc.t;
   release_lease_p : (lease_grant, unit) Ipc.t;
   park_tw_p : ((Ip.t * int * int) list, unit) Ipc.t;
-  bind_dgram_p : (Addr_space.t * dgram * int, (Netio.channel * int, string) result) Ipc.t;
+  bind_dgram_p : (Addr_space.t * dgram * int, (Netio.channel * int, error) result) Ipc.t;
   release_dgram_p : (dgram * int * Netio.channel, unit) Ipc.t;
   resolve_p : (Ip.t, Mac.t) Ipc.t;
   (* Datagram bindings keyed by (IP protocol, port): UDP (17) and RRP
      (81) port spaces are disjoint, as on the wire. *)
   dgram_ports : (int * int, unit) Hashtbl.t;
-  mutable dgram_ephemeral : int;
+  dgram_space : Port_space.t; (* client ports, 40001-65535 *)
 }
 
 let domain t = t.dom
@@ -626,10 +626,6 @@ let do_park_tw t residues =
       residues
 
 let make_shard machine ~sharded ~nshards i =
-  let n = nshards in
-  let base = 49152 in
-  (* first port >= base in this shard's residue class *)
-  let eph0 = base + (((i - base) mod n + n) mod n) in
   { sh_idx = i;
     sh_cpu = i;
     sh_lock =
@@ -642,7 +638,7 @@ let make_shard machine ~sharded ~nshards i =
     sh_tw_entries = Hashtbl.create 64;
     sh_tw_order = Queue.create ();
     sh_inherit_filters = Hashtbl.create 64;
-    sh_ephemeral = eph0;
+    sh_space = Port_space.create ~stride:nshards ~residue:i ~lo:49152 ~hi:65535 ();
     sh_post =
       (if sharded then
          Some
@@ -739,7 +735,7 @@ let rec create machine netio ~ip ?tcp_params ?(quota = default_quota) () =
          release_dgram_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.release_dgram";
          resolve_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.resolve";
          dgram_ports = Hashtbl.create 16;
-         dgram_ephemeral = 40000 })
+         dgram_space = Port_space.create ~lo:40001 ~hi:65535 () })
   in
   let t = Lazy.force t in
   (* Receive loop: handshake/ARP traffic routed to the registry channel. *)
@@ -875,23 +871,6 @@ and resolve_mac t dst =
       Sched.suspend (fun wake -> resume := wake);
       (match !result with Some m -> m | None -> Mac.broadcast)
 
-(* Allocate from [sh]'s residue class (all ports p with p mod nshards =
-   sh_idx), so the port's own routing lands back on [sh] — the
-   colocation invariant.  With one shard this is the classic 49152-65535
-   cursor.  Caller holds [sh]'s lock when sharded. *)
-and alloc_ephemeral t sh =
-  let step = t.nshards in
-  let limit = 16384 / step in
-  let base = 49152 in
-  let class_start = base + (((sh.sh_idx - base) mod step + step) mod step) in
-  let rec go n =
-    if n > limit then failwith "registry: out of ephemeral ports";
-    let p = sh.sh_ephemeral in
-    sh.sh_ephemeral <- (if p + step > 65535 then class_start else p + step);
-    if Hashtbl.mem sh.sh_ports p then go (n + 1) else p
-  in
-  go 0
-
 and do_connect t (req : connect_req) =
   let sched = t.machine.Machine.sched in
   let t0 = Sched.now sched in
@@ -907,15 +886,18 @@ and do_connect t (req : connect_req) =
       let unreserve () = tenant_release t principal in
       let claim =
         shard_sync ~site:"registry.connect" t sh (fun () ->
-            let src_port =
-              if req.c_src_port = 0 then alloc_ephemeral t sh else req.c_src_port
-            in
-            if Hashtbl.mem sh.sh_ports src_port then
-              Error (Refused (Printf.sprintf "port %d in use" src_port))
-            else begin
-              Hashtbl.replace sh.sh_ports src_port In_use;
-              Ok src_port
-            end)
+            (* An ephemeral port comes from [sh]'s residue class, so its
+               own routing lands back on [sh] (the colocation invariant). *)
+            match
+              if req.c_src_port = 0 then Port_space.take sh.sh_space ~held:(Hashtbl.mem sh.sh_ports)
+              else Ok req.c_src_port
+            with
+            | Error Port_space.Exhausted -> Error Out_of_ports
+            | Ok src_port when Hashtbl.mem sh.sh_ports src_port ->
+                Error (Refused (Printf.sprintf "port %d in use" src_port))
+            | Ok src_port ->
+                Hashtbl.replace sh.sh_ports src_port In_use;
+                Ok src_port)
       in
       match claim with
       | Error e ->
@@ -1175,29 +1157,17 @@ and do_inherit_one t (snapshot, channel) ~graceful =
     end
   end
 
-and port_taken t p = Hashtbl.mem (shard_of_port t p).sh_ports p
-
-and find_lease_block t =
-  let block = Calibration.lease_block_ports in
-  let free_from base =
-    let rec go p = p >= base + block || ((not (port_taken t p)) && go (p + 1)) in
-    go base
-  in
-  let rec scan base =
-    if base + block > 65536 then None
-    else if free_from base then Some base
-    else scan (base + block)
-  in
-  scan 49152
-
 and do_lease t app =
   (* One IPC buys a port block, the kernel-side lease (pre-verified
      filter/template shape) and a set of ready channels. *)
   charge t Calibration.lease_grant;
-  match find_lease_block t with
-  | None -> Error Out_of_ports
-  | Some base ->
-      let block = Calibration.lease_block_ports in
+  let block = Calibration.lease_block_ports in
+  match
+    Port_space.find_block ~lo:49152 ~hi:65535 ~size:block ~held:(fun p ->
+        Hashtbl.mem (shard_of_port t p).sh_ports p)
+  with
+  | Error Port_space.Exhausted -> Error Out_of_ports
+  | Ok base ->
       for p = base to base + block - 1 do
         let sh = shard_of_port t p in
         shard_sync ~site:"registry.lease" t sh (fun () ->
@@ -1232,27 +1202,16 @@ and do_release_lease t (g : lease_grant) =
   t.leases_active <- t.leases_active - 1
 
 (* The binding phase of every connectionless endpoint (paper SS5): one
-   (protocol, port) table, one client-port allocator, one channel
-   build.  Client ports come round robin from 40001-65535, skipping any
-   port of the protocol still bound (served ports included). *)
-and dgram_client_port t kind =
-  let rec go n =
-    if n > 65535 - 40000 then None
-    else begin
-      t.dgram_ephemeral <- (if t.dgram_ephemeral >= 65535 then 40001 else t.dgram_ephemeral + 1);
-      if Hashtbl.mem t.dgram_ports (dgram_key kind t.dgram_ephemeral) then go (n + 1)
-      else Some t.dgram_ephemeral
-    end
-  in
-  go 1
-
+   (protocol, port) table, one client-port cursor, one channel build.
+   Client ports skip any port of the protocol still bound (served ports
+   included). *)
 and do_bind_dgram t (app, kind, port) =
   let name = match kind with Udp -> "udp" | Rrp _ -> "rrp" in
-  match if port = 0 then dgram_client_port t kind else Some port with
-  | None -> Error (Printf.sprintf "every %s client port is bound" name)
-  | Some port when Hashtbl.mem t.dgram_ports (dgram_key kind port) ->
-      Error (Printf.sprintf "%s port %d in use" name port)
-  | Some port ->
+  let held p = Hashtbl.mem t.dgram_ports (dgram_key kind p) in
+  match if port = 0 then Port_space.take t.dgram_space ~held else Ok port with
+  | Error Port_space.Exhausted -> Error Out_of_ports
+  | Ok port when held port -> Error (Refused (Printf.sprintf "%s port %d in use" name port))
+  | Ok port ->
       charge t Calibration.registry_port_alloc;
       let src_ip = t.my_ip in
       let filter, template =
@@ -1268,7 +1227,7 @@ and do_bind_dgram t (app, kind, port) =
       let ch = Netio.create_channel t.netio ~caller:t.dom ~owner:app ~use_bqi:false in
       let refuse e =
         Netio.destroy_channel t.netio ~caller:t.dom ch;
-        Error e
+        Error (Refused e)
       in
       match Netio.filter_conflict t.netio ch filter with
       | Some desc -> refuse (conflict_error desc)

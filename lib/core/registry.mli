@@ -36,6 +36,9 @@ type error =
           address space is at its concurrent-connection or pinned
           channel-memory ceiling.  Recoverable — shed connections and
           retry. *)
+  | Out_of_ports
+      (** every port the request could be given is held; recoverable —
+          release ports and retry *)
   | Refused of string  (** any other refusal, descriptive *)
 
 val error_to_string : error -> string
@@ -93,11 +96,11 @@ type dgram = Udp | Rrp of [ `Server | `Client ]
 
 val bind_dgram_port :
   t ->
-  (Uln_host.Addr_space.t * dgram * int, (Netio.channel * int, string) result) Uln_host.Ipc.t
+  (Uln_host.Addr_space.t * dgram * int, (Netio.channel * int, error) result) Uln_host.Ipc.t
 (** The binding phase for connectionless protocols (paper §5):
     [(app, kind, port)] — port 0 allocates a client port, round robin
-    over 40001-65535, skipping bound ones.  Builds a channel whose
-    filter matches datagrams to the port and whose template pins the
+    over 40001-65535, skipping bound ones ({!Out_of_ports} when all
+    are).  Builds a channel whose filter matches datagrams to the port and whose template pins the
     sender's own address/port, and returns it with the port.  Ports are
     keyed by (IP protocol, port), so UDP (17) and RRP (81) hold the same
     number independently.  Demultiplexing is software-only — with no
@@ -136,18 +139,14 @@ type lease_grant = {
   lg_channels : Netio.channel list;  (** pre-built channels, recycled per connection *)
 }
 
-type lease_error = Out_of_ports
-(** No aligned block of free ports remains — typed so libraries can fall
-    back to per-connection registry IPC (or surface the exhaustion). *)
-
-val lease_port :
-  t -> (Uln_host.Addr_space.t, (lease_grant, lease_error) result) Uln_host.Ipc.t
+val lease_port : t -> (Uln_host.Addr_space.t, (lease_grant, error) result) Uln_host.Ipc.t
 (** Grant an endpoint lease: one IPC charges
     {!Calibration.lease_grant} plus the channel builds, marks the block
     in the port namespace, and registers the kernel lease.  Subsequent
     connects under the lease never call the registry: the library stamps
     the pre-verified filter/template in the kernel
-    ({!Netio.activate_leased}) and runs the handshake itself. *)
+    ({!Netio.activate_leased}) and runs the handshake itself.
+    {!Out_of_ports} when no aligned block is free. *)
 
 val release_lease_port : t -> (lease_grant, unit) Uln_host.Ipc.t
 (** Return a lease: revokes the kernel capability, frees the port block

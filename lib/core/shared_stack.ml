@@ -58,7 +58,8 @@ type t = {
      under `Per_conn. *)
   locks : Mutex.t array;
   port_cpu : (int, int) Hashtbl.t;
-  mutable ephemeral : int;
+  ephemeral : Port_space.t; (* TCP connects and RRP clients *)
+  rrp_clients : (int, unit) Hashtbl.t;
 }
 
 and boundary = {
@@ -291,7 +292,8 @@ let create org machine (nic : Nic.t) ~ip ~tcp_params () =
   in
   let t =
     { boundary; machine; an1 = nic.Nic.bqi <> None; stacks; locks; port_cpu = Hashtbl.create 16;
-      ephemeral = 49152 }
+      ephemeral = Port_space.create ~first:49153 ~lo:49152 ~hi:65535 ();
+      rrp_clients = Hashtbl.create 16 }
   in
   let qs = Array.init n (fun _ -> Mailbox.create ()) in
   nic.Nic.install_rx (fun info ->
@@ -337,18 +339,12 @@ let create org machine (nic : Nic.t) ~ip ~tcp_params () =
 
 let stacks t = Array.to_list t.stacks
 
-(* The next port of 49152-65535, round robin, skipping any port a
-   listener or connection of any stack still holds (TIME_WAIT
-   included).  TCP connects and RRP clients share the cursor. *)
+(* A port is held while a listener or connection of any stack (TIME_WAIT
+   included) or an open RRP client has it. *)
 let ephemeral t =
-  let rec next tries =
-    if tries > 16384 then failwith "Shared_stack: out of ephemeral ports";
-    t.ephemeral <- (if t.ephemeral >= 65535 then 49152 else t.ephemeral + 1);
-    if Array.exists (fun s -> Tcp.port_in_use s.Stack.tcp t.ephemeral) t.stacks then
-      next (tries + 1)
-    else t.ephemeral
-  in
-  next 1
+  Port_space.take t.ephemeral ~held:(fun p ->
+      Hashtbl.mem t.rrp_clients p || Array.exists (fun s -> Tcp.port_in_use s.Stack.tcp p) t.stacks)
+  |> Result.map_error (fun Port_space.Exhausted -> "out of ports")
 
 (* --- the socket facade ----------------------------------------------------- *)
 
@@ -394,11 +390,11 @@ let app ?(cpu = 0) t ~name =
   let pin port = if n > 1 then Hashtbl.replace t.port_cpu port idx in
   let connect ~src_port ~dst ~dst_port =
     call Open;
-    let src_port = if src_port = 0 then ephemeral t else src_port in
-    pin src_port;
-    match Tcp.connect stack.Stack.tcp ~src_port ~dst ~dst_port with
-    | Ok (conn, _established) -> Ok (wrap_conn t cpu conn)
-    | Error e -> Error e
+    Result.bind (if src_port = 0 then ephemeral t else Ok src_port) (fun src_port ->
+        pin src_port;
+        Result.map
+          (fun (conn, _established) -> wrap_conn t cpu conn)
+          (Tcp.connect stack.Stack.tcp ~src_port ~dst ~dst_port))
   in
   let listen ~port =
     call (Ctl 16);
@@ -432,15 +428,18 @@ let app ?(cpu = 0) t ~name =
   in
   let rrp_client () =
     call (Ctl 16);
-    let port = ephemeral t in
-    pin port;
-    { Sockets.rrp_call =
-        (fun ~dst ~dst_port data ->
-          call (Put (View.length data));
-          let r = Rrp.call stack.Stack.rrp ~src_port:port ~dst ~dst_port data in
-          (match r with Ok v -> reply (Got (View.length v, false)) | Error _ -> ());
-          r);
-      rrp_client_close = ignore }
+    Result.map
+      (fun port ->
+        pin port;
+        Hashtbl.replace t.rrp_clients port ();
+        { Sockets.rrp_call =
+            (fun ~dst ~dst_port data ->
+              call (Put (View.length data));
+              let r = Rrp.call stack.Stack.rrp ~src_port:port ~dst ~dst_port data in
+              (match r with Ok v -> reply (Got (View.length v, false)) | Error _ -> ());
+              r);
+          rrp_client_close = (fun () -> Hashtbl.remove t.rrp_clients port) })
+      (ephemeral t)
   in
   let rrp_serve ~port handler =
     call (Ctl 16);

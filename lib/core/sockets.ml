@@ -35,7 +35,7 @@ type app = {
     src_port:int -> dst:Uln_addr.Ip.t -> dst_port:int -> (conn, string) result;
   listen : port:int -> listener;
   udp_bind : port:int -> udp_endpoint;
-  rrp_client : unit -> rrp_client;
+  rrp_client : unit -> (rrp_client, string) result;
   rrp_serve : port:int -> (Uln_buf.View.t -> Uln_buf.View.t) -> rrp_service;
   exit_app : graceful:bool -> unit;
 }

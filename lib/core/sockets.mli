@@ -72,8 +72,9 @@ type app = {
   listen : port:int -> listener;
   udp_bind : port:int -> udp_endpoint;
       (** claim a UDP port (raises [Failure] if taken) *)
-  rrp_client : unit -> rrp_client;
-      (** an RRP client endpoint on an ephemeral port *)
+  rrp_client : unit -> (rrp_client, string) result;
+      (** an RRP client endpoint on an ephemeral port, held until
+          [rrp_client_close]; [Error] when every client port is held *)
   rrp_serve : port:int -> (Uln_buf.View.t -> Uln_buf.View.t) -> rrp_service;
       (** answer RRP requests on a port with at-most-once semantics *)
   exit_app : graceful:bool -> unit;

@@ -316,8 +316,7 @@ let saturation ?(seeds = seeds) ~prm conf =
       ("saturation_max_rps", jfloat (List.fold_left Stdlib.max neg_infinity sats));
       ("saturation_seeds", jint (List.length seeds)) ] )
 
-let measured ?seeds ~scenario ~config ~prm conf mult =
-  let sat, sat_fields = saturation ?seeds ~prm conf in
+let measured ~scenario ~config ~prm ~sat:(sat, sat_fields) conf mult =
   let r =
     Scenario.measure ~tcp_params:prm ~network:scenario_network
       { conf with Scenario.rate = mult *. sat }
@@ -337,11 +336,12 @@ let rpc_cell ?(tag = false) ?(seeds = seeds) ~scenario ~requests ~config ?(prese
   spec name ~preset_name:config ~preset ~keys:rpc_keys
     ~size:(Printf.sprintf "%d requests, saturation x %d seeds" requests (List.length seeds))
     (fun prm ->
-      [ measured ~seeds ~scenario ~config ~prm { conf with Scenario.requests } 0.7
+      let conf = { conf with Scenario.requests } in
+      [ measured ~scenario ~config ~prm ~sat:(saturation ~seeds ~prm conf) conf 0.7
         @ if tag then [ ("row", jstr name) ] else [] ])
 
-(* One overload configuration: its seed-averaged saturation rate, then
-   one open-loop run per offered multiple of it. *)
+(* One overload configuration: its seed-averaged saturation rate,
+   probed once, then one open-loop run per offered multiple of it. *)
 let overload_cell ?(mults = [ 0.5; 1.0; 2.0; 4.0 ]) ?(requests = 200) ?seeds ~config ~preset name =
   let conf = Scenario.incast ~requests () in
   spec name ~preset_name:config ~preset
@@ -352,9 +352,10 @@ let overload_cell ?(mults = [ 0.5; 1.0; 2.0; 4.0 ]) ?(requests = 200) ?seeds ~co
       (Printf.sprintf "%d requests, %s saturation" requests
          (String.concat "/" (List.map (Printf.sprintf "%gx") mults)))
     (fun prm ->
+      let sat = saturation ?seeds ~prm conf in
       List.map
         (fun mult ->
-          measured ?seeds ~scenario:"incast/overload" ~config ~prm conf mult
+          measured ~scenario:"incast/overload" ~config ~prm ~sat conf mult
           @ [ ("multiplier", jfloat mult) ])
         mults)
 
@@ -624,7 +625,8 @@ let targets =
     (* Six concurrent pairs saturate the shared client host, so the
        ladder measures the CPU cost per connection of each
        configuration; the reference organizations run [fast] too. *)
-    table "churn" "Connection churn: setup fast-path ladder, then 64k-1M populated servers"
+    table ~diffcheck:true "churn"
+      "Connection churn: setup fast-path ladder, then 64k-1M populated servers"
       (List.map (fun (config, prm) -> churn_cell ~config config prm) Churn.configs
       @ List.map
           (fun org ->
@@ -735,7 +737,8 @@ let targets =
            [ "(specialized protocols achieve remarkably low latencies but do not";
              " always deliver the highest throughput - both run as libraries)" ])
       (List.map motivation_cell [ World.Ethernet; World.An1 ]);
-    table "contention" "Shared-segment scaling: aggregate goodput vs concurrent pairs (Ethernet)"
+    table ~diffcheck:true "contention"
+      "Shared-segment scaling: aggregate goodput vs concurrent pairs (Ethernet)"
       ~trailer:
         (notes
            [ "(distinct sender/receiver pairs share the 10 Mb/s medium; aggregate";

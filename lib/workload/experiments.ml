@@ -493,7 +493,7 @@ let rrp_calls ?(warmup = 0) ~calls ~size ~reply ~network ~org () =
   let server = World.app w ~host:1 "rrp-server" and client = World.app w ~host:0 "rrp-client" in
   Sched.block_on (World.sched w) (fun () ->
       let _svc = server.Sockets.rrp_serve ~port:300 reply in
-      let cl = client.Sockets.rrp_client () in
+      let cl = Result.fold ~ok:Fun.id ~error:failwith (client.Sockets.rrp_client ()) in
       let payload = Uln_buf.View.create size in
       let call () = ignore (cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 payload) in
       for _ = 1 to warmup do

@@ -397,7 +397,7 @@ let test_rrp_server_rebinds_after_stop () =
       let srv = a.Sockets.rrp_serve ~port:300 (fun r -> r) in
       srv.Sockets.rrp_stop ();
       let srv2 = b.Sockets.rrp_serve ~port:300 (fun _ -> View.of_string "b") in
-      let cl = peer.Sockets.rrp_client () in
+      let cl = Result.get_ok (peer.Sockets.rrp_client ()) in
       (match cl.Sockets.rrp_call ~dst:(World.host_ip w 0) ~dst_port:300 (View.of_string "q") with
       | Ok v -> Alcotest.(check string) "new server answers" "b" (View.to_string v)
       | Error e -> Alcotest.fail e);
@@ -439,7 +439,7 @@ let test_dgram_coalesced () =
       ep.Sockets.udp_close ());
   Sched.block_on (World.sched w) (fun () ->
       let srv = server.Sockets.rrp_serve ~port:300 (fun r -> r) in
-      let cl = client.Sockets.rrp_client () in
+      let cl = Result.get_ok (client.Sockets.rrp_client ()) in
       let ep = client.Sockets.udp_bind ~port:10 in
       for i = 1 to 5 do
         let msg = string_of_int i in
@@ -584,7 +584,7 @@ let test_rrp_client_ports_wrap () =
   let bound = ref 0 in
   Sched.block_on (World.sched w) (fun () ->
       for _ = 1 to n do
-        let cl = app.Sockets.rrp_client () in
+        let cl = Result.get_ok (app.Sockets.rrp_client ()) in
         incr bound;
         cl.Sockets.rrp_client_close ()
       done);
@@ -596,10 +596,135 @@ let test_rrp_client_skips_served_port () =
   Sched.block_on (World.sched w) (fun () ->
       let _local = app.Sockets.rrp_serve ~port:40001 (fun r -> r) in
       let _echo = peer.Sockets.rrp_serve ~port:300 (fun r -> r) in
-      let cl = app.Sockets.rrp_client () in
+      let cl = Result.get_ok (app.Sockets.rrp_client ()) in
       match cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 (View.of_string "ping") with
       | Ok v -> Alcotest.(check string) "echo" "ping" (View.to_string v)
       | Error e -> Alcotest.fail e)
+
+(* One tenant leasing every port block must not take the registry down:
+   another application's ephemeral connect gets the typed
+   [Out_of_ports], an explicit port still connects, and a returned
+   block makes ephemeral connects work again.  Two CPUs, so the sharded
+   registry really runs two residue classes. *)
+let lease_hog_case sharded =
+  Alcotest.test_case (Printf.sprintf "lease hog, %s registry"
+                        (if sharded then "sharded" else "flat")) `Quick (fun () ->
+      let w =
+        World.create ~costs:Uln_host.Costs.zero ~cpus:2
+          ~tcp_params:{ Uln_proto.Tcp_params.default with shard_registry = sharded }
+          ~network:World.Ethernet ~org:Organization.User_library ()
+      in
+      let reg = Option.get (World.registry w 0) in
+      let hog = Uln_host.Machine.new_user_domain (World.machine w 0) "hog" in
+      let lib = Option.get (World.library w ~host:0 "victim") in
+      let server = World.app w ~host:1 "server" in
+      Sched.spawn (World.sched w) ~name:"server" (fun () ->
+          let l = server.Sockets.listen ~port:80 in
+          for _ = 1 to 2 do
+            (l.Sockets.accept ()).Sockets.close ()
+          done);
+      let connect src_port =
+        Uln_core.Protolib.connect_q lib ~src_port ~dst:(World.host_ip w 1) ~dst_port:80
+      in
+      let connects label src_port =
+        match connect src_port with
+        | Ok c -> c.Sockets.close ()
+        | Error e -> Alcotest.failf "%s: %s" label (Registry.error_to_string e)
+      in
+      Sched.block_on (World.sched w) (fun () ->
+          let lease () = Uln_host.Ipc.call (Registry.lease_port reg) ~size:32 hog in
+          let rec grab held =
+            match lease () with
+            | Ok g -> grab (g :: held)
+            | Error e ->
+                check_bool "lease exhaustion is typed" true (e = Registry.Out_of_ports);
+                held
+          in
+          let held = grab [] in
+          check "every block leased" (16384 / Uln_core.Calibration.lease_block_ports)
+            (List.length held);
+          check_bool "ephemeral connect gets Out_of_ports" true
+            (match connect 0 with Error Registry.Out_of_ports -> true | _ -> false);
+          connects "explicit port" 40000;
+          Uln_host.Ipc.call (Registry.release_lease_port reg) ~size:32 (List.hd held);
+          connects "ephemeral after a release" 0))
+
+(* Shared-stack RRP clients hold their ports until closed: the 16,385th
+   client, opened after 16,383 others came and went, must not be given
+   the first one's port while it is still open. *)
+let test_shared_rrp_ports_held () =
+  let w =
+    World.create ~costs:Uln_host.Costs.zero ~network:World.Ethernet ~org:Organization.In_kernel ()
+  in
+  let app = World.app w ~host:0 "rrp" and peer = World.app w ~host:1 "peer" in
+  let sched = World.sched w in
+  let client () = Result.get_ok (app.Sockets.rrp_client ()) in
+  let call cl = cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 (View.of_string "q") in
+  Sched.block_on sched (fun () ->
+      let _echo = peer.Sockets.rrp_serve ~port:300 (fun r -> r) in
+      let first = client () in
+      for _ = 2 to 16_384 do
+        (client ()).Sockets.rrp_client_close ()
+      done;
+      let last = client () in
+      let first_r = ref None in
+      Sched.spawn sched ~name:"first" (fun () -> first_r := Some (call first));
+      let last_r = call last in
+      while Option.is_none !first_r do
+        Sched.sleep sched (Time.ms 10)
+      done;
+      List.iter
+        (fun (label, r) -> Result.iter_error (Alcotest.failf "%s client: %s" label) r)
+        [ ("first", Option.get !first_r); ("last", last_r) ])
+
+module Port_space = Uln_core.Port_space
+
+let takes sp ~held n = List.init n (fun _ -> Result.get_ok (Port_space.take sp ~held))
+let ports = Alcotest.(check (list int))
+let none _ = false
+
+let test_port_space_wrap () =
+  ports "from [first], wrapping" [ 9; 5; 6; 7; 8; 9 ]
+    (takes (Port_space.create ~first:9 ~lo:5 ~hi:9 ()) ~held:none 6)
+
+let test_port_space_skip_held () =
+  ports "held ports skipped" [ 5; 8; 9; 5; 8 ]
+    (takes (Port_space.create ~lo:5 ~hi:9 ()) ~held:(fun p -> p = 6 || p = 7) 5)
+
+(* With n shards, shard i's class is every port p of 49152-65535 with
+   p mod n = i: the classes partition the range, and each wraps to its
+   own lowest port. *)
+let test_port_space_residue () =
+  List.iter
+    (fun n ->
+      let seen = Hashtbl.create 16384 in
+      for i = 0 to n - 1 do
+        let sp = Port_space.create ~stride:n ~residue:i ~lo:49152 ~hi:65535 () in
+        let got = takes sp ~held:none ((16384 / n) + 1) in
+        List.iteri
+          (fun k p ->
+            check_bool (Printf.sprintf "%d shards: %d in class %d" n p i) true (p mod n = i);
+            if k < 16384 / n then Hashtbl.replace seen p ())
+          got;
+        check (Printf.sprintf "%d shards: class %d wraps" n i) (List.hd got)
+          (List.nth got (16384 / n))
+      done;
+      check (Printf.sprintf "%d shards cover the range" n) 16384 (Hashtbl.length seen))
+    [ 1; 2; 4 ]
+
+let test_port_space_exhausted () =
+  let sp = Port_space.create ~lo:5 ~hi:9 () in
+  ignore (takes sp ~held:none 2);
+  check_bool "every port held" true (Port_space.take sp ~held:(fun _ -> true) = Error Exhausted);
+  ports "cursor kept" [ 7 ] (takes sp ~held:none 1)
+
+let test_port_space_block () =
+  let fragmented = [ 1; 6; 13 ] in
+  let block held = Port_space.find_block ~lo:0 ~hi:15 ~size:4 ~held:(fun p -> List.mem p held) in
+  check_bool "first block with no held port" true (block fragmented = Ok 8);
+  check_bool "no free block" true (block (9 :: fragmented) = Error Exhausted);
+  check_bool "a block must fit the range" true
+    (Port_space.find_block ~lo:0 ~hi:13 ~size:4 ~held:(fun p -> p < 12) = Error Exhausted)
 
 (* The snapshot reads the same numbers as the typed accessors, at the
    instant the driver takes it: every host's CPUs, network I/O module,
@@ -809,5 +934,13 @@ let () =
           (List.filter (fun (_, o) -> o <> Organization.User_library) orgs_to_test)
         @ [ Alcotest.test_case "userlib rrp 25,600 binds" `Quick test_rrp_client_ports_wrap;
             Alcotest.test_case "userlib rrp skips a served port" `Quick
-              test_rrp_client_skips_served_port ] );
+              test_rrp_client_skips_served_port;
+            lease_hog_case false;
+            lease_hog_case true;
+            Alcotest.test_case "inkernel rrp 16,385 clients" `Quick test_shared_rrp_ports_held;
+            Alcotest.test_case "port space wraps" `Quick test_port_space_wrap;
+            Alcotest.test_case "port space skips held" `Quick test_port_space_skip_held;
+            Alcotest.test_case "port space residue classes" `Quick test_port_space_residue;
+            Alcotest.test_case "port space exhausted" `Quick test_port_space_exhausted;
+            Alcotest.test_case "port space first-fit block" `Quick test_port_space_block ] );
       ("snapshot", snapshot_cases) ]

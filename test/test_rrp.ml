@@ -122,7 +122,7 @@ let rrp_org_case (label, org) =
               server.Sockets.rrp_serve ~port:300 (fun req ->
                   View.of_string ("srv:" ^ View.to_string req))
             in
-            let cl = client.Sockets.rrp_client () in
+            let cl = Result.get_ok (client.Sockets.rrp_client ()) in
             let r =
               match cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300
                       (View.of_string "q")
@@ -142,7 +142,7 @@ let test_userlib_rrp_bypasses_registry () =
   let answered = ref 0 in
   Sched.block_on (World.sched w) (fun () ->
       let _svc = server.Sockets.rrp_serve ~port:300 (fun req -> req) in
-      let cl = client.Sockets.rrp_client () in
+      let cl = Result.get_ok (client.Sockets.rrp_client ()) in
       for _ = 1 to 25 do
         match cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 (View.of_string "x") with
         | Ok _ -> incr answered
@@ -167,7 +167,7 @@ let test_rrp_latency_beats_tcp_per_call () =
     let client = World.app w ~host:0 "c" in
     Sched.block_on (World.sched w) (fun () ->
         let _svc = server.Sockets.rrp_serve ~port:300 (fun req -> req) in
-        let cl = client.Sockets.rrp_client () in
+        let cl = Result.get_ok (client.Sockets.rrp_client ()) in
         (* warm-up (ARP etc.) *)
         ignore (cl.Sockets.rrp_call ~dst:(World.host_ip w 1) ~dst_port:300 (View.of_string "w"));
         let t0 = Sched.now (World.sched w) in

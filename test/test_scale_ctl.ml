@@ -64,7 +64,7 @@ let test_quota_typed_and_recoverable () =
           check "used at ceiling" 4 used;
           check "limit" 4 limit;
           Alcotest.(check string) "principal" "host0.quota-cli" principal
-      | Error (Registry.Refused m) -> Alcotest.failf "untyped refusal: %s" m);
+      | Error e -> Alcotest.failf "not a quota denial: %s" (Registry.error_to_string e));
       let reg0 = Option.get (World.registry w 0) in
       let ts =
         List.find
