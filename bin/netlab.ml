@@ -418,7 +418,8 @@ let proto_check_cmd =
        ~doc:
          "Static analysis of the protocol engines: TCP state-machine exhaustiveness and \
           runtime-dispatch conformance, declared lock-hierarchy rank monotonicity and \
-          acyclicity, and ablation-switch oracle/bench coverage.  Exits non-zero on any \
+          acyclicity, ablation-switch oracle/bench coverage and, with $(b,--params), the \
+          dead-export and world-state lints over the source trees.  Exits non-zero on any \
           finding.")
     Term.(
       const run $ json_arg $ seed_unhandled_arg $ seed_cycle_arg $ params_arg $ root_arg)

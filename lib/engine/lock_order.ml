@@ -5,12 +5,11 @@
    explicitly.  `proto-check` verifies the declaration at build time
    (ranks exist, edges go downhill, the edge graph is acyclic).
 
-   The runtime side is lockdep-flavoured: when enforcement is on, each
-   simulated thread carries a stack of held ranked locks, and acquiring
-   a lock whose rank is <= one already held raises before the thread
-   blocks — an ABBA pair is reported as a violation with both lock
-   names and acquisition sites rather than as a silent deadlock.  Off
-   by default; tests switch it on. *)
+   The runtime side is lockdep-flavoured and always on: each simulated
+   thread carries the ranked locks it holds (on its [Sched.thread]), and
+   acquiring a lock whose rank is <= one already held raises before the
+   thread blocks — an ABBA pair is reported as a violation with both
+   lock names and acquisition sites rather than as a silent deadlock. *)
 
 type rank_entry = { re_pattern : string; re_rank : int; re_what : string }
 
@@ -57,7 +56,9 @@ let glob_match pattern s =
   in
   go 0 0
 
-let rank_entry_of name = List.find_opt (fun e -> glob_match e.re_pattern name) hierarchy
+let rank_of name =
+  List.find_opt (fun e -> glob_match e.re_pattern name) hierarchy
+  |> Option.map (fun e -> e.re_rank)
 
 type violation = {
   v_thread : string;
@@ -79,69 +80,22 @@ let pp_violation ppf v =
 
 type held = { h_name : string; h_rank : int; h_site : string }
 
-let enforce = ref false
-let stacks : (string, held list ref) Hashtbl.t = Hashtbl.create 16
-let log : violation list ref = ref []
+let acquire ~thread held h =
+  match List.find_opt (fun o -> o.h_rank >= h.h_rank) held with
+  | Some o ->
+      raise
+        (Order_violation
+           { v_thread = thread;
+             v_held = o.h_name;
+             v_held_rank = o.h_rank;
+             v_held_site = o.h_site;
+             v_lock = h.h_name;
+             v_rank = h.h_rank;
+             v_site = h.h_site })
+  | None -> h :: held
 
-let enforcing () = !enforce
-let violations () = List.rev !log
-
-let reset () =
-  Hashtbl.reset stacks;
-  log := []
-
-let set_enforce b =
-  enforce := b;
-  if not b then reset ()
-
-let stack_of thread =
-  match Hashtbl.find_opt stacks thread with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.add stacks thread r;
-      r
-
-(* Push without an order check: used for try-acquires, which cannot
-   block and therefore cannot complete a deadlock cycle, but whose held
-   locks must still constrain later blocking acquires. *)
-let note_try_acquire ~thread ~name ~site =
-  if !enforce then
-    match rank_entry_of name with
-    | None -> ()
-    | Some e ->
-        let st = stack_of thread in
-        st := { h_name = name; h_rank = e.re_rank; h_site = site } :: !st
-
-let note_acquire ~thread ~name ~site =
-  if !enforce then
-    match rank_entry_of name with
-    | None -> () (* unranked locks are a lint finding, not a runtime one *)
-    | Some e -> (
-        let st = stack_of thread in
-        match List.find_opt (fun h -> h.h_rank >= e.re_rank) !st with
-        | Some h ->
-            let v =
-              { v_thread = thread;
-                v_held = h.h_name;
-                v_held_rank = h.h_rank;
-                v_held_site = h.h_site;
-                v_lock = name;
-                v_rank = e.re_rank;
-                v_site = site }
-            in
-            log := v :: !log;
-            raise (Order_violation v)
-        | None -> st := { h_name = name; h_rank = e.re_rank; h_site = site } :: !st)
-
-let note_release ~thread ~name =
-  if !enforce then
-    match Hashtbl.find_opt stacks thread with
-    | None -> ()
-    | Some st ->
-        let rec drop_first = function
-          | [] -> []
-          | h :: rest when h.h_name = name -> rest
-          | h :: rest -> h :: drop_first rest
-        in
-        st := drop_first !st
+let rec release held name =
+  match held with
+  | [] -> []
+  | h :: rest when h.h_name = name -> rest
+  | h :: rest -> h :: release rest name

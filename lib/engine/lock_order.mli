@@ -5,12 +5,12 @@
     nestings; [proto-check] validates at build time that every edge goes
     strictly downhill and the graph is acyclic.
 
-    Runtime half: with {!set_enforce}[ true], each simulated thread gets
-    a held-lock stack (keyed on the scheduler's current-thread label)
-    and a blocking acquire that would invert the rank order raises
-    {!Order_violation} {e before} the thread blocks — an ABBA pair
-    surfaces as a report with both lock names and acquisition sites
-    instead of a deadlock.  Off by default; zero cost when off. *)
+    Runtime half, always on: each simulated thread carries a stack of
+    the ranked locks it holds ({!Sched.thread}), and a blocking acquire
+    that would invert the rank order raises {!Order_violation} {e
+    before} the thread blocks — an ABBA pair surfaces as a report with
+    both lock names and acquisition sites instead of a deadlock.
+    {!Mutex} looks a lock's rank up once, when it is created. *)
 
 type rank_entry = { re_pattern : string; re_rank : int; re_what : string }
 
@@ -20,6 +20,10 @@ val hierarchy : rank_entry list
 val declared_edges : (string * string) list
 (** Permitted acquisitions [(outer, inner)]: [inner] may be acquired
     while [outer] is held.  Patterns from {!hierarchy}. *)
+
+val rank_of : string -> int option
+(** The rank of the first {!hierarchy} pattern matching a lock name;
+    [None] for an unranked lock, which the sanitizer ignores. *)
 
 type violation = {
   v_thread : string;
@@ -35,24 +39,13 @@ exception Order_violation of violation
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val set_enforce : bool -> unit
-(** Turn the sanitizer on or off.  Turning it off clears all state. *)
+type held = { h_name : string; h_rank : int; h_site : string }
+(** A ranked lock on a thread's stack, with the site that took it. *)
 
-val enforcing : unit -> bool
+val acquire : thread:string -> held list -> held -> held list
+(** [acquire ~thread held h] is [held] with [h] pushed, for a blocking
+    acquire made by the thread named [thread].
+    @raise Order_violation if a lock of rank >= [h]'s is held. *)
 
-val violations : unit -> violation list
-(** Violations recorded since the last {!reset}, oldest first. *)
-
-val reset : unit -> unit
-(** Clear held-lock stacks and the violation log. *)
-
-val note_acquire : thread:string -> name:string -> site:string -> unit
-(** Record a blocking acquire.  No-op when off or the name is unranked.
-    @raise Order_violation if a lock of rank >= the new lock's is held. *)
-
-val note_try_acquire : thread:string -> name:string -> site:string -> unit
-(** Record a non-blocking acquire (no order check — a try-acquire cannot
-    complete a deadlock cycle, but it still constrains later acquires). *)
-
-val note_release : thread:string -> name:string -> unit
-(** Pop the first held entry with this name from the thread's stack. *)
+val release : held list -> string -> held list
+(** Drop the first entry with this lock name. *)

@@ -8,17 +8,19 @@
 type t
 
 val create : ?name:string -> ?sched:Sched.t -> unit -> t
-(** [~name] registers the lock for {!Semaphore.registered} (with kind
-    ["mutex"]); [~sched] enables contended-wait timing. *)
+(** [~sched] enables contended-wait timing; [~name] as well lists the
+    lock in {!Semaphore.registered} (with kind ["mutex"]) and, when the
+    name matches a {!Lock_order.hierarchy} pattern, ranks it for the
+    lock-order sanitizer (looked up once, here). *)
 
 val stats : t -> Semaphore.stats
 (** Acquisition/contention counters of the underlying semaphore. *)
 
 val lock : ?site:string -> t -> unit
-(** Block until the mutex is available, then take it.  When the
-    {!Lock_order} sanitizer is enforcing and the mutex is named, the
-    acquire is rank-checked {e before} blocking ([~site] labels the
-    acquisition site in any violation report).
+(** Block until the mutex is available, then take it.  A ranked mutex's
+    acquire is rank-checked against the locks the calling thread holds
+    {e before} blocking ([~site] labels the acquisition site in any
+    violation report).
     @raise Lock_order.Order_violation on a rank inversion. *)
 
 val unlock : t -> unit

@@ -2,33 +2,35 @@ type waker = unit -> unit
 
 exception Deadlock of string
 
+type thread = { name : string; mutable held : Lock_order.held list }
+type lock = ..
+
 type t = {
-  id : int;
   mutable clock : Time.t;
   events : (unit -> unit) Pheap.t;
   mutable seq : int;
   runq : (unit -> unit) Queue.t;
   mutable failure : exn option;
-  mutable current : string option;
+  mutable current : thread;  (* [outside] in plain events and outside any thread *)
+  outside : thread;
+  locks : lock Queue.t;
 }
 
 type _ Effect.t +=
   | Suspend : (waker -> unit) -> unit Effect.t
   | Sleep : t * Time.span -> unit Effect.t
 
-let next_id = ref 0
-
 let create () =
-  incr next_id;
-  { id = !next_id;
-    clock = Time.zero;
+  let outside = { name = "main"; held = [] } in
+  { clock = Time.zero;
     events = Pheap.create ~dummy:ignore;
     seq = 0;
     runq = Queue.create ();
     failure = None;
-    current = None }
+    current = outside;
+    outside;
+    locks = Queue.create () }
 
-let id t = t.id
 let now t = t.clock
 let pending_events t = Pheap.size t.events
 
@@ -41,26 +43,28 @@ let after t d f = at t (Time.add t.clock d) f
 
 let suspend register = Effect.perform (Suspend register)
 
-let current_name t = t.current
+let current_name t = if t.current == t.outside then None else Some t.current.name
+let current_thread t = t.current
+let locks t = t.locks
 
-(* Runs [f x] with the scheduler's current-thread label set to [label],
-   restoring the previous label on exit.  Everything is cooperative, so a
-   single mutable field suffices; continuations re-enter through here so
-   the label is accurate across suspension points (the lock-order
-   sanitizer keys its held-lock stacks on it). *)
-let run_as t label f x =
+(* Runs [f x] with the scheduler's current thread set to [th], restoring
+   the previous one on exit.  Everything is cooperative, so a single
+   mutable field suffices; continuations re-enter through here so the
+   current thread is accurate across suspension points (the lock-order
+   sanitizer pushes its held locks on it). *)
+let run_as t th f x =
   let saved = t.current in
-  t.current <- label;
+  t.current <- th;
   match f x with
   | () -> t.current <- saved
   | exception e ->
       t.current <- saved;
       raise e
 
-let resume t label k = run_as t label (fun k -> Effect.Deep.continue k ()) k
+let resume t th k = run_as t th (fun k -> Effect.Deep.continue k ()) k
 
 let spawn t ?(name = "thread") f =
-  let label = Some name in
+  let th = { name; held = [] } in
   let handler =
     let open Effect.Deep in
     { retc = (fun () -> ());
@@ -79,7 +83,7 @@ let spawn t ?(name = "thread") f =
                   let wake () =
                     if not !fired then begin
                       fired := true;
-                      Queue.push (fun () -> resume t label k) t.runq
+                      Queue.push (fun () -> resume t th k) t.runq
                     end
                   in
                   register wake)
@@ -87,10 +91,10 @@ let spawn t ?(name = "thread") f =
               (* The run queue is always empty when an event fires, so
                  resuming straight from the timer event runs the thread
                  exactly where a waker's run-queue job would have. *)
-              Some (fun (k : (a, unit) continuation) -> after s d (fun () -> resume t label k))
+              Some (fun (k : (a, unit) continuation) -> after s d (fun () -> resume t th k))
           | _ -> None) }
   in
-  Queue.push (fun () -> run_as t label (fun () -> Effect.Deep.match_with f () handler) ()) t.runq
+  Queue.push (fun () -> run_as t th (fun () -> Effect.Deep.match_with f () handler) ()) t.runq
 
 let sleep t d = Effect.perform (Sleep (t, d))
 

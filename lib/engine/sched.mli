@@ -22,11 +22,9 @@ exception Deadlock of string
     the awaited thread completes. *)
 
 val create : unit -> t
-(** A fresh scheduler with the clock at {!Time.zero}. *)
-
-val id : t -> int
-(** A process-unique identity, stable for the scheduler's lifetime (for
-    hashing a scheduler without reading its mutable state). *)
+(** A fresh scheduler with the clock at {!Time.zero}.  Everything a
+    world keeps about its threads and locks hangs off its scheduler, and
+    goes away with it. *)
 
 val now : t -> Time.t
 (** Current simulated time. *)
@@ -38,11 +36,24 @@ val at : t -> Time.t -> (unit -> unit) -> unit
 val after : t -> Time.span -> (unit -> unit) -> unit
 (** [after t d f] schedules [f] to run [d] from now. *)
 
+type thread = { name : string; mutable held : Lock_order.held list }
+(** A spawned thread: its [~name] (a label; several threads may share
+    one) and the ranked locks it holds, which {!Mutex} keeps for the
+    lock-order sanitizer. *)
+
 val current_name : t -> string option
 (** The [~name] of the thread currently executing, or [None] when
-    control is in the scheduler itself or in a plain [at]/[after] event.
-    Diagnostic identity only (the lock-order sanitizer keys held-lock
-    stacks on it); threads spawned with the same name share a label. *)
+    control is in the scheduler itself or in a plain [at]/[after] event. *)
+
+val current_thread : t -> thread
+(** The thread currently executing; outside any thread, the scheduler's
+    own context (named ["main"]). *)
+
+type lock = ..
+(** A lock registered with this scheduler ({!Semaphore} adds its case). *)
+
+val locks : t -> lock Queue.t
+(** The named locks created on this scheduler, in creation order. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] creates a thread running [f].  It starts when the

@@ -14,7 +14,6 @@ type t = {
   name : string option;
   kind : string;
   sched : Sched.t option;
-  seq : int;  (* creation order, across schedulers *)
   mutable acquisitions : int;
   mutable contended : int;
   mutable total_wait_ns : int;
@@ -22,54 +21,26 @@ type t = {
   wait_us : Stats.Dist.t;
 }
 
-(* Named semaphores register themselves so tools can report the most
-   contended locks of a run without threading every lock handle through
-   the call graph.  Each scheduler's locks hang off an ephemeron keyed
-   by that scheduler, so coexisting worlds don't see each other's locks
-   and a dropped world is not kept reachable by its registrations.  The
-   weak set [scheds] enumerates the ephemeron's keys for the unfiltered
-   query (OCaml 5 ephemeron tables cannot be iterated). *)
-module Sched_key = struct
-  type t = Sched.t
-
-  let equal = ( == )
-  let hash = Sched.id
-end
-
-module By_sched = Ephemeron.K1.Make (Sched_key)
-module Scheds = Weak.Make (Sched_key)
-
-let by_sched : t list ref By_sched.t = By_sched.create 8
-let scheds = Scheds.create 8
-let unscheduled : t list ref = ref []  (* named, no scheduler *)
-let next_seq = ref 0
-
-let register t =
-  match t.sched with
-  | None -> unscheduled := t :: !unscheduled
-  | Some s -> (
-      match By_sched.find_opt by_sched s with
-      | Some l -> l := t :: !l
-      | None ->
-          By_sched.replace by_sched s (ref [ t ]);
-          ignore (Scheds.merge scheds s))
+(* Named semaphores register with their scheduler so tools can report
+   the most contended locks of a run without threading every lock
+   handle through the call graph; a dropped world takes its locks with
+   it. *)
+type Sched.lock += Lock of t
 
 let create ?name ?sched ?(kind = "semaphore") ?(initial = 0) () =
-  incr next_seq;
   let t =
     { count = initial;
       waiting = Queue.create ();
       name;
       kind;
       sched;
-      seq = !next_seq;
       acquisitions = 0;
       contended = 0;
       total_wait_ns = 0;
       max_wait_ns = 0;
       wait_us = Stats.Dist.create (Option.value name ~default:"" ^ ".wait_us") }
   in
-  if name <> None then register t;
+  (match (name, sched) with Some _, Some s -> Queue.push (Lock t) (Sched.locks s) | _ -> ());
   t
 
 let count t = t.count
@@ -114,20 +85,10 @@ let stats t =
     s_max_wait_ns = t.max_wait_ns;
     s_wait_us = t.wait_us }
 
-let of_sched s = match By_sched.find_opt by_sched s with Some l -> !l | None -> []
+let registered ~sched =
+  Queue.fold
+    (fun acc l -> match l with Lock t -> stats t :: acc | _ -> acc)
+    [] (Sched.locks sched)
+  |> List.rev
 
-let registered ?sched () =
-  match sched with
-  | Some s -> List.rev_map stats (of_sched s)
-  | None ->
-      Scheds.fold (fun s acc -> of_sched s @ acc) scheds !unscheduled
-      |> List.sort (fun a b -> compare a.seq b.seq)
-      |> List.map stats
-
-let reset_registered ?sched () =
-  match sched with
-  | Some s -> By_sched.remove by_sched s
-  | None ->
-      By_sched.reset by_sched;
-      Scheds.clear scheds;
-      unscheduled := []
+let reset_registered ~sched () = Queue.clear (Sched.locks sched)

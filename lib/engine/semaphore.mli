@@ -9,7 +9,7 @@
     acquisition, a wait that blocks is a contended acquisition, and when
     the semaphore knows its scheduler the time spent blocked is tallied
     (total, max, and a per-lock distribution in microseconds).  Named
-    semaphores appear in a global registry so tools can rank the most
+    semaphores register with their scheduler so tools can rank the most
     contended locks of a run. *)
 
 type t
@@ -26,9 +26,9 @@ type stats = {
 
 val create : ?name:string -> ?sched:Sched.t -> ?kind:string -> ?initial:int -> unit -> t
 (** A semaphore with the given initial count (default 0).  Passing
-    [~name] registers it for {!registered}; passing [~sched] enables
-    wait-time accounting (reading the clock only — no effect on the
-    simulation). *)
+    [~sched] enables wait-time accounting (reading the clock only — no
+    effect on the simulation); passing [~name] as well lists it in that
+    scheduler's {!registered}. *)
 
 val count : t -> int
 (** Current count (signals not yet consumed). *)
@@ -49,9 +49,11 @@ val stats : t -> stats
 (** Contention counters so far.  Wait-time fields stay 0 unless the
     semaphore was created with [~sched]. *)
 
-val registered : ?sched:Sched.t -> unit -> stats list
-(** Stats for every named semaphore (and mutex) created so far, in
-    creation order; [?sched] restricts to locks of one scheduler. *)
+val registered : sched:Sched.t -> stats list
+(** Stats for every named semaphore (and mutex) created on [sched], in
+    creation order. *)
 
-val reset_registered : ?sched:Sched.t -> unit -> unit
-(** Drop registry entries (all, or those of one scheduler). *)
+val reset_registered : sched:Sched.t -> unit -> unit
+(** Drop [sched]'s registry entries.  The registry goes away with its
+    scheduler, so nothing in the library needs this; it stays only for
+    the repository benchmark ([perfbench/]), which still calls it. *)

@@ -13,8 +13,10 @@ type t
 val create : kind -> string -> t
 val kind : t -> kind
 val name : t -> string
-val id : t -> int
 val equal : t -> t -> bool
+(** Physical identity: two domains are equal only if they are the same
+    [create]d domain, whatever their kind and name. *)
+
 val is_privileged : t -> bool
 (** Kernel and trusted servers are privileged; applications are not. *)
 

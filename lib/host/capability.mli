@@ -24,8 +24,6 @@ val deref : 'a t -> 'a
     @raise Violation if it has been revoked. *)
 
 val tag : 'a t -> string
-val id : 'a t -> int
-(** Unique capability identity (for tables keyed by capability). *)
 
 val revoke : 'a t -> unit
 

@@ -121,6 +121,8 @@ and t = {
   mutable rsts_out : int;
   mutable checksum_failures : int;
   mutable unknown_options : int;
+  mutable fsm_steps : int; (* witness transitions, opening ones included *)
+  mutable shadow_checks : int; (* shadow-oracle assertions *)
   rx : conn Ack_policy.rx;
   txs : Tx_path.stats;
 }
@@ -135,6 +137,8 @@ let retransmissions t = t.retransmissions
 let rsts_out t = t.rsts_out
 let checksum_failures t = t.checksum_failures
 let unknown_options t = t.unknown_options
+let fsm_steps t = t.fsm_steps
+let shadow_checks t = t.shadow_checks
 let gro_merged t = t.rx.Ack_policy.merged
 let gro_flushes t = t.rx.Ack_policy.flushes
 let acks_elided t = t.rx.Ack_policy.elided
@@ -360,13 +364,18 @@ let loss_view =
 
 (* --- connection teardown -------------------------------------------- *)
 
+let check_shadow c =
+  c.engine.shadow_checks <- c.engine.shadow_checks + 1;
+  Tcp_fsm.Packed.check_shadow c.fsm c.state
+
 (* Every state change goes through a typed witness: assert the shadow
    oracle, apply the transition to the packed witness, and move the
    untyped field to the witness's new shadow.  No [c.state <- ...]
    exists outside this helper and [destroy]. *)
 let transition c tr =
-  Tcp_fsm.Packed.check_shadow c.fsm c.state;
+  check_shadow c;
   c.fsm <- Tcp_fsm.Packed.apply c.fsm tr;
+  c.engine.fsm_steps <- c.engine.fsm_steps + 1;
   c.state <- Tcp_fsm.target tr
 
 (* Our FIN goes out (or is forced out as a window probe). *)
@@ -389,8 +398,9 @@ let destroy c reason =
     (* Retire through the matching edge to the terminal state: clean
        teardown (no error) takes the close/expire/fin-acked edges, an
        errored one the abort edges. *)
-    Tcp_fsm.Packed.check_shadow c.fsm c.state;
+    check_shadow c;
     c.fsm <- Tcp_fsm.Packed.retire c.fsm ~clean:(reason = None);
+    c.engine.fsm_steps <- c.engine.fsm_steps + 1;
     c.state <- State.Closed;
     c.error <- (match c.error with None -> reason | some -> some);
     Hashtbl.remove c.engine.pcbs (conn_key c);
@@ -651,7 +661,7 @@ let touch_keepalive c =
    arranges the 2MSL machinery. *)
 let enter_time_wait c =
   trace c "entering TIME_WAIT";
-  Tcp_fsm.Packed.check_shadow c.fsm c.state;
+  check_shadow c;
   if c.state <> State.Time_wait then invalid_arg "Tcp.enter_time_wait: not in TIME_WAIT";
   c.rexmt <- stop_timer c.rexmt;
   c.persist <- stop_timer c.persist;
@@ -989,6 +999,7 @@ let handle_syn_for_listener t l (seg : Tcp_wire.segment) ~src =
       ~mss:
         (Stdlib.min (Option.value seg.Tcp_wire.opts.Tcp_wire.mss ~default:mss_default) (our_mss t))
   in
+  t.fsm_steps <- t.fsm_steps + 2;
   c.snd_wnd <- seg.Tcp_wire.wnd;
   c.snd_wl1 <- seq;
   c.accept_box <- Some l.backlog;
@@ -1074,7 +1085,7 @@ let create env ip ?(params = Tcp_params.default) () =
       pcbs = Hashtbl.create 32; listeners = Hashtbl.create 8;
       rst_on_unknown = true; unknown_hook = None; time_wait_hook = None;
       segments_in = 0; segments_out = 0; retransmissions = 0; rsts_out = 0;
-      checksum_failures = 0; unknown_options = 0;
+      checksum_failures = 0; unknown_options = 0; fsm_steps = 0; shadow_checks = 0;
       rx = Ack_policy.create_rx params env rx_hooks;
       txs = Tx_path.create_stats () }
   in
@@ -1092,6 +1103,7 @@ let connect_prepare t ~src_port ~dst ~dst_port =
         ~fsm:(Tcp_fsm.Packed.active_open ()) ~iss ~snd_nxt:(Tcp_seq.add iss 1) ~irs:0 ~rcv_nxt:0
         ~mss:(our_mss t)
     in
+    t.fsm_steps <- t.fsm_steps + 1;
     Hashtbl.replace t.pcbs k c;
     Ok (c, Option.get (Tcp_fsm.Packed.syn_sent c.fsm))
   end

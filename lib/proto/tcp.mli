@@ -264,6 +264,11 @@ val unknown_options : t -> int
 (** Total unknown TCP option kinds skipped across all received
     segments (engine-wide aggregate of [co_unknown_opts]). *)
 
+val fsm_steps : t -> int
+val shadow_checks : t -> int
+(** Witness transitions (opens included) and shadow-oracle assertions
+    made on this engine's connections. *)
+
 (* {2 Receive coalescing (rx_coalesce)} *)
 
 val begin_burst : t -> unit

@@ -222,30 +222,19 @@ let pp_violation ppf = function
       Format.fprintf ppf "shadow oracle diverged: witness %s, engine state %s"
         (State.to_string witness) (State.to_string shadow)
 
-let applied = ref 0
-let shadow_checks = ref 0
-let transitions_applied () = !applied
-let shadow_checks_made () = !shadow_checks
-
-let reset_counters () =
-  applied := 0;
-  shadow_checks := 0
-
 (* The single dynamic core both the typed [step] and the packed [apply]
-   go through: linearity, source agreement, bookkeeping. *)
+   go through: linearity and source agreement. *)
 let advance : type a b. a state -> src:State.t -> dst:State.t -> b state =
  fun w ~src ~dst ->
   if w.spent then raise (Violation (Reused w.tag));
   if w.tag <> src then raise (Violation (Wrong_source { witness = w.tag; wanted = src }));
   w.spent <- true;
-  incr applied;
   { tag = dst; spent = false }
 
 let step (w : 's state) (tr : ('s, 't) transition) : 't state =
   advance w ~src:(source tr) ~dst:(target tr)
 
 let closed () = { tag = State.Closed; spent = false }
-let import_established () = { tag = State.Established; spent = false }
 let state_of w = w.tag
 
 (* {2 Permits}
@@ -435,7 +424,7 @@ module Packed = struct
   let state (P w) = w.tag
   let active_open () = P (step (closed ()) Active_open)
   let passive_accept () = P (step (step (closed ()) Passive_open) Rcv_syn)
-  let import () = P (import_established ())
+  let import () = P { tag = State.Established; spent = false }
 
   (* Analysis/test entry only: a witness parked at an arbitrary state,
      with no typed pedigree.  proto-check uses it to drive the runtime
@@ -443,7 +432,6 @@ module Packed = struct
   let at tag = P { tag; spent = false }
 
   let check_shadow (P w) shadow =
-    incr shadow_checks;
     if w.tag <> shadow then
       raise (Violation (Shadow_divergence { witness = w.tag; shadow }))
 

@@ -110,12 +110,6 @@ exception Violation of violation
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val transitions_applied : unit -> int
-val shadow_checks_made : unit -> int
-val reset_counters : unit -> unit
-(** Process-wide instrumentation: how many witness steps and shadow
-    assertions have run (tests assert the oracle is actually exercised). *)
-
 (** {2 Reflection: the relation as data} *)
 
 type event =

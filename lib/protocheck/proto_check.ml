@@ -400,6 +400,100 @@ let check_dead_exports ?(allow = dead_export_allow) ~root () =
              (List.length interfaces) (List.length allow)) ]
   | l -> List.map (fun name -> fail "dead-export" (name ^ ": not named outside its module")) l
 
+(* --- world-state lint ------------------------------------------------------ *)
+
+(* Top-level mutable cells allowed in lib/, each with its reason. *)
+let world_state_allow =
+  [ ( "Trace.sink",
+      "output configuration, set once by `netlab --trace` before any world runs; read-only \
+       while worlds run" ) ]
+
+(* A top-level binding whose value is a fresh mutable cell: [ref], a
+   [Hashtbl], anything from [Weak], [Ephemeron] or [Atomic], or [create]
+   on a module the file builds from one of their functors.  Bindings
+   inside nested [struct]s count; functions and local [let]s do not. *)
+let cell_bindings path src =
+  let open Parsetree in
+  let rec root = function
+    | Longident.Lident m -> m
+    | Longident.Ldot (l, _) | Longident.Lapply (l, _) -> root l
+  in
+  let rec made_from_cell me =
+    match me.pmod_desc with
+    | Pmod_apply (f, _) | Pmod_apply_unit f | Pmod_constraint (f, _) -> made_from_cell f
+    | Pmod_ident { txt; _ } -> List.mem (root txt) [ "Hashtbl"; "Weak"; "Ephemeron" ]
+    | _ -> false
+  in
+  let rec is_cell made e =
+    match e.pexp_desc with
+    | Pexp_constraint (e, _) -> is_cell made e
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
+        match txt with
+        | Longident.Lident "ref" -> true
+        | Longident.Ldot (Longident.Lident m, "create") when List.mem m ("Hashtbl" :: made) -> true
+        | Longident.Ldot (l, _) -> List.mem (root l) [ "Weak"; "Ephemeron"; "Atomic" ]
+        | _ -> false)
+    | _ -> false
+  in
+  let rec name_of p =
+    match p.ppat_desc with
+    | Ppat_var { txt; _ } -> txt
+    | Ppat_constraint (p, _) -> name_of p
+    | _ -> "_"
+  in
+  let rec items prefix made = function
+    | [] -> []
+    | { pstr_desc = Pstr_value (_, vbs); _ } :: rest ->
+        List.filter_map
+          (fun vb -> if is_cell made vb.pvb_expr then Some (prefix ^ name_of vb.pvb_pat) else None)
+          vbs
+        @ items prefix made rest
+    | { pstr_desc = Pstr_module { pmb_name = { txt = Some m; _ }; pmb_expr; _ }; _ } :: rest ->
+        let made = if made_from_cell pmb_expr then m :: made else made in
+        let inner =
+          match pmb_expr.pmod_desc with
+          | Pmod_structure str -> items (prefix ^ m ^ ".") made str
+          | _ -> []
+        in
+        inner @ items prefix made rest
+    | _ :: rest -> items prefix made rest
+  in
+  let lexbuf = Lexing.from_string src in
+  Location.init lexbuf path;
+  items (module_of path ^ ".") [] (Parse.implementation lexbuf)
+
+let seeded_cell = ("lib/engine/seeded.ml", "let counter = ref 0\n")
+
+(* No lib/ module keeps process-global mutable state: a world's state
+   hangs off its scheduler, so independent worlds can run side by side
+   (on parallel domains too) and a dropped world takes its state with
+   it.  [seed_cell] plants a top-level [ref] in a synthetic module. *)
+let check_world_state ?(seed_cell = false) ?(allow = world_state_allow) ~root () =
+  let files =
+    List.filter (fun f -> Filename.check_suffix f ".ml") (sources_under (Filename.concat root "lib") [])
+  in
+  let sources =
+    List.map (fun f -> (f, read_file f)) (List.sort compare files)
+    @ if seed_cell then [ seeded_cell ] else []
+  in
+  let cells, unparsed =
+    List.fold_left
+      (fun (cells, unparsed) (path, src) ->
+        match cell_bindings path src with
+        | l -> (cells @ l, unparsed)
+        | exception _ -> (cells, path :: unparsed))
+      ([], []) sources
+  in
+  let unlisted = List.filter (fun c -> not (List.mem_assoc c allow)) cells in
+  match (unlisted, unparsed) with
+  | [], [] ->
+      [ pass "world-state"
+          (Printf.sprintf "no top-level mutable cell in %d lib/ modules (%d allowed)"
+             (List.length sources) (List.length cells)) ]
+  | _ ->
+      List.map (fun c -> fail "world-state" (c ^ ": top-level mutable cell")) unlisted
+      @ List.map (fun f -> fail "world-state" (f ^ ": does not parse")) (List.rev unparsed)
+
 let run ?(seed_unhandled = false) ?(seed_cycle = false) ?sources () =
   check_fsm ~seed_unhandled ()
   @ check_locks ~seed_cycle ()
@@ -407,4 +501,6 @@ let run ?(seed_unhandled = false) ?(seed_cycle = false) ?sources () =
   match sources with
   | None -> []
   | Some (params_src, spec_names, root) ->
-      check_switches ~params_src ~spec_names ~root () @ check_dead_exports ~root ()
+      check_switches ~params_src ~spec_names ~root ()
+      @ check_dead_exports ~root ()
+      @ check_world_state ~root ()

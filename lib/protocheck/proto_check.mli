@@ -1,6 +1,6 @@
 (** The proto-check static analysis pass.
 
-    Four check families, run at build time (the [@lint] alias, via
+    Five check families, run at build time (the [@lint] alias, via
     [netlab proto-check]) and from the test suite:
 
     - {b FSM}: the session-typed relation in {!Uln_proto.Tcp_fsm} must
@@ -19,6 +19,10 @@
       as a whole word outside comments and strings, in some file of
       [lib/], [bin/], [bench/], [test/], [examples/] or [perfbench/]
       other than its own module's — or carry an allowlist reason.
+    - {b World state}: no [lib/] module keeps a top-level mutable cell
+      ([ref], [Hashtbl], [Weak], [Ephemeron], [Atomic]) outside the
+      allowlist, so a world's state hangs off the scheduler that owns
+      it.
 
     The [seed_*] flags inject the defect each check exists to catch, so
     the failure path itself is under test. *)
@@ -41,6 +45,13 @@ val check_dead_exports :
     (default: the built-in allowlist) maps ["Module.val"] to the reason
     it stays exported without a caller. *)
 
+val check_world_state :
+  ?seed_cell:bool -> ?allow:(string * string) list -> root:string -> unit -> finding list
+(** The world-state lint over [root/lib].  [allow] (default: the
+    built-in allowlist, [Trace.sink] alone) maps ["Module.cell"] to the
+    reason it stays; [seed_cell] plants a top-level [ref] in a synthetic
+    module. *)
+
 val run :
   ?seed_unhandled:bool ->
   ?seed_cycle:bool ->
@@ -48,7 +59,7 @@ val run :
   unit ->
   finding list
 (** All families; [sources = (params_src, spec_names, root)] enables the
-    switch and dead-export lints ([params_src] is the path to
+    switch, dead-export and world-state lints ([params_src] is the path to
     [tcp_params.ml], [spec_names] the names every [sw_bench_row] must
     resolve against, [root] the directory oracle paths, the committed
     leave-one-out table [BENCH_switches.json] and the source trees

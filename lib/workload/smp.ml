@@ -124,9 +124,8 @@ let run ?(bytes_per_pair = 1_000_000) ?(locking = `Big_lock) ?(seed = 1) ~org ~c
             wns + s.Semaphore.s_total_wait_ns )
         else (a, c, wns))
       (0, 0, 0)
-      (Semaphore.registered ~sched ())
+      (Semaphore.registered ~sched)
   in
-  Semaphore.reset_registered ~sched ();
   { r_org = Organization.name org;
     r_locking =
       (match org with

@@ -123,7 +123,7 @@ let stack s = engine s.Stack.tcp @ each "conn" conn (Tcp.conns s.Stack.tcp)
 
 (* Every named lock is counted; the contended ones are listed. *)
 let locks sched =
-  let all = Semaphore.registered ~sched () in
+  let all = Semaphore.registered ~sched in
   i "locks.named" (List.length all)
   :: List.concat_map
        (fun (s : Semaphore.stats) ->

@@ -302,6 +302,22 @@ let test_lease_wheel_sharded () =
   check "every connect returned Ok" 128 r.Uln_workload.Churn.r_conns;
   check_bool "residues parked on the wheel" true (r.Uln_workload.Churn.r_tw_parked > 0)
 
+(* Worlds share no process-global state, so two of them run on parallel
+   domains exactly as they run one after the other: the +lease churn
+   cell (2 pairs x 64 connections) on two domains at once, each row
+   against the sequential one. *)
+let test_worlds_on_parallel_domains () =
+  let module B = Uln_workload.Bench_spec in
+  let spec = List.find (fun s -> s.B.name = "smoke churn +lease") B.smoke.B.specs in
+  let row () = spec.B.run spec.B.preset in
+  let sequential = row () in
+  let a = Domain.spawn row and b = Domain.spawn row in
+  let ra = Domain.join a and rb = Domain.join b in
+  check_bool "the cell is 2 pairs x 64 connections" true
+    (List.assoc_opt "conns" (List.hd sequential) = Some "128");
+  check_bool "first domain's row = sequential row" true (ra = sequential);
+  check_bool "second domain's row = sequential row" true (rb = sequential)
+
 let () =
   Alcotest.run "churn"
     [ ( "time-wait-wheel",
@@ -310,7 +326,9 @@ let () =
             test_graceful_exit_holds_time_wait;
           Alcotest.test_case "port reuse after expiry" `Quick test_port_reuse_after_expiry;
           Alcotest.test_case "lease ladder with sharded registry" `Quick
-            test_lease_wheel_sharded ] );
+            test_lease_wheel_sharded;
+          Alcotest.test_case "worlds on parallel domains" `Quick
+            test_worlds_on_parallel_domains ] );
       ( "leases",
         [ Alcotest.test_case "exhaustion is typed and recoverable" `Quick
             test_lease_exhaustion_and_release ] );

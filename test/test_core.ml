@@ -836,7 +836,7 @@ let check_snapshot w rows =
           (Tcp.conns tcp))
       (World.host_stacks w h)
   done;
-  let locks = Uln_engine.Semaphore.registered ~sched () in
+  let locks = Uln_engine.Semaphore.registered ~sched in
   expect "locks." [ i "named" (List.length locks) ];
   List.iter
     (fun (s : Uln_engine.Semaphore.stats) ->

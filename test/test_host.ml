@@ -75,6 +75,17 @@ let test_domain_privilege () =
   check_bool "server" true (Addr_space.is_privileged s);
   check_bool "user" false (Addr_space.is_privileged u)
 
+(* Identity is physical: two domains made alike are still two domains,
+   even when each is made in a loop iteration at one call site with
+   constant arguments. *)
+let test_domain_identity () =
+  let make () = Addr_space.create Addr_space.User "same" in
+  let a = make () and b = make () in
+  check_bool "alike but distinct" false (Addr_space.equal a b);
+  check_bool "self" true (Addr_space.equal a a);
+  let c = Array.init 2 (fun _ -> Addr_space.create Addr_space.User "loop") in
+  check_bool "one call site, two domains" false (Addr_space.equal c.(0) c.(1))
+
 (* --- shared memory ------------------------------------------------------------ *)
 
 let test_shared_mem_mapping_enforced () =
@@ -222,7 +233,9 @@ let () =
       ( "capability",
         [ Alcotest.test_case "deref/revoke" `Quick test_capability_deref_and_revoke;
           Alcotest.test_case "identity" `Quick test_capability_identity ] );
-      ("domains", [ Alcotest.test_case "privilege" `Quick test_domain_privilege ]);
+      ( "domains",
+        [ Alcotest.test_case "privilege" `Quick test_domain_privilege;
+          Alcotest.test_case "identity" `Quick test_domain_identity ] );
       ( "shared_mem",
         [ Alcotest.test_case "mapping enforced" `Quick test_shared_mem_mapping_enforced;
           Alcotest.test_case "destroy" `Quick test_shared_mem_destroy;

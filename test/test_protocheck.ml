@@ -85,7 +85,6 @@ let test_permits_follow_state () =
 (* --- the shadow oracle is exercised by real traffic ------------------- *)
 
 let test_shadow_oracle_exercised () =
-  Fsm.reset_counters ();
   let w = make_world () in
   let received = ref "" in
   Sched.spawn w.sched ~name:"server" (fun () ->
@@ -105,8 +104,9 @@ let test_shadow_oracle_exercised () =
      Closed->{Listen,Syn_sent} and on through the FIN exchange.  The
      exact count is the FSM's business; that it is substantial — and
      that every step also ran a shadow comparison — is the oracle's. *)
-  check_bool "witness transitions applied" true (Fsm.transitions_applied () >= 10);
-  check_bool "shadow checks ran" true (Fsm.shadow_checks_made () >= 10)
+  let both f = f w.a.stack.Stack.tcp + f w.b.stack.Stack.tcp in
+  check_bool "witness transitions applied" true (both Tcp.fsm_steps >= 10);
+  check_bool "shadow checks ran" true (both Tcp.shadow_checks >= 10)
 
 (* --- predicate/relation consistency (qcheck) -------------------------- *)
 
@@ -166,29 +166,67 @@ let test_switch_off_changes_preset () =
         (sw.Params.sw_off s.B.preset <> s.B.preset))
     Params.switches
 
+(* A source tree in a fresh temporary directory. *)
+let temp_tree name files =
+  let root = Filename.temp_dir name "" in
+  List.iter
+    (fun (rel, text) ->
+      let path = Filename.concat root rel in
+      let rec mkdirs d =
+        if not (Sys.file_exists d) then begin
+          mkdirs (Filename.dirname d);
+          Sys.mkdir d 0o755
+        end
+      in
+      mkdirs (Filename.dirname path);
+      Out_channel.with_open_bin path (fun oc -> output_string oc text))
+    files;
+  root
+
 (* The dead-export lint on a two-file tree: a val named only in its own
    module (or in a comment elsewhere) fails until it is allowlisted. *)
 let test_dead_export_seeded () =
-  let root = Filename.temp_dir "deadexport" "" in
-  let write rel text =
-    let path = Filename.concat root rel in
-    let rec mkdirs d =
-      if not (Sys.file_exists d) then begin
-        mkdirs (Filename.dirname d);
-        Sys.mkdir d 0o755
-      end
-    in
-    mkdirs (Filename.dirname path);
-    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  let root =
+    temp_tree "deadexport"
+      [ ("lib/m/m.mli", "val used : int\nval dead : int\n");
+        ("lib/m/m.ml", "let used = 1\nlet dead = used\n");
+        ("bin/main.ml", "(* M.dead *)\nlet () = print_int M.used\n") ]
   in
-  write "lib/m/m.mli" "val used : int\nval dead : int\n";
-  write "lib/m/m.ml" "let used = 1\nlet dead = used\n";
-  write "bin/main.ml" "(* M.dead *)\nlet () = print_int M.used\n";
   let fs = PC.check_dead_exports ~allow:[] ~root () in
   check_bool "dead val flagged" true
     (List.map (fun f -> f.PC.f_detail) (failing fs) = [ "M.dead: not named outside its module" ]);
   check_bool "allowlisted with a reason" true
     (PC.ok (PC.check_dead_exports ~allow:[ ("M.dead", "kept for debugging") ] ~root ()))
+
+(* The world-state lint: functions, local refs and per-value tables
+   pass; the planted top-level [ref] fails, and so do a cell in a nested
+   module and a table made by a [Weak]/[Ephemeron] functor. *)
+let test_world_state_seeded () =
+  let clean =
+    temp_tree "worldstate"
+      [ ( "lib/m/m.ml",
+          "type t = { tbl : (int, int) Hashtbl.t }\n\
+           let create () = { tbl = Hashtbl.create 8 }\n\
+           let count xs = let n = ref 0 in List.iter (fun _ -> incr n) xs; !n\n\
+           let make_ref = ref\n\
+           let seed = Hashtbl.hash \"m\"\n" ) ]
+  in
+  check_bool "clean tree passes" true (PC.ok (PC.check_world_state ~allow:[] ~root:clean ()));
+  let fs = PC.check_world_state ~seed_cell:true ~allow:[] ~root:clean () in
+  check_bool "planted ref flagged" true
+    (List.map (fun f -> f.PC.f_detail) (failing fs) = [ "Seeded.counter: top-level mutable cell" ]);
+  let dirty =
+    temp_tree "worldstate"
+      [ ( "lib/m/m.ml",
+          "module Inner = struct let hits : int ref = ref 0 end\n\
+           module Keys = Weak.Make (String)\n\
+           let keys = Keys.create 8\n\
+           let live = Atomic.make 0\n" ) ]
+  in
+  let fs = PC.check_world_state ~allow:[ ("M.live", "test") ] ~root:dirty () in
+  check_bool "nested and functor-made cells flagged, allowlist honoured" true
+    (List.map (fun f -> f.PC.f_detail) (failing fs)
+    = [ "M.Inner.hits: top-level mutable cell"; "M.keys: top-level mutable cell" ])
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -200,7 +238,8 @@ let () =
           Alcotest.test_case "lock checks green" `Quick test_locks_green;
           Alcotest.test_case "seeded lock cycle fails" `Quick
             test_locks_seeded_cycle_fails;
-          Alcotest.test_case "seeded dead export fails" `Quick test_dead_export_seeded ] );
+          Alcotest.test_case "seeded dead export fails" `Quick test_dead_export_seeded;
+          Alcotest.test_case "seeded world-state cell fails" `Quick test_world_state_seeded ] );
       ( "witnesses",
         [ Alcotest.test_case "witnesses are linear" `Quick test_witness_linear;
           Alcotest.test_case "wrong-source refused" `Quick test_packed_wrong_source;

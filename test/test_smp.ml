@@ -120,16 +120,16 @@ let test_mutex_stats_and_registry () =
   check "waited out the critical section" (Time.ms 2)
     st.Semaphore.s_total_wait_ns;
   (* The named lock is in the per-scheduler registry. *)
-  let regs = Semaphore.registered ~sched () in
+  let regs = Semaphore.registered ~sched in
   check_bool "registered under its name" true
     (List.exists (fun (r : Semaphore.stats) -> r.Semaphore.s_name = "test.lock") regs);
   Semaphore.reset_registered ~sched ();
   check "registry cleared for this sched" 0
-    (List.length (Semaphore.registered ~sched ()))
+    (List.length (Semaphore.registered ~sched))
 
-(* Named locks register per scheduler, weakly: once a world is dropped,
-   its registrations must not keep its scheduler reachable, while a
-   live scheduler's locks stay listed (filtered and unfiltered). *)
+(* Named locks register on their scheduler: once a world is dropped,
+   nothing keeps its scheduler reachable, while a live scheduler's
+   locks stay listed. *)
 let test_registry_releases_dropped_worlds () =
   let probe = Weak.create 1 in
   let live = Sched.create () in
@@ -146,7 +146,7 @@ let test_registry_releases_dropped_worlds () =
         match cli.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:80 with
         | Error e -> failwith e
         | Ok c -> c.Sockets.close ());
-    check_bool "the world registered named locks" true (Semaphore.registered ~sched () <> []);
+    check_bool "the world registered named locks" true (Semaphore.registered ~sched <> []);
     Weak.set probe 0 (Some sched)
   in
   run_and_drop ();
@@ -154,9 +154,7 @@ let test_registry_releases_dropped_worlds () =
   check_bool "dropped world's scheduler collected" false (Weak.check probe 0);
   let named regs = List.map (fun (r : Semaphore.stats) -> r.Semaphore.s_name) regs in
   check_bool "live scheduler's lock still listed" true
-    (List.mem "test.keep" (named (Semaphore.registered ~sched:live ())));
-  check_bool "and in the unfiltered listing" true
-    (List.mem "test.keep" (named (Semaphore.registered ())))
+    (List.mem "test.keep" (named (Semaphore.registered ~sched:live)))
 
 (* --- lock-order sanitizer ----------------------------------------------- *)
 
@@ -171,8 +169,6 @@ let test_abba_reported_not_deadlocked () =
   let sched = Sched.create () in
   let bkl = Mutex.create ~name:"m.bkl" ~sched () in
   let stk = Mutex.create ~name:"m.stack0.lock" ~sched () in
-  LO.set_enforce true;
-  LO.reset ();
   let caught = ref None in
   Sched.spawn sched ~name:"fwd" (fun () ->
       Mutex.with_lock ~site:"fwd:outer" bkl (fun () ->
@@ -184,7 +180,6 @@ let test_abba_reported_not_deadlocked () =
           try Mutex.with_lock ~site:"rev:inner" bkl (fun () -> ())
           with LO.Order_violation v -> caught := Some v));
   Sched.run sched;
-  LO.set_enforce false;
   match !caught with
   | None -> Alcotest.fail "inverted acquisition was not reported"
   | Some v ->
@@ -197,25 +192,37 @@ let test_abba_reported_not_deadlocked () =
 
 let test_forward_order_clean () =
   (* The same nesting in the declared order never trips the sanitizer,
-     across both threads and with reacquisition. *)
-  let module LO = Uln_engine.Lock_order in
+     across both threads and with reacquisition (a violation would
+     escape its thread and fail [Sched.run]). *)
   let sched = Sched.create () in
   let bkl = Mutex.create ~name:"m.bkl" ~sched () in
   let stk = Mutex.create ~name:"m.stack1.lock" ~sched () in
-  LO.set_enforce true;
-  LO.reset ();
-  (* Distinct names: held-lock stacks are keyed on the thread label, so
-     same-named threads would share one. *)
-  for i = 1 to 2 do
-    Sched.spawn sched ~name:(Printf.sprintf "worker%d" i) (fun () ->
+  let done_ = ref 0 in
+  for _ = 1 to 2 do
+    Sched.spawn sched ~name:"worker" (fun () ->
         Mutex.with_lock ~site:"w:outer" bkl (fun () ->
             Sched.sleep sched (Time.ms 1);
-            Mutex.with_lock ~site:"w:inner" stk (fun () -> ())))
+            Mutex.with_lock ~site:"w:inner" stk (fun () -> incr done_)))
   done;
   Sched.run sched;
-  let vs = LO.violations () in
-  LO.set_enforce false;
-  check "no violations in declared order" 0 (List.length vs)
+  check "both workers nested cleanly" 2 !done_
+
+let test_same_label_threads_own_stacks () =
+  (* Held locks belong to a thread, not to its label: every host's
+     registry thread is called [registry.rx].  [a] holds a stack lock
+     while [b], holding nothing, takes the big lock; sharing one stack
+     would report [b] as inverting the order. *)
+  let sched = Sched.create () in
+  let bkl = Mutex.create ~name:"m.bkl" ~sched () in
+  let stk = Mutex.create ~name:"m.stack0.lock" ~sched () in
+  let took = ref false in
+  Sched.spawn sched ~name:"registry.rx" (fun () ->
+      Mutex.with_lock ~site:"a" stk (fun () -> Sched.sleep sched (Time.ms 2)));
+  Sched.spawn sched ~name:"registry.rx" (fun () ->
+      Sched.sleep sched (Time.ms 1);
+      Mutex.with_lock ~site:"b" bkl (fun () -> took := true));
+  Sched.run sched;
+  check_bool "second thread took the big lock" true !took
 
 (* --- demux receive steering -------------------------------------------- *)
 
@@ -505,7 +512,7 @@ let test_uniproc_inkernel_lock_free () =
     let mutexes =
       List.filter
         (fun (r : Semaphore.stats) -> r.Semaphore.s_kind = "mutex")
-        (Semaphore.registered ~sched ())
+        (Semaphore.registered ~sched)
     in
     check "no mutex registered" 0 (List.length mutexes);
     (Sched.now sched, Buffer.contents got)
@@ -581,6 +588,8 @@ let () =
             test_registry_releases_dropped_worlds;
           Alcotest.test_case "ABBA reported, not deadlocked" `Quick
             test_abba_reported_not_deadlocked;
+          Alcotest.test_case "same-label threads own their stacks" `Quick
+            test_same_label_threads_own_stacks;
           Alcotest.test_case "declared order stays clean" `Quick
             test_forward_order_clean;
           Alcotest.test_case "1-CPU inkernel takes no lock" `Quick
