@@ -363,10 +363,12 @@ let proto_check_cmd =
   let module PC = Uln_protocheck.Proto_check in
   let module J = Uln_workload.Jout in
   let run json seed_unhandled seed_cycle params_src root =
-    let spec_names =
-      List.map (fun s -> s.Uln_workload.Bench_spec.name) (Uln_workload.Bench_spec.all_specs ())
+    let specs =
+      List.map
+        (fun s -> Uln_workload.Bench_spec.(s.name, s.preset))
+        (Uln_workload.Bench_spec.all_specs ())
     in
-    let sources = Option.map (fun p -> (p, spec_names, root)) params_src in
+    let sources = Option.map (fun p -> (p, specs, root)) params_src in
     let findings = PC.run ~seed_unhandled ~seed_cycle ?sources () in
     if json then begin
       let row f =

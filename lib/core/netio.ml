@@ -459,6 +459,7 @@ let destroy_channel t ~caller ch =
   ch.destroyed <- true;
   ch.active <- false;
   Capability.revoke ch.gate;
+  Semaphore.unregister ch.sem;
   List.iter (Demux.remove t.demux) ch.filters;
   ch.filters <- [];
   if ch.bqi > 0 then begin

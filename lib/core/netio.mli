@@ -153,8 +153,9 @@ val inject : t -> caller:Uln_host.Addr_space.t -> channel -> Uln_net.Frame.t -> 
     its own filters before the application's filter existed). *)
 
 val destroy_channel : t -> caller:Uln_host.Addr_space.t -> channel -> unit
-(** Revoke the capability, remove filters, release the BQI ring and the
-    shared region. *)
+(** Revoke the capability, drop the receive semaphore from its
+    scheduler's lock registry, remove filters, release the BQI ring and
+    the shared region. *)
 
 val park_channel : t -> caller:Uln_host.Addr_space.t -> channel -> unit
 (** Strip the channel's filters and template and mark it inactive while

@@ -784,27 +784,33 @@ let exit_app t ~graceful =
   List.iter
     (fun lc ->
       if not lc.released then begin
-        lc.released <- true;
+        (* Drain before marking the connection released: its receive
+           thread must keep taking in the ACKs the drain waits for. *)
         if graceful then Tcp.await_drained lc.conn;
-        drop_txpool lc;
-        match Tcp.state lc.conn with
-        | Uln_proto.Tcp_state.Established ->
-            let snap =
-              match (if graceful then Tcp.established_witness lc.conn else None) with
-              | Some w -> Tcp.export lc.conn ~witness:w
-              | None -> Tcp.export_force lc.conn
-            in
-            if wheel then
-              (* One IPC for the whole set: residues park on the
-                 registry's TIME_WAIT wheel (graceful) or are retired by
-                 the batched RST sweep (abnormal). *)
-              batch := (snap, lc.channel) :: !batch
-            else
-              Ipc.call (Registry.inherit_conn t.registry) ~size:128
-                (snap, lc.channel, graceful)
-        | _ ->
-            Tcp.abort lc.conn;
-            retire t lc
+        (* A drain that ends in a close (peer reset, retransmission
+           give-up) has already released the connection. *)
+        if not lc.released then begin
+          lc.released <- true;
+          drop_txpool lc;
+          match Tcp.state lc.conn with
+          | Uln_proto.Tcp_state.Established ->
+              let snap =
+                match (if graceful then Tcp.established_witness lc.conn else None) with
+                | Some w -> Tcp.export lc.conn ~witness:w
+                | None -> Tcp.export_force lc.conn
+              in
+              if wheel then
+                (* One IPC for the whole set: residues park on the
+                   registry's TIME_WAIT wheel (graceful) or are retired
+                   by the batched RST sweep (abnormal). *)
+                batch := (snap, lc.channel) :: !batch
+              else
+                Ipc.call (Registry.inherit_conn t.registry) ~size:128
+                  (snap, lc.channel, graceful)
+          | _ ->
+              Tcp.abort lc.conn;
+              retire t lc
+        end
       end)
     open_conns;
   (match !batch with

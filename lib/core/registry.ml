@@ -81,8 +81,6 @@ type pending = {
          learning a BQI hint is gated on holding one *)
   mutable pre_channel : Netio.channel option; (* passive side, created at SYN *)
   mutable pre_reused : bool; (* pre_channel came from the recycling pool *)
-  mutable build_join : (unit -> unit) option;
-      (* overlapped channel construction in flight; call before use *)
 }
 
 type port_state = Listening of Tcp.listener | In_use | Leased
@@ -489,36 +487,12 @@ let put_channel t ch =
 (* The per-connection channel construction charge: a recycled channel
    pays the cheap re-arm cost; a fresh one the full setup, plus ring
    stocking when it has a hardware BQI. *)
-let build_span ~app_ch ~reused =
-  if reused then Calibration.channel_reuse_setup
-  else
-    Time.span_add Calibration.registry_channel_setup
-      (if Netio.channel_bqi app_ch > 0 then Calibration.bqi_setup else 0)
-
-let charge_channel_build t ~app_ch ~reused = charge t (build_span ~app_ch ~reused)
-
-(* Overlapped handshake (overlap_setup): run the channel construction
-   on its own thread so the charge proceeds while the SYN round trip is
-   on the wire.  The charge goes in short slices — the construction is
-   preemptible background work, and a single multi-millisecond
-   reservation on this CPU would queue ahead of the handshake's own
-   short engine charges, delaying the very SYN (or SYN-ACK) it is meant
-   to overlap.  Returns a join: call it before touching the channel. *)
-let spawn_build t ~app_ch ~reused =
-  let built = ref false in
-  let waiter = ref None in
-  Sched.spawn t.machine.Machine.sched ~name:"registry.chan_build" (fun () ->
-      let slice = Time.us 200 in
-      let rec go remaining =
-        if remaining > 0 then begin
-          charge t (min slice remaining);
-          go (remaining - slice)
-        end
-      in
-      go (build_span ~app_ch ~reused);
-      built := true;
-      match !waiter with Some wake -> wake () | None -> ());
-  fun () -> if not !built then Sched.suspend (fun wake -> waiter := Some wake)
+let charge_channel_build t ~app_ch ~reused =
+  charge t
+    (if reused then Calibration.channel_reuse_setup
+     else
+       Time.span_add Calibration.registry_channel_setup
+         (if Netio.channel_bqi app_ch > 0 then Calibration.bqi_setup else 0))
 
 let record_legs t ~t0 ~t1 ~t2 ~t3 =
   let l = t.legs in
@@ -842,20 +816,12 @@ and on_rx t frame =
                   match Hashtbl.find_opt sh.sh_ports peek.p_dport with
                   | Some (Listening l) ->
                       let ch, reused = take_channel t ~owner:t.dom in
-                      (* Passive-side overlap: build the channel while the
-                         SYN-ACK/ACK exchange completes. *)
-                      let join =
-                        if t.prm.Tcp_params.overlap_setup then
-                          Some (spawn_build t ~app_ch:ch ~reused)
-                        else None
-                      in
                       Hashtbl.replace sh.sh_pending key
                         { stamp_bqi = Netio.channel_bqi ch;
                           peer_bqi = frame.Frame.bqi_hint;
                           p_bqi = Some (Tcp_fsm.bqi_exchange (Tcp.listener_witness l));
                           pre_channel = Some ch;
-                          pre_reused = reused;
-                          build_join = join }
+                          pre_reused = reused }
                   | Some (In_use | Leased) | None -> ()
                 end))
 
@@ -916,8 +882,7 @@ and do_connect t (req : connect_req) =
                   (* no permit yet: minted from the SYN_SENT witness below,
                      before the SYN leaves — stamping stays dark until then *)
                   pre_channel = None;
-                  pre_reused = false;
-                  build_join = None });
+                  pre_reused = false });
           (* Route this handshake's inbound segments to the registry. *)
           match
             try
@@ -958,37 +923,27 @@ and do_connect t (req : connect_req) =
                   shard_sync ~site:"registry.connect" t sh (fun () ->
                       (Hashtbl.find sh.sh_pending key).p_bqi <-
                         Some (Tcp_fsm.bqi_exchange syn_sent));
-                  (* Overlapped handshake: the channel construction charge
-                     runs while the SYN round trip is on the wire. *)
-                  let join =
-                    if t.prm.Tcp_params.overlap_setup then
-                      Some (spawn_build t ~app_ch ~reused)
-                    else None
-                  in
                   let t1 = Sched.now sched in
                   match Tcp.connect_launch conn with
                   | Error e ->
-                      (match join with Some j -> j () | None -> ());
                       cleanup ();
                       Error (Refused e)
                   | Ok witness ->
                       let t2 = Sched.now sched in
-                      (match join with Some j -> j () | None -> ());
                       let p =
                         shard_sync ~site:"registry.connect" t sh (fun () ->
                             Hashtbl.find sh.sh_pending key)
                       in
                       let r =
                         finish_setup t ~principal ~conn ~witness ~app_ch ~reused
-                          ~pre_charged:(Option.is_some join) ~remote_ip:req.c_dst
-                          ~remote_port:req.c_dst_port ~local_port:src_port
+                          ~remote_ip:req.c_dst ~remote_port:req.c_dst_port ~local_port:src_port
                           ~peer_bqi:p.peer_bqi ~tmp_filter:(Some tmp_filter) ~key
                       in
                       record_legs t ~t0 ~t1 ~t2 ~t3:(Sched.now sched);
                       r))))
 
-and finish_setup t ~principal ~conn ~witness ~app_ch ~reused ~pre_charged ~remote_ip
-    ~remote_port ~local_port ~peer_bqi ~tmp_filter ~key =
+and finish_setup t ~principal ~conn ~witness ~app_ch ~reused ~remote_ip ~remote_port ~local_port
+    ~peer_bqi ~tmp_filter ~key =
   (* Build the user channel: shared region already exists; install the
      connection filter and the anti-impersonation template.  The handoff
      entry is registered first so that segments racing the transfer are
@@ -997,7 +952,7 @@ and finish_setup t ~principal ~conn ~witness ~app_ch ~reused ~pre_charged ~remot
   let sh = shard_of_key t key in
   shard_sync ~site:"registry.finish" t sh (fun () ->
       Hashtbl.replace sh.sh_handoffs key app_ch);
-  if not pre_charged then charge_channel_build t ~app_ch ~reused;
+  charge_channel_build t ~app_ch ~reused;
   Netio.activate t.netio ~caller:t.dom app_ch
     ~filter:(conn_filter t ~remote_ip ~remote_port ~local_port)
     ~template:(conn_template t ~remote_ip ~remote_port ~local_port ~bqi:peer_bqi);
@@ -1055,27 +1010,20 @@ and do_accept t (req : accept_req) =
              SYN pre-built. *)
           shard_sync ~site:"registry.accept" t sh (fun () ->
               Hashtbl.remove sh.sh_pending key);
-          (match p with
-          | Some ({ pre_channel = Some ch; _ } as pend) ->
-              (match pend.build_join with Some j -> j () | None -> ());
-              put_channel t ch
-          | _ -> ());
+          (match p with Some { pre_channel = Some ch; _ } -> put_channel t ch | _ -> ());
           Tcp.abort conn;
           Error e
       | Ok _ ->
-          let app_ch, reused, pre_charged =
+          let app_ch, reused =
             match p with
-            | Some ({ pre_channel = Some ch; pre_reused; _ } as pend) ->
-                (match pend.build_join with Some j -> j () | None -> ());
+            | Some { pre_channel = Some ch; pre_reused; _ } ->
                 Netio.reassign_owner t.netio ~caller:t.dom ch ~owner:req.a_app;
-                (ch, pre_reused, Option.is_some pend.build_join)
-            | _ ->
-                let ch, reused = take_channel t ~owner:req.a_app in
-                (ch, reused, false)
+                (ch, pre_reused)
+            | _ -> take_channel t ~owner:req.a_app
           in
           let peer_bqi = match p with Some p -> p.peer_bqi | None -> 0 in
-          finish_setup t ~principal ~conn ~witness ~app_ch ~reused ~pre_charged ~remote_ip
-            ~remote_port ~local_port:req.a_port ~peer_bqi ~tmp_filter:None ~key)
+          finish_setup t ~principal ~conn ~witness ~app_ch ~reused ~remote_ip ~remote_port
+            ~local_port:req.a_port ~peer_bqi ~tmp_filter:None ~key)
   | Some (In_use | Leased) | None ->
       Error (Refused (Printf.sprintf "port %d is not listening" req.a_port))
 

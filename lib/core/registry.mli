@@ -191,8 +191,8 @@ val time_wait_stats : t -> time_wait_stats
 type setup_legs = {
   sl_samples : int;
   sl_port_alloc_us : float;  (** dispatch + port allocation *)
-  sl_round_trip_us : float;  (** SYN round trip (overlaps channel build) *)
-  sl_finish_us : float;  (** channel build join, activate, state export *)
+  sl_round_trip_us : float;  (** SYN round trip *)
+  sl_finish_us : float;  (** channel build, activate, state export *)
   sl_total_us : float;
 }
 

@@ -91,4 +91,14 @@ let registered ~sched =
     [] (Sched.locks sched)
   |> List.rev
 
+let unregister t =
+  match t.sched with
+  | Some s when t.name <> None ->
+      let q = Sched.locks s in
+      let keep = Queue.create () in
+      Queue.iter (function Lock u when u == t -> () | l -> Queue.push l keep) q;
+      Queue.clear q;
+      Queue.transfer keep q
+  | _ -> ()
+
 let reset_registered ~sched () = Queue.clear (Sched.locks sched)

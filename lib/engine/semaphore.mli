@@ -53,6 +53,11 @@ val registered : sched:Sched.t -> stats list
 (** Stats for every named semaphore (and mutex) created on [sched], in
     creation order. *)
 
+val unregister : t -> unit
+(** Drop [t] from its scheduler's {!registered}, for a lock whose owner
+    is destroyed before the world; a no-op for an unnamed semaphore.
+    Linear in the scheduler's live named locks: it rebuilds the list. *)
+
 val reset_registered : sched:Sched.t -> unit -> unit
 (** Drop [sched]'s registry entries.  The registry goes away with its
     scheduler, so nothing in the library needs this; it stays only for

@@ -17,7 +17,6 @@ type t = {
   keepalive_probes : int;
   fused_checksum : bool;
   zero_copy : bool;
-  overlap_setup : bool;
   channel_pool : bool;
   endpoint_lease : bool;
   time_wait_wheel : bool;
@@ -53,7 +52,6 @@ let default =
     keepalive_probes = 9;
     fused_checksum = true;
     zero_copy = false;
-    overlap_setup = false;
     channel_pool = false;
     endpoint_lease = false;
     time_wait_wheel = false;
@@ -140,10 +138,6 @@ let switches =
       sw_oracle = "test/test_fastpath.ml:prop_zero_copy_differential";
       sw_bench_row = "bulk userlib-zc";
       sw_off = (fun p -> { p with zero_copy = default.zero_copy }) };
-    { sw_field = "overlap_setup";
-      sw_oracle = "test/test_churn.ml:prop_fastpath_equivalent_under_faults";
-      sw_bench_row = "+lease";
-      sw_off = (fun p -> { p with overlap_setup = default.overlap_setup }) };
     { sw_field = "channel_pool";
       sw_oracle = "test/test_churn.ml:prop_fastpath_equivalent_under_faults";
       sw_bench_row = "+lease";
@@ -153,7 +147,7 @@ let switches =
       sw_bench_row = "+lease";
       sw_off = (fun p -> { p with endpoint_lease = default.endpoint_lease }) };
     { sw_field = "time_wait_wheel";
-      sw_oracle = "test/test_churn.ml:prop_fastpath_equivalent_under_faults";
+      sw_oracle = "test/test_churn.ml:test_wheel_differential";
       sw_bench_row = "+lease";
       sw_off = (fun p -> { p with time_wait_wheel = default.time_wait_wheel }) };
     { sw_field = "smp_locking";

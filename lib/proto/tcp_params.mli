@@ -47,15 +47,6 @@ type t = {
           segments through batched descriptor rings.  [false] (the
           default) keeps the copying path as the differential-testing
           oracle. *)
-  overlap_setup : bool;
-      (** Overlapped connection setup: the registry pipelines the user
-          channel build (region/ring/filter work, and the BQI machinery
-          on AN1) with the remote SYN round trip instead of serializing
-          them — the paper's §4 lament that outbound setup processing is
-          "non-overlapped" with the peer's round trip.  Affects only
-          {e when} setup CPU work is charged, never what is charged or
-          any wire traffic; [false] (the default) is the sequential
-          oracle. *)
   channel_pool : bool;
       (** Channel recycling across connections: on final release the
           registry parks the user channel (shared region, rings,

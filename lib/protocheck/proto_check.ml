@@ -234,7 +234,23 @@ let record_fields params_src =
 let ablatable_fields params_src =
   List.filter_map (fun (n, abl) -> if abl then Some n else None) (record_fields params_src)
 
-let check_switches ~params_src ~spec_names ~root () =
+(* Each switch's leave-one-out row must name a bench spec, and that
+   spec's preset must have the switch on: a row whose preset already
+   equals the preset with the switch off measures nothing. *)
+let check_switch_rows ~specs () =
+  List.map
+    (fun s ->
+      let row = s.Params.sw_bench_row in
+      match List.assoc_opt row specs with
+      | None ->
+          fail "switch-bench" (Printf.sprintf "%s: no bench spec named %S" s.Params.sw_field row)
+      | Some p when s.Params.sw_off p = p ->
+          fail "switch-bench"
+            (Printf.sprintf "%s: spec %S runs with the switch already off" s.Params.sw_field row)
+      | Some _ -> pass "switch-bench" (Printf.sprintf "%s -> spec %S" s.Params.sw_field row))
+    Params.switches
+
+let check_switches ~params_src ~specs ~root () =
   let out = ref [] in
   let add f = out := f :: !out in
   let fields = ablatable_fields params_src in
@@ -288,18 +304,9 @@ let check_switches ~params_src ~spec_names ~root () =
       else
         add
           (fail "switch-table"
-             (Printf.sprintf "%s: no leave-one-out row in %s" s.Params.sw_field table_file));
-      if List.mem s.Params.sw_bench_row spec_names then
-        add
-          (pass "switch-bench"
-             (Printf.sprintf "%s -> spec %S" s.Params.sw_field s.Params.sw_bench_row))
-      else
-        add
-          (fail "switch-bench"
-             (Printf.sprintf "%s: no bench spec named %S" s.Params.sw_field
-                s.Params.sw_bench_row)))
+             (Printf.sprintf "%s: no leave-one-out row in %s" s.Params.sw_field table_file)))
     Params.switches;
-  List.rev !out
+  List.rev !out @ check_switch_rows ~specs ()
 
 (* --- dead-export lint ----------------------------------------------------- *)
 
@@ -500,7 +507,7 @@ let run ?(seed_unhandled = false) ?(seed_cycle = false) ?sources () =
   @
   match sources with
   | None -> []
-  | Some (params_src, spec_names, root) ->
-      check_switches ~params_src ~spec_names ~root ()
+  | Some (params_src, specs, root) ->
+      check_switches ~params_src ~specs ~root ()
       @ check_dead_exports ~root ()
       @ check_world_state ~root ()

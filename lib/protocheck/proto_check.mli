@@ -14,7 +14,7 @@
       the graph must be acyclic.
     - {b Switches}: every ablatable field of {!Uln_proto.Tcp_params.t}
       must register a differential oracle that exists in the tree and a
-      bench row that names a bench spec.
+      bench row that names a bench spec whose preset has the switch on.
     - {b Dead exports}: every [val] in a [lib/] interface must be named,
       as a whole word outside comments and strings, in some file of
       [lib/], [bin/], [bench/], [test/], [examples/] or [perfbench/]
@@ -39,6 +39,11 @@ val check_fsm : ?seed_unhandled:bool -> unit -> finding list
 val check_locks : ?seed_cycle:bool -> unit -> finding list
 (** [seed_cycle] appends an inverted acquisition edge (the ABBA shape). *)
 
+val check_switch_rows :
+  specs:(string * Uln_proto.Tcp_params.t) list -> unit -> finding list
+(** Every switch's [sw_bench_row] names one of [specs] (bench spec name,
+    preset), and leaving the switch out of that preset changes it. *)
+
 val check_dead_exports :
   ?allow:(string * string) list -> root:string -> unit -> finding list
 (** The dead-export lint over the source trees under [root].  [allow]
@@ -55,12 +60,12 @@ val check_world_state :
 val run :
   ?seed_unhandled:bool ->
   ?seed_cycle:bool ->
-  ?sources:string * string list * string ->
+  ?sources:string * (string * Uln_proto.Tcp_params.t) list * string ->
   unit ->
   finding list
-(** All families; [sources = (params_src, spec_names, root)] enables the
+(** All families; [sources = (params_src, specs, root)] enables the
     switch, dead-export and world-state lints ([params_src] is the path to
-    [tcp_params.ml], [spec_names] the names every [sw_bench_row] must
-    resolve against, [root] the directory oracle paths, the committed
-    leave-one-out table [BENCH_switches.json] and the source trees
-    resolve against); the other checks are pure. *)
+    [tcp_params.ml], [specs] the bench specs (name, preset) every
+    [sw_bench_row] must resolve against, [root] the directory oracle
+    paths, the committed leave-one-out table [BENCH_switches.json] and
+    the source trees resolve against); the other checks are pure. *)

@@ -162,14 +162,12 @@ let run ?(pairs = 2) ?(conns_per_pair = 64) ?(paced_samples = 8) ?(cpus = 1)
    cell (including the reference organizations) so local TIME_WAIT tails
    do not dominate a short benchmark run. *)
 let configs =
-  let f ov po le wh =
+  let f po le wh =
     { Tcp_params.fast with
-      Tcp_params.overlap_setup = ov;
-      channel_pool = po;
+      Tcp_params.channel_pool = po;
       endpoint_lease = le;
       time_wait_wheel = wh }
   in
-  [ ("baseline", f false false false false);
-    ("+overlap", f true false false false);
-    ("+pool", f true true false false);
-    ("+lease", f true true true true) ]
+  [ ("baseline", f false false false);
+    ("+pool", f true false false);
+    ("+lease", f true true true) ]

@@ -3,7 +3,7 @@
     (the RPC/HTTP-like pattern of ROADMAP's "millions of users"
     north-star) measure aggregate connections/sec and the
     client-observed setup latency, across the fast-path ablation ladder
-    {baseline, +overlap, +pool, +lease} and the reference
+    {baseline, +pool, +lease} and the reference
     organizations.
 
     Each cell runs two phases in one world.  The churn phase drives
@@ -17,7 +17,7 @@
 
 type result = {
   r_system : string;  (** "userlib" | "mach-ux" | "ultrix" *)
-  r_config : string;  (** "baseline" | "+overlap" | "+pool" | "+lease" *)
+  r_config : string;  (** "baseline" | "+pool" | "+lease" *)
   r_pairs : int;
   r_conns : int;  (** connections opened during the churn phase *)
   r_conns_per_sec : float;  (** churn phase, all pairs aggregated *)

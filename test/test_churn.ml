@@ -1,7 +1,8 @@
-(* Connection-churn fast path: TIME_WAIT wheel semantics, endpoint
-   lease port accounting, the pipelined IPC primitive, and a
-   differential check that the overlapped/pooled/leased setup path is
-   wire-identical to the sequential oracle. *)
+(* Connection-churn fast path: TIME_WAIT wheel semantics and its
+   differential against the engine's own 2MSL, endpoint lease port
+   accounting, the pipelined IPC primitive, and a differential check
+   that the pooled/leased setup path is wire-identical to the
+   sequential oracle. *)
 
 module Sched = Uln_engine.Sched
 module Time = Uln_engine.Time
@@ -129,6 +130,107 @@ let test_port_reuse_after_expiry () =
   check_bool "port held while parked" true !held;
   check_bool "port reusable after expiry" true !reused
 
+let pattern n =
+  String.init n (fun i -> Char.chr (((i * 31) + (i / 251)) land 0x7f))
+
+(* --- differential: TIME_WAIT wheel vs the engine's own 2MSL ----------- *)
+
+(* A graceful exit on a clean link, the wheel on or off: the client
+   sends [n] bytes from a fixed source port and exits with part of them
+   still unacknowledged, and the registry inherits the connection.
+   Returns what the server read, whether a reconnect from that port was
+   refused 100 ms short of 2MSL, whether one was accepted after 2MSL,
+   and how many residues the wheel parked. *)
+let wheel_exit ~wheel n =
+  let w =
+    make_world ~tcp_params:{ Tcp_params.fast with Tcp_params.time_wait_wheel = wheel } ()
+  in
+  let sched = World.sched w in
+  let r0 = Option.get (World.registry w 0) in
+  let received = Buffer.create n in
+  let srv = World.app w ~host:1 "srv" in
+  Sched.spawn sched ~name:"srv" (fun () ->
+      let l = srv.Sockets.listen ~port:7003 in
+      for k = 1 to 2 do
+        let c = l.Sockets.accept () in
+        let rec drain () =
+          match c.Sockets.recv ~max:4096 with
+          | Some v ->
+              if k = 1 then Buffer.add_string received (View.to_string v);
+              drain ()
+          | None -> ()
+        in
+        drain ();
+        c.Sockets.close ()
+      done);
+  let app = World.app w ~host:0 "cli" in
+  let app2 = World.app w ~host:0 "cli2" in
+  let connect a = a.Sockets.connect ~src_port:51236 ~dst:(World.host_ip w 1) ~dst_port:7003 in
+  let refused = ref false and accepted = ref false in
+  Sched.block_on sched (fun () ->
+      (match connect app with
+      | Error e -> failwith e
+      | Ok c ->
+          c.Sockets.send (View.of_string (pattern n));
+          app.Sockets.exit_app ~graceful:true);
+      Sched.sleep sched (two_msl - Time.ms 100);
+      (match connect app2 with
+      | Error e -> refused := e = "port 51236 in use"
+      | Ok _ -> ());
+      Sched.sleep sched (Time.ms 600);
+      match connect app2 with
+      | Error _ -> ()
+      | Ok c ->
+          accepted := true;
+          c.Sockets.close ());
+  ( Buffer.contents received,
+    !refused,
+    !accepted,
+    (Registry.time_wait_stats r0).Registry.tw_parked_total )
+
+let test_wheel_differential () =
+  let n = 30_000 in
+  let got_on, refused_on, accepted_on, parked_on = wheel_exit ~wheel:true n in
+  let got_off, refused_off, accepted_off, parked_off = wheel_exit ~wheel:false n in
+  Alcotest.(check string) "wheel on delivers the payload" (pattern n) got_on;
+  Alcotest.(check string) "wheel off delivers the payload" (pattern n) got_off;
+  check_bool "wheel on: port refused before 2MSL" true refused_on;
+  check_bool "wheel off: port refused before 2MSL" true refused_off;
+  check_bool "wheel on: port accepted after 2MSL" true accepted_on;
+  check_bool "wheel off: port accepted after 2MSL" true accepted_off;
+  check_bool "the wheel engaged" true (parked_on > 0);
+  check "the oracle parks nothing" 0 parked_off
+
+(* A peer reset during a graceful exit's drain closes the connection,
+   and the close retires its port and channel; the exit must not retire
+   them a second time.  With the channel pool on, a second retire would
+   park the one channel twice, so two later connections could share it. *)
+let test_reset_during_graceful_exit () =
+  let w = make_world ~tcp_params:{ Tcp_params.fast with Tcp_params.channel_pool = true } () in
+  let sched = World.sched w in
+  let r0 = Option.get (World.registry w 0) in
+  let srv = World.app w ~host:1 "srv" in
+  Sched.spawn sched ~name:"srv" (fun () ->
+      let l = srv.Sockets.listen ~port:7004 in
+      let c = l.Sockets.accept () in
+      ignore (c.Sockets.recv ~max:4096);
+      c.Sockets.abort ());
+  let app = World.app w ~host:0 "cli" in
+  let open_at_exit = ref false in
+  Sched.block_on sched (fun () ->
+      (match app.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:7004 with
+      | Error e -> failwith e
+      | Ok c ->
+          c.Sockets.send (View.of_string (pattern 8_000));
+          open_at_exit := c.Sockets.conn_state () = Uln_proto.Tcp_state.Established;
+          app.Sockets.exit_app ~graceful:true);
+      Sched.sleep sched (Time.sec 1));
+  check_bool "the reset lands during the drain" true !open_at_exit;
+  let ps = Registry.pool_stats r0 in
+  check "one channel built" 1 ps.Registry.ps_misses;
+  check "and parked once" 1 ps.Registry.ps_parked;
+  check "port freed" 0 (Registry.ports_in_use r0)
+
 (* Endpoint leases carve the 49152..65535 range into fixed blocks; when
    they are all granted the registry returns the typed Out_of_ports
    error, and releasing a lease makes a grant possible again. *)
@@ -180,14 +282,7 @@ let test_ipc_post_await () =
 
 (* --- differential: fast-path setup vs the sequential oracle ----------- *)
 
-let fast_cfg =
-  { Tcp_params.fast with
-    Tcp_params.overlap_setup = true;
-    channel_pool = true;
-    endpoint_lease = true }
-
-let pattern n =
-  String.init n (fun i -> Char.chr (((i * 31) + (i / 251)) land 0x7f))
+let fast_cfg = { Tcp_params.fast with Tcp_params.channel_pool = true; endpoint_lease = true }
 
 (* One client->server bulk transfer through the full organization
    (registry, channels, library engines).  Returns what the server read,
@@ -197,9 +292,9 @@ let pattern n =
 
    Faults are armed only once the connection is established and the
    setup plane has gone quiet.  The setup configurations legitimately
-   shift *when* the first writes land relative to the handshake (the
-   overlapped build keeps charging the client CPU briefly after connect
-   returns), and the injector draws its RNG per delivered frame — so
+   shift *when* the first writes land relative to the handshake (a
+   leased connect returns at a different instant than one through the
+   registry), and the injector draws its RNG per delivered frame — so
    faulting from frame one would compare two different fault patterns,
    not two setup paths.  From a settled connection both configurations
    face an identical frame sequence, and the oracle comparison is
@@ -274,7 +369,7 @@ let prop_fastpath_equivalent_under_faults =
      byte-identical delivery and equal segment counts against the
      sequential oracle.  (Setup itself is compared on the clean link
      above, where the whole trace is deterministic.) *)
-  QCheck.Test.make ~name:"overlap+pool+lease setup = sequential oracle under faults"
+  QCheck.Test.make ~name:"pool+lease setup = sequential oracle under faults"
     ~count:5
     QCheck.(1 -- 1_000_000)
     (fun seed ->
@@ -325,6 +420,10 @@ let () =
           Alcotest.test_case "graceful exit holds TIME_WAIT" `Quick
             test_graceful_exit_holds_time_wait;
           Alcotest.test_case "port reuse after expiry" `Quick test_port_reuse_after_expiry;
+          Alcotest.test_case "wheel = engine 2MSL on a graceful exit" `Quick
+            test_wheel_differential;
+          Alcotest.test_case "peer reset during graceful exit retires once" `Quick
+            test_reset_during_graceful_exit;
           Alcotest.test_case "lease ladder with sharded registry" `Quick
             test_lease_wheel_sharded;
           Alcotest.test_case "worlds on parallel domains" `Quick

@@ -74,6 +74,37 @@ let transfer_case (label, org) network net_label =
 let userlib_world ?(network = World.Ethernet) () =
   World.create ~network ~org:Organization.User_library ()
 
+(* A destroyed channel leaves its scheduler's lock registry: after [n]
+   connect/close cycles (channel pool off, so every channel is destroyed
+   once its TIME_WAIT ends) the world names as many locks whatever [n]
+   is, instead of one [rx_sem] more per closed channel. *)
+let test_closed_channels_unregister () =
+  let named n =
+    let w =
+      World.create ~network:World.Ethernet ~org:Organization.User_library
+        ~tcp_params:Uln_proto.Tcp_params.fast ()
+    in
+    let sched = World.sched w in
+    let server_app = World.app w ~host:1 "server" in
+    let client_app = World.app w ~host:0 "client" in
+    Sched.spawn sched ~name:"server" (fun () ->
+        let l = server_app.Sockets.listen ~port:80 in
+        for _ = 1 to n do
+          let c = l.Sockets.accept () in
+          ignore (c.Sockets.recv ~max:16);
+          c.Sockets.close ()
+        done);
+    Sched.block_on sched (fun () ->
+        for _ = 1 to n do
+          match client_app.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1) ~dst_port:80 with
+          | Error e -> failwith ("connect: " ^ e)
+          | Ok c -> c.Sockets.close ()
+        done;
+        Sched.sleep sched (Time.sec 5));
+    List.length (Uln_engine.Semaphore.registered ~sched)
+  in
+  check "named locks after 16 cycles = after 4" (named 4) (named 16)
+
 (* Pool buffers are allocated on first hand-out, so a world that has
    not run holds only the ring buffers its channels stock, not every
    slot of every pool (about 45k words when pools were filled up
@@ -902,7 +933,9 @@ let () =
           Alcotest.test_case "an1 hardware demux" `Quick test_an1_uses_hardware_demux;
           Alcotest.test_case "ethernet software demux" `Quick test_ethernet_uses_software_demux;
           Alcotest.test_case "compiled filters" `Quick test_compiled_demux_mode_works;
-          Alcotest.test_case "world live words" `Quick test_world_live_words ] );
+          Alcotest.test_case "world live words" `Quick test_world_live_words;
+          Alcotest.test_case "closed channels leave the lock registry" `Quick
+            test_closed_channels_unregister ] );
       ( "protection",
         [ Alcotest.test_case "privileged channel creation" `Quick
             test_channel_creation_requires_privilege;

@@ -166,6 +166,23 @@ let test_switch_off_changes_preset () =
         (sw.Params.sw_off s.B.preset <> s.B.preset))
     Params.switches
 
+(* The switch-row lint: green on the real specs; seeded with the first
+   switch turned off in its own row's preset, that row measures nothing
+   and fails, and nothing else does. *)
+let test_switch_rows_seeded () =
+  let specs = List.map (fun s -> (s.B.name, s.B.preset)) (B.all_specs ()) in
+  check_bool "real specs pass" true (PC.ok (PC.check_switch_rows ~specs ()));
+  let sw = List.hd Params.switches in
+  let inert =
+    List.map
+      (fun (name, p) -> (name, if name = sw.Params.sw_bench_row then sw.Params.sw_off p else p))
+      specs
+  in
+  let fs = PC.check_switch_rows ~specs:inert () in
+  check_bool "inert row flagged" true
+    (List.map (fun f -> f.PC.f_detail) (failing fs)
+    = [ "fused_checksum: spec \"bulk userlib/ethernet/4096\" runs with the switch already off" ])
+
 (* A source tree in a fresh temporary directory. *)
 let temp_tree name files =
   let root = Filename.temp_dir name "" in
@@ -239,7 +256,8 @@ let () =
           Alcotest.test_case "seeded lock cycle fails" `Quick
             test_locks_seeded_cycle_fails;
           Alcotest.test_case "seeded dead export fails" `Quick test_dead_export_seeded;
-          Alcotest.test_case "seeded world-state cell fails" `Quick test_world_state_seeded ] );
+          Alcotest.test_case "seeded world-state cell fails" `Quick test_world_state_seeded;
+          Alcotest.test_case "seeded inert switch row fails" `Quick test_switch_rows_seeded ] );
       ( "witnesses",
         [ Alcotest.test_case "witnesses are linear" `Quick test_witness_linear;
           Alcotest.test_case "wrong-source refused" `Quick test_packed_wrong_source;
