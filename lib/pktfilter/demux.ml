@@ -1,15 +1,29 @@
 type mode = Interpreted | Compiled
 
+(* Monomorphic tables: no polymorphic hash or compare per probe.  Entry
+   and group ids are sequential, so an id is its own hash. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (i : int) = i
+end)
+
+module Stbl = Hashtbl.Make (String)
+
 (* The overlap check's unit of work: one program object and its
    analysis, shared by every live entry that carries that program.  An
    [install] founds a group; a stamped entry joins its template's group,
-   because its program is the template's.  The analysis is computed at
+   because its program is the template's; so does its verifier
+   certificate (report and worst case).  The analysis is computed at
    most once per group: given by the installer, or forced by the first
    overlap check that needs it. *)
 type group = {
   g_id : int;  (* the founding entry's id *)
   g_program : Program.t;  (* as installed (overlap checks use this) *)
   g_analysis : Absint.result Lazy.t;
+  g_wcet : int;  (* certified worst case of the optimized program *)
+  g_report : Verify.report;
   mutable g_live : int;  (* live entries in the group; dropped at 0 *)
   mutable g_slot : slot;  (* where the overlap index holds it *)
 }
@@ -27,24 +41,28 @@ and slot = Unindexed | Residual | Bucket of oshape * string
 
 and oshape = {
   os_offs : int array;  (* strictly increasing byte offsets *)
-  os_buckets : (string, group list) Hashtbl.t;
+  os_buckets : group list Stbl.t;
 }
 
 type key = int
 
+(* An exactness proof: the entry accepts exactly the packets of length
+   >= [x_min_len] whose bytes at [x_offs] spell [x_key].  [x_offs] is
+   sorted (stably: duplicate offsets keep their given order, so a stamp
+   pinning one byte twice to different values matches nothing) and is
+   the very array of the entry's hierarchical shape, shared by every
+   entry of that shape.  [x_key] is both the shape's bucket key and the
+   flow-cache key.  [x_min_len] covers the last offset. *)
+type exact = { x_offs : int array; x_key : string; x_min_len : int }
+
 type 'a entry = {
   id : int;
   group : group;
-  optimized : Program.t;  (* what actually runs *)
-  predicate : Uln_buf.View.t -> bool * int;
-  wcet : int;
-  report : Verify.report;
-  exact : ((int * int) list * int) option;
-      (* [(byte constraints, min length)] when the optimized program is
-         conjunctive-exact: it accepts exactly the packets of length
-         >= min that carry those byte values.  The flow cache's key
-         material, derived from the verifier's analysis — and the
-         hierarchical index's partition criterion. *)
+  run : run;
+  exact : exact option;
+      (* present when the optimized program is conjunctive-exact: the
+         flow cache's key material, derived from the verifier's analysis
+         — and the hierarchical index's partition criterion. *)
   endpoint : 'a;
   mutable affinity : int;
       (* Receive flow steering: the CPU index this endpoint's traffic
@@ -55,7 +73,19 @@ type 'a entry = {
       (* Removal tombstone: the priority-ordered [entries] list is
          compacted lazily (amortized O(1) remove); a dead entry is
          skipped at zero cost everywhere it could still be seen. *)
+  mutable stamp_reject : int;
+      (* a stamped entry's reject cycles, measured at the first scan that
+         rejects with it; -1 until then (and always, for a program) *)
 }
+
+(* How an entry decides a packet.  An installed entry runs its optimized
+   program.  A stamped entry matches its own [exact] bytes and is charged
+   from its template's program: [accept_cycles] on the template's own
+   accept packet, and its reject cost on the entry's near-miss packet.
+   One [Stamp] value per template is shared by all of its stamps. *)
+and run =
+  | Predicate of (Uln_buf.View.t -> bool * int)
+  | Stamp of { accept_cycles : int; template_pred : Uln_buf.View.t -> bool * int }
 
 type 'a conflict = { against : key; with_endpoint : 'a; witness : Uln_buf.View.t }
 
@@ -69,7 +99,7 @@ type 'a cached = { c_entry : 'a entry; c_min_len : int }
 type 'a shape = {
   s_offs : int array;  (* sorted byte offsets *)
   s_max : int;  (* highest offset (length guard) *)
-  s_tbl : (string, 'a cached) Hashtbl.t;
+  s_tbl : 'a cached Stbl.t;
 }
 
 (* The hierarchical index groups every conjunctive-exact entry by its
@@ -83,7 +113,7 @@ type 'a shape = {
 type 'a hshape = {
   hs_offs : int array;  (* sorted byte offsets *)
   hs_max : int;  (* highest offset (length guard) *)
-  hs_tbl : (string, 'a entry list ref) Hashtbl.t;
+  hs_tbl : 'a entry list ref Stbl.t;
 }
 
 type cache_stats = { hits : int; misses : int; installs : int; skips : int; flushes : int }
@@ -92,7 +122,7 @@ type 'a t = {
   mode : mode;
   budget : int option;
   mutable entries : 'a entry list;
-  by_id : (int, 'a entry) Hashtbl.t;
+  by_id : 'a entry Itbl.t;
   mutable n_entries : int;  (* live (non-dead) entries *)
   mutable n_dead : int;  (* tombstones awaiting compaction *)
   mutable next_id : int;
@@ -103,11 +133,11 @@ type 'a t = {
   mutable residual : 'a entry list;  (* inexact entries, priority order *)
   mutable n_groups : int;  (* live overlap-check groups *)
   mutable oshapes : oshape list;
-  oresidual : (int, group) Hashtbl.t;  (* by [g_id] *)
-  unindexed : (int, group) Hashtbl.t;  (* by [g_id] *)
-  stamp_accept : (key, int) Hashtbl.t;
-      (* a template's accept cycles on its own accept packet, measured
-         at its first stamped install; dropped with the template *)
+  oresidual : group Itbl.t;  (* by [g_id] *)
+  unindexed : group Itbl.t;  (* by [g_id] *)
+  stamps : run Itbl.t;
+      (* a template's [Stamp], made at its first stamped install (which
+         measures the accept cycles); dropped with the template *)
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_installs : int;
@@ -119,7 +149,7 @@ let create ~mode ?budget ?(flow_cache = false) ?(hier = false) () =
   { mode;
     budget;
     entries = [];
-    by_id = Hashtbl.create 64;
+    by_id = Itbl.create 64;
     n_entries = 0;
     n_dead = 0;
     next_id = 0;
@@ -130,9 +160,9 @@ let create ~mode ?budget ?(flow_cache = false) ?(hier = false) () =
     residual = [];
     n_groups = 0;
     oshapes = [];
-    oresidual = Hashtbl.create 8;
-    unindexed = Hashtbl.create 8;
-    stamp_accept = Hashtbl.create 8;
+    oresidual = Itbl.create 8;
+    unindexed = Itbl.create 8;
+    stamps = Itbl.create 8;
     c_hits = 0;
     c_misses = 0;
     c_installs = 0;
@@ -171,6 +201,17 @@ let set_hier t on = t.hier <- on
 
 let live_groups t = t.n_groups
 
+(* Shape offset sets are compared without polymorphic [=]; an entry's
+   offsets are usually its shape's own array, so [==] settles it. *)
+let same_offs (a : int array) b =
+  a == b
+  ||
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+  go 0
+
 (* --- the overlap index --------------------------------------------------- *)
 
 let rec strictly_increasing = function
@@ -184,36 +225,36 @@ let index_group t g =
       let offs = Array.of_list (List.map fst cs) in
       let key = String.of_seq (Seq.map (fun (_, v) -> Char.chr v) (List.to_seq cs)) in
       let sh =
-        match List.find_opt (fun sh -> sh.os_offs = offs) t.oshapes with
+        match List.find_opt (fun sh -> same_offs sh.os_offs offs) t.oshapes with
         | Some sh -> sh
         | None ->
-            let sh = { os_offs = offs; os_buckets = Hashtbl.create 16 } in
+            let sh = { os_offs = offs; os_buckets = Stbl.create 16 } in
             t.oshapes <- sh :: t.oshapes;
             sh
       in
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt sh.os_buckets key) in
-      Hashtbl.replace sh.os_buckets key (g :: bucket);
+      let bucket = Option.value ~default:[] (Stbl.find_opt sh.os_buckets key) in
+      Stbl.replace sh.os_buckets key (g :: bucket);
       g.g_slot <- Bucket (sh, key)
   | _ ->
-      Hashtbl.replace t.oresidual g.g_id g;
+      Itbl.replace t.oresidual g.g_id g;
       g.g_slot <- Residual
 
 let unindex_group t g =
   match g.g_slot with
-  | Unindexed -> Hashtbl.remove t.unindexed g.g_id
-  | Residual -> Hashtbl.remove t.oresidual g.g_id
+  | Unindexed -> Itbl.remove t.unindexed g.g_id
+  | Residual -> Itbl.remove t.oresidual g.g_id
   | Bucket (sh, key) -> (
-      match List.filter (fun g' -> g' != g) (Hashtbl.find sh.os_buckets key) with
+      match List.filter (fun g' -> g' != g) (Stbl.find sh.os_buckets key) with
       | [] ->
-          Hashtbl.remove sh.os_buckets key;
-          if Hashtbl.length sh.os_buckets = 0 then
+          Stbl.remove sh.os_buckets key;
+          if Stbl.length sh.os_buckets = 0 then
             t.oshapes <- List.filter (fun sh' -> sh' != sh) t.oshapes
-      | rest -> Hashtbl.replace sh.os_buckets key rest)
+      | rest -> Stbl.replace sh.os_buckets key rest)
 
 let index_unindexed t =
-  if Hashtbl.length t.unindexed > 0 then begin
-    Hashtbl.iter (fun _ g -> index_group t g) t.unindexed;
-    Hashtbl.reset t.unindexed
+  if Itbl.length t.unindexed > 0 then begin
+    Itbl.iter (fun _ g -> index_group t g) t.unindexed;
+    Itbl.reset t.unindexed
   end
 
 (* The bytes an accept path's (offset-sorted) constraints pin at the
@@ -270,27 +311,27 @@ let conflicts t (program, a) =
           hits := (g.g_id, witness) :: !hits
       | _ -> ()
     in
-    Hashtbl.iter (fun _ g -> check g) t.oresidual;
+    Itbl.iter (fun _ g -> check g) t.oresidual;
     List.iter
       (fun sh ->
         match shape_keys sh a.Absint.r_accept_paths with
         | Some keys ->
             List.iter
               (fun k ->
-                match Hashtbl.find_opt sh.os_buckets k with
+                match Stbl.find_opt sh.os_buckets k with
                 | Some gs -> List.iter check gs
                 | None -> ())
               keys
-        | None -> Hashtbl.iter (fun _ gs -> List.iter check gs) sh.os_buckets)
+        | None -> Stbl.iter (fun _ gs -> List.iter check gs) sh.os_buckets)
       t.oshapes;
     if !hits = [] then []
     else
-      let witness_of = Hashtbl.of_seq (List.to_seq !hits) in
+      let witness_of = Itbl.of_seq (List.to_seq !hits) in
       List.filter_map
         (fun e ->
           if e.dead then None
           else
-            match Hashtbl.find_opt witness_of e.group.g_id with
+            match Itbl.find_opt witness_of e.group.g_id with
             | Some witness -> Some { against = e.id; with_endpoint = e.endpoint; witness }
             | None -> None)
         t.entries
@@ -298,47 +339,61 @@ let conflicts t (program, a) =
 
 (* --- the hierarchical index -------------------------------------------- *)
 
-let sort_constraints ecs = List.sort (fun (a, _) (b, _) -> compare a b) ecs
+let by_offset (a, _) (b, _) = Int.compare a b
 
-let key_of_constraints ecs =
-  let a = Array.of_list ecs in
-  String.init (Array.length a) (fun i -> Char.chr (snd a.(i)))
+let rec sorted_by_offset = function
+  | (o1, _) :: ((o2, _) :: _ as rest) -> o1 <= o2 && sorted_by_offset rest
+  | _ -> true
+
+let find_hshape t offs = List.find_opt (fun sh -> same_offs sh.hs_offs offs) t.hshapes
+
+(* The exactness proof of a constraint set.  Constraints usually arrive
+   sorted; otherwise they are sorted stably, as [List.sort] would.  The
+   offsets array is the existing shape's when there is one. *)
+let exact_of t cs min_len =
+  let cs = if sorted_by_offset cs then cs else List.stable_sort by_offset cs in
+  let n = List.length cs in
+  let offs = Array.make n 0 and key = Bytes.create n in
+  List.iteri
+    (fun i (o, v) ->
+      offs.(i) <- o;
+      Bytes.set key i (Char.chr v))
+    cs;
+  { x_offs = (match find_hshape t offs with Some sh -> sh.hs_offs | None -> offs);
+    x_key = Bytes.unsafe_to_string key;
+    x_min_len = (if n = 0 then min_len else max min_len (offs.(n - 1) + 1)) }
 
 let hindex_add t (e : 'a entry) =
   match e.exact with
-  | Some (ecs, _) when ecs <> [] ->
-      let offs = Array.of_list (List.map fst ecs) in
+  | Some x when Array.length x.x_offs > 0 ->
       let sh =
-        match List.find_opt (fun sh -> sh.hs_offs = offs) t.hshapes with
+        match find_hshape t x.x_offs with
         | Some sh -> sh
         | None ->
             let sh =
-              { hs_offs = offs;
-                hs_max = Array.fold_left max 0 offs;
-                hs_tbl = Hashtbl.create 256 }
+              { hs_offs = x.x_offs;
+                hs_max = x.x_offs.(Array.length x.x_offs - 1);
+                hs_tbl = Stbl.create 256 }
             in
             t.hshapes <- t.hshapes @ [ sh ];
             sh
       in
-      let key = key_of_constraints ecs in
-      (match Hashtbl.find_opt sh.hs_tbl key with
+      (match Stbl.find_opt sh.hs_tbl x.x_key with
       | Some bucket -> bucket := e :: !bucket
-      | None -> Hashtbl.replace sh.hs_tbl key (ref [ e ]))
+      | None -> Stbl.add sh.hs_tbl x.x_key (ref [ e ]))
   | _ -> t.residual <- e :: t.residual
 
 let hindex_remove t (e : 'a entry) =
   match e.exact with
-  | Some (ecs, _) when ecs <> [] -> (
-      let offs = Array.of_list (List.map fst ecs) in
-      match List.find_opt (fun sh -> sh.hs_offs = offs) t.hshapes with
+  | Some x when Array.length x.x_offs > 0 -> (
+      match find_hshape t x.x_offs with
       | None -> ()
       | Some sh -> (
-          let key = key_of_constraints ecs in
-          match Hashtbl.find_opt sh.hs_tbl key with
+          match Stbl.find_opt sh.hs_tbl x.x_key with
           | None -> ()
           | Some bucket -> (
               match List.filter (fun g -> g.id <> e.id) !bucket with
-              | [] -> Hashtbl.remove sh.hs_tbl key
+              | [] -> Stbl.remove sh.hs_tbl x.x_key
               | rest -> bucket := rest)))
   | _ -> t.residual <- List.filter (fun g -> g.id <> e.id) t.residual
 
@@ -349,11 +404,11 @@ let add_entry t entry =
   if g.g_live = 0 then begin
     t.n_groups <- t.n_groups + 1;
     if Lazy.is_val g.g_analysis then index_group t g
-    else Hashtbl.replace t.unindexed g.g_id g
+    else Itbl.replace t.unindexed g.g_id g
   end;
   g.g_live <- g.g_live + 1;
   t.entries <- entry :: t.entries;
-  Hashtbl.replace t.by_id entry.id entry;
+  Itbl.add t.by_id entry.id entry;
   t.n_entries <- t.n_entries + 1;
   hindex_add t entry;
   flush_cache t
@@ -380,7 +435,7 @@ let admit_and_add ~optimize ~affinity t program raw endpoint =
         if a.Absint.r_conjunctive then
           match a.Absint.r_accept_paths with
           | [ ap ] when ap.Absint.ap_exact && ap.Absint.ap_at = None ->
-              Some (sort_constraints ap.Absint.ap_constraints, ap.Absint.ap_min_len)
+              Some (exact_of t ap.Absint.ap_constraints ap.Absint.ap_min_len)
           | _ -> None
         else None
       in
@@ -389,12 +444,14 @@ let admit_and_add ~optimize ~affinity t program raw endpoint =
         { g_id = t.next_id;
           g_program = program;
           g_analysis = (if program == optimized then Lazy.from_val a else raw);
+          g_wcet = wcet;
+          g_report = report;
           g_live = 0;
           g_slot = Unindexed }
       in
       let entry =
-        { id = t.next_id; group; optimized; predicate; wcet; report; exact; endpoint;
-          affinity; dead = false }
+        { id = t.next_id; group; run = Predicate predicate; exact; endpoint; affinity;
+          dead = false; stamp_reject = -1 }
       in
       add_entry t entry;
       Ok entry.id
@@ -410,13 +467,44 @@ let install_exn ?optimize ?affinity t program endpoint =
   | Ok k -> k
   | Error e -> raise (Verify.Rejected e)
 
-(* Synthesize the cheapest packet satisfying a constraint set, for
-   deriving stamped-entry cycle costs from a template's real program. *)
-let packet_of_constraints ecs min_len =
-  let len = List.fold_left (fun m (o, _) -> max m (o + 1)) min_len ecs in
-  let v = Uln_buf.View.create len in
-  List.iter (fun (o, b) -> Uln_buf.View.set_uint8 v o b) ecs;
+(* Synthesize the cheapest packet satisfying a proof, for deriving
+   stamped-entry cycle costs from a template's real program.  Bytes are
+   written in offset order, so of two pins of one offset the later wins. *)
+let packet_of_exact x =
+  let v = Uln_buf.View.create x.x_min_len in
+  Array.iteri (fun i o -> Uln_buf.View.set_uint8 v o (Char.code x.x_key.[i])) x.x_offs;
   v
+
+let matches x pkt =
+  Uln_buf.View.length pkt >= x.x_min_len
+  &&
+  let n = Array.length x.x_offs in
+  let rec go i =
+    i = n
+    || Uln_buf.View.get_uint8 pkt x.x_offs.(i) = Char.code (String.unsafe_get x.x_key i)
+       && go (i + 1)
+  in
+  go 0
+
+(* The accepted flag and the cycles charged for running entry [e] on
+   [pkt].  A stamped entry's reject cost is the template's program on the
+   entry's near-miss packet (one differing only in the stamped bytes),
+   measured here the first time it is needed: the hierarchical path never
+   runs a stamped entry, so a population that is only ever probed through
+   the index never pays for it. *)
+let run_entry e pkt =
+  match (e.run, e.exact) with
+  | Predicate p, _ -> p pkt
+  | Stamp s, Some x ->
+      if matches x pkt then (true, s.accept_cycles)
+      else begin
+        if e.stamp_reject < 0 then e.stamp_reject <- snd (s.template_pred (packet_of_exact x));
+        (false, e.stamp_reject)
+      end
+  | Stamp _, None -> assert false (* stamped entries are exact by construction *)
+
+(* A constraint is an offset in a packet and a byte value. *)
+let valid_constraint (o, v) = o >= 0 && v >= 0 && v <= 0xff
 
 (* Prestamped install: the registry (or a scale bench) derives a
    connection filter from an already-admitted template by overriding its
@@ -425,53 +513,44 @@ let packet_of_constraints ecs min_len =
    admission certificate covers the stamped program (identical
    instruction structure, identical worst case), which is what makes a
    10^6-entry population feasible.  The entry's dispatch behaviour is
-   the constraint predicate itself; its charged cycle costs are measured
-   from the template's real program — the accept cost on the template's
-   own accept packet (once per template), the reject cost on this
-   entry's stamped near-miss (a packet differing only in the stamped
-   bytes). *)
+   the constraint match itself ([run_entry]); its charged cycle costs are
+   measured from the template's real program — the accept cost on the
+   template's own accept packet (once per template, here), the reject
+   cost on this entry's near-miss (at its first use).  The entry holds
+   its proof, the template's shared [Stamp] and its group: no closure. *)
 let install_stamped ?(affinity = 0) t ~template ~constraints ~min_len endpoint =
-  match Hashtbl.find_opt t.by_id template with
+  match Itbl.find_opt t.by_id template with
   | None -> Error "install_stamped: unknown template"
   | Some te when te.dead -> Error "install_stamped: template was removed"
   | Some te -> (
       match te.exact with
       | None -> Error "install_stamped: template is not conjunctive-exact"
-      | Some (tcs, tml) ->
+      | Some tx ->
           if constraints = [] then Error "install_stamped: empty constraint set"
+          else if not (List.for_all valid_constraint constraints) then
+            Error "install_stamped: constraint is not an (offset, byte) pair"
           else begin
-            let ecs = sort_constraints constraints in
-            let accept_cycles =
-              match Hashtbl.find_opt t.stamp_accept template with
-              | Some c -> c
+            let run =
+              match Itbl.find_opt t.stamps template with
+              | Some run -> run
               | None ->
-                  let _, c = te.predicate (packet_of_constraints tcs tml) in
-                  Hashtbl.replace t.stamp_accept template c;
-                  c
-            in
-            let _, reject_cycles = te.predicate (packet_of_constraints ecs min_len) in
-            let predicate pkt =
-              let plen = Uln_buf.View.length pkt in
-              let ok =
-                plen >= min_len
-                && List.for_all
-                     (fun (o, b) -> Uln_buf.View.get_uint8 pkt o = b)
-                     ecs
-              in
-              (ok, if ok then accept_cycles else reject_cycles)
+                  let template_pred = match te.run with Predicate p -> p | Stamp _ -> run_entry te in
+                  let run =
+                    Stamp { accept_cycles = snd (template_pred (packet_of_exact tx)); template_pred }
+                  in
+                  Itbl.replace t.stamps template run;
+                  run
             in
             t.next_id <- t.next_id + 1;
             let entry =
               { id = t.next_id;
                 group = te.group;
-                optimized = te.optimized;
-                predicate;
-                wcet = te.wcet;
-                report = te.report;
-                exact = Some (ecs, min_len);
+                run;
+                exact = Some (exact_of t constraints min_len);
                 endpoint;
                 affinity;
-                dead = false }
+                dead = false;
+                stamp_reject = -1 }
             in
             add_entry t entry;
             Ok entry.id
@@ -485,15 +564,15 @@ let compact t =
   t.n_dead <- 0
 
 let remove t key =
-  match Hashtbl.find_opt t.by_id key with
+  match Itbl.find_opt t.by_id key with
   | None -> ()
   | Some e ->
       e.dead <- true;
-      Hashtbl.remove t.by_id key;
+      Itbl.remove t.by_id key;
       t.n_entries <- t.n_entries - 1;
       t.n_dead <- t.n_dead + 1;
       hindex_remove t e;
-      Hashtbl.remove t.stamp_accept key;
+      Itbl.remove t.stamps key;
       let g = e.group in
       g.g_live <- g.g_live - 1;
       if g.g_live = 0 then begin
@@ -505,7 +584,7 @@ let remove t key =
 
 let entries t = t.n_entries
 
-let find t key = Hashtbl.find_opt t.by_id key
+let find t key = Itbl.find_opt t.by_id key
 
 let affinity t key = Option.map (fun e -> e.affinity) (find t key)
 
@@ -521,8 +600,8 @@ let set_affinity t key cpu =
         e.affinity <- cpu;
         flush_cache t
       end
-let wcet t key = Option.map (fun e -> e.wcet) (find t key)
-let report t key = Option.map (fun e -> e.report) (find t key)
+let wcet t key = Option.map (fun e -> e.group.g_wcet) (find t key)
+let report t key = Option.map (fun e -> e.group.g_report) (find t key)
 
 (* --- the flow cache ---------------------------------------------------- *)
 
@@ -548,7 +627,7 @@ let cache_lookup t pkt =
         let cost = cost + probe_cycles sh in
         let hit =
           if plen > sh.s_max then
-            match Hashtbl.find_opt sh.s_tbl (key_of_packet sh.s_offs pkt) with
+            match Stbl.find_opt sh.s_tbl (key_of_packet sh.s_offs pkt) with
             | Some c when plen >= c.c_min_len && not c.c_entry.dead -> Some c.c_entry
             | _ -> None
           else None
@@ -564,48 +643,50 @@ let cache_lookup t pkt =
    contradicts one of [e]'s — then every packet matching [e]'s key is
    provably rejected by [g].  Anything weaker (a non-conjunctive [g], or
    no contradicting byte) skips caching; the linear scan stays correct. *)
-let shadow_safe t (e : 'a entry) ecs =
+let shadow_safe t (e : 'a entry) ex =
+  let n = Array.length ex.x_offs in
+  (* [g] pins some offset of [e]'s to another byte (the first of [e]'s
+     pins at that offset counts); both offset arrays are sorted *)
+  let contradicts gx =
+    let rec go i j =
+      i < Array.length gx.x_offs
+      &&
+      let o = gx.x_offs.(i) in
+      if j < n && ex.x_offs.(j) < o then go i (j + 1)
+      else (j < n && ex.x_offs.(j) = o && ex.x_key.[j] <> gx.x_key.[i]) || go (i + 1) j
+    in
+    go 0 0
+  in
   let rec go = function
     | [] -> false (* e no longer installed *)
     | g :: rest ->
         if g.dead then go rest
         else if g.id = e.id then true
         else begin
-          match g.exact with
-          | Some (gcs, _) ->
-              List.exists
-                (fun (o, gv) ->
-                  match List.assoc_opt o ecs with Some ev -> ev <> gv | None -> false)
-                gcs
-              && go rest
-          | None -> false
+          match g.exact with Some gx -> contradicts gx && go rest | None -> false
         end
   in
   go t.entries
 
 let cache_insert t (e : 'a entry) =
   match e.exact with
-  | Some (ecs, min_len) when ecs <> [] && shadow_safe t e ecs ->
-      let offs = Array.of_list (List.map fst ecs) in
-      let key = key_of_constraints ecs in
+  | Some x when Array.length x.x_offs > 0 && shadow_safe t e x ->
       let sh =
-        match
-          List.find_opt (fun sh -> sh.s_offs = offs) t.shapes
-        with
+        match List.find_opt (fun sh -> same_offs sh.s_offs x.x_offs) t.shapes with
         | Some sh -> sh
         | None ->
             let sh =
-              { s_offs = offs;
-                s_max = offs.(Array.length offs - 1);
-                s_tbl = Hashtbl.create 64 }
+              { s_offs = x.x_offs;
+                s_max = x.x_offs.(Array.length x.x_offs - 1);
+                s_tbl = Stbl.create 64 }
             in
             t.shapes <- t.shapes @ [ sh ];
             sh
       in
-      (match Hashtbl.find_opt sh.s_tbl key with
+      (match Stbl.find_opt sh.s_tbl x.x_key with
       | Some c when c.c_entry.id = e.id -> () (* already cached *)
       | _ ->
-          Hashtbl.replace sh.s_tbl key { c_entry = e; c_min_len = min_len };
+          Stbl.replace sh.s_tbl x.x_key { c_entry = e; c_min_len = x.x_min_len };
           t.c_installs <- t.c_installs + 1)
   | _ -> t.c_skips <- t.c_skips + 1
 
@@ -617,7 +698,7 @@ let scan t pkt =
     | e :: rest ->
         if e.dead then go cost rest
         else begin
-          let accepted, cycles = e.predicate pkt in
+          let accepted, cycles = run_entry e pkt in
           let cost = cost + cycles in
           if accepted then (Some e, cost) else go cost rest
         end
@@ -654,11 +735,11 @@ let hier_lookup t pkt =
     (fun sh ->
       cost := !cost + hprobe_cycles sh;
       if plen > sh.hs_max then
-        match Hashtbl.find_opt sh.hs_tbl (key_of_packet sh.hs_offs pkt) with
+        match Stbl.find_opt sh.hs_tbl (key_of_packet sh.hs_offs pkt) with
         | Some bucket ->
             List.iter
               (fun e ->
-                let ml = match e.exact with Some (_, ml) -> ml | None -> 0 in
+                let ml = match e.exact with Some x -> x.x_min_len | None -> 0 in
                 if (not e.dead) && plen >= ml then consider e)
               !bucket
         | None -> ())
@@ -675,7 +756,7 @@ let hier_lookup t pkt =
       | e :: rest ->
           if e.dead then go rest
           else begin
-            let accepted, cycles = e.predicate pkt in
+            let accepted, cycles = run_entry e pkt in
             cost := !cost + cycles;
             if accepted then consider e else go rest
           end

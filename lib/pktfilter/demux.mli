@@ -129,9 +129,14 @@ val install_stamped :
     template's program, report and overlap-check group, so populating a
     table with 10^5-10^6 connection entries is feasible.  Charged cycle
     costs are measured from the template's real program: its accept
-    cost (once per template), and its reject cost on this entry's
-    stamped near-miss packet.  Errors if [template] is unknown,
-    removed, or not conjunctive-exact. *)
+    cost (once per template, at its first stamp), and its reject cost
+    on this entry's stamped near-miss packet (the first time a linear
+    scan runs the entry, so an entry only ever reached through the
+    hierarchical index never pays for it; the value is the same either
+    way).  [constraints] may come in any order; pins of one offset keep
+    theirs.  Errors if [template] is unknown, removed, or not
+    conjunctive-exact, or if a constraint is not a (non-negative
+    offset, byte) pair. *)
 
 val affinity : 'a t -> key -> int option
 (** The CPU affinity recorded for an installed entry. *)

@@ -597,7 +597,8 @@ let targets =
            (series_spec ~table:"orgs table3" ~sizes:E.t3_sizes ~keys:[ "rtt_ms"; "p99_us" ]
               (fun ~tcp_params c s -> t3_fields (E.t3_cell ~exchanges:10 ~tcp_params c s)))
            series);
-    table "scale" "Connection scaling: flow-cache demux, zero-copy ablation, 64k-1M sparse sweep"
+    table ~diffcheck:true "scale"
+      "Connection scaling: flow-cache demux, zero-copy ablation, 64k-1M sparse sweep"
       [ fixed "flow-cache scaling" ~size:"1-1024 connections" ~keys:[ "scan_cycles"; "hit_cycles" ]
           (fun () -> List.map scale_fields (E.scale ()));
         fixed "zero-copy ablation" ~size:"4 MB per write size" ~keys:[ "gain_pct" ] (fun () ->
