@@ -606,7 +606,7 @@ let targets =
         fixed "sparse sweep" ~size:"64k-1M background connections"
           ~keys:[ "miss_p99_cycles"; "setup_p99_us" ] (fun () ->
             List.map sparse_fields (E.scale_sparse ())) ];
-    table "smp" "SMP scaling (AN1, concurrent bulk pairs, per-CPU pinning)"
+    table ~diffcheck:true "smp" "SMP scaling (AN1, concurrent bulk pairs, per-CPU pinning)"
       ~trailer:
         (notes
            [ "(userlib and per-connection-locked kernels scale with CPUs; the";
