@@ -75,11 +75,11 @@ let run ~tuned =
       let conn =
         if tuned then
           match
-            Protolib.connect_tuned term_lib ~params:interactive_params ~src_port:0
+            Protolib.connect_q term_lib ~params:interactive_params ~src_port:0
               ~dst:(World.host_ip w 1) ~dst_port:23
           with
           | Ok c -> c
-          | Error e -> failwith e
+          | Error e -> failwith (Uln_core.Registry.error_to_string e)
         else
           match (Protolib.app term_lib).Sockets.connect ~src_port:0 ~dst:(World.host_ip w 1)
                   ~dst_port:23

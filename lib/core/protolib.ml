@@ -8,7 +8,6 @@ module Machine = Uln_host.Machine
 module Cpu = Uln_host.Cpu
 module Costs = Uln_host.Costs
 module Addr_space = Uln_host.Addr_space
-module Ipc = Uln_host.Ipc
 module Nic = Uln_net.Nic
 module Shared_mem = Uln_host.Shared_mem
 module Stack = Uln_proto.Stack
@@ -122,10 +121,7 @@ let tw_flush t =
   | [] -> ()
   | rs ->
       t.tw_residues <- [];
-      ignore
-        (Ipc.post (Registry.park_time_wait_port t.registry)
-           ~size:(16 * List.length rs)
-           (List.rev rs))
+      Registry.post t.registry Registry.Park_tw (List.rev rs)
 
 let tw_queue t residue =
   t.tw_residues <- residue :: t.tw_residues;
@@ -166,7 +162,7 @@ let retire t lc =
   match lc.retire with
   | Some f -> f ()
   | None ->
-      Ipc.call (Registry.release_port t.registry) ~size:16 (Tcp.local_port lc.conn, lc.channel)
+      Registry.call t.registry Registry.Release (Tcp.local_port lc.conn, lc.channel)
 
 (* Release the connection's resources once it is fully closed
    (TIME_WAIT served locally by the library). *)
@@ -530,7 +526,7 @@ let leased_parts t ?params ~lh ~channel ~local_port ~dst ~dst_port ~remote_mac (
   match Tcp.connect stack.Stack.tcp ~src_port:local_port ~dst ~dst_port with
   | Error e ->
       retire ();
-      Error (Registry.Refused e)
+      Error (Registry.Handshake_failed e)
   | Ok (conn, _established) ->
       (* With the wheel on, the quiet period migrates to the registry:
          the residue joins the next coalesced one-way park message and
@@ -597,7 +593,7 @@ let create machine netio registry ~name ~ip ?tcp_params ?(cpu = 0) () =
 
 let connect_via_registry ?params t ~src_port ~dst ~dst_port =
   match
-    Ipc.call (Registry.connect_port t.registry) ~size:64
+    Registry.call t.registry Registry.Connect
       { Registry.c_app = t.dom; c_src_port = src_port; c_dst = dst; c_dst_port = dst_port }
   with
   | Error e -> Error e
@@ -609,7 +605,7 @@ let ensure_lease t =
   match t.lease with
   | Some lh -> Ok lh
   | None -> (
-      match Ipc.call (Registry.lease_port t.registry) ~size:64 t.dom with
+      match Registry.call t.registry Registry.Lease t.dom with
       | Error e -> Error e
       | Ok g ->
           let lh =
@@ -627,7 +623,7 @@ let mac_for t dst =
   match Hashtbl.find_opt t.mac_cache dst with
   | Some m -> m
   | None ->
-      let m = Ipc.call (Registry.resolve_mac_port t.registry) ~size:16 dst in
+      let m = Registry.call t.registry Registry.Resolve dst in
       Hashtbl.replace t.mac_cache dst m;
       m
 
@@ -644,18 +640,14 @@ let connect_leased ?params t ~dst ~dst_port =
       let port = Queue.pop lh.lh_free_ports and ch = Queue.pop lh.lh_free_channels in
       charge t Calibration.lease_local_alloc;
       match
-        try
-          Ok
-            (Netio.activate_leased t.netio ch ~from_domain:t.dom
-               ~lease:lh.lh_grant.Registry.lg_lease ~remote_ip:dst ~remote_port:dst_port
-               ~local_port:port)
-        with Uln_host.Capability.Violation m -> Error (Registry.Refused m)
+        Netio.activate_leased t.netio ch ~from_domain:t.dom ~lease:lh.lh_grant.Registry.lg_lease
+          ~remote_ip:dst ~remote_port:dst_port ~local_port:port
       with
-      | Error e ->
+      | exception Uln_host.Capability.Violation m ->
           Queue.push port lh.lh_free_ports;
           Queue.push ch lh.lh_free_channels;
-          Error e
-      | Ok () ->
+          Error (Registry.Lease_violation m)
+      | () ->
           t.leased_connects <- t.leased_connects + 1;
           let remote_mac = mac_for t dst in
           leased_parts t ?params ~lh ~channel:ch ~local_port:port ~dst ~dst_port ~remote_mac ())
@@ -671,24 +663,14 @@ let connect_q ?params t ~src_port ~dst ~dst_port =
   if leased && src_port = 0 then connect_leased ?params t ~dst ~dst_port
   else connect_via_registry ?params t ~src_port ~dst ~dst_port
 
-let connect ?params t ~src_port ~dst ~dst_port =
-  match connect_q ?params t ~src_port ~dst ~dst_port with
-  | Ok c -> Ok c
-  | Error e -> Error (Registry.error_to_string e)
-
-let connect_tuned t ~params ~src_port ~dst ~dst_port =
-  connect ~params t ~src_port ~dst ~dst_port
-
 let listen t ~port =
-  match Ipc.call (Registry.listen_port t.registry) ~size:16 port with
-  | Error e -> failwith ("listen: " ^ e)
+  match Registry.call t.registry Registry.Listen port with
+  | Error e -> failwith ("listen: " ^ Registry.error_to_string e)
   | Ok () ->
       { Sockets.accept =
           (fun () ->
-            match
-              Ipc.call (Registry.accept_port t.registry) ~size:32
-                { Registry.a_app = t.dom; a_port = port }
-            with
+            let req = { Registry.a_app = t.dom; a_port = port } in
+            match Registry.call t.registry Registry.Accept req with
             | Error e -> failwith ("accept: " ^ Registry.error_to_string e)
             | Ok grant -> adopt t grant) }
 
@@ -698,7 +680,10 @@ let listen t ~port =
    Returns the endpoint's stack, its port, an idempotent close, and the
    registry-backed ARP fill for a destination. *)
 let dgram_bind t kind ~port =
-  match Ipc.call (Registry.bind_dgram_port t.registry) ~size:32 (t.dom, kind, port) with
+  match Registry.call t.registry Registry.Bind_dgram (t.dom, kind, port) with
+  | Error (Registry.Port_in_use p) ->
+      let name = match kind with Udp -> "udp" | Rrp _ -> "rrp" in
+      Error (Printf.sprintf "bind: %s port %d in use" name p)
   | Error e -> Error ("bind: " ^ Registry.error_to_string e)
   | Ok (channel, port) ->
       let stack, _ = endpoint t channel in
@@ -711,13 +696,13 @@ let dgram_bind t kind ~port =
         match Uln_proto.Arp.lookup stack.Stack.arp dst with
         | Some _ -> ()
         | None ->
-            let mac = Ipc.call (Registry.resolve_mac_port t.registry) ~size:16 dst in
+            let mac = Registry.call t.registry Registry.Resolve dst in
             Stack.add_static_arp stack dst mac
       in
       let close () =
         if not !closed then begin
           closed := true;
-          Ipc.call (Registry.release_dgram_port t.registry) ~size:16 (kind, port, channel)
+          Registry.call t.registry Registry.Release_dgram (kind, port, channel)
         end
       in
       Ok (stack, port, close, ensure_mac)
@@ -805,8 +790,7 @@ let exit_app t ~graceful =
                    by the batched RST sweep (abnormal). *)
                 batch := (snap, lc.channel) :: !batch
               else
-                Ipc.call (Registry.inherit_conn t.registry) ~size:128
-                  (snap, lc.channel, graceful)
+                Registry.call t.registry Registry.Inherit (snap, lc.channel, graceful)
           | _ ->
               Tcp.abort lc.conn;
               retire t lc
@@ -816,9 +800,7 @@ let exit_app t ~graceful =
   (match !batch with
   | [] -> ()
   | conns ->
-      Ipc.call (Registry.inherit_batch t.registry)
-        ~size:(128 * List.length conns)
-        (List.rev conns, graceful));
+      Registry.call t.registry Registry.Inherit_batch (List.rev conns, graceful));
   (* Residues still waiting for a coalesced park go now: the library is
      leaving and nothing else will flush them. *)
   tw_flush t;
@@ -828,9 +810,10 @@ let exit_app t ~graceful =
   | None -> ()
   | Some lh ->
       t.lease <- None;
-      Ipc.call (Registry.release_lease_port t.registry) ~size:32
+      Registry.call t.registry Registry.Release_lease
         { lh.lh_grant with Registry.lg_channels = List.of_seq (Queue.to_seq lh.lh_free_channels) }
 
+let lease t = Option.map (fun lh -> lh.lh_grant) t.lease
 let conns t = List.rev_map (fun lc -> (lc.stack.Stack.tcp, lc.conn)) t.conns
 
 let bufstats t =
@@ -956,7 +939,9 @@ let leasestats t =
 let app t =
   { Sockets.app_name = t.name;
     app_ip = t.host_ip;
-    connect = (fun ~src_port ~dst ~dst_port -> connect t ~src_port ~dst ~dst_port);
+    connect =
+      (fun ~src_port ~dst ~dst_port ->
+        Result.map_error Registry.error_to_string (connect_q t ~src_port ~dst ~dst_port));
     listen = (fun ~port -> listen t ~port);
     udp_bind = (fun ~port -> udp_bind t ~port);
     rrp_client = (fun () -> rrp_client t);

@@ -37,19 +37,6 @@ val create :
 val app : t -> Sockets.app
 (** The application-facing socket interface. *)
 
-val connect_tuned :
-  t ->
-  params:Uln_proto.Tcp_params.t ->
-  src_port:int ->
-  dst:Uln_addr.Ip.t ->
-  dst_port:int ->
-  (Sockets.conn, string) result
-(** Like the socket interface's [connect] but with application-chosen
-    protocol parameters for {e this connection only} — the "canned
-    options" specialization of paper §5.  Per-connection engines make
-    this trivial in the library organization; a monolithic stack shares
-    one parameter set across every user. *)
-
 val connect_q :
   ?params:Uln_proto.Tcp_params.t ->
   t ->
@@ -58,11 +45,13 @@ val connect_q :
   dst_port:int ->
   (Sockets.conn, Registry.error) result
 (** Like the socket interface's [connect] but with the registry's typed
-    error: a {!Registry.Quota_exceeded} denial, and a
-    {!Registry.Out_of_ports} when the registry's ports or the library's
-    lease are used up, are distinguishable from other refusals, so
-    multi-tenant applications can shed connections and retry rather
-    than parse a message. *)
+    error, so multi-tenant applications can tell a
+    {!Registry.Quota_exceeded} or an {!Registry.Out_of_ports} (of the
+    registry's ports or the library's lease) apart, shed connections and
+    retry rather than parse a message.  [params] gives {e this
+    connection} its own protocol parameters — the "canned options" of
+    paper §5: each connection has its own engine, so tuning it touches
+    no one else. *)
 
 val pass_connection : t -> Sockets.conn -> to_lib:t -> Sockets.conn
 (** Hand an established connection to another application on the same
@@ -79,6 +68,10 @@ val cpu : t -> Uln_host.Cpu.t
 (** The CPU this library is pinned to. *)
 
 val live_connections : t -> int
+
+val lease : t -> Registry.lease_grant option
+(** The endpoint lease this library holds, once a leased connect has
+    taken one. *)
 
 val conns : t -> (Uln_proto.Tcp.t * Uln_proto.Tcp.conn) list
 (** Each live connection with its private engine, in {!bufstats}

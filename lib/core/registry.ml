@@ -37,15 +37,18 @@ type connect_req = {
 type accept_req = { a_app : Addr_space.t; a_port : int }
 type dgram = Udp | Rrp of [ `Server | `Client ]
 
-(* Typed service errors.  [Quota_exceeded] and [Out_of_ports] are
-   outcomes a library can recover from (shed load, release ports,
-   retry); everything else stays a descriptive refusal. *)
+(* Typed service errors: every refusal a library can meet is one arm,
+   and [error_to_string] prints the message each surface shows. *)
 type quota_resource = Conns | Mem
 
 type error =
   | Quota_exceeded of { principal : string; resource : quota_resource; used : int; limit : int }
   | Out_of_ports
-  | Refused of string
+  | Port_in_use of int
+  | Not_listening of int
+  | Filter_rejected of string
+  | Handshake_failed of string
+  | Lease_violation of string
 
 let error_to_string = function
   | Quota_exceeded { principal; resource; used; limit } ->
@@ -53,7 +56,9 @@ let error_to_string = function
         (match resource with Conns -> "connections" | Mem -> "channel bytes")
         used limit
   | Out_of_ports -> "out of ports"
-  | Refused m -> m
+  | Port_in_use p -> Printf.sprintf "port %d in use" p
+  | Not_listening p -> Printf.sprintf "port %d is not listening" p
+  | Filter_rejected m | Handshake_failed m | Lease_violation m -> m
 
 (* Per-tenant admission quota: ceilings on concurrently granted
    connections and on the shared channel memory they pin. *)
@@ -93,6 +98,43 @@ type lease_grant = {
   lg_count : int;
   lg_channels : Netio.channel list;
 }
+
+(* The registry protocol: one constructor per service, typed by its
+   request and reply. *)
+type (_, _) leg =
+  | Connect : (connect_req, (grant, error) result) leg
+  | Listen : (int, (unit, error) result) leg
+  | Accept : (accept_req, (grant, error) result) leg
+  | Release : (int * Netio.channel, unit) leg
+  | Inherit : (Tcp.snapshot * Netio.channel * bool, unit) leg
+  | Inherit_batch : ((Tcp.snapshot * Netio.channel) list * bool, unit) leg
+  | Lease : (Addr_space.t, (lease_grant, error) result) leg
+  | Release_lease : (lease_grant, unit) leg
+  | Bind_dgram : (Addr_space.t * dgram * int, (Netio.channel * int, error) result) leg
+  | Release_dgram : (dgram * int * Netio.channel, unit) leg
+  | Resolve : (Ip.t, Mac.t) leg
+  | Park_tw : ((Ip.t * int * int) list, unit) leg
+
+(* Each leg's (request, reply) bytes, the IPC transfer charge.  [Park_tw]
+   is one-way: it pays no reply. *)
+let sizes : type q r. (q, r) leg -> q -> int * int =
+ fun leg req ->
+  match leg with
+  | Connect -> (64, 256)
+  | Listen -> (16, 16)
+  | Accept -> (32, 256)
+  | Release -> (16, 16)
+  | Inherit -> (128, 128)
+  | Inherit_batch -> (128 * List.length (fst req), 16)
+  | Lease -> (64, 512)
+  | Release_lease -> (32, 16)
+  | Bind_dgram -> (32, 128)
+  | Release_dgram -> (16, 16)
+  | Resolve -> (16, 16)
+  | Park_tw -> (16 * List.length req, 0)
+
+(* A request on the wire, with the slot its reply lands in. *)
+type request = Request : ('q, 'r) leg * 'q * 'r option ref -> request
 
 (* Per-connection wall-clock legs of the most recent setups, for the
    observability surface (netlab stats). *)
@@ -166,18 +208,8 @@ type t = {
   mutable tw_parked : int;
   mutable tw_evicted : int;
   legs : leg_totals;
-  connect_p : (connect_req, (grant, error) result) Ipc.t;
-  listen_p : (int, (unit, string) result) Ipc.t;
-  accept_p : (accept_req, (grant, error) result) Ipc.t;
-  release_p : (int * Netio.channel, unit) Ipc.t;
-  inherit_p : (Tcp.snapshot * Netio.channel * bool, unit) Ipc.t;
-  inherit_batch_p : ((Tcp.snapshot * Netio.channel) list * bool, unit) Ipc.t;
-  lease_p : (Addr_space.t, (lease_grant, error) result) Ipc.t;
-  release_lease_p : (lease_grant, unit) Ipc.t;
-  park_tw_p : ((Ip.t * int * int) list, unit) Ipc.t;
-  bind_dgram_p : (Addr_space.t * dgram * int, (Netio.channel * int, error) result) Ipc.t;
-  release_dgram_p : (dgram * int * Netio.channel, unit) Ipc.t;
-  resolve_p : (Ip.t, Mac.t) Ipc.t;
+  calls : (request, unit) Ipc.t; (* every leg but [Park_tw] *)
+  park_p : (request, unit) Ipc.t;
   (* Datagram bindings keyed by (IP protocol, port): UDP (17) and RRP
      (81) port spaces are disjoint, as on the wire. *)
   dgram_ports : (int * int, unit) Hashtbl.t;
@@ -324,19 +356,6 @@ let shard_stats t =
 let sharded t = t.sharded
 let num_shards t = t.nshards
 
-let connect_port t = t.connect_p
-let listen_port t = t.listen_p
-let accept_port t = t.accept_p
-let release_port t = t.release_p
-let inherit_conn t = t.inherit_p
-let inherit_batch t = t.inherit_batch_p
-let lease_port t = t.lease_p
-let release_lease_port t = t.release_lease_p
-let park_time_wait_port t = t.park_tw_p
-let bind_dgram_port t = t.bind_dgram_p
-let release_dgram_port t = t.release_dgram_p
-let resolve_mac_port t = t.resolve_p
-
 (* {2 Tenant quota accounting}
 
    A reservation is taken before the handshake (so concurrent setups
@@ -438,11 +457,10 @@ let charge t span = Cpu.use t.machine.Machine.cpu span
 (* A datagram binding's key in the (IP protocol, port) table. *)
 let dgram_key kind port = ((match kind with Udp -> 17 | Rrp _ -> 81), port)
 
-(* Verifier admission failures surface to applications as the typed
-   IPC error of the operation that tried to install the filter. *)
-let verifier_error e = Format.asprintf "filter rejected: %a" Verify.pp_error e
-
-let conflict_error desc = Printf.sprintf "capability install conflict: %s" desc
+(* Verifier refusals and overlap conflicts surface as [Filter_rejected]
+   from the leg that tried the install. *)
+let verifier_error e = Filter_rejected (Format.asprintf "filter rejected: %a" Verify.pp_error e)
+let conflict_error desc = Filter_rejected ("capability install conflict: " ^ desc)
 
 (* The registry reaches the device with ordinary IPC, not shared memory
    (paper §4: part of why setup is costlier than data transfer). *)
@@ -696,18 +714,9 @@ let rec create machine netio ~ip ?tcp_params ?(quota = default_quota) () =
              lt_round_trip_us = 0.;
              lt_finish_us = 0.;
              lt_total_us = 0. };
-         connect_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.connect";
-         listen_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.listen";
-         accept_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.accept";
-         release_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.release";
-         inherit_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.inherit";
-         inherit_batch_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.inherit_batch";
-         lease_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.lease";
-         release_lease_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.release_lease";
-         park_tw_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.park_tw";
-         bind_dgram_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.bind_dgram";
-         release_dgram_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.release_dgram";
-         resolve_p = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.resolve";
+         calls = Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry";
+         park_p =
+           Ipc.create machine.Machine.sched machine.Machine.cpu costs ~name:"registry.park_tw";
          dgram_ports = Hashtbl.create 16;
          dgram_space = Port_space.create ~lo:40001 ~hi:65535 () })
   in
@@ -860,7 +869,7 @@ and do_connect t (req : connect_req) =
             with
             | Error Port_space.Exhausted -> Error Out_of_ports
             | Ok src_port when Hashtbl.mem sh.sh_ports src_port ->
-                Error (Refused (Printf.sprintf "port %d in use" src_port))
+                Error (Port_in_use src_port)
             | Ok src_port ->
                 Hashtbl.replace sh.sh_ports src_port In_use;
                 Ok src_port)
@@ -885,21 +894,17 @@ and do_connect t (req : connect_req) =
                   pre_reused = false });
           (* Route this handshake's inbound segments to the registry. *)
           match
-            try
-              Ok
-                (Netio.add_filter t.netio ~caller:t.dom t.channel
-                   (conn_filter t ~remote_ip:req.c_dst ~remote_port:req.c_dst_port
-                      ~local_port:src_port))
-            with Verify.Rejected e -> Error (Refused (verifier_error e))
+            Netio.add_filter t.netio ~caller:t.dom t.channel
+              (conn_filter t ~remote_ip:req.c_dst ~remote_port:req.c_dst_port ~local_port:src_port)
           with
-          | Error e ->
+          | exception Verify.Rejected e ->
               shard_sync ~site:"registry.connect" t sh (fun () ->
                   Hashtbl.remove sh.sh_pending key;
                   Hashtbl.remove sh.sh_ports src_port);
               put_channel t app_ch;
               unreserve ();
-              Error e
-          | Ok tmp_filter -> (
+              Error (verifier_error e)
+          | tmp_filter -> (
               let cleanup () =
                 Netio.remove_filter t.netio ~caller:t.dom tmp_filter;
                 shard_sync ~site:"registry.connect" t sh (fun () ->
@@ -918,7 +923,7 @@ and do_connect t (req : connect_req) =
               with
               | Error e ->
                   cleanup ();
-                  Error (Refused e)
+                  Error (Handshake_failed e)
               | Ok (conn, syn_sent) -> (
                   shard_sync ~site:"registry.connect" t sh (fun () ->
                       (Hashtbl.find sh.sh_pending key).p_bqi <-
@@ -927,7 +932,7 @@ and do_connect t (req : connect_req) =
                   match Tcp.connect_launch conn with
                   | Error e ->
                       cleanup ();
-                      Error (Refused e)
+                      Error (Handshake_failed e)
                   | Ok witness ->
                       let t2 = Sched.now sched in
                       let p =
@@ -969,18 +974,15 @@ and finish_setup t ~principal ~conn ~witness ~app_ch ~reused ~remote_ip ~remote_
 and do_listen t port =
   let sh = shard_of_port t port in
   if shard_sync ~site:"registry.listen" t sh (fun () -> Hashtbl.mem sh.sh_ports port) then
-    Error (Printf.sprintf "port %d in use" port)
+    Error (Port_in_use port)
   else begin
     charge_sh t sh Calibration.registry_port_alloc;
     match
-      try
-        Ok
-          (Netio.add_filter t.netio ~caller:t.dom t.channel
-             (Program.tcp_dst_port ~dst_ip:t.my_ip ~dst_port:port))
-      with Verify.Rejected e -> Error (verifier_error e)
+      Netio.add_filter t.netio ~caller:t.dom t.channel
+        (Program.tcp_dst_port ~dst_ip:t.my_ip ~dst_port:port)
     with
-    | Error e -> Error e
-    | Ok _ ->
+    | exception Verify.Rejected e -> Error (verifier_error e)
+    | _ ->
         let listener = Tcp.listen t.stack.Stack.tcp ~port in
         shard_sync ~site:"registry.listen" t sh (fun () ->
             Hashtbl.replace sh.sh_ports port (Listening listener));
@@ -1025,7 +1027,7 @@ and do_accept t (req : accept_req) =
           finish_setup t ~principal ~conn ~witness ~app_ch ~reused ~remote_ip ~remote_port
             ~local_port:req.a_port ~peer_bqi ~tmp_filter:None ~key)
   | Some (In_use | Leased) | None ->
-      Error (Refused (Printf.sprintf "port %d is not listening" req.a_port))
+      Error (Not_listening req.a_port)
 
 and drop_handoff t channel =
   Array.iter
@@ -1045,12 +1047,6 @@ and do_release t (port, channel) =
   put_channel t channel;
   let sh = shard_of_port t port in
   shard_sync ~site:"registry.release" t sh (fun () -> free_in_use sh port)
-
-and do_inherit t (snapshot, channel, graceful) =
-  do_inherit_one t (snapshot, channel) ~graceful
-
-and do_inherit_batch t (conns, graceful) =
-  List.iter (fun cg -> do_inherit_one t cg ~graceful) conns
 
 and do_inherit_one t (snapshot, channel) ~graceful =
   t.inherited <- t.inherited + 1;
@@ -1154,11 +1150,10 @@ and do_release_lease t (g : lease_grant) =
    Client ports skip any port of the protocol still bound (served ports
    included). *)
 and do_bind_dgram t (app, kind, port) =
-  let name = match kind with Udp -> "udp" | Rrp _ -> "rrp" in
   let held p = Hashtbl.mem t.dgram_ports (dgram_key kind p) in
   match if port = 0 then Port_space.take t.dgram_space ~held else Ok port with
   | Error Port_space.Exhausted -> Error Out_of_ports
-  | Ok port when held port -> Error (Refused (Printf.sprintf "%s port %d in use" name port))
+  | Ok port when held port -> Error (Port_in_use port)
   | Ok port ->
       charge t Calibration.registry_port_alloc;
       let src_ip = t.my_ip in
@@ -1175,7 +1170,7 @@ and do_bind_dgram t (app, kind, port) =
       let ch = Netio.create_channel t.netio ~caller:t.dom ~owner:app ~use_bqi:false in
       let refuse e =
         Netio.destroy_channel t.netio ~caller:t.dom ch;
-        Error (Refused e)
+        Error e
       in
       match Netio.filter_conflict t.netio ch filter with
       | Some desc -> refuse (conflict_error desc)
@@ -1191,19 +1186,35 @@ and do_release_dgram t (kind, port, channel) =
   Netio.destroy_channel t.netio ~caller:t.dom channel;
   Hashtbl.remove t.dgram_ports (dgram_key kind port)
 
+(* The one dispatch of every leg. *)
+and dispatch : type q r. t -> (q, r) leg -> q -> r =
+ fun t leg req ->
+  match leg with
+  | Connect -> do_connect t req
+  | Listen -> do_listen t req
+  | Accept -> do_accept t req
+  | Release -> do_release t req
+  | Inherit ->
+      let snapshot, channel, graceful = req in
+      do_inherit_one t (snapshot, channel) ~graceful
+  | Inherit_batch ->
+      let conns, graceful = req in
+      List.iter (fun cg -> do_inherit_one t cg ~graceful) conns
+  | Lease -> do_lease t req
+  | Release_lease -> do_release_lease t req
+  | Bind_dgram -> do_bind_dgram t req
+  | Release_dgram -> do_release_dgram t req
+  | Resolve -> resolve_mac t req
+  | Park_tw -> do_park_tw t req
+
+and answer t (Request (leg, req, reply)) = reply := Some (dispatch t leg req)
+
 and serve t =
-  Ipc.serve_concurrent t.connect_p (fun req -> (do_connect t req, 256));
-  Ipc.serve_concurrent t.listen_p (fun port -> (do_listen t port, 16));
-  Ipc.serve_concurrent t.accept_p (fun req -> (do_accept t req, 256));
-  Ipc.serve_concurrent t.release_p (fun req -> (do_release t req, 16));
-  Ipc.serve_concurrent t.inherit_p (fun req -> (do_inherit t req, 128));
-  Ipc.serve_concurrent t.inherit_batch_p (fun req -> (do_inherit_batch t req, 16));
-  Ipc.serve_concurrent t.lease_p (fun app -> (do_lease t app, 512));
-  Ipc.serve_concurrent t.release_lease_p (fun g -> (do_release_lease t g, 16));
-  Ipc.serve_oneway t.park_tw_p (do_park_tw t);
-  Ipc.serve_concurrent t.bind_dgram_p (fun req -> (do_bind_dgram t req, 128));
-  Ipc.serve_concurrent t.release_dgram_p (fun req -> (do_release_dgram t req, 16));
-  Ipc.serve_concurrent t.resolve_p (fun ip -> (resolve_mac t ip, 16));
+  Ipc.serve_concurrent t.calls (fun (Request (leg, req, _) as r) ->
+      answer t r;
+      ((), snd (sizes leg req)));
+  (* Parking is handled serially and sends no reply. *)
+  Ipc.serve_oneway t.park_p (answer t);
   (* Cross-shard deferred work: each shard drains its own post port on
      its own CPU. *)
   Array.iter
@@ -1212,3 +1223,13 @@ and serve t =
       | Some p -> Ipc.serve_oneway p (fun f -> f ())
       | None -> ())
     t.shards
+
+let port (type q r) t (leg : (q, r) leg) = match leg with Park_tw -> t.park_p | _ -> t.calls
+
+let call t leg req =
+  let reply = ref None in
+  Ipc.call (port t leg) ~size:(fst (sizes leg req)) (Request (leg, req, reply));
+  Option.get !reply
+
+let post t leg req =
+  ignore (Ipc.post (port t leg) ~size:(fst (sizes leg req)) (Request (leg, req, ref None)))

@@ -39,9 +39,14 @@ type error =
   | Out_of_ports
       (** every port the request could be given is held; recoverable —
           release ports and retry *)
-  | Refused of string  (** any other refusal, descriptive *)
+  | Port_in_use of int  (** an explicit port (TCP, or a datagram protocol's) is held *)
+  | Not_listening of int  (** an accept on a port with no listener *)
+  | Filter_rejected of string  (** the verifier or the overlap check refused a filter *)
+  | Handshake_failed of string  (** TCP refused to open the connection *)
+  | Lease_violation of string  (** the kernel refused a stamp under the lease *)
 
 val error_to_string : error -> string
+(** The message every string surface prints for the refusal. *)
 
 type quota = {
   q_max_conns : int;  (** concurrent granted connections per principal *)
@@ -70,9 +75,6 @@ val create :
 val domain : t -> Uln_host.Addr_space.t
 val ip : t -> Uln_addr.Ip.t
 
-(* The four service entry points, exposed as Mach-style RPC ports so
-   callers pay real IPC costs. *)
-
 type connect_req = {
   c_app : Uln_host.Addr_space.t;
   c_src_port : int;  (** 0 = allocate an ephemeral port *)
@@ -82,56 +84,11 @@ type connect_req = {
 
 type accept_req = { a_app : Uln_host.Addr_space.t; a_port : int }
 
-val connect_port : t -> (connect_req, (grant, error) result) Uln_host.Ipc.t
-val listen_port : t -> (int, (unit, string) result) Uln_host.Ipc.t
-val accept_port : t -> (accept_req, (grant, error) result) Uln_host.Ipc.t
-
-val release_port : t -> (int * Netio.channel, unit) Uln_host.Ipc.t
-(** Final close: the library has finished TIME_WAIT; free the port and
-    destroy the channel. *)
-
 (** A connectionless endpoint: UDP, or the request-response transport
     in its server or client role. *)
 type dgram = Udp | Rrp of [ `Server | `Client ]
 
-val bind_dgram_port :
-  t ->
-  (Uln_host.Addr_space.t * dgram * int, (Netio.channel * int, error) result) Uln_host.Ipc.t
-(** The binding phase for connectionless protocols (paper §5):
-    [(app, kind, port)] — port 0 allocates a client port, round robin
-    over 40001-65535, skipping bound ones ({!Out_of_ports} when all
-    are).  Builds a channel whose filter matches datagrams to the port and whose template pins the
-    sender's own address/port, and returns it with the port.  Ports are
-    keyed by (IP protocol, port), so UDP (17) and RRP (81) hold the same
-    number independently.  Demultiplexing is software-only — with no
-    setup handshake there is no opportunity to exchange BQIs, exactly
-    the difficulty the paper notes. *)
-
-val release_dgram_port : t -> (dgram * int * Netio.channel, unit) Uln_host.Ipc.t
-(** Free a datagram binding's port and destroy its channel. *)
-
-val resolve_mac_port : t -> (Uln_addr.Ip.t, Uln_addr.Mac.t) Uln_host.Ipc.t
-(** Link-address resolution service: the registry owns ARP on its host;
-    libraries query it and cache the result. *)
-
-val inherit_conn :
-  t -> (Uln_proto.Tcp.snapshot * Netio.channel * bool, unit) Uln_host.Ipc.t
-(** Application exit with a live connection: [(snapshot, channel,
-    graceful)].  Graceful: the registry adopts the connection, closes it
-    properly and serves the 2MSL delay.  Abnormal: it sends RST. *)
-
-val inherit_batch :
-  t ->
-  ((Uln_proto.Tcp.snapshot * Netio.channel) list * bool, unit) Uln_host.Ipc.t
-(** All of an exiting application's connections in one IPC.  With the
-    TIME_WAIT wheel enabled, an abnormal batch becomes an RST sweep:
-    each connection pays {!Calibration.rst_batch_per_conn} (deriving and
-    sending exactly one RST) instead of a full inherit dispatch, and
-    graceful residues park on the registry's timer wheel rather than
-    living as engine control blocks. *)
-
-(* {2 Endpoint leases (endpoint_lease switch)} *)
-
+(** An endpoint lease (endpoint_lease switch). *)
 type lease_grant = {
   lg_lease : Netio.lease;  (** kernel-side capability for local stamping *)
   lg_base : int;  (** first port of the leased block *)
@@ -139,26 +96,63 @@ type lease_grant = {
   lg_channels : Netio.channel list;  (** pre-built channels, recycled per connection *)
 }
 
-val lease_port : t -> (Uln_host.Addr_space.t, (lease_grant, error) result) Uln_host.Ipc.t
-(** Grant an endpoint lease: one IPC charges
-    {!Calibration.lease_grant} plus the channel builds, marks the block
-    in the port namespace, and registers the kernel lease.  Subsequent
-    connects under the lease never call the registry: the library stamps
-    the pre-verified filter/template in the kernel
-    ({!Netio.activate_leased}) and runs the handshake itself.
-    {!Out_of_ports} when no aligned block is free. *)
+(** {2 The registry protocol}
 
-val release_lease_port : t -> (lease_grant, unit) Uln_host.Ipc.t
-(** Return a lease: revokes the kernel capability, frees the port block
-    and recycles (or destroys) the lease's channels. *)
+    One constructor per service, typed by its request and its reply.
+    Each leg's request and reply sizes are declared once, in the
+    registry, and charged as Mach-style IPC: the call legs share one
+    concurrently served port, [Park_tw] has a one-way port. *)
+type (_, _) leg =
+  | Connect : (connect_req, (grant, error) result) leg
+      (** Active open on the application's behalf: port allocation (port
+          0 = ephemeral), the handshake, channel build, and the state
+          handoff. *)
+  | Listen : (int, (unit, error) result) leg
+  | Accept : (accept_req, (grant, error) result) leg
+      (** Blocks until the listener has a connection. *)
+  | Release : (int * Netio.channel, unit) leg
+      (** Final close: the library has finished TIME_WAIT; free the port
+          and destroy (or recycle) the channel. *)
+  | Inherit : (Uln_proto.Tcp.snapshot * Netio.channel * bool, unit) leg
+      (** Application exit with a live connection: [(snapshot, channel,
+          graceful)].  Graceful: the registry adopts the connection,
+          closes it properly and serves the 2MSL delay.  Abnormal: it
+          sends RST. *)
+  | Inherit_batch : ((Uln_proto.Tcp.snapshot * Netio.channel) list * bool, unit) leg
+      (** All of an exiting application's connections in one IPC.  With
+          the TIME_WAIT wheel enabled, an abnormal batch becomes an RST
+          sweep ({!Calibration.rst_batch_per_conn} per connection) and
+          graceful residues park on the registry's timer wheel. *)
+  | Lease : (Uln_host.Addr_space.t, (lease_grant, error) result) leg
+      (** One IPC charges {!Calibration.lease_grant} plus the channel
+          builds, marks an aligned port block and registers the kernel
+          lease.  Connects under the lease never call the registry: the
+          library stamps the pre-verified filter/template itself
+          ({!Netio.activate_leased}). *)
+  | Release_lease : (lease_grant, unit) leg
+      (** Revoke the kernel capability, free the block and recycle (or
+          destroy) the lease's channels. *)
+  | Bind_dgram : (Uln_host.Addr_space.t * dgram * int, (Netio.channel * int, error) result) leg
+      (** The binding phase for connectionless protocols (paper §5):
+          [(app, kind, port)] — port 0 allocates a client port, round
+          robin over 40001-65535, skipping bound ones.  Ports are keyed
+          by (IP protocol, port), so UDP and RRP hold the same number
+          independently.  Demultiplexing is software-only: with no setup
+          handshake there is no chance to exchange BQIs. *)
+  | Release_dgram : (dgram * int * Netio.channel, unit) leg
+  | Resolve : (Uln_addr.Ip.t, Uln_addr.Mac.t) leg
+      (** The registry owns ARP on its host; libraries query and cache. *)
+  | Park_tw : ((Uln_addr.Ip.t * int * int) list, unit) leg
+      (** [(remote_ip, remote_port, local_port)] residues of leased
+          connections, parked on the registry's TIME_WAIT wheel so the
+          library's control blocks and channels free at once.  One-way,
+          coalesced by the library; a no-op when the wheel is off. *)
 
-val park_time_wait_port : t -> ((Uln_addr.Ip.t * int * int) list, unit) Uln_host.Ipc.t
-(** A batch of [(remote_ip, remote_port, local_port)] residues: a
-    library offloads leased connections' TIME_WAIT onto the registry's
-    wheel so the local control blocks and channels free immediately —
-    the churn analogue of connection inheritance.  One-way: libraries
-    [post] a coalesced batch and never await.  No-op when the wheel
-    switch is off. *)
+val call : t -> ('q, 'r) leg -> 'q -> 'r
+(** An RPC to the registry from the calling thread. *)
+
+val post : t -> ('q, unit) leg -> 'q -> unit
+(** Send a request and never await its reply ([Park_tw]'s use). *)
 
 (* {2 Introspection for tests and benches} *)
 

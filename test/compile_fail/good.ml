@@ -18,3 +18,7 @@ let () =
   let time_wait = Fsm.step fin_wait_2 Fsm.Rcv_fin_fin_wait_2 in
   let _gone = Fsm.step time_wait Fsm.Expire_2msl in
   ()
+
+(* The registry protocol: a request of the leg's own type. *)
+let _listen reg : (unit, Uln_core.Registry.error) result =
+  Uln_core.Registry.call reg Uln_core.Registry.Listen 80

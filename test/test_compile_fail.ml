@@ -2,7 +2,8 @@
    only as good as the programs it rejects.  Each compile_fail/bad_*.ml
    snippet encodes one forbidden flow (data send before ESTABLISHED,
    BQI exchange outside the handshake, transition out of a retired
-   TIME_WAIT witness) and must be refused by the type checker;
+   TIME_WAIT witness, a request of the wrong type on a registry leg)
+   and must be refused by the type checker;
    compile_fail/good.ml is the positive control proving the harness
    flags actually compile well-typed code.
 
@@ -15,7 +16,9 @@ let lib_dirs =
     "../lib/buf/.uln_buf.objs/byte";
     "../lib/addr/.uln_addr.objs/byte";
     "../lib/host/.uln_host.objs/byte";
-    "../lib/netsim/.uln_net.objs/byte" ]
+    "../lib/netsim/.uln_net.objs/byte";
+    "../lib/pktfilter/.uln_filter.objs/byte";
+    "../lib/core/.uln_core.objs/byte" ]
 
 let quote = Filename.quote
 

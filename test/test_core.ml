@@ -663,7 +663,7 @@ let lease_hog_case sharded =
         | Error e -> Alcotest.failf "%s: %s" label (Registry.error_to_string e)
       in
       Sched.block_on (World.sched w) (fun () ->
-          let lease () = Uln_host.Ipc.call (Registry.lease_port reg) ~size:32 hog in
+          let lease () = Registry.call reg Registry.Lease hog in
           let rec grab held =
             match lease () with
             | Ok g -> grab (g :: held)
@@ -677,7 +677,7 @@ let lease_hog_case sharded =
           check_bool "ephemeral connect gets Out_of_ports" true
             (match connect 0 with Error Registry.Out_of_ports -> true | _ -> false);
           connects "explicit port" 40000;
-          Uln_host.Ipc.call (Registry.release_lease_port reg) ~size:32 (List.hd held);
+          Registry.call reg Registry.Release_lease (List.hd held);
           connects "ephemeral after a release" 0))
 
 (* Shared-stack RRP clients hold their ports until closed: the 16,385th
@@ -920,6 +920,151 @@ let snapshot_cases =
         nonzero value "host1.cpu1.busy_ns";
         Alcotest.(check string) "per-CPU stack locks" "4" (value "locks.named")) ]
 
+(* Every registry leg's IPC charge, pinned.  Each leg is driven once
+   from a library pinned to CPU 1 of host 0, so the library's own
+   charges and the registry's boot-CPU charges read apart; IPC transfer
+   and dispatch are charged on the port's CPU, the boot CPU, so the
+   library column reads 0.  Per leg: simulated time elapsed at the
+   caller, and the busy time the leg added to each CPU.  The values are
+   what the registry with one IPC port per leg produced; they pin every
+   leg's request and reply size, including legs no bench row drives (a
+   single inherit, a datagram release). *)
+let test_registry_leg_charges () =
+  let w = World.create ~cpus:2 ~network:World.Ethernet ~org:Organization.User_library () in
+  let sched = World.sched w in
+  let m = World.machine w 0 in
+  let reg = Option.get (World.registry w 0) in
+  let dom = Uln_core.Protolib.domain (Option.get (World.library ~cpu:1 w ~host:0 "legs")) in
+  let cli = Uln_host.Machine.cpu_at m 1 and boot = Uln_host.Machine.cpu_at m 0 in
+  let peer = World.app w ~host:1 "peer" and dialer = World.app w ~host:1 "dialer" in
+  let ip1 = World.host_ip w 1 in
+  Sched.spawn sched ~name:"peer" (fun () ->
+      let l = peer.Sockets.listen ~port:80 in
+      for _ = 1 to 3 do
+        ignore (l.Sockets.accept ())
+      done);
+  let rows = ref [] in
+  let leg name f =
+    let t0 = Sched.now sched in
+    let c0 = Uln_host.Cpu.busy_ns cli and r0 = Uln_host.Cpu.busy_ns boot in
+    let v = f () in
+    rows :=
+      ( name,
+        Time.diff (Sched.now sched) t0,
+        Uln_host.Cpu.busy_ns cli - c0,
+        Uln_host.Cpu.busy_ns boot - r0 )
+      :: !rows;
+    (* Let the leg's background work (handshakes, closes) settle. *)
+    Sched.sleep sched (Time.ms 200);
+    v
+  in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail (Registry.error_to_string e) in
+  let call leg req = Registry.call reg leg req in
+  let connect () =
+    ok
+      (call Registry.Connect
+         { Registry.c_app = dom; c_src_port = 0; c_dst = ip1; c_dst_port = 80 })
+  in
+  let conn (g : Registry.grant) = (g.Registry.snapshot, g.Registry.channel) in
+  Sched.block_on sched (fun () ->
+      let g1 = leg "connect" connect in
+      leg "listen" (fun () -> ok (call Registry.Listen 7000));
+      Sched.spawn sched ~name:"dialer" (fun () ->
+          ignore (dialer.Sockets.connect ~src_port:0 ~dst:(World.host_ip w 0) ~dst_port:7000));
+      Sched.sleep sched (Time.ms 200);
+      let g2 =
+        leg "accept" (fun () -> ok (call Registry.Accept { Registry.a_app = dom; a_port = 7000 }))
+      in
+      let g3 = connect () in
+      Sched.sleep sched (Time.ms 200);
+      leg "release" (fun () ->
+          let snapshot, channel = conn g3 in
+          call Registry.Release (snapshot.Uln_proto.Tcp.snap_local_port, channel));
+      leg "inherit" (fun () ->
+          let snapshot, channel = conn g1 in
+          call Registry.Inherit (snapshot, channel, true));
+      leg "inherit_batch" (fun () -> call Registry.Inherit_batch ([ conn g2 ], true));
+      let lg = leg "lease" (fun () -> ok (call Registry.Lease dom)) in
+      leg "release_lease" (fun () -> call Registry.Release_lease lg);
+      let ch, port =
+        leg "bind_dgram" (fun () -> ok (call Registry.Bind_dgram (dom, Registry.Udp, 5000)))
+      in
+      leg "release_dgram" (fun () -> call Registry.Release_dgram (Registry.Udp, port, ch));
+      ignore (leg "resolve" (fun () -> call Registry.Resolve ip1));
+      (* One-way: the registry's share lands after the post returns. *)
+      leg "park_tw" (fun () ->
+          Registry.post reg Registry.Park_tw [ (ip1, 80, 50000) ];
+          Sched.sleep sched (Time.ms 1)));
+  (* (leg, elapsed ns, library CPU busy ns, boot CPU busy ns), as the
+     registry with one IPC port per leg charged them. *)
+  let expected =
+    [ ("connect", 11549040, 0, 8786800);
+      ("listen", 2203840, 0, 1963840);
+      ("accept", 5334560, 0, 5094560);
+      ("release", 703840, 0, 463840);
+      ("inherit", 1178520, 0, 938520);
+      ("inherit_batch", 1165080, 0, 925080);
+      ("lease", 16169120, 0, 15929120);
+      ("release_lease", 705760, 0, 465760);
+      ("bind_dgram", 5419200, 0, 5179200);
+      ("release_dgram", 703840, 0, 463840);
+      ("resolve", 703840, 0, 463840);
+      ("park_tw", 1151920, 0, 231920) ]
+  in
+  List.iter2
+    (fun (name, el, c, r) (name', el', c', r') ->
+      Alcotest.(check string) "leg order" name name';
+      check (name ^ " elapsed ns") el el';
+      check (name ^ " library CPU ns") c c';
+      check (name ^ " registry CPU ns") r r')
+    expected (List.rev !rows)
+
+(* Each refusal a library can meet is told apart by its constructor,
+   not by its message. *)
+let test_registry_typed_refusals () =
+  let w =
+    World.create ~network:World.Ethernet ~org:Organization.User_library
+      ~tcp_params:{ Uln_proto.Tcp_params.default with endpoint_lease = true } ()
+  in
+  let sched = World.sched w in
+  let reg = Option.get (World.registry w 0) in
+  let lib = Option.get (World.library w ~host:0 "lib") in
+  let dom = Uln_core.Protolib.domain lib in
+  let peer = World.app w ~host:1 "peer" in
+  Sched.spawn sched ~name:"peer" (fun () ->
+      let l = peer.Sockets.listen ~port:80 in
+      while true do
+        ignore (l.Sockets.accept ())
+      done);
+  let refused label expect = function
+    | Error e when e = expect -> ()
+    | Error e -> Alcotest.failf "%s: got %s" label (Registry.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: not refused" label
+  in
+  let connect src_port =
+    Uln_core.Protolib.connect_q lib ~src_port ~dst:(World.host_ip w 1) ~dst_port:80
+  in
+  Sched.block_on sched (fun () ->
+      check_bool "listen" true (Registry.call reg Registry.Listen 7000 = Ok ());
+      refused "listen on a held port" (Registry.Port_in_use 7000)
+        (Registry.call reg Registry.Listen 7000);
+      refused "accept with no listener" (Registry.Not_listening 7001)
+        (Registry.call reg Registry.Accept { Registry.a_app = dom; a_port = 7001 });
+      refused "connect from a held port" (Registry.Port_in_use 7000) (connect 7000);
+      let bind () = Registry.call reg Registry.Bind_dgram (dom, Registry.Udp, 5000) in
+      ignore (bind ());
+      refused "second datagram bind" (Registry.Port_in_use 5000) (bind ());
+      (match connect 0 with
+      | Ok c -> c.Sockets.close ()
+      | Error e -> Alcotest.fail (Registry.error_to_string e));
+      let lease = Option.get (Uln_core.Protolib.lease lib) in
+      Netio.revoke_lease (Option.get (World.netio w 0)) ~caller:(Registry.domain reg)
+        lease.Registry.lg_lease;
+      match connect 0 with
+      | Error (Registry.Lease_violation "Netio.activate_leased: lease revoked") -> ()
+      | Error e -> Alcotest.failf "leased connect: got %s" (Registry.error_to_string e)
+      | Ok _ -> Alcotest.fail "leased connect on a revoked lease succeeded")
+
 let () =
   Alcotest.run "core"
     [ ( "transfer-ethernet",
@@ -976,4 +1121,7 @@ let () =
             Alcotest.test_case "port space residue classes" `Quick test_port_space_residue;
             Alcotest.test_case "port space exhausted" `Quick test_port_space_exhausted;
             Alcotest.test_case "port space first-fit block" `Quick test_port_space_block ] );
-      ("snapshot", snapshot_cases) ]
+      ("snapshot", snapshot_cases);
+      ( "registry",
+        [ Alcotest.test_case "leg charges" `Quick test_registry_leg_charges;
+          Alcotest.test_case "typed refusals" `Quick test_registry_typed_refusals ] ) ]

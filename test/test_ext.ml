@@ -141,7 +141,7 @@ let run_terminal ~tuned =
       let conn =
         if tuned then
           Result.get_ok
-            (Protolib.connect_tuned lib ~params:interactive ~src_port:0
+            (Protolib.connect_q lib ~params:interactive ~src_port:0
                ~dst:(World.host_ip w 1) ~dst_port:23)
         else
           Result.get_ok
