@@ -1,31 +1,38 @@
 let slots_per_level = 256
 let levels = 4
 
+(* A timer knows its wheel so that {!cancel}, given only the handle,
+   can keep the wheel's count of live timers. *)
 type timer = {
   mutable expiry_tick : int;
   callback : unit -> unit;
   mutable live : bool;
+  owner : t;
 }
-
-type handle = timer
 
 (* The wheel is built as it is used: [wheel] stays [[||]] until the
    first insert, and each level's slot array until the first insert into
    that level.  A connection's wheel usually only ever touches level 0,
-   and many never schedule at all. *)
-type t = {
+   and many never schedule at all.  [pending] counts the entries in the
+   slots, cancelled ones included until their slot comes round;
+   [live_timers] counts the timers still due to fire. *)
+and t = {
   tick_ns : int;
   mutable wheel : timer list array array; (* [level].[slot] *)
   mutable tick : int;
   mutable pending : int;
+  mutable live_timers : int;
 }
+
+type handle = timer
 
 let create ~granularity () =
   if granularity <= 0 then invalid_arg "Timer_wheel.create: granularity must be positive";
-  { tick_ns = granularity; wheel = [||]; tick = 0; pending = 0 }
+  { tick_ns = granularity; wheel = [||]; tick = 0; pending = 0; live_timers = 0 }
 
 let granularity t = t.tick_ns
 let pending t = t.pending
+let live t = t.live_timers
 let current_tick t = t.tick
 
 (* Level [i] has slot width [slots_per_level^i] ticks and covers deltas up
@@ -46,12 +53,17 @@ let insert t timer =
 
 let schedule t ~after f =
   let delta_ticks = Stdlib.max 1 ((after + t.tick_ns - 1) / t.tick_ns) in
-  let timer = { expiry_tick = t.tick + delta_ticks; callback = f; live = true } in
+  let timer = { expiry_tick = t.tick + delta_ticks; callback = f; live = true; owner = t } in
   insert t timer;
   t.pending <- t.pending + 1;
+  t.live_timers <- t.live_timers + 1;
   timer
 
-let cancel h = h.live <- false
+let cancel h =
+  if h.live then begin
+    h.live <- false;
+    h.owner.live_timers <- h.owner.live_timers - 1
+  end
 
 (* Fire or reinsert everything in a slot.  Timers whose expiry is still in
    the future cascade back in at (possibly) a lower level.  A level that
@@ -66,6 +78,7 @@ let drain_slot t level slot =
       else if timer.expiry_tick <= t.tick then begin
         timer.live <- false;
         t.pending <- t.pending - 1;
+        t.live_timers <- t.live_timers - 1;
         timer.callback ()
       end
       else insert t timer

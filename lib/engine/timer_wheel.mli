@@ -31,6 +31,10 @@ val cancel : handle -> unit
 (** Cancel a timer; a no-op if it already fired or was cancelled. *)
 
 val pending : t -> int
+(** Entries still held in the slots: the live timers plus cancelled ones
+    whose slot has not come round yet (cancelling is lazy). *)
+
+val live : t -> int
 (** Number of live (scheduled, not yet fired or cancelled) timers. *)
 
 val current_tick : t -> int

@@ -1,7 +1,10 @@
 (** Timer service: a {!Timer_wheel} driven by a {!Sched} clock.
 
     Arms a periodic tick event in the scheduler only while timers are
-    pending, so idle protocols cost nothing. *)
+    live, so idle protocols cost nothing.  The ticks keep the phase of
+    the arm that found the service idle; cancelling the last live timer
+    makes the service idle at once, so a timer's firing never depends on
+    timers cancelled before it was armed. *)
 
 type t
 

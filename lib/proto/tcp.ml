@@ -547,7 +547,11 @@ and output_once c =
           fin = fin_now;
           psh = send_data && data_off + len >= Tx_path.length c.tx }
       in
-      let seq = c.snd_nxt in
+      (* After a go-back-N rewind [snd_nxt] sits below [snd_max]; a pure
+         ACK carries [snd_max] (4.4BSD's tcp_output does the same), or it
+         falls left of the peer's window and is dropped unread: two
+         rewound ends would then answer each other's ACKs forever. *)
+      let seq = if send_data || fin_now || c.persist <> None then c.snd_nxt else c.snd_max in
       if send_data then begin
         (* Time this segment if it is new data at the send frontier;
            below the frontier it is a go-back-N resend. *)

@@ -382,6 +382,22 @@ let test_wheel_cancel () =
   Timer_wheel.advance_to w (Time.of_ns (Time.ms 10));
   check_bool "cancelled" false !fired
 
+(* [live] drops at the cancel; [pending] keeps the cancelled entry until
+   its slot comes round. *)
+let test_wheel_live_count () =
+  let w = Timer_wheel.create ~granularity:(Time.ms 1) () in
+  let a = Timer_wheel.schedule w ~after:(Time.ms 3) ignore in
+  ignore (Timer_wheel.schedule w ~after:(Time.ms 5) ignore);
+  Timer_wheel.cancel a;
+  Timer_wheel.cancel a;
+  check "live after one cancel (twice)" 1 (Timer_wheel.live w);
+  check "pending keeps the cancelled entry" 2 (Timer_wheel.pending w);
+  Timer_wheel.advance_to w (Time.of_ns (Time.ms 4));
+  check "cancelled entry drained" 1 (Timer_wheel.pending w);
+  Timer_wheel.advance_to w (Time.of_ns (Time.ms 10));
+  check "live after firing" 0 (Timer_wheel.live w);
+  check "pending after firing" 0 (Timer_wheel.pending w)
+
 let test_wheel_long_delay_cascades () =
   (* A delay of > 256 ticks must land on a higher wheel level and still
      fire at the right tick. *)
@@ -634,6 +650,24 @@ let test_timers_service () =
   (* Rounded up to tick 3 = 30 ms. *)
   check "fired at 30ms" (Time.ms 30) (Time.to_ns !fired_at)
 
+(* A timer cancelled before the next arm leaves no tick phase behind:
+   the 25 ms timer armed at 7 ms fires three whole ticks after its own
+   arm (37 ms), not on the 30 ms tick of a chain the cancelled timer
+   started at 0. *)
+let test_timers_cancel_leaves_no_phase () =
+  let s = Sched.create () in
+  let svc = Timers.create s ~granularity:(Time.ms 10) in
+  let fired_at = ref Time.zero in
+  Sched.spawn s (fun () ->
+      let h = Timers.arm svc (Time.ms 50) ignore in
+      Sched.sleep s (Time.ms 3);
+      Timers.disarm h;
+      check "no live timer after the cancel" 0 (Timers.pending svc);
+      Sched.sleep s (Time.ms 4);
+      ignore (Timers.arm svc (Time.ms 25) (fun () -> fired_at := Sched.now s)));
+  Sched.run s;
+  check "fired at 37ms" (Time.ms 37) (Time.to_ns !fired_at)
+
 (* --- rng ------------------------------------------------------------------ *)
 
 let test_rng_deterministic () =
@@ -723,6 +757,7 @@ let () =
       ( "timers",
         [ Alcotest.test_case "wheel order" `Quick test_wheel_fires_in_order;
           Alcotest.test_case "wheel cancel" `Quick test_wheel_cancel;
+          Alcotest.test_case "wheel live count" `Quick test_wheel_live_count;
           Alcotest.test_case "wheel cascade" `Quick test_wheel_long_delay_cascades;
           qc prop_wheel_never_early;
           qc prop_wheel_matches_ref_cells;
@@ -730,7 +765,9 @@ let () =
             test_wheel_far_matches_ref_cells;
           Alcotest.test_case "wheel and proto env creation allocate a few words" `Quick
             test_wheel_create_allocation;
-          Alcotest.test_case "timer service" `Quick test_timers_service ] );
+          Alcotest.test_case "timer service" `Quick test_timers_service;
+          Alcotest.test_case "cancelled timer leaves no tick phase" `Quick
+            test_timers_cancel_leaves_no_phase ] );
       ( "rng",
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;

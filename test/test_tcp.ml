@@ -233,6 +233,63 @@ let test_retransmit_causes () =
       Tcp.close c;
       Tcp.await_closed c)
 
+(* After a retransmit timeout rewinds [snd_nxt], a pure ACK must still
+   carry the highest sequence the sender has used: one that falls left
+   of the peer's window is dropped unread and answered with another ACK,
+   and two rewound ends then trade ACKs forever.  Both ends send over a
+   link that drops 30% of frames, so both time out and rewind, and the
+   link tap checks every pure ACK on the wire against the highest
+   sequence its sender had put there (12 fall behind without the fix). *)
+let test_pure_ack_carries_snd_max () =
+  let w = lossy_world 0.3 in
+  let n = 40_000 in
+  let highest = Hashtbl.create 2 in
+  let pure_acks = ref 0 and behind = ref 0 in
+  Link.set_monitor w.link (fun _ fr ->
+      if fr.Frame.ethertype = Frame.ethertype_ip && Mbuf.length fr.Frame.payload >= 40 then begin
+        let ip = Mbuf.flatten fr.Frame.payload in
+        if View.get_uint8 ip 9 = 6 then begin
+          let port = View.get_uint16 ip 20 in
+          let seq = Int32.to_int (View.get_uint32 ip 24) land 0xFFFFFFFF in
+          let flags = View.get_uint8 ip 33 in
+          let len =
+            View.get_uint16 ip 2 - 20 - (4 * (View.get_uint8 ip 32 lsr 4))
+            + (flags land 1) + ((flags lsr 1) land 1)
+          in
+          let after a b = let d = (a - b) land 0xFFFFFFFF in d > 0 && d < 0x80000000 in
+          let fin = (seq + len) land 0xFFFFFFFF in
+          (match Hashtbl.find_opt highest port with
+          | Some h when flags = 0x10 && len = 0 ->
+              incr pure_acks;
+              if after h seq then incr behind
+          | _ -> ());
+          match Hashtbl.find_opt highest port with
+          | Some h when not (after fin h) -> ()
+          | _ -> Hashtbl.replace highest port fin
+        end
+      end);
+  let server_got = ref "" in
+  with_server w ~port:80 (fun conn ->
+      Sched.spawn w.sched ~name:"server-tx" (fun () -> Tcp.write conn (View.of_string (pattern n)));
+      server_got := read_all conn;
+      Tcp.close conn);
+  let client_got =
+    run_to_completion w (fun () ->
+        let c = connect_a w ~port:80 in
+        Sched.spawn w.sched ~name:"client-tx" (fun () ->
+            Tcp.write c (View.of_string (pattern n));
+            Tcp.close c);
+        let got = read_all c in
+        Tcp.await_closed c;
+        got)
+  in
+  check_bool "server received the stream" true (String.equal (pattern n) !server_got);
+  check_bool "client received the stream" true (String.equal (pattern n) client_got);
+  check_bool "both ends retransmitted" true
+    (Tcp.retransmissions w.a.stack.Stack.tcp > 0 && Tcp.retransmissions w.b.stack.Stack.tcp > 0);
+  check_bool "pure ACKs on the wire" true (!pure_acks > 0);
+  check "pure ACKs behind the sender's highest sequence" 0 !behind
+
 let test_transfer_survives_heavy_loss () =
   let w = lossy_world 0.15 in
   let n = 20_000 in
@@ -586,6 +643,7 @@ let () =
           Alcotest.test_case "corruption" `Quick test_transfer_survives_corruption;
           Alcotest.test_case "reorder+dup" `Quick test_transfer_survives_reordering_and_dup;
           Alcotest.test_case "retransmits split by cause" `Quick test_retransmit_causes;
+          Alcotest.test_case "pure ACK carries snd_max" `Quick test_pure_ack_carries_snd_max;
           qc prop_transfer_random_loss_seeds ] );
       ( "flow",
         [ Alcotest.test_case "slow reader" `Quick test_slow_reader_flow_control;
