@@ -64,6 +64,9 @@ type t = {
   machine : Machine.t;
   nic : Nic.t;
   demux : channel Demux.t;
+  conn_shape : Demux.shape Lazy.t;
+      (* the one 4-tuple filter shape ([Program.tcp_conn]), verified at
+         the host's first connection-filter install *)
   by_bqi : (int, channel) Hashtbl.t;
   mutable next_id : int;
   mutable rejected : int;
@@ -82,6 +85,7 @@ type t = {
 
 let nic t = t.nic
 let machine t = t.machine
+let demux t = t.demux
 let sends_rejected t = t.rejected
 let unmatched_drops t = t.unmatched
 let demux_cost_dist t = t.demux_cost
@@ -134,11 +138,21 @@ let deliver t ch frame =
   end
   else t.overflows <- t.overflows + 1
 
+(* Every connection filter is a stamp of this shape: optimized, analysed
+   and admitted once per host. *)
+let tcp_conn_shape demux =
+  let any = Uln_addr.Ip.any in
+  match Demux.shape demux (Program.tcp_conn ~src_ip:any ~dst_ip:any ~src_port:0 ~dst_port:0) with
+  | Ok sh -> sh
+  | Error _ -> invalid_arg "Netio: the tcp_conn filter has no stamp shape"
+
 let create machine nic ~mode ?(flow_cache = false) ?(hier = false) ?(napi = false) () =
+  let demux = Demux.create ~mode ~budget:Calibration.filter_cycle_budget ~flow_cache ~hier () in
   let t =
     { machine;
       nic;
-      demux = Demux.create ~mode ~budget:Calibration.filter_cycle_budget ~flow_cache ~hier ();
+      demux;
+      conn_shape = lazy (tcp_conn_shape demux);
       by_bqi = Hashtbl.create 8;
       next_id = 0;
       rejected = 0;
@@ -283,61 +297,96 @@ let conflict_of t ch analyzed =
         (Printf.sprintf "accept sets of %d installed filter(s) intersect (witness: %d-byte packet)"
            (List.length cs) (Uln_buf.View.length witness))
 
-let filter_conflict t ch program = conflict_of t ch (program, Absint.analyze program)
+type vetted = { v_program : Program.t; v_analysis : Absint.result }
+
+let vet_filter t ch program =
+  let a = Absint.analyze program in
+  match conflict_of t ch (program, a) with
+  | Some desc -> Error desc
+  | None -> Ok { v_program = program; v_analysis = a }
 
 (* [analyzed] is the program paired with its analysis, run once by the
-   caller and shared by the overlap check, the demux entry's group and
-   (in [activate]) the template cross-check. *)
-let install_filter t ch analyzed =
-  (match conflict_of t ch analyzed with
-  | None -> ()
-  | Some desc ->
-      Uln_engine.Trace.infof t.machine.Machine.sched "netio" "filter overlap on chan%d: %s" ch.id
-        desc);
+   caller and shared by the overlap check, the demux entry and (in
+   [activate]) the template cross-check. *)
+let install_analyzed t ch analyzed =
   match Demux.install_analyzed ~affinity:ch.affinity t.demux analyzed ch with
   | Ok k ->
       ch.filters <- k :: ch.filters;
       k
   | Error e -> raise (Verify.Rejected e)
 
+let install_filter t ch analyzed =
+  (match conflict_of t ch analyzed with
+  | None -> ()
+  | Some desc ->
+      Uln_engine.Trace.infof t.machine.Machine.sched "netio" "filter overlap on chan%d: %s" ch.id
+        desc);
+  install_analyzed t ch analyzed
+
 let add_filter t ~caller ch program =
   require_privileged caller "Netio.add_filter";
   install_filter t ch (program, Absint.analyze program)
 
-(* Population fast path for the sparse-scale benches: stamp a verified
-   template's constraints with another connection's bytes.  Skips the
-   overlap check [install_filter] runs: that check reads an entry's
-   installed program, which for a stamped entry is the template's, so
-   the template's own install already made it, and distinct 4-tuples
-   cannot overlap each other.  The entry joins the template's overlap
-   group, so later checks against the table cost the same however many
-   entries were stamped. *)
-let add_stamped_filter t ~caller ch ~template ~constraints ~min_len =
+(* A connection filter: a stamp of the host's [tcp_conn] shape with the
+   4-tuple's bytes, as the receiver sees them.  No verifier pass and no
+   overlap check run: the shape was verified once, and a stamp of it is
+   exactly its 4-tuple.  With [template], the stamp's local address is
+   checked against the template's source. *)
+let stamp_conn ?template t ch ~remote_ip ~remote_port ~local_ip ~local_port =
+  Demux.stamp_bytes ~affinity:ch.affinity ?template t.demux (Lazy.force t.conn_shape)
+    (Program.tcp_conn_bytes ~src_ip:remote_ip ~dst_ip:local_ip ~src_port:remote_port
+       ~dst_port:local_port)
+    ch
+  |> Result.map (fun k ->
+         ch.filters <- k :: ch.filters;
+         k)
+
+let add_stamped_filter t ~caller ch ~remote_ip ~remote_port ~local_ip ~local_port =
   require_privileged caller "Netio.add_stamped_filter";
-  match
-    Demux.install_stamped ~affinity:ch.affinity t.demux ~template ~constraints ~min_len ch
-  with
-  | Ok k ->
-      ch.filters <- k :: ch.filters;
-      k
-  | Error e -> invalid_arg ("Netio.add_stamped_filter: " ^ e)
+  match stamp_conn t ch ~remote_ip ~remote_port ~local_ip ~local_port with
+  | Ok k -> k
+  | Error e -> invalid_arg (Format.asprintf "Netio.add_stamped_filter: %a" Demux.pp_stamp_error e)
 
 let remove_filter t ~caller k =
   require_privileged caller "Netio.remove_filter";
   Demux.remove t.demux k
 
-let activate t ~caller ch ~filter ~template =
-  require_privileged caller "Netio.activate";
-  let a = Absint.analyze filter in
+(* Cross-check the template against the filter's analysis, then arm. *)
+let arm ch ~op a ~template =
   (match Verify.check_template ~filter:a template with
   | Ok () -> ()
   | Error te ->
       raise
         (Capability.Violation
-           (Format.asprintf "Netio.activate on chan%d: %a" ch.id Verify.pp_template_error te)));
+           (Format.asprintf "%s on chan%d: %a" op ch.id Verify.pp_template_error te)));
   ch.template <- Some template;
-  ch.active <- true;
+  ch.active <- true
+
+let activate t ~caller ch ~filter ~template =
+  require_privileged caller "Netio.activate";
+  let a = Absint.analyze filter in
+  arm ch ~op:"Netio.activate" a ~template;
   ignore (install_filter t ch (filter, a))
+
+let activate_vetted t ~caller ch v ~template =
+  require_privileged caller "Netio.activate_vetted";
+  arm ch ~op:"Netio.activate_vetted" v.v_analysis ~template;
+  ignore (install_analyzed t ch (v.v_program, v.v_analysis))
+
+(* Arm [ch] for one connection: its filter is stamped (and the template
+   checked against it) before the channel goes live. *)
+let arm_conn t ch ~op ~remote_ip ~remote_port ~local_ip ~local_port ~template =
+  match stamp_conn ~template t ch ~remote_ip ~remote_port ~local_ip ~local_port with
+  | Error e ->
+      raise
+        (Capability.Violation (Format.asprintf "%s on chan%d: %a" op ch.id Demux.pp_stamp_error e))
+  | Ok _ ->
+      ch.template <- Some template;
+      ch.active <- true
+
+let activate_conn t ~caller ch ~remote_ip ~remote_port ~local_ip ~local_port ~template =
+  require_privileged caller "Netio.activate_conn";
+  arm_conn t ch ~op:"Netio.activate_conn" ~remote_ip ~remote_port ~local_ip ~local_port ~template
 
 let reassign_owner t ~caller ch ~owner =
   require_privileged caller "Netio.reassign_owner";
@@ -418,18 +467,12 @@ let activate_leased t ch ~from_domain ~lease ~remote_ip ~remote_port ~local_port
   if local_port < lease.l_base || local_port >= lease.l_base + lease.l_count then
     refuse (Printf.sprintf "port %d outside leased block" local_port);
   Cpu.use cpu Calibration.lease_stamp;
-  let filter =
-    Program.tcp_conn ~src_ip:remote_ip ~dst_ip:lease.l_ip ~src_port:remote_port
-      ~dst_port:local_port
-  in
-  let template =
-    Template.tcp_conn ~src_ip:lease.l_ip ~dst_ip:remote_ip ~src_port:local_port
-      ~dst_port:remote_port ()
-  in
-  ch.template <- Some template;
-  ch.lease <- Some lease;
-  ch.active <- true;
-  ignore (install_filter t ch (filter, Absint.analyze filter))
+  arm_conn t ch ~op:"Netio.activate_leased" ~remote_ip ~remote_port ~local_ip:lease.l_ip
+    ~local_port
+    ~template:
+      (Template.tcp_conn ~src_ip:lease.l_ip ~dst_ip:remote_ip ~src_port:local_port
+         ~dst_port:remote_port ());
+  ch.lease <- Some lease
 
 (* Disarm a leased channel after its connection fully closes, returning
    it to the library's cache: filters out, template cleared, region and

@@ -42,6 +42,11 @@ val create :
 val nic : t -> Uln_net.Nic.t
 val machine : t -> Uln_host.Machine.t
 
+val demux : t -> channel Uln_filter.Demux.t
+(** The software filter table, for inspection ({!Uln_filter.Demux.entries},
+    {!Uln_filter.Demux.live_groups}).  Installs belong to the privileged
+    operations below. *)
+
 (* {2 Privileged operations (registry server only)} *)
 
 val create_channel :
@@ -107,28 +112,62 @@ val add_stamped_filter :
   t ->
   caller:Uln_host.Addr_space.t ->
   channel ->
-  template:Uln_filter.Demux.key ->
-  constraints:(int * int) list ->
-  min_len:int ->
+  remote_ip:Uln_addr.Ip.t ->
+  remote_port:int ->
+  local_ip:Uln_addr.Ip.t ->
+  local_port:int ->
   Uln_filter.Demux.key
-(** Prestamped filter install for the sparse-scale benches: derive a
-    connection filter from an already-admitted conjunctive-exact
-    [template] entry by overriding its byte constraints
-    ({!Uln_filter.Demux.install_stamped}).  Skips the per-install
-    overlap check: a stamped entry carries its template's program, which
-    the template's install already checked, and distinct 4-tuples cannot
-    overlap.  The entry joins the template's overlap group
-    ({!Uln_filter.Demux.live_groups}), so the checks later installs run
-    do not grow with the stamped population.
-    @raise Capability.Violation unless [caller] is privileged.
-    @raise Invalid_argument if [template] is unknown or inexact. *)
+(** Route one TCP connection's inbound segments to [channel]: a stamp of
+    this module's one [tcp_conn] shape ({!Uln_filter.Demux.stamp}) with
+    the 4-tuple's bytes.  The shape is optimized, analysed and admitted
+    once, at the host's first connection-filter install; a stamp runs no
+    verifier pass and no overlap check (it accepts exactly its 4-tuple,
+    and later checks see it through its bytes), holds no program of its
+    own and adds nothing to {!Uln_filter.Demux.live_groups}.  The
+    registry routes a handshake or an inherited connection to its own
+    channel this way; the sparse-scale population is made of them.
+    @raise Capability.Violation unless [caller] is privileged. *)
 
-val filter_conflict : t -> channel -> Uln_filter.Program.t -> string option
-(** Description of a strict partial overlap between [program]'s accept
-    set and a filter installed for a {e different} channel (a concrete
-    witness packet both accept, with neither filter subsuming the
-    other) — the ambiguity/eavesdropping hazard the registry surfaces
-    as a capability-install conflict.  [None] when provably clean. *)
+val activate_conn :
+  t ->
+  caller:Uln_host.Addr_space.t ->
+  channel ->
+  remote_ip:Uln_addr.Ip.t ->
+  remote_port:int ->
+  local_ip:Uln_addr.Ip.t ->
+  local_port:int ->
+  template:Uln_filter.Template.t ->
+  unit
+(** {!activate} for one TCP connection: the filter is the
+    {!add_stamped_filter} stamp of the 4-tuple, and the anti-impersonation
+    check compares the stamp's local-address bytes with the template's
+    source address ({!Uln_filter.Verify.check_template_pins}) instead of
+    analysing a program.
+    @raise Capability.Violation unless [caller] is privileged, or when
+    the template's source disagrees with [local_ip]. *)
+
+type vetted
+(** A filter program analysed once, with a clean overlap verdict. *)
+
+val vet_filter : t -> channel -> Uln_filter.Program.t -> (vetted, string) result
+(** Analyse [program] and check it for a strict partial overlap with a
+    filter installed for a {e different} channel (a concrete witness
+    packet both accept, with neither filter subsuming the other) — the
+    ambiguity/eavesdropping hazard the registry surfaces as a
+    capability-install conflict.  [Error] describes the overlap; [Ok]
+    carries the analysis to {!activate_vetted}, which neither analyses
+    the program again nor repeats the check. *)
+
+val activate_vetted :
+  t ->
+  caller:Uln_host.Addr_space.t ->
+  channel ->
+  vetted ->
+  template:Uln_filter.Template.t ->
+  unit
+(** {!activate} with a program {!vet_filter} analysed and checked.
+    @raise Capability.Violation as {!activate}.
+    @raise Uln_filter.Verify.Rejected if the filter fails admission. *)
 
 val remove_filter : t -> caller:Uln_host.Addr_space.t -> Uln_filter.Demux.key -> unit
 
@@ -205,10 +244,12 @@ val activate_leased :
   unit
 (** Arm [channel] for one connection under [lease] — the unprivileged
     kernel entry that replaces the per-connection registry IPC.  The
-    kernel itself instantiates the pre-verified filter and template
-    from the validated 4-tuple (the caller never supplies a program, so
-    the anti-impersonation property is preserved), charging one
-    fast trap plus {!Calibration.lease_stamp}.  On AN1 the channel
+    kernel itself stamps the host's pre-verified [tcp_conn] shape with
+    the validated 4-tuple ({!add_stamped_filter}) and builds the
+    template, whose source address it checks against the stamp (the
+    caller never supplies a program, so the anti-impersonation property
+    is preserved); no analysis runs.  It charges one fast trap plus
+    {!Calibration.lease_stamp}.  On AN1 the channel
     advertises its receive BQI on outbound handshake frames and learns
     the peer's stamp from the first marked inbound frame.
     @raise Capability.Violation if the caller does not own both the

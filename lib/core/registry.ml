@@ -444,9 +444,11 @@ let flag_ack = 16
 let pending_key ~remote_ip ~remote_port ~local_port =
   (Ip.to_int32 remote_ip, remote_port, local_port)
 
-let conn_filter t ~remote_ip ~remote_port ~local_port =
-  Program.tcp_conn ~src_ip:remote_ip ~dst_ip:t.my_ip ~src_port:remote_port
-    ~dst_port:local_port
+(* A connection's inbound segments, routed to [ch]: a stamp of the
+   host's one connection-filter shape. *)
+let conn_filter t ch ~remote_ip ~remote_port ~local_port =
+  Netio.add_stamped_filter t.netio ~caller:t.dom ch ~remote_ip ~remote_port ~local_ip:t.my_ip
+    ~local_port
 
 let conn_template t ~remote_ip ~remote_port ~local_port ~bqi =
   Template.tcp_conn ~src_ip:t.my_ip ~dst_ip:remote_ip ~src_port:local_port
@@ -893,18 +895,10 @@ and do_connect t (req : connect_req) =
                   pre_channel = None;
                   pre_reused = false });
           (* Route this handshake's inbound segments to the registry. *)
-          match
-            Netio.add_filter t.netio ~caller:t.dom t.channel
-              (conn_filter t ~remote_ip:req.c_dst ~remote_port:req.c_dst_port ~local_port:src_port)
-          with
-          | exception Verify.Rejected e ->
-              shard_sync ~site:"registry.connect" t sh (fun () ->
-                  Hashtbl.remove sh.sh_pending key;
-                  Hashtbl.remove sh.sh_ports src_port);
-              put_channel t app_ch;
-              unreserve ();
-              Error (verifier_error e)
-          | tmp_filter -> (
+          let tmp_filter =
+            conn_filter t t.channel ~remote_ip:req.c_dst ~remote_port:req.c_dst_port
+              ~local_port:src_port
+          in
               let cleanup () =
                 Netio.remove_filter t.netio ~caller:t.dom tmp_filter;
                 shard_sync ~site:"registry.connect" t sh (fun () ->
@@ -945,7 +939,7 @@ and do_connect t (req : connect_req) =
                           ~peer_bqi:p.peer_bqi ~tmp_filter:(Some tmp_filter) ~key
                       in
                       record_legs t ~t0 ~t1 ~t2 ~t3:(Sched.now sched);
-                      r))))
+                      r)))
 
 and finish_setup t ~principal ~conn ~witness ~app_ch ~reused ~remote_ip ~remote_port ~local_port
     ~peer_bqi ~tmp_filter ~key =
@@ -958,8 +952,8 @@ and finish_setup t ~principal ~conn ~witness ~app_ch ~reused ~remote_ip ~remote_
   shard_sync ~site:"registry.finish" t sh (fun () ->
       Hashtbl.replace sh.sh_handoffs key app_ch);
   charge_channel_build t ~app_ch ~reused;
-  Netio.activate t.netio ~caller:t.dom app_ch
-    ~filter:(conn_filter t ~remote_ip ~remote_port ~local_port)
+  Netio.activate_conn t.netio ~caller:t.dom app_ch ~remote_ip ~remote_port ~local_ip:t.my_ip
+    ~local_port
     ~template:(conn_template t ~remote_ip ~remote_port ~local_port ~bqi:peer_bqi);
   (match tmp_filter with
   | Some k -> Netio.remove_filter t.netio ~caller:t.dom k
@@ -1075,10 +1069,7 @@ and do_inherit_one t (snapshot, channel) ~graceful =
   else begin
     (* Re-point the connection's packets at the registry, then drop the
        application's channel. *)
-    let fkey =
-      Netio.add_filter t.netio ~caller:t.dom t.channel
-        (conn_filter t ~remote_ip ~remote_port ~local_port)
-    in
+    let fkey = conn_filter t t.channel ~remote_ip ~remote_port ~local_port in
     if wheel then
       shard_sync ~site:"registry.inherit" t sh (fun () ->
           Hashtbl.replace sh.sh_inherit_filters key fkey);
@@ -1172,12 +1163,12 @@ and do_bind_dgram t (app, kind, port) =
         Netio.destroy_channel t.netio ~caller:t.dom ch;
         Error e
       in
-      match Netio.filter_conflict t.netio ch filter with
-      | Some desc -> refuse (conflict_error desc)
-      | None -> (
+      match Netio.vet_filter t.netio ch filter with
+      | Error desc -> refuse (conflict_error desc)
+      | Ok vetted -> (
           charge t Calibration.registry_channel_setup;
           try
-            Netio.activate t.netio ~caller:t.dom ch ~filter ~template;
+            Netio.activate_vetted t.netio ~caller:t.dom ch vetted ~template;
             Hashtbl.replace t.dgram_ports (dgram_key kind port) ();
             Ok (ch, port)
           with Verify.Rejected e -> refuse (verifier_error e))

@@ -13,7 +13,8 @@ type t = {
   mutable failure : exn option;
   mutable current : thread;  (* [outside] in plain events and outside any thread *)
   outside : thread;
-  locks : lock Queue.t;
+  locks : (int, lock) Hashtbl.t;  (* by registration number *)
+  mutable lock_seq : int;
 }
 
 type _ Effect.t +=
@@ -29,7 +30,8 @@ let create () =
     failure = None;
     current = outside;
     outside;
-    locks = Queue.create () }
+    locks = Hashtbl.create 16;
+    lock_seq = 0 }
 
 let now t = t.clock
 let pending_events t = Pheap.size t.events
@@ -45,7 +47,21 @@ let suspend register = Effect.perform (Suspend register)
 
 let current_name t = if t.current == t.outside then None else Some t.current.name
 let current_thread t = t.current
-let locks t = t.locks
+(* Named locks are indexed by their registration number, so dropping
+   one is O(1) and the creation order is the numbers' order. *)
+let register_lock t l =
+  t.lock_seq <- t.lock_seq + 1;
+  Hashtbl.replace t.locks t.lock_seq l;
+  t.lock_seq
+
+let unregister_lock t id = Hashtbl.remove t.locks id
+
+let locks t =
+  Hashtbl.fold (fun id l acc -> (id, l) :: acc) t.locks []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+let reset_locks t = Hashtbl.reset t.locks
 
 (* Runs [f x] with the scheduler's current thread set to [th], restoring
    the previous one on exit.  Everything is cooperative, so a single

@@ -52,8 +52,18 @@ val current_thread : t -> thread
 type lock = ..
 (** A lock registered with this scheduler ({!Semaphore} adds its case). *)
 
-val locks : t -> lock Queue.t
-(** The named locks created on this scheduler, in creation order. *)
+val register_lock : t -> lock -> int
+(** Register a named lock; the result is its registration number, which
+    {!unregister_lock} takes. *)
+
+val unregister_lock : t -> int -> unit
+(** Drop a registered lock, in O(1). *)
+
+val locks : t -> lock list
+(** The registered locks of this scheduler, in registration order. *)
+
+val reset_locks : t -> unit
+(** Drop every registered lock. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] creates a thread running [f].  It starts when the

@@ -19,6 +19,7 @@ type t = {
   mutable total_wait_ns : int;
   mutable max_wait_ns : int;
   wait_us : Stats.Dist.t;
+  mutable reg : int;  (* registration number with [sched], or 0 *)
 }
 
 (* Named semaphores register with their scheduler so tools can report
@@ -38,9 +39,10 @@ let create ?name ?sched ?(kind = "semaphore") ?(initial = 0) () =
       contended = 0;
       total_wait_ns = 0;
       max_wait_ns = 0;
-      wait_us = Stats.Dist.create (Option.value name ~default:"" ^ ".wait_us") }
+      wait_us = Stats.Dist.create (Option.value name ~default:"" ^ ".wait_us");
+      reg = 0 }
   in
-  (match (name, sched) with Some _, Some s -> Queue.push (Lock t) (Sched.locks s) | _ -> ());
+  (match (name, sched) with Some _, Some s -> t.reg <- Sched.register_lock s (Lock t) | _ -> ());
   t
 
 let count t = t.count
@@ -86,19 +88,13 @@ let stats t =
     s_wait_us = t.wait_us }
 
 let registered ~sched =
-  Queue.fold
-    (fun acc l -> match l with Lock t -> stats t :: acc | _ -> acc)
-    [] (Sched.locks sched)
-  |> List.rev
+  List.filter_map (function Lock t -> Some (stats t) | _ -> None) (Sched.locks sched)
 
 let unregister t =
   match t.sched with
-  | Some s when t.name <> None ->
-      let q = Sched.locks s in
-      let keep = Queue.create () in
-      Queue.iter (function Lock u when u == t -> () | l -> Queue.push l keep) q;
-      Queue.clear q;
-      Queue.transfer keep q
+  | Some s when t.reg > 0 ->
+      Sched.unregister_lock s t.reg;
+      t.reg <- 0
   | _ -> ()
 
-let reset_registered ~sched () = Queue.clear (Sched.locks sched)
+let reset_registered ~sched () = Sched.reset_locks sched

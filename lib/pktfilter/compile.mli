@@ -16,5 +16,12 @@ val compile_counted : Program.t -> (Uln_buf.View.t -> bool * int)
     instructions actually executed (8 per packet load, 3 otherwise),
     so dispatch can charge actual work rather than the worst case. *)
 
+val compile_bound :
+  Program.t -> hole:(int -> (string -> int) option) -> string -> Uln_buf.View.t -> bool * int
+(** The hole-binding form of {!compile_counted}, as
+    {!Interp.run_bound}: the closure chain is built once, and the
+    literal of every instruction [i] with [hole i = Some f] reads
+    [f key] from the binding the result runs on. *)
+
 val cost : Program.t -> cycle_ns:int -> Uln_engine.Time.span
 (** Simulated per-packet cost of the compiled form. *)

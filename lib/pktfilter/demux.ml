@@ -1,7 +1,7 @@
 type mode = Interpreted | Compiled
 
 (* Monomorphic tables: no polymorphic hash or compare per probe.  Entry
-   and group ids are sequential, so an id is its own hash. *)
+   ids are sequential, so an id is its own hash. *)
 module Itbl = Hashtbl.Make (struct
   type t = int
 
@@ -11,58 +11,91 @@ end)
 
 module Stbl = Hashtbl.Make (String)
 
-(* The overlap check's unit of work: one program object and its
-   analysis, shared by every live entry that carries that program.  An
-   [install] founds a group; a stamped entry joins its template's group,
-   because its program is the template's; so does its verifier
-   certificate (report and worst case).  The analysis is computed at
-   most once per group: given by the installer, or forced by the first
-   overlap check that needs it. *)
-type group = {
-  g_id : int;  (* the founding entry's id *)
-  g_program : Program.t;  (* as installed (overlap checks use this) *)
-  g_analysis : Absint.result Lazy.t;
-  g_wcet : int;  (* certified worst case of the optimized program *)
-  g_report : Verify.report;
-  mutable g_live : int;  (* live entries in the group; dropped at 0 *)
-  mutable g_slot : slot;  (* where the overlap index holds it *)
+(* An exactness proof: the entry accepts exactly the packets of length
+   >= [x_min_len] whose bytes at [x_offs] spell [x_key].  [x_offs] is
+   strictly increasing (an analysis pins each offset once) and is the
+   very array of the entry's hierarchical shape, shared by every entry
+   of that shape.  [x_key] is both the shape's bucket key and the
+   flow-cache key. *)
+type exact = { x_offs : int array; x_key : string; x_min_len : int }
+
+(* A verified program that stamps are made from.  Its optimized program
+   is a chain of load-vs-literal equality tests; every literal is a
+   hole, read from the stamp's bytes at the offsets its load reads, so
+   a stamp runs the shape's program with its own bytes in place of the
+   shape's ([sh_run], built once). *)
+type shape = {
+  sh_offs : int array;  (* the pinned offsets, strictly increasing *)
+  sh_pos : int array;  (* offset -> its index in [sh_offs], or -1 *)
+  sh_bytes : string;  (* the shape program's own bytes at [sh_offs] *)
+  sh_min_len : int;  (* one past the last pinned offset *)
+  sh_run : string -> Uln_buf.View.t -> bool * int;
+  sh_wcet : int;
+  sh_report : Verify.report;
+  sh_stamp : run;  (* [Stamp] of this shape, shared by its stamps *)
 }
 
-(* The overlap index.  A group whose analysis has one accept path with
+(* How an entry decides a packet: an installed program runs its
+   optimized form; a stamp runs its shape's program bound to its proof's
+   key. *)
+and run = Filter of filter | Stamp of shape
+
+(* An installed program: the overlap check's unit of work.  Its analysis
+   is computed at most once: given by the installer, or forced by the
+   first overlap check that needs it. *)
+and filter = {
+  f_id : int;  (* its entry's id *)
+  f_program : Program.t;  (* as installed (overlap checks use this) *)
+  f_analysis : Absint.result Lazy.t;
+  f_optimized : Program.t;  (* what runs, and what a shape is made of *)
+  f_pred : Uln_buf.View.t -> bool * int;
+  f_wcet : int;  (* certified worst case of the optimized program *)
+  f_report : Verify.report;
+  mutable f_slot : slot;  (* where the overlap index holds it *)
+  mutable f_shapes : (int list * shape) list;
+      (* shapes {!install_stamped} made of its tests, by the tests kept *)
+}
+
+(* The overlap index.  A filter whose analysis has one accept path with
    strictly increasing constraint offsets sits in the bucket of the
    [oshape] for that offset set, keyed by the bytes it pins there.  Its
    constraint merge with an incoming accept path that pins every offset
    of the shape can only succeed when the path pins the same bytes, so
    such a path needs that one bucket; a path leaving some offset
-   unpinned needs the whole shape.  Every other group is [Residual] and
-   always checked.  [Unindexed] groups (analysis not forced yet) are
+   unpinned needs the whole shape.  Every other filter is [Residual] and
+   always checked.  [Unindexed] filters (analysis not forced yet) are
    placed at the next check. *)
 and slot = Unindexed | Residual | Bucket of oshape * string
 
 and oshape = {
   os_offs : int array;  (* strictly increasing byte offsets *)
-  os_buckets : group list Stbl.t;
+  os_buckets : filter list Stbl.t;
 }
+
+type shape_error = Not_admitted of Verify.error | Not_stampable
+
+type stamp_error =
+  | Not_a_byte of { offset : int; value : int }
+  | Unpinned of { offset : int }
+  | Conflicting of { offset : int }
+  | Impersonation of Verify.template_error
+
+let pp_stamp_error ppf = function
+  | Not_a_byte { offset; value } ->
+      Format.fprintf ppf "binding %d=%d is not an (offset, byte) pair" offset value
+  | Unpinned { offset } -> Format.fprintf ppf "binds byte %d, which the shape does not pin" offset
+  | Conflicting { offset } -> Format.fprintf ppf "binds byte %d to two values" offset
+  | Impersonation te -> Verify.pp_template_error ppf te
 
 type key = int
 
-(* An exactness proof: the entry accepts exactly the packets of length
-   >= [x_min_len] whose bytes at [x_offs] spell [x_key].  [x_offs] is
-   sorted (stably: duplicate offsets keep their given order, so a stamp
-   pinning one byte twice to different values matches nothing) and is
-   the very array of the entry's hierarchical shape, shared by every
-   entry of that shape.  [x_key] is both the shape's bucket key and the
-   flow-cache key.  [x_min_len] covers the last offset. *)
-type exact = { x_offs : int array; x_key : string; x_min_len : int }
-
 type 'a entry = {
   id : int;
-  group : group;
   run : run;
   exact : exact option;
-      (* present when the optimized program is conjunctive-exact: the
-         flow cache's key material, derived from the verifier's analysis
-         — and the hierarchical index's partition criterion. *)
+      (* present when the optimized program is conjunctive-exact (always,
+         for a stamp): the flow cache's key material — and the
+         hierarchical index's partition criterion. *)
   endpoint : 'a;
   mutable affinity : int;
       (* Receive flow steering: the CPU index this endpoint's traffic
@@ -73,30 +106,18 @@ type 'a entry = {
       (* Removal tombstone: the priority-ordered [entries] list is
          compacted lazily (amortized O(1) remove); a dead entry is
          skipped at zero cost everywhere it could still be seen. *)
-  mutable stamp_reject : int;
-      (* a stamped entry's reject cycles, measured at the first scan that
-         rejects with it; -1 until then (and always, for a program) *)
 }
-
-(* How an entry decides a packet.  An installed entry runs its optimized
-   program.  A stamped entry matches its own [exact] bytes and is charged
-   from its template's program: [accept_cycles] on the template's own
-   accept packet, and its reject cost on the entry's near-miss packet.
-   One [Stamp] value per template is shared by all of its stamps. *)
-and run =
-  | Predicate of (Uln_buf.View.t -> bool * int)
-  | Stamp of { accept_cycles : int; template_pred : Uln_buf.View.t -> bool * int }
 
 type 'a conflict = { against : key; with_endpoint : 'a; witness : Uln_buf.View.t }
 
-(* One flow-cache "shape" per distinct constrained-offset set: a hash
+(* One flow-cache shape per distinct constrained-offset set: a hash
    table keyed by the packet bytes at those offsets.  Shapes are probed
    in creation order; the soundness rule at cache-install time
    guarantees at most one cached entry can match any packet, so probe
    order cannot change the dispatch outcome. *)
 type 'a cached = { c_entry : 'a entry; c_min_len : int }
 
-type 'a shape = {
+type 'a cshape = {
   s_offs : int array;  (* sorted byte offsets *)
   s_max : int;  (* highest offset (length guard) *)
   s_tbl : 'a cached Stbl.t;
@@ -109,11 +130,13 @@ type 'a shape = {
    flow-cache shape a bucket holds a *list* (several filters may pin the
    same bytes, e.g. a listener and the connections under it), so no
    shadow-safety proof is needed: dispatch considers every candidate and
-   picks the highest id, exactly what the priority scan would return. *)
+   picks the highest id, exactly what the priority scan would return.
+   A stamp's bucket is also its identity for the overlap check. *)
 type 'a hshape = {
   hs_offs : int array;  (* sorted byte offsets *)
   hs_max : int;  (* highest offset (length guard) *)
   hs_tbl : 'a entry list ref Stbl.t;
+  mutable hs_stamps : int;  (* live stamps in [hs_tbl] *)
 }
 
 type cache_stats = { hits : int; misses : int; installs : int; skips : int; flushes : int }
@@ -128,16 +151,13 @@ type 'a t = {
   mutable next_id : int;
   mutable flow_cache : bool;
   mutable hier : bool;
-  mutable shapes : 'a shape list;
+  mutable cshapes : 'a cshape list;
   mutable hshapes : 'a hshape list;
   mutable residual : 'a entry list;  (* inexact entries, priority order *)
-  mutable n_groups : int;  (* live overlap-check groups *)
+  mutable n_filters : int;  (* live installed programs *)
   mutable oshapes : oshape list;
-  oresidual : group Itbl.t;  (* by [g_id] *)
-  unindexed : group Itbl.t;  (* by [g_id] *)
-  stamps : run Itbl.t;
-      (* a template's [Stamp], made at its first stamped install (which
-         measures the accept cycles); dropped with the template *)
+  oresidual : filter Itbl.t;  (* by [f_id] *)
+  unindexed : filter Itbl.t;  (* by [f_id] *)
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_installs : int;
@@ -155,14 +175,13 @@ let create ~mode ?budget ?(flow_cache = false) ?(hier = false) () =
     next_id = 0;
     flow_cache;
     hier;
-    shapes = [];
+    cshapes = [];
     hshapes = [];
     residual = [];
-    n_groups = 0;
+    n_filters = 0;
     oshapes = [];
     oresidual = Itbl.create 8;
     unindexed = Itbl.create 8;
-    stamps = Itbl.create 8;
     c_hits = 0;
     c_misses = 0;
     c_installs = 0;
@@ -183,8 +202,8 @@ let cache_stats t =
    changed (a newly installed filter shadows older ones), so the
    install-time safety proofs no longer hold. *)
 let flush_cache t =
-  if t.shapes <> [] then begin
-    t.shapes <- [];
+  if t.cshapes <> [] then begin
+    t.cshapes <- [];
     t.c_flushes <- t.c_flushes + 1
   end
 
@@ -199,7 +218,7 @@ let set_flow_cache t on =
    differential tests can flip it between lookups on the same table. *)
 let set_hier t on = t.hier <- on
 
-let live_groups t = t.n_groups
+let live_groups t = t.n_filters
 
 (* Shape offset sets are compared without polymorphic [=]; an entry's
    offsets are usually its shape's own array, so [==] settles it. *)
@@ -212,14 +231,25 @@ let same_offs (a : int array) b =
   let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
   go 0
 
+(* The index of offset [o] in the strictly increasing [offs], or -1. *)
+let index_of (offs : int array) o =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let m = offs.(mid) in
+      if m = o then mid else if m < o then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length offs)
+
 (* --- the overlap index --------------------------------------------------- *)
 
 let rec strictly_increasing = function
   | (o1, _) :: ((o2, _) :: _ as rest) -> o1 < o2 && strictly_increasing rest
   | _ -> true
 
-let index_group t g =
-  match (Lazy.force g.g_analysis).Absint.r_accept_paths with
+let index_filter t f =
+  match (Lazy.force f.f_analysis).Absint.r_accept_paths with
   | [ ap ] when strictly_increasing ap.Absint.ap_constraints ->
       let cs = ap.Absint.ap_constraints in
       let offs = Array.of_list (List.map fst cs) in
@@ -233,18 +263,18 @@ let index_group t g =
             sh
       in
       let bucket = Option.value ~default:[] (Stbl.find_opt sh.os_buckets key) in
-      Stbl.replace sh.os_buckets key (g :: bucket);
-      g.g_slot <- Bucket (sh, key)
+      Stbl.replace sh.os_buckets key (f :: bucket);
+      f.f_slot <- Bucket (sh, key)
   | _ ->
-      Itbl.replace t.oresidual g.g_id g;
-      g.g_slot <- Residual
+      Itbl.replace t.oresidual f.f_id f;
+      f.f_slot <- Residual
 
-let unindex_group t g =
-  match g.g_slot with
-  | Unindexed -> Itbl.remove t.unindexed g.g_id
-  | Residual -> Itbl.remove t.oresidual g.g_id
+let unindex_filter t f =
+  match f.f_slot with
+  | Unindexed -> Itbl.remove t.unindexed f.f_id
+  | Residual -> Itbl.remove t.oresidual f.f_id
   | Bucket (sh, key) -> (
-      match List.filter (fun g' -> g' != g) (Stbl.find sh.os_buckets key) with
+      match List.filter (fun f' -> f' != f) (Stbl.find sh.os_buckets key) with
       | [] ->
           Stbl.remove sh.os_buckets key;
           if Stbl.length sh.os_buckets = 0 then
@@ -253,7 +283,7 @@ let unindex_group t g =
 
 let index_unindexed t =
   if Itbl.length t.unindexed > 0 then begin
-    Itbl.iter (fun _ g -> index_group t g) t.unindexed;
+    Itbl.iter (fun _ f -> index_filter t f) t.unindexed;
     Itbl.reset t.unindexed
   end
 
@@ -289,29 +319,74 @@ let shape_keys sh paths =
   in
   go [] paths
 
-(* One verdict per candidate group, not per entry: a populated table
-   holds few distinct programs (a stamped population is one group), and
-   the index narrows those to the groups whose constraints can merge
-   with the incoming program's, so the common clean case never walks
-   [entries].  Only when some group conflicts does the priority-ordered
-   walk run, to report each of its live entries in the same order as a
-   per-entry check would. *)
-let conflicts t (program, a) =
-  if t.n_groups = 0 then []
-  else begin
-    index_unindexed t;
-    let hits = ref [] in
-    let check g =
-      let ga = Lazy.force g.g_analysis in
-      match Verify.overlap_witness_analyzed (program, a) (g.g_program, ga) with
-      | Some witness
-        when not
-               (Verify.subsumes_analyzed ~general:a ~specific:ga
-               || Verify.subsumes_analyzed ~general:ga ~specific:a) ->
-          hits := (g.g_id, witness) :: !hits
+let pins_of x = List.init (Array.length x.x_offs) (fun i -> (x.x_offs.(i), Char.code x.x_key.[i]))
+
+(* The stamps of one hierarchical shape that can conflict with the
+   incoming program, each checked once against its own bytes.  A
+   conjunctive program whose pins all fall on the shape's offsets, and
+   which needs no longer packet than the shape, either contradicts a
+   stamp's bytes (disjoint) or subsumes the stamp (benign): no stamp
+   can conflict.  A path that pins every offset of the shape selects one
+   bucket; any other path walks the buckets whose bytes agree with its
+   pins there. *)
+let stamp_conflicts hs (program, a) add =
+  let offs = hs.hs_offs in
+  let on_shape (o, _) = index_of offs o >= 0 in
+  let disjoint_or_subsuming =
+    a.Absint.r_conjunctive
+    &&
+    match a.Absint.r_accept_paths with
+    | [ ap ] -> ap.Absint.ap_min_len <= hs.hs_max + 1 && List.for_all on_shape ap.Absint.ap_constraints
+    | _ -> false
+  in
+  if not disjoint_or_subsuming then begin
+    let seen = Itbl.create 8 in
+    let check e =
+      match (e.run, e.exact) with
+      | Stamp _, Some x when (not e.dead) && not (Itbl.mem seen e.id) -> (
+          Itbl.add seen e.id ();
+          match Verify.conflict_exact (program, a) ~constraints:(pins_of x) ~min_len:x.x_min_len with
+          | Some w -> add e.id w
+          | None -> ())
       | _ -> ()
     in
-    Itbl.iter (fun _ g -> check g) t.oresidual;
+    List.iter
+      (fun ap ->
+        let cs = ap.Absint.ap_constraints in
+        match path_key offs cs with
+        | Some k -> (
+            match Stbl.find_opt hs.hs_tbl k with Some b -> List.iter check !b | None -> ())
+        | None ->
+            let pins =
+              List.filter_map
+                (fun (o, v) ->
+                  let i = index_of offs o in
+                  if i >= 0 then Some (i, v) else None)
+                cs
+            in
+            Stbl.iter
+              (fun k b ->
+                if List.for_all (fun (i, v) -> Char.code (String.unsafe_get k i) = v) pins then
+                  List.iter check !b)
+              hs.hs_tbl)
+      a.Absint.r_accept_paths
+  end
+
+(* One verdict per candidate, never per live entry: the index narrows
+   the installed programs to those whose constraints can merge with the
+   incoming program's, and a stamp is visited only through its bucket.
+   The hits are reported in priority order (newest first). *)
+let conflicts t (program, a) =
+  let hits = ref [] in
+  let add id w = hits := (id, w) :: !hits in
+  if t.n_filters > 0 then begin
+    index_unindexed t;
+    let check f =
+      match Verify.conflict_analyzed (program, a) (f.f_program, Lazy.force f.f_analysis) with
+      | Some w -> add f.f_id w
+      | None -> ()
+    in
+    Itbl.iter (fun _ f -> check f) t.oresidual;
     List.iter
       (fun sh ->
         match shape_keys sh a.Absint.r_accept_paths with
@@ -319,49 +394,36 @@ let conflicts t (program, a) =
             List.iter
               (fun k ->
                 match Stbl.find_opt sh.os_buckets k with
-                | Some gs -> List.iter check gs
+                | Some fs -> List.iter check fs
                 | None -> ())
               keys
-        | None -> Stbl.iter (fun _ gs -> List.iter check gs) sh.os_buckets)
-      t.oshapes;
-    if !hits = [] then []
-    else
-      let witness_of = Itbl.of_seq (List.to_seq !hits) in
-      List.filter_map
-        (fun e ->
-          if e.dead then None
-          else
-            match Itbl.find_opt witness_of e.group.g_id with
-            | Some witness -> Some { against = e.id; with_endpoint = e.endpoint; witness }
-            | None -> None)
-        t.entries
-  end
+        | None -> Stbl.iter (fun _ fs -> List.iter check fs) sh.os_buckets)
+      t.oshapes
+  end;
+  List.iter (fun hs -> if hs.hs_stamps > 0 then stamp_conflicts hs (program, a) add) t.hshapes;
+  List.sort (fun (i, _) (j, _) -> Int.compare j i) !hits
+  |> List.map (fun (id, witness) ->
+         { against = id; with_endpoint = (Itbl.find t.by_id id).endpoint; witness })
 
 (* --- the hierarchical index -------------------------------------------- *)
 
-let by_offset (a, _) (b, _) = Int.compare a b
-
-let rec sorted_by_offset = function
-  | (o1, _) :: ((o2, _) :: _ as rest) -> o1 <= o2 && sorted_by_offset rest
-  | _ -> true
-
 let find_hshape t offs = List.find_opt (fun sh -> same_offs sh.hs_offs offs) t.hshapes
 
-(* The exactness proof of a constraint set.  Constraints usually arrive
-   sorted; otherwise they are sorted stably, as [List.sort] would.  The
-   offsets array is the existing shape's when there is one. *)
-let exact_of t cs min_len =
-  let cs = if sorted_by_offset cs then cs else List.stable_sort by_offset cs in
-  let n = List.length cs in
-  let offs = Array.make n 0 and key = Bytes.create n in
-  List.iteri
-    (fun i (o, v) ->
-      offs.(i) <- o;
-      Bytes.set key i (Char.chr v))
-    cs;
-  { x_offs = (match find_hshape t offs with Some sh -> sh.hs_offs | None -> offs);
-    x_key = Bytes.unsafe_to_string key;
-    x_min_len = (if n = 0 then min_len else max min_len (offs.(n - 1) + 1)) }
+(* The exactness proof of an analysis's one accept path, whose
+   constraints are sorted with one pin per offset.  The offsets array
+   is the existing shape's when there is one. *)
+let exact_of t (a : Absint.result) =
+  match a.Absint.r_accept_paths with
+  | [ ap ] when a.Absint.r_conjunctive && ap.Absint.ap_exact && ap.Absint.ap_at = None ->
+      let cs = ap.Absint.ap_constraints in
+      let offs = Array.of_list (List.map fst cs) in
+      Some
+        { x_offs = (match find_hshape t offs with Some sh -> sh.hs_offs | None -> offs);
+          x_key = String.of_seq (Seq.map (fun (_, v) -> Char.chr v) (List.to_seq cs));
+          x_min_len = ap.Absint.ap_min_len }
+  | _ -> None
+
+let is_stamp e = match e.run with Stamp _ -> true | Filter _ -> false
 
 let hindex_add t (e : 'a entry) =
   match e.exact with
@@ -373,11 +435,13 @@ let hindex_add t (e : 'a entry) =
             let sh =
               { hs_offs = x.x_offs;
                 hs_max = x.x_offs.(Array.length x.x_offs - 1);
-                hs_tbl = Stbl.create 256 }
+                hs_tbl = Stbl.create 256;
+                hs_stamps = 0 }
             in
             t.hshapes <- t.hshapes @ [ sh ];
             sh
       in
+      if is_stamp e then sh.hs_stamps <- sh.hs_stamps + 1;
       (match Stbl.find_opt sh.hs_tbl x.x_key with
       | Some bucket -> bucket := e :: !bucket
       | None -> Stbl.add sh.hs_tbl x.x_key (ref [ e ]))
@@ -389,6 +453,7 @@ let hindex_remove t (e : 'a entry) =
       match find_hshape t x.x_offs with
       | None -> ()
       | Some sh -> (
+          if is_stamp e then sh.hs_stamps <- sh.hs_stamps - 1;
           match Stbl.find_opt sh.hs_tbl x.x_key with
           | None -> ()
           | Some bucket -> (
@@ -400,20 +465,18 @@ let hindex_remove t (e : 'a entry) =
 (* --- install / remove --------------------------------------------------- *)
 
 let add_entry t entry =
-  let g = entry.group in
-  if g.g_live = 0 then begin
-    t.n_groups <- t.n_groups + 1;
-    if Lazy.is_val g.g_analysis then index_group t g
-    else Itbl.replace t.unindexed g.g_id g
-  end;
-  g.g_live <- g.g_live + 1;
   t.entries <- entry :: t.entries;
   Itbl.add t.by_id entry.id entry;
   t.n_entries <- t.n_entries + 1;
   hindex_add t entry;
   flush_cache t
 
-(* [raw] is the analysis of [program] as given; it becomes the group's,
+let wcet_of t report =
+  match t.mode with
+  | Interpreted -> report.Verify.wcet_interp
+  | Compiled -> report.Verify.wcet_compiled
+
+(* [raw] is the analysis of [program] as given; it becomes the filter's,
    unless [program] runs as is and the optimized analysis already is. *)
 let admit_and_add ~optimize ~affinity t program raw endpoint =
   let optimized = if optimize then Optimize.run program else program in
@@ -421,40 +484,26 @@ let admit_and_add ~optimize ~affinity t program raw endpoint =
   match Verify.admit_analyzed ?budget:t.budget ~compiled:(t.mode = Compiled) a with
   | Error e -> Error e
   | Ok report ->
-      let predicate =
-        match t.mode with
-        | Interpreted -> fun pkt -> Interp.run_counted optimized pkt
-        | Compiled -> Compile.compile_counted optimized
-      in
-      let wcet =
-        match t.mode with
-        | Interpreted -> report.Verify.wcet_interp
-        | Compiled -> report.Verify.wcet_compiled
-      in
-      let exact =
-        if a.Absint.r_conjunctive then
-          match a.Absint.r_accept_paths with
-          | [ ap ] when ap.Absint.ap_exact && ap.Absint.ap_at = None ->
-              Some (exact_of t ap.Absint.ap_constraints ap.Absint.ap_min_len)
-          | _ -> None
-        else None
-      in
       t.next_id <- t.next_id + 1;
-      let group =
-        { g_id = t.next_id;
-          g_program = program;
-          g_analysis = (if program == optimized then Lazy.from_val a else raw);
-          g_wcet = wcet;
-          g_report = report;
-          g_live = 0;
-          g_slot = Unindexed }
+      let f =
+        { f_id = t.next_id;
+          f_program = program;
+          f_analysis = (if program == optimized then Lazy.from_val a else raw);
+          f_optimized = optimized;
+          f_pred =
+            (match t.mode with
+            | Interpreted -> Interp.run_counted optimized
+            | Compiled -> Compile.compile_counted optimized);
+          f_wcet = wcet_of t report;
+          f_report = report;
+          f_slot = Unindexed;
+          f_shapes = [] }
       in
-      let entry =
-        { id = t.next_id; group; run = Predicate predicate; exact; endpoint; affinity;
-          dead = false; stamp_reject = -1 }
-      in
-      add_entry t entry;
-      Ok entry.id
+      t.n_filters <- t.n_filters + 1;
+      if Lazy.is_val f.f_analysis then index_filter t f else Itbl.replace t.unindexed f.f_id f;
+      add_entry t
+        { id = f.f_id; run = Filter f; exact = exact_of t a; endpoint; affinity; dead = false };
+      Ok f.f_id
 
 let install ?(optimize = true) ?(affinity = 0) t program endpoint =
   admit_and_add ~optimize ~affinity t program (lazy (Absint.analyze program)) endpoint
@@ -467,94 +516,196 @@ let install_exn ?optimize ?affinity t program endpoint =
   | Ok k -> k
   | Error e -> raise (Verify.Rejected e)
 
-(* Synthesize the cheapest packet satisfying a proof, for deriving
-   stamped-entry cycle costs from a template's real program.  Bytes are
-   written in offset order, so of two pins of one offset the later wins. *)
-let packet_of_exact x =
-  let v = Uln_buf.View.create x.x_min_len in
-  Array.iteri (fun i o -> Uln_buf.View.set_uint8 v o (Char.code x.x_key.[i])) x.x_offs;
-  v
+(* --- shapes and stamps --------------------------------------------------- *)
 
-let matches x pkt =
-  Uln_buf.View.length pkt >= x.x_min_len
-  &&
-  let n = Array.length x.x_offs in
-  let rec go i =
-    i = n
-    || Uln_buf.View.get_uint8 pkt x.x_offs.(i) = Char.code (String.unsafe_get x.x_key i)
-       && go (i + 1)
+let load_of = function
+  | Insn.Push_word o -> Some (o, 2)
+  | Insn.Push_byte o -> Some (o, 1)
+  | _ -> None
+
+(* The tests of a pure test chain — [T; Cand; ...; T; Cand; Push_lit k]
+   (k <> 0) or the same ending in a bare [T], where [T] compares a load
+   with a literal by [Eq] in either order — as (literal's instruction
+   index, load offset, load width); [None] for any other program. *)
+let chain_tests insns =
+  let rec go i acc = function
+    | [ Insn.Push_lit k ] when k <> 0 -> Some (List.rev acc)
+    | a :: b :: Insn.Eq :: rest -> (
+        let test =
+          match (a, b) with
+          | Insn.Push_lit _, l -> Option.map (fun (o, w) -> (i, o, w)) (load_of l)
+          | l, Insn.Push_lit _ -> Option.map (fun (o, w) -> (i + 1, o, w)) (load_of l)
+          | _ -> None
+        in
+        match (test, rest) with
+        | Some h, [] -> Some (List.rev (h :: acc))
+        | Some h, Insn.Cand :: rest -> go (i + 4) (h :: acc) rest
+        | _ -> None)
+    | _ -> None
   in
-  go 0
+  go 0 [] insns
 
-(* The accepted flag and the cycles charged for running entry [e] on
-   [pkt].  A stamped entry's reject cost is the template's program on the
-   entry's near-miss packet (one differing only in the stamped bytes),
-   measured here the first time it is needed: the hierarchical path never
-   runs a stamped entry, so a population that is only ever probed through
-   the index never pays for it. *)
-let run_entry e pkt =
-  match (e.run, e.exact) with
-  | Predicate p, _ -> p pkt
-  | Stamp s, Some x ->
-      if matches x pkt then (true, s.accept_cycles)
-      else begin
-        if e.stamp_reject < 0 then e.stamp_reject <- snd (s.template_pred (packet_of_exact x));
-        (false, e.stamp_reject)
+(* The shape of an admitted optimized program with exactness proof [x].
+   Exactness makes the pinned bytes those its tests read; a chain with a
+   test whose bytes are not all pinned, or any other program, has no
+   shape. *)
+let shape_of mode program x ~wcet ~report =
+  let n = Array.length x.x_offs in
+  match chain_tests (Program.insns program) with
+  | Some tests when n > 0 && x.x_min_len = x.x_offs.(n - 1) + 1 ->
+      let pos = Array.make x.x_min_len (-1) in
+      Array.iteri (fun i o -> pos.(o) <- i) x.x_offs;
+      let pinned o = o < x.x_min_len && pos.(o) >= 0 in
+      if List.for_all (fun (_, o, w) -> pinned o && (w = 1 || pinned (o + 1))) tests then begin
+        let holes = Array.make (Program.length program) None in
+        List.iter
+          (fun (i, o, w) ->
+            let a = pos.(o) in
+            holes.(i) <-
+              Some
+                (if w = 1 then fun key -> Char.code (String.unsafe_get key a)
+                 else
+                   let b = pos.(o + 1) in
+                   fun key ->
+                     (Char.code (String.unsafe_get key a) lsl 8)
+                     lor Char.code (String.unsafe_get key b)))
+          tests;
+        let hole i = holes.(i) in
+        let run =
+          match mode with
+          | Interpreted -> Interp.run_bound program ~hole
+          | Compiled -> Compile.compile_bound program ~hole
+        in
+        let rec sh =
+          { sh_offs = x.x_offs;
+            sh_pos = pos;
+            sh_bytes = x.x_key;
+            sh_min_len = x.x_min_len;
+            sh_run = run;
+            sh_wcet = wcet;
+            sh_report = report;
+            sh_stamp = Stamp sh }
+        in
+        Some sh
       end
-  | Stamp _, None -> assert false (* stamped entries are exact by construction *)
+      else None
+  | _ -> None
 
-(* A constraint is an offset in a packet and a byte value. *)
-let valid_constraint (o, v) = o >= 0 && v >= 0 && v <= 0xff
+(* Verification happens here, once per shape: optimization, analysis,
+   admission and the exactness proof. *)
+let shape t program =
+  let optimized = Optimize.run program in
+  let a = Absint.analyze optimized in
+  match Verify.admit_analyzed ?budget:t.budget ~compiled:(t.mode = Compiled) a with
+  | Error e -> Error (Not_admitted e)
+  | Ok report -> (
+      match exact_of t a with
+      | None -> Error Not_stampable
+      | Some x -> (
+          match shape_of t.mode optimized x ~wcet:(wcet_of t report) ~report with
+          | Some sh -> Ok sh
+          | None -> Error Not_stampable))
 
-(* Prestamped install: the registry (or a scale bench) derives a
-   connection filter from an already-admitted template by overriding its
-   byte constraints — the same program shape with the connection's
-   addresses stamped in.  No verifier pass runs: the template's
-   admission certificate covers the stamped program (identical
-   instruction structure, identical worst case), which is what makes a
-   10^6-entry population feasible.  The entry's dispatch behaviour is
-   the constraint match itself ([run_entry]); its charged cycle costs are
-   measured from the template's real program — the accept cost on the
-   template's own accept packet (once per template, here), the reject
-   cost on this entry's near-miss (at its first use).  The entry holds
-   its proof, the template's shared [Stamp] and its group: no closure. *)
-let install_stamped ?(affinity = 0) t ~template ~constraints ~min_len endpoint =
-  match Itbl.find_opt t.by_id template with
-  | None -> Error "install_stamped: unknown template"
-  | Some te when te.dead -> Error "install_stamped: template was removed"
-  | Some te -> (
-      match te.exact with
-      | None -> Error "install_stamped: template is not conjunctive-exact"
-      | Some tx ->
-          if constraints = [] then Error "install_stamped: empty constraint set"
-          else if not (List.for_all valid_constraint constraints) then
-            Error "install_stamped: constraint is not an (offset, byte) pair"
+(* The shape's bytes with [bindings] written over them. *)
+let bind sh bindings =
+  let key = Bytes.of_string sh.sh_bytes in
+  let set = Bytes.make (Bytes.length key) '\000' in
+  let rec go = function
+    | [] -> Ok (Bytes.unsafe_to_string key)
+    | (o, v) :: rest ->
+        if o < 0 || v < 0 || v > 0xff then Error (Not_a_byte { offset = o; value = v })
+        else if o >= Array.length sh.sh_pos || sh.sh_pos.(o) < 0 then Error (Unpinned { offset = o })
+        else
+          let i = sh.sh_pos.(o) in
+          if Bytes.get set i <> '\000' && Char.code (Bytes.get key i) <> v then
+            Error (Conflicting { offset = o })
           else begin
-            let run =
-              match Itbl.find_opt t.stamps template with
-              | Some run -> run
-              | None ->
-                  let template_pred = match te.run with Predicate p -> p | Stamp _ -> run_entry te in
-                  let run =
-                    Stamp { accept_cycles = snd (template_pred (packet_of_exact tx)); template_pred }
-                  in
-                  Itbl.replace t.stamps template run;
-                  run
-            in
-            t.next_id <- t.next_id + 1;
-            let entry =
-              { id = t.next_id;
-                group = te.group;
-                run;
-                exact = Some (exact_of t constraints min_len);
-                endpoint;
-                affinity;
-                dead = false;
-                stamp_reject = -1 }
-            in
-            add_entry t entry;
-            Ok entry.id
-          end)
+            Bytes.set key i (Char.chr v);
+            Bytes.set set i '\001';
+            go rest
+          end
+  in
+  go bindings
+
+(* A stamp runs no verifier pass: its shape's certificate covers it
+   (same instructions, other literals), and its accept set is exactly its
+   bytes.  [template], when given, is checked against the bytes the stamp
+   pins as its local address. *)
+let stamp_key ~affinity ?template t sh key endpoint =
+  let pinned o =
+    if o < Array.length sh.sh_pos && sh.sh_pos.(o) >= 0 then
+      Some (Char.code (String.unsafe_get key sh.sh_pos.(o)))
+    else None
+  in
+  match
+    match template with None -> Ok () | Some tpl -> Verify.check_template_pins ~pinned tpl
+  with
+  | Error te -> Error (Impersonation te)
+  | Ok () ->
+      t.next_id <- t.next_id + 1;
+      add_entry t
+        { id = t.next_id;
+          run = sh.sh_stamp;
+          exact = Some { x_offs = sh.sh_offs; x_key = key; x_min_len = sh.sh_min_len };
+          endpoint;
+          affinity;
+          dead = false };
+      Ok t.next_id
+
+let stamp ?(affinity = 0) ?template t sh bindings endpoint =
+  match bind sh bindings with
+  | Error e -> Error e
+  | Ok key -> stamp_key ~affinity ?template t sh key endpoint
+
+let stamp_bytes ?(affinity = 0) ?template t sh bytes endpoint =
+  if String.length bytes <> Array.length sh.sh_offs then
+    invalid_arg "Demux.stamp_bytes: not one byte per pinned offset"
+  else stamp_key ~affinity ?template t sh bytes endpoint
+
+(* The shape of the tests of [f]'s program that read a constrained
+   byte, in program order and with the program's literals: verified once
+   per set of tests kept, and kept with [f]. *)
+let sub_shape t f constraints =
+  let code = Array.of_list (Program.insns f.f_optimized) in
+  match chain_tests (Array.to_list code) with
+  | None -> Error "template is not a test chain"
+  | Some tests -> (
+      let constrained o = List.exists (fun (o', _) -> o' = o) constraints in
+      let kept = List.filter (fun (_, o, w) -> constrained o || (w = 2 && constrained (o + 1))) tests in
+      let ids = List.map (fun (i, _, _) -> i) kept in
+      match List.assoc_opt ids f.f_shapes with
+      | Some sh -> Ok sh
+      | None -> (
+          let test (i, o, w) =
+            let lit = match code.(i) with Insn.Push_lit v -> v | _ -> assert false in
+            [ (if w = 1 then Insn.Push_byte o else Insn.Push_word o); Insn.Push_lit lit; Insn.Eq; Insn.Cand ]
+          in
+          match shape t (Program.of_insns (List.concat_map test kept @ [ Insn.Push_lit 1 ])) with
+          | Ok sh ->
+              f.f_shapes <- (ids, sh) :: f.f_shapes;
+              Ok sh
+          | Error _ -> Error "its tests of the constrained bytes have no shape"))
+
+(* A stamp of an installed program's tests that read the constrained
+   bytes: what it pins is the constraints, plus the program's own bytes
+   where a word test reads one constrained byte and one not. *)
+let install_stamped ?(affinity = 0) t ~template ~constraints ~min_len endpoint =
+  let source =
+    match Itbl.find_opt t.by_id template with
+    | None -> Error "unknown template"
+    | Some { run = Stamp _; _ } -> Error "template is a stamp"
+    | Some { run = Filter f; _ } -> sub_shape t f constraints
+  in
+  match source with
+  | Error e -> Error ("install_stamped: " ^ e)
+  | Ok sh when min_len < sh.sh_min_len ->
+      Error
+        (Printf.sprintf "install_stamped: min_len %d is below the shape's %d" min_len
+           sh.sh_min_len)
+  | Ok sh -> (
+      match stamp ~affinity t sh constraints endpoint with
+      | Ok k -> Ok k
+      | Error e -> Error (Format.asprintf "install_stamped: %a" pp_stamp_error e))
 
 (* Tombstone the entry and compact the priority list once more than half
    of it is dead — O(1) amortized, and [find]/[entries] never pay for
@@ -572,13 +723,11 @@ let remove t key =
       t.n_entries <- t.n_entries - 1;
       t.n_dead <- t.n_dead + 1;
       hindex_remove t e;
-      Itbl.remove t.stamps key;
-      let g = e.group in
-      g.g_live <- g.g_live - 1;
-      if g.g_live = 0 then begin
-        t.n_groups <- t.n_groups - 1;
-        unindex_group t g
-      end;
+      (match e.run with
+      | Filter f ->
+          t.n_filters <- t.n_filters - 1;
+          unindex_filter t f
+      | Stamp _ -> ());
       if t.n_dead > t.n_entries && t.n_dead > 32 then compact t;
       flush_cache t
 
@@ -600,8 +749,22 @@ let set_affinity t key cpu =
         e.affinity <- cpu;
         flush_cache t
       end
-let wcet t key = Option.map (fun e -> e.group.g_wcet) (find t key)
-let report t key = Option.map (fun e -> e.group.g_report) (find t key)
+
+let wcet t key =
+  Option.map
+    (fun e -> match e.run with Filter f -> f.f_wcet | Stamp sh -> sh.sh_wcet)
+    (find t key)
+
+let report t key =
+  Option.map
+    (fun e -> match e.run with Filter f -> f.f_report | Stamp sh -> sh.sh_report)
+    (find t key)
+
+let run_entry e pkt =
+  match (e.run, e.exact) with
+  | Filter f, _ -> f.f_pred pkt
+  | Stamp sh, Some x -> sh.sh_run x.x_key pkt
+  | Stamp _, None -> assert false (* a stamp is exact by construction *)
 
 (* --- the flow cache ---------------------------------------------------- *)
 
@@ -634,7 +797,7 @@ let cache_lookup t pkt =
         in
         (match hit with Some e -> (Some e, cost) | None -> go cost rest)
   in
-  go 0 t.shapes
+  go 0 t.cshapes
 
 (* A cache entry for [e] is sound only if no higher-priority (more
    recently installed) filter could accept any packet [e] accepts:
@@ -672,7 +835,7 @@ let cache_insert t (e : 'a entry) =
   match e.exact with
   | Some x when Array.length x.x_offs > 0 && shadow_safe t e x ->
       let sh =
-        match List.find_opt (fun sh -> same_offs sh.s_offs x.x_offs) t.shapes with
+        match List.find_opt (fun sh -> same_offs sh.s_offs x.x_offs) t.cshapes with
         | Some sh -> sh
         | None ->
             let sh =
@@ -680,7 +843,7 @@ let cache_insert t (e : 'a entry) =
                 s_max = x.x_offs.(Array.length x.x_offs - 1);
                 s_tbl = Stbl.create 64 }
             in
-            t.shapes <- t.shapes @ [ sh ];
+            t.cshapes <- t.cshapes @ [ sh ];
             sh
       in
       (match Stbl.find_opt sh.s_tbl x.x_key with

@@ -106,11 +106,75 @@ val install :
 val install_analyzed :
   ?affinity:int -> 'a t -> Program.t * Absint.result -> 'a -> (key, Verify.error) result
 (** {!install} (optimizing) of a program paired with its analysis, which
-    becomes its overlap-check group's: a caller that has just run
+    becomes the entry's for the overlap check: a caller that has just run
     {!conflicts} with the same pair analyses the program once. *)
 
 val install_exn : ?optimize:bool -> ?affinity:int -> 'a t -> Program.t -> 'a -> key
 (** Like {!install}. @raise Verify.Rejected on a verifier rejection. *)
+
+type shape
+(** A verified connection-filter shape: a program that is optimized,
+    analysed and admitted once, whose optimized form is a chain of
+    load-vs-literal equality tests (as {!Program.tcp_conn}).  Its
+    literals are holes: a {e stamp} binds the bytes the shape pins and
+    runs the shape's program with them in place of its own
+    ({!Interp.run_bound}, {!Compile.compile_bound}), so its accept set
+    and charged cycles are exactly those of the program with its
+    literals replaced by the stamp's bytes.  A shape belongs to the
+    table it was made for (its mode and budget). *)
+
+type shape_error =
+  | Not_admitted of Verify.error  (** the program fails admission *)
+  | Not_stampable  (** its optimized form is not an exact test chain *)
+
+type stamp_error =
+  | Not_a_byte of { offset : int; value : int }
+      (** a binding that is not an (offset >= 0, byte) pair *)
+  | Unpinned of { offset : int }  (** binds a byte the shape does not pin *)
+  | Conflicting of { offset : int }  (** binds one byte to two values *)
+  | Impersonation of Verify.template_error
+      (** the send template disagrees with the stamp's local address *)
+
+val pp_stamp_error : Format.formatter -> stamp_error -> unit
+
+val shape : 'a t -> Program.t -> (shape, shape_error) result
+(** Optimize, analyse and admit [program] once, and make it a shape.
+    Adds no entry. *)
+
+val stamp :
+  ?affinity:int ->
+  ?template:Template.t ->
+  'a t ->
+  shape ->
+  (int * int) list ->
+  'a ->
+  (key, stamp_error) result
+(** Add an entry in front of existing ones that accepts exactly what
+    [shape]'s program accepts with the [(offset, byte)] bindings written
+    over its own bytes (bindings may come in any order; a byte bound
+    twice must be bound to one value).  No verifier pass runs, and the
+    entry holds only its bytes: no program, analysis or closure of its
+    own.  With [template], the stamp's local-address bytes (30..33) are
+    checked against the template's source address
+    ({!Verify.check_template_pins}): the anti-impersonation check
+    without an analysis.  The entry founds no overlap group
+    ({!live_groups}); the overlap check finds it through its bucket in
+    the hierarchical index. *)
+
+val stamp_bytes :
+  ?affinity:int ->
+  ?template:Template.t ->
+  'a t ->
+  shape ->
+  string ->
+  'a ->
+  (key, stamp_error) result
+(** {!stamp} binding every byte the shape pins: [bytes] holds them in
+    increasing offset order (for a [tcp_conn] shape,
+    {!Program.tcp_conn_bytes}).  The string becomes the entry's key; no
+    binding list is built.
+    @raise Invalid_argument unless [bytes] has one byte per pinned
+    offset. *)
 
 val install_stamped :
   ?affinity:int ->
@@ -120,23 +184,16 @@ val install_stamped :
   min_len:int ->
   'a ->
   (key, string) result
-(** Prestamped install: add an entry that accepts exactly the packets
-    of length >= [min_len] carrying the [(offset, byte)] [constraints] —
-    a connection filter derived from an already-admitted conjunctive-
-    exact [template] by overriding its byte constraints.  No verifier
-    pass runs (the template's certificate covers the stamped program:
-    identical structure, identical worst case), and the entry shares the
-    template's program, report and overlap-check group, so populating a
-    table with 10^5-10^6 connection entries is feasible.  Charged cycle
-    costs are measured from the template's real program: its accept
-    cost (once per template, at its first stamp), and its reject cost
-    on this entry's stamped near-miss packet (the first time a linear
-    scan runs the entry, so an entry only ever reached through the
-    hierarchical index never pays for it; the value is the same either
-    way).  [constraints] may come in any order; pins of one offset keep
-    theirs.  Errors if [template] is unknown, removed, or not
-    conjunctive-exact, or if a constraint is not a (non-negative
-    offset, byte) pair. *)
+(** A {!stamp} derived from an installed program: the shape of the
+    program's tests that read a byte of [constraints] (in program order,
+    with the program's literals), verified at its first use and kept
+    with [template].  The stamp pins [constraints], plus [template]'s
+    own bytes where a word test reads a constrained byte and one not.
+    [min_len] is the shortest packet the caller stamps for; it must
+    cover those tests' bytes (the stamp accepts from the shape's
+    minimum length on).  Errors, as text, if [template] is unknown,
+    removed or itself a stamp, if its program is not a test chain, if
+    [min_len] is too short, or as {!stamp}. *)
 
 val affinity : 'a t -> key -> int option
 (** The CPU affinity recorded for an installed entry. *)
@@ -155,25 +212,28 @@ val conflicts : 'a t -> Program.t * Absint.result -> 'a conflict list
     What remains is the eavesdropping/ambiguity hazard the registry
     must surface.
 
-    Cost: O(shapes + candidates + residual groups), not one check per
-    installed entry nor per live program group (see {!live_groups}).
-    A group whose analysis has a single accept path with strictly
-    increasing constraint offsets is indexed by that offset set (its
-    shape) and the bytes it pins there; for each accept path of
+    Cost: O(shapes + candidates + residual programs), not one check per
+    installed program nor per stamp (see {!live_groups}).
+    An installed program whose analysis has a single accept path with
+    strictly increasing constraint offsets is indexed by that offset set
+    (its shape) and the bytes it pins there; for each accept path of
     [program], the check visits the one bucket those bytes select in
     each shape whose offsets the path pins, the whole shape when it
-    leaves some of them unpinned, and every residual (unindexed) group.
-    That candidate set holds every group whose constraints can merge
-    with [program]'s, so the verdicts are those of a check against every
-    group.  Each installed program is analysed once in its lifetime.
-    Only when some group conflicts are the entries walked, in priority
-    order, to list that group's members. *)
+    leaves some of them unpinned, and every residual (unindexed)
+    program.  Each installed program is analysed once in its lifetime.
+    A stamp is checked as its bytes, with no analysis: through its
+    bucket in the hierarchical index ({!Verify.conflict_exact}).  A
+    conjunctive [program] whose pins all lie on a stamp shape's offsets
+    can only be disjoint from its stamps or subsume them, and visits
+    none; a path pinning every offset visits one bucket; any other path
+    walks the shape's buckets behind a byte pre-filter.  The candidate
+    sets hold every entry whose accept set can intersect [program]'s
+    without subsumption, so the verdicts are those of a check against
+    every entry, listed in priority order. *)
 
 val live_groups : 'a t -> int
-(** Number of distinct programs the overlap check visits: each
-    {!install} adds one, each {!install_stamped} entry joins its
-    template's, and a group leaves once its last entry is removed.  A
-    table of [n] entries stamped from one template is one group. *)
+(** Number of installed programs the overlap check analyses: each
+    {!install} adds one and its removal drops it; a stamp adds none. *)
 
 val remove : 'a t -> key -> unit
 

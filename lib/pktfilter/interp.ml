@@ -1,61 +1,75 @@
 module View = Uln_buf.View
 
-exception Done of bool
-
-let run_counted program pkt =
+(* One executable form serves both entry points: the instructions as an
+   array and, per instruction, an optional hole — a literal whose value
+   is read from a binding string instead of the program text.  The loop
+   keeps its state in arguments, so a run allocates only its stack and
+   its result. *)
+let exec code holes key pkt =
   let len = View.length pkt in
-  let stack = Array.make 32 0 in
-  let sp = ref 0 in
-  let cycles = ref 0 in
-  let push v =
-    stack.(!sp) <- v land 0xffff;
-    incr sp
+  let n = Array.length code in
+  let stack = Array.make Program.max_stack 0 in
+  let bin sp v = stack.(sp - 2) <- v land 0xffff in
+  let rec go i sp cycles =
+    if i = n then (stack.(sp - 1) <> 0, cycles)
+    else
+      let insn = Array.unsafe_get code i in
+      let cycles = cycles + Insn.cycles insn in
+      match insn with
+      | Insn.Push_lit v ->
+          stack.(sp) <- (match holes.(i) with None -> v | Some hole -> hole key land 0xffff);
+          go (i + 1) (sp + 1) cycles
+      | Insn.Push_word off ->
+          if off + 2 > len then (false, cycles)
+          else begin
+            stack.(sp) <- View.get_uint16 pkt off;
+            go (i + 1) (sp + 1) cycles
+          end
+      | Insn.Push_byte off ->
+          if off + 1 > len then (false, cycles)
+          else begin
+            stack.(sp) <- View.get_uint8 pkt off;
+            go (i + 1) (sp + 1) cycles
+          end
+      | Insn.Shl k ->
+          stack.(sp - 1) <- (stack.(sp - 1) lsl k) land 0xffff;
+          go (i + 1) sp cycles
+      | Insn.Shr k ->
+          stack.(sp - 1) <- stack.(sp - 1) lsr k;
+          go (i + 1) sp cycles
+      | Insn.Cand -> if stack.(sp - 1) = 0 then (false, cycles) else go (i + 1) (sp - 1) cycles
+      | Insn.Cor -> if stack.(sp - 1) <> 0 then (true, cycles) else go (i + 1) (sp - 1) cycles
+      | op ->
+          let a = stack.(sp - 2) and b = stack.(sp - 1) in
+          let flag c = if c then 1 else 0 in
+          bin sp
+            (match op with
+            | Insn.Eq -> flag (a = b)
+            | Insn.Ne -> flag (a <> b)
+            | Insn.Lt -> flag (a < b)
+            | Insn.Le -> flag (a <= b)
+            | Insn.Gt -> flag (a > b)
+            | Insn.Ge -> flag (a >= b)
+            | Insn.And -> a land b
+            | Insn.Or -> a lor b
+            | Insn.Xor -> a lxor b
+            | Insn.Add -> a + b
+            | Insn.Sub -> a - b
+            | Insn.Push_lit _ | Insn.Push_word _ | Insn.Push_byte _ | Insn.Shl _ | Insn.Shr _
+            | Insn.Cand | Insn.Cor ->
+                assert false);
+          go (i + 1) (sp - 1) cycles
   in
-  let pop () =
-    decr sp;
-    stack.(!sp)
-  in
-  let binop f =
-    let b = pop () in
-    let a = pop () in
-    push (f a b)
-  in
-  let cmp f =
-    let b = pop () in
-    let a = pop () in
-    push (if f a b then 1 else 0)
-  in
-  let step insn =
-    cycles := !cycles + Insn.cycles insn;
-    match insn with
-    | Insn.Push_lit v -> push v
-    | Insn.Push_word off ->
-        if off + 2 > len then raise (Done false) else push (View.get_uint16 pkt off)
-    | Insn.Push_byte off ->
-        if off + 1 > len then raise (Done false) else push (View.get_uint8 pkt off)
-    | Insn.Eq -> cmp ( = )
-    | Insn.Ne -> cmp ( <> )
-    | Insn.Lt -> cmp ( < )
-    | Insn.Le -> cmp ( <= )
-    | Insn.Gt -> cmp ( > )
-    | Insn.Ge -> cmp ( >= )
-    | Insn.And -> binop ( land )
-    | Insn.Or -> binop ( lor )
-    | Insn.Xor -> binop ( lxor )
-    | Insn.Add -> binop ( + )
-    | Insn.Sub -> binop ( - )
-    | Insn.Shl n -> push (pop () lsl n)
-    | Insn.Shr n -> push (pop () lsr n)
-    | Insn.Cand -> if pop () = 0 then raise (Done false)
-    | Insn.Cor -> if pop () <> 0 then raise (Done true)
-  in
-  let verdict =
-    try
-      List.iter step (Program.insns program);
-      pop () <> 0
-    with Done verdict -> verdict
-  in
-  (verdict, !cycles)
+  go 0 0 0
+
+let run_bound program ~hole =
+  let code = Array.of_list (Program.insns program) in
+  let holes = Array.init (Array.length code) hole in
+  fun key pkt -> exec code holes key pkt
+
+let run_counted program =
+  let run = run_bound program ~hole:(fun _ -> None) in
+  fun pkt -> run "" pkt
 
 let run program pkt = fst (run_counted program pkt)
 

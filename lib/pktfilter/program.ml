@@ -81,6 +81,35 @@ let tcp_conn ~src_ip ~dst_ip ~src_port ~dst_port =
                 (match_word off_sport src_port
                    (match_word off_dport dst_port [ Insn.Push_lit 1 ]))))))
 
+let tcp_conn_pins ~src_ip ~dst_ip ~src_port ~dst_port =
+  let word off v rest = (off, (v lsr 8) land 0xff) :: (off + 1, v land 0xff) :: rest in
+  let ip off addr rest =
+    let hi, lo = ip_halves addr in
+    word off hi (word (off + 2) lo rest)
+  in
+  word off_ethertype 0x0800
+    ((off_ip_proto, 6)
+    :: ip off_ip_src src_ip (ip off_ip_dst dst_ip (word off_sport src_port (word off_dport dst_port []))))
+
+let tcp_conn_bytes ~src_ip ~dst_ip ~src_port ~dst_port =
+  let b = Bytes.create 15 in
+  let word i v =
+    Bytes.unsafe_set b i (Char.unsafe_chr ((v lsr 8) land 0xff));
+    Bytes.unsafe_set b (i + 1) (Char.unsafe_chr (v land 0xff))
+  in
+  let ip i addr =
+    let hi, lo = ip_halves addr in
+    word i hi;
+    word (i + 2) lo
+  in
+  word 0 0x0800;
+  Bytes.unsafe_set b 2 (Char.unsafe_chr 6);
+  ip 3 src_ip;
+  ip 7 dst_ip;
+  word 11 src_port;
+  word 13 dst_port;
+  Bytes.unsafe_to_string b
+
 let tcp_dst_port ~dst_ip ~dst_port =
   of_insns
     (match_word off_ethertype 0x0800

@@ -43,6 +43,21 @@ val tcp_conn :
     seen by the receiver: [src_*] are the remote end, [dst_*] the local
     end.  Assumes a 20-byte IP header (our stack never sends options). *)
 
+val tcp_conn_pins :
+  src_ip:Uln_addr.Ip.t ->
+  dst_ip:Uln_addr.Ip.t ->
+  src_port:int ->
+  dst_port:int ->
+  (int * int) list
+(** The [(offset, byte)] pairs {!tcp_conn} pins for the same arguments,
+    in offset order: its bindings as a stamp of any [tcp_conn] shape
+    ({!Demux.stamp}). *)
+
+val tcp_conn_bytes :
+  src_ip:Uln_addr.Ip.t -> dst_ip:Uln_addr.Ip.t -> src_port:int -> dst_port:int -> string
+(** The bytes of {!tcp_conn_pins}, in the same (offset) order: a
+    [tcp_conn] shape's binding as {!Demux.stamp_bytes} takes it. *)
+
 val udp_port : dst_ip:Uln_addr.Ip.t -> dst_port:int -> t
 (** Match UDP datagrams to a local port. *)
 

@@ -78,7 +78,9 @@ let witness_of ~len constraints =
   List.iter (fun (o, b) -> if o < len then View.set_uint8 v o b) constraints;
   v
 
-let overlap_witness_analyzed (p1, (r1 : Absint.result)) (p2, (r2 : Absint.result)) =
+(* Witness search over pairs of accept paths; [accepts1]/[accepts2] are
+   the programs' real verdicts. *)
+let witness_search accepts1 (r1 : Absint.result) accepts2 (r2 : Absint.result) =
   let try_pair (a1 : Absint.accept_path) (a2 : Absint.accept_path) =
     match merge_constraints a1.Absint.ap_constraints a2.Absint.ap_constraints with
     | None -> None
@@ -88,11 +90,14 @@ let overlap_witness_analyzed (p1, (r1 : Absint.result)) (p2, (r2 : Absint.result
         (* The constraint sets may be incomplete ([ap_exact] false), so a
            candidate is only a witness once both programs concretely
            accept it: the flag always comes with a checked packet. *)
-        if Interp.run p1 w && Interp.run p2 w then Some w else None
+        if accepts1 w && accepts2 w then Some w else None
   in
   List.find_map
     (fun a1 -> List.find_map (fun a2 -> try_pair a1 a2) r2.Absint.r_accept_paths)
     r1.Absint.r_accept_paths
+
+let overlap_witness_analyzed (p1, r1) (p2, r2) =
+  witness_search (Interp.run p1) r1 (Interp.run p2) r2
 
 let overlap_witness p1 p2 =
   overlap_witness_analyzed (p1, Absint.analyze p1) (p2, Absint.analyze p2)
@@ -108,6 +113,43 @@ let subsumes_analyzed ~(general : Absint.result) ~(specific : Absint.result) =
 
 let subsumes ~general ~specific =
   subsumes_analyzed ~general:(Absint.analyze general) ~specific:(Absint.analyze specific)
+
+let conflict_analyzed (p1, r1) (p2, r2) =
+  match overlap_witness_analyzed (p1, r1) (p2, r2) with
+  | Some w
+    when not (subsumes_analyzed ~general:r1 ~specific:r2 || subsumes_analyzed ~general:r2 ~specific:r1)
+    ->
+      Some w
+  | _ -> None
+
+(* The analysis of a conjunctive-exact filter is its one accept path:
+   the constraints and the length; its costs play no part in overlap. *)
+let exact_analysis ~constraints ~min_len =
+  { Absint.r_always_false = false;
+    r_always_true = false;
+    r_min_accept_len = Some min_len;
+    r_wcet_interp = 0;
+    r_wcet_compiled = 0;
+    r_max_depth = 0;
+    r_accept_paths =
+      [ { Absint.ap_at = None;
+          ap_min_len = min_len;
+          ap_cycles = 0;
+          ap_constraints = constraints;
+          ap_exact = true } ];
+    r_conjunctive = true }
+
+(* An exact filter accepts every candidate [witness_search] builds for
+   it: the candidate carries its constraints and is at least its length
+   long.  So only the first program runs. *)
+let conflict_exact (p1, r1) ~constraints ~min_len =
+  let r2 = exact_analysis ~constraints ~min_len in
+  match witness_search (Interp.run p1) r1 (fun _ -> true) r2 with
+  | Some w
+    when not (subsumes_analyzed ~general:r1 ~specific:r2 || subsumes_analyzed ~general:r2 ~specific:r1)
+    ->
+      Some w
+  | _ -> None
 
 (* --- template consistency ---------------------------------------------- *)
 
@@ -153,23 +195,25 @@ let template_bytes tpl =
 let off_filter_dst_ip = 30
 let off_template_src_ip = 26
 
-let check_template ~filter:(r : Absint.result) tpl =
+let check_template_pins ~pinned tpl =
   match template_bytes tpl with
   | Error offset -> Error (Template_inconsistent { offset })
-  | Ok bytes -> (
-      match r.Absint.r_accept_paths with
-      | [ ap ] when r.Absint.r_conjunctive ->
-          let local_ip_byte i = List.assoc_opt (off_filter_dst_ip + i) ap.Absint.ap_constraints in
-          let rec check i =
-            if i = 4 then Ok ()
-            else
-              match local_ip_byte i with
-              | None -> Ok () (* filter does not pin the full local address *)
-              | Some v -> (
-                  match Hashtbl.find_opt bytes (off_template_src_ip + i) with
-                  | Some (0xff, v') when v' = v -> check (i + 1)
-                  | _ -> Error (Impersonation_hole { offset = off_template_src_ip + i }))
-          in
-          if List.for_all (fun i -> local_ip_byte i <> None) [ 0; 1; 2; 3 ] then check 0
-          else Ok ()
-      | _ -> Ok ())
+  | Ok bytes ->
+      let local_ip_byte i = pinned (off_filter_dst_ip + i) in
+      let rec check i =
+        if i = 4 then Ok ()
+        else
+          match local_ip_byte i with
+          | None -> Ok () (* filter does not pin the full local address *)
+          | Some v -> (
+              match Hashtbl.find_opt bytes (off_template_src_ip + i) with
+              | Some (0xff, v') when v' = v -> check (i + 1)
+              | _ -> Error (Impersonation_hole { offset = off_template_src_ip + i }))
+      in
+      if List.for_all (fun i -> local_ip_byte i <> None) [ 0; 1; 2; 3 ] then check 0 else Ok ()
+
+let check_template ~filter:(r : Absint.result) tpl =
+  match r.Absint.r_accept_paths with
+  | [ ap ] when r.Absint.r_conjunctive ->
+      check_template_pins ~pinned:(fun o -> List.assoc_opt o ap.Absint.ap_constraints) tpl
+  | _ -> check_template_pins ~pinned:(fun _ -> None) tpl

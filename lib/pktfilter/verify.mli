@@ -60,6 +60,21 @@ val overlap_witness_analyzed :
 val subsumes_analyzed : general:Absint.result -> specific:Absint.result -> bool
 (** {!subsumes} on analyses. *)
 
+val conflict_analyzed :
+  Program.t * Absint.result -> Program.t * Absint.result -> Uln_buf.View.t option
+(** The overlap-check verdict on two analysed programs: a witness both
+    accept when neither {!subsumes_analyzed} the other (benign
+    shadowing, such as a connection filter under its listener, is not a
+    conflict). *)
+
+val conflict_exact :
+  Program.t * Absint.result -> constraints:(int * int) list -> min_len:int -> Uln_buf.View.t option
+(** {!conflict_analyzed} against a conjunctive-exact filter that
+    accepts exactly the packets of length [>= min_len] carrying the
+    offset-sorted byte [constraints] — the accept set of a demux stamp.
+    Its analysis is that one path, so none is run, and only the first
+    program is run on a candidate witness. *)
+
 val merge_constraints : (int * int) list -> (int * int) list -> (int * int) list option
 (** Union of two offset-sorted [(byte offset, value)] constraint lists,
     sorted and with one pin per offset; [None] when some offset is
@@ -71,6 +86,12 @@ type template_error =
   | Impersonation_hole of { offset : int }
       (** the receive filter pins the endpoint's local address but the
           send template does not pin the IP source to it *)
+
+val check_template_pins :
+  pinned:(int -> int option) -> Template.t -> (unit, template_error) result
+(** {!check_template} against the bytes a receive filter pins: [pinned o]
+    is the byte it requires at offset [o], if any.  A demux stamp knows
+    its bytes without an analysis. *)
 
 val check_template : filter:Absint.result -> Template.t -> (unit, template_error) result
 (** Cross-check a channel's outbound template against the analysis of

@@ -256,38 +256,37 @@ type sparse_row = {
   sp_lock_contended : int;  (** shard-lock acquisitions that waited *)
 }
 
-(* Background connection [i]'s stamped constraint bytes.  Byte 27 pins
-   the synthetic 10.77/16 source network, so live traffic (10.0.0.x)
-   can never match a background filter; bytes 28/34/35 spread the 20-bit
-   flow id. *)
-let sparse_constraints i =
-  [ (27, 77);
-    (28, (i lsr 16) land 0xff);
-    (29, 2);
-    (34, (i lsr 8) land 0xff);
-    (35, i land 0xff) ]
+(* Background connection [i]'s 4-tuple, as the server sees it: a remote
+   end on the synthetic 10.77/16 network, so live traffic (10.0.0.x)
+   can never match a background filter, with the 20-bit flow id spread
+   over the third address byte and the remote port; the local end is
+   port 80. *)
+let sparse_remote i = (Uln_addr.Ip.make 10 77 ((i lsr 16) land 0xff) 2, i land 0xffff)
 
-(* Miss-path probe costs on a standalone table of [n] stamped filters:
-   the hierarchical path sampled densely enough for tail percentiles,
-   the linear scan sampled sparsely (each sample IS an O(n) walk). *)
+(* Miss-path probe costs on a standalone table of [n] connection
+   filters, each a stamp of one tcp_conn shape: the hierarchical path
+   sampled densely enough for tail percentiles, the linear scan sampled
+   sparsely (each sample IS an O(n) walk). *)
 let sparse_probe n =
   let module F = Uln_filter in
   let module View = Uln_buf.View in
   let module Ip = Uln_addr.Ip in
-  let src_ip = Ip.make 10 77 0 1 and dst_ip = Ip.make 10 0 0 1 in
+  let dst_ip = Ip.make 10 0 0 1 in
   let d = F.Demux.create ~mode:F.Demux.Interpreted ~hier:true () in
-  let tkey =
-    F.Demux.install_exn d
-      (F.Program.tcp_conn ~src_ip ~dst_ip ~src_port:9999 ~dst_port:80)
-      (-1)
+  let sh =
+    match
+      F.Demux.shape d (F.Program.tcp_conn ~src_ip:Ip.any ~dst_ip:Ip.any ~src_port:0 ~dst_port:0)
+    with
+    | Ok sh -> sh
+    | Error _ -> failwith "sparse_probe: tcp_conn has no shape"
   in
   for i = 0 to n - 1 do
+    let src_ip, src_port = sparse_remote i in
     match
-      F.Demux.install_stamped d ~template:tkey ~constraints:(sparse_constraints i)
-        ~min_len:54 i
+      F.Demux.stamp_bytes d sh (F.Program.tcp_conn_bytes ~src_ip ~dst_ip ~src_port ~dst_port:80) i
     with
     | Ok _ -> ()
-    | Error e -> failwith ("sparse_probe: " ^ e)
+    | Error e -> failwith (Format.asprintf "sparse_probe: %a" F.Demux.pp_stamp_error e)
   done;
   let pkt i =
     let v = View.create 54 in
@@ -298,6 +297,7 @@ let sparse_probe n =
     View.set_uint8 v 27 77;
     View.set_uint8 v 28 ((i lsr 16) land 0xff);
     View.set_uint8 v 29 2;
+    View.set_uint32 v 30 (Ip.to_int32 dst_ip);
     View.set_uint16 v 34 (i land 0xffff);
     View.set_uint16 v 36 80;
     v
@@ -327,27 +327,21 @@ let sparse_probe n =
   (Percentile.summarize hier_cycles, float_of_int !lin_total /. float_of_int lin_samples)
 
 (* Pre-populate host [host]'s network I/O module with [n] background
-   connection filters, stamped from one tcp_conn template.  The
-   synthetic flows live on 10.77/16 so live traffic never matches
-   them — they only weigh down the miss path. *)
+   connection filters, each a stamp of the host's one connection-filter
+   shape, as a live connection's.  The synthetic flows live on 10.77/16
+   so live traffic never matches them — they only weigh down the miss
+   path. *)
 let populate_background w ~host n =
-  let module F = Uln_filter in
-  let module Ip = Uln_addr.Ip in
   let module Registry = Uln_core.Registry in
   let netio = Option.get (World.netio w host) in
-  let reg = Option.get (World.registry w host) in
-  let dom = Registry.domain reg in
-  let bg_ip = Ip.make 10 77 0 1 in
+  let dom = Registry.domain (Option.get (World.registry w host)) in
+  let local_ip = World.host_ip w host in
   let ch = Netio.create_channel netio ~caller:dom ~owner:dom ~use_bqi:false in
-  let tkey =
-    Netio.add_filter netio ~caller:dom ch
-      (F.Program.tcp_conn ~src_ip:bg_ip ~dst_ip:(World.host_ip w host) ~src_port:9999
-         ~dst_port:80)
-  in
   for i = 0 to n - 1 do
+    let remote_ip, remote_port = sparse_remote i in
     ignore
-      (Netio.add_stamped_filter netio ~caller:dom ch ~template:tkey
-         ~constraints:(sparse_constraints i) ~min_len:54)
+      (Netio.add_stamped_filter netio ~caller:dom ch ~remote_ip ~remote_port ~local_ip
+         ~local_port:80)
   done
 
 (* Live setup/delivery latency against a server host whose demux already

@@ -721,6 +721,19 @@ let test_meter_rate () =
   Stats.Meter.mark m (Time.of_ns (Time.sec 1)) 1_000_000;
   Alcotest.(check (float 1.)) "8 Mb/s" 8.0 (Stats.Meter.megabits_per_sec m)
 
+(* Dropping a lock from the middle of the registry keeps the others in
+   their creation order, and a dropped lock can be dropped again. *)
+let test_unregister_keeps_order () =
+  let s = Sched.create () in
+  let locks = List.init 5 (fun i -> Semaphore.create ~name:(Printf.sprintf "l%d" i) ~sched:s ()) in
+  let names () = List.map (fun st -> st.Semaphore.s_name) (Semaphore.registered ~sched:s) in
+  Semaphore.unregister (List.nth locks 2);
+  Alcotest.(check (list string)) "middle dropped" [ "l0"; "l1"; "l3"; "l4" ] (names ());
+  Semaphore.unregister (List.nth locks 2);
+  Semaphore.unregister (List.nth locks 0);
+  ignore (Semaphore.create ~name:"l5" ~sched:s ());
+  Alcotest.(check (list string)) "order kept" [ "l1"; "l3"; "l4"; "l5" ] (names ())
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -750,7 +763,8 @@ let () =
         [ Alcotest.test_case "counts" `Quick test_semaphore_counts;
           Alcotest.test_case "blocks and wakes" `Quick test_semaphore_blocks_and_wakes;
           Alcotest.test_case "fifo" `Quick test_semaphore_fifo;
-          Alcotest.test_case "try_wait" `Quick test_try_wait ] );
+          Alcotest.test_case "try_wait" `Quick test_try_wait;
+          Alcotest.test_case "unregister keeps order" `Quick test_unregister_keeps_order ] );
       ( "mailbox",
         [ Alcotest.test_case "order" `Quick test_mailbox_order;
           Alcotest.test_case "blocking recv" `Quick test_mailbox_blocking_recv ] );

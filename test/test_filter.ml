@@ -432,6 +432,29 @@ let test_subsumption_not_flagged () =
 
 (* --- overlap check by program group ------------------------------------------- *)
 
+(* The concrete program a stamp stands for: [p] with the literal of every
+   load-vs-literal equality test rewritten from [pins] where they pin the
+   bytes its load reads (first pin of an offset wins; a stamp refuses
+   two).  Written against the instruction text, not the demux. *)
+let bind_program p pins =
+  let byte o dflt = match List.assoc_opt o pins with Some v -> v | None -> dflt in
+  let lit (l : Insn.t) v =
+    match l with
+    | Insn.Push_byte o -> byte o v
+    | Insn.Push_word o -> (byte o (v lsr 8) lsl 8) lor byte (o + 1) (v land 0xff)
+    | _ -> v
+  in
+  let is_load = function Insn.Push_byte _ | Insn.Push_word _ -> true | _ -> false in
+  let rec go = function
+    | l :: Insn.Push_lit v :: Insn.Eq :: rest when is_load l ->
+        l :: Insn.Push_lit (lit l v) :: Insn.Eq :: go rest
+    | Insn.Push_lit v :: l :: Insn.Eq :: rest when is_load l ->
+        Insn.Push_lit (lit l v) :: l :: Insn.Eq :: go rest
+    | i :: rest -> i :: go rest
+    | [] -> []
+  in
+  Program.of_insns (go (Program.insns p))
+
 (* The per-entry walk [Demux.conflicts] replaced, kept as the reference:
    every live entry, newest first, checked against [program] on its own. *)
 let reference_conflicts live (program, a) =
@@ -539,15 +562,20 @@ let prop_conflicts_match_reference =
               | Ok k -> live := (k, pa, !next_ep) :: !live
               | Error _ -> ())
           | Stamp (i, v) when !live <> [] -> (
-              let tk, tpa, _ = pick !live i in
+              (* a stamp of the shape of a live entry's program, binding
+                 the source port; the reference is that program with the
+                 port written in, analysed as if installed *)
+              let _, (tp, _), _ = pick !live i in
+              let pins = [ (34, v land 0xff); (35, (v lsr 8) land 0xff) ] in
               incr next_ep;
-              match
-                Demux.install_stamped d ~template:tk
-                  ~constraints:[ (34, v land 0xff); (35, (v lsr 8) land 0xff) ]
-                  ~min_len:54 !next_ep
-              with
-              | Ok k -> live := (k, tpa, !next_ep) :: !live
-              | Error _ -> ())
+              match Demux.shape d tp with
+              | Error _ -> ()
+              | Ok sh -> (
+                  match Demux.stamp d sh pins !next_ep with
+                  | Ok k ->
+                      let bp = bind_program tp pins in
+                      live := (k, (bp, Absint.analyze bp), !next_ep) :: !live
+                  | Error _ -> ()))
           | Remove i when !live <> [] ->
               let k, _, _ = pick !live i in
               Demux.remove d k;
@@ -626,23 +654,30 @@ let test_stamped_population_one_group () =
   let tk =
     Demux.install_exn d (Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:9999 ~dst_port:80) 0
   in
+  let sh =
+    match Demux.shape d (Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:9999 ~dst_port:80) with
+    | Ok sh -> sh
+    | Error _ -> Alcotest.fail "tcp_conn has no shape"
+  in
   for i = 1 to 65_536 do
     match
-      Demux.install_stamped d ~template:tk
-        ~constraints:[ (28, (i lsr 8) land 0xff); (29, i land 0xff); (34, 0x27); (35, 0x0f) ]
-        ~min_len:54 i
+      Demux.stamp d sh
+        (Program.tcp_conn_pins
+           ~src_ip:(Ip.make 10 1 ((i lsr 8) land 0xff) (i land 0xff))
+           ~dst_ip:ip_b ~src_port:9999 ~dst_port:80)
+        i
     with
     | Ok _ -> ()
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Format.asprintf "%a" Demux.pp_stamp_error e)
   done;
   check "entries" 65_537 (Demux.entries d);
-  check "template and its stamps are one group" 1 (Demux.live_groups d);
+  check "the installed program is the one group; stamps found none" 1 (Demux.live_groups d);
   let lk = Demux.install_exn d (Program.tcp_dst_port ~dst_ip:ip_b ~dst_port:81) (-1) in
   check "an install founds its own group" 2 (Demux.live_groups d);
   Demux.remove d tk;
-  check "stamps keep the template's group alive" 2 (Demux.live_groups d);
+  check "a removed install leaves; the stamps still found none" 1 (Demux.live_groups d);
   Demux.remove d lk;
-  check "an empty group is dropped" 1 (Demux.live_groups d)
+  check "no group is left" 0 (Demux.live_groups d)
 
 (* --- dispatch cost accounting ------------------------------------------------- *)
 
@@ -668,35 +703,41 @@ let test_dispatch_charges_executed_only () =
 
 (* --- stamped entries: charged cycles and footprint ------------------------ *)
 
-(* Random stamped tables.  Templates are tcp_conn filters; stamps pin
-   bytes at offsets drawn from a small pool, so constraint lists arrive
-   unsorted and with duplicate (even contradictory) offsets, under
-   several minimum lengths.  Templates may be dropped while their stamps
-   live, before or after those stamps were first scanned. *)
+(* Random stamped tables.  Templates are tcp_conn filters, installed as
+   programs, each with its shape; stamps bind bytes at offsets drawn from
+   a small pool, so bindings arrive unsorted, with duplicate offsets
+   (a contradictory pair is refused) and now and then an offset the
+   shape does not pin (refused too).  Templates may be dropped while
+   their stamps live. *)
 type stamp_op =
   | Template of int  (* install tcp_conn from source port 1000 + i *)
-  | Stamp of int * (int * int) list * int  (* template pick, pins, min_len *)
+  | Stamp of int * (int * int) list  (* template pick, pins *)
   | Drop of int  (* remove a live template *)
   | Probe of int * int * int option  (* entry pick, length, flipped pin offset *)
 
 let pp_stamp_op = function
   | Template i -> Printf.sprintf "template %d" i
-  | Stamp (i, cs, ml) ->
-      Printf.sprintf "stamp %d [%s] %d" i
+  | Stamp (i, cs) ->
+      Printf.sprintf "stamp %d [%s]" i
         (String.concat ";" (List.map (fun (o, v) -> Printf.sprintf "%d=%d" o v) cs))
-        ml
   | Drop i -> Printf.sprintf "drop %d" i
   | Probe (e, len, flip) ->
       Printf.sprintf "probe %d len %d%s" e len
         (match flip with Some o -> Printf.sprintf " flip %d" o | None -> "")
+
+let template_program i =
+  Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:(1000 + i) ~dst_port:80
 
 let template_packet i =
   fake_tcp_packet ~src_ip:ip_a ~dst_ip:ip_b ~src_port:(1000 + i) ~dst_port:80
 
 let pin_offsets = [ 12; 13; 14; 23; 27; 29; 31; 33; 34; 35; 36; 37 ]
 
+(* The offsets a tcp_conn shape pins. *)
+let tcp_pinned = List.map fst (Program.tcp_conn_pins ~src_ip:ip_a ~dst_ip:ip_b ~src_port:0 ~dst_port:0)
+
 (* Mostly the bytes some template expects, so that a near-miss packet
-   gets a varying way into the template's program before it fails. *)
+   gets a varying way into the program before it fails. *)
 let gen_pin =
   let open QCheck.Gen in
   oneofl pin_offsets >>= fun o ->
@@ -708,31 +749,27 @@ let gen_stamp_ops =
   list_size (1 -- 40)
     (frequency
        [ (1, map (fun i -> Template i) (0 -- 7));
-         ( 4,
-           map3
-             (fun i cs ml -> Stamp (i, cs, ml))
-             (0 -- 7) (list_size (1 -- 8) gen_pin)
-             (oneofl [ 0; 38; 54; 60 ]) );
+         (4, map2 (fun i cs -> Stamp (i, cs)) (0 -- 7) (list_size (1 -- 8) gen_pin));
          (1, map (fun i -> Drop i) (0 -- 7));
          ( 4,
            map3
              (fun e len flip -> Probe (e, len, flip))
-             (0 -- 63) (38 -- 64)
+             (0 -- 63) (30 -- 64)
              (option (oneofl pin_offsets)) ) ])
 
-(* The near-miss packet as stamping measured it eagerly: the pins sorted
-   stably by offset, written in that order, at least [min_len] long. *)
-let packet_of_pins cs min_len =
-  let cs = List.stable_sort (fun (a, _) (b, _) -> compare a b) cs in
-  let v = View.create (List.fold_left (fun m (o, _) -> max m (o + 1)) min_len cs) in
-  List.iter (fun (o, b) -> View.set_uint8 v o b) cs;
-  v
+(* [p] optimized, as the table runs it, in [mode]'s cost model. *)
+let counted mode p =
+  let o = Optimize.run p in
+  match mode with
+  | Demux.Interpreted -> Interp.run_counted o
+  | Demux.Compiled -> Compile.compile_counted o
+
+let write_pins v cs = List.iter (fun (o, b) -> View.set_uint8 v o b) cs
 
 (* On the scan path every packet's (endpoint, cycles) equals a reference
-   walk in priority order in which a template runs its own program and a
-   stamp matches its pins and charges the cycles measured eagerly at
-   stamping: the template program on its own tuple's packet when
-   accepted, on the stamp's near-miss packet when rejected. *)
+   walk in priority order in which a template runs its own optimized
+   program and a stamp runs the bound concrete program: the template's
+   with the stamp's bytes written into its literals. *)
 let prop_stamped_cycles_match_eager =
   QCheck.Test.make ~name:"stamped scan cycles = eager reference (interp/compiled)" ~count:300
     (QCheck.make
@@ -744,20 +781,9 @@ let prop_stamped_cycles_match_eager =
       let mode = if compiled then Demux.Compiled else Demux.Interpreted in
       let d = Demux.create ~mode ~hier:true () in
       Demux.set_hier d false;
-      (* template [i]'s program alone: accepted flag and cycles *)
-      let program_run i =
-        let r = Demux.create ~mode () in
-        ignore
-          (Demux.install_exn r
-             (Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:(1000 + i) ~dst_port:80)
-             ());
-        fun pkt ->
-          let ep, c = Demux.dispatch r pkt in
-          (ep <> None, c)
-      in
-      (* reference entries, newest first: endpoint and its run *)
+      (* reference entries, newest first: key, endpoint and its run *)
       let live = ref [] in
-      let templates = ref [] (* (key, i), newest first *) in
+      let templates = ref [] (* (key, i, shape), newest first *) in
       let probes = ref [] (* every packet an entry was built around *) in
       let next_ep = ref 0 in
       let pick l i = List.nth l (i mod List.length l) in
@@ -766,47 +792,47 @@ let prop_stamped_cycles_match_eager =
           match op with
           | Template i ->
               incr next_ep;
-              let k =
-                Demux.install_exn d
-                  (Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:(1000 + i) ~dst_port:80)
-                  !next_ep
+              let k = Demux.install_exn d (template_program i) !next_ep in
+              let sh =
+                match Demux.shape d (template_program i) with
+                | Ok sh -> sh
+                | Error _ -> QCheck.Test.fail_reportf "tcp_conn has no shape"
               in
-              templates := (k, i) :: !templates;
-              live := (k, !next_ep, program_run i) :: !live;
+              templates := (k, i, sh) :: !templates;
+              live := (k, !next_ep, counted mode (template_program i)) :: !live;
               probes := template_packet i :: !probes;
               true
-          | Stamp (i, cs, min_len) when !templates <> [] -> (
-              let tk, ti = pick !templates i in
-              let run = program_run ti in
-              let accept = snd (run (template_packet ti)) in
-              let reject = snd (run (packet_of_pins cs min_len)) in
-              let stamp_run pkt =
-                let ok =
-                  View.length pkt >= min_len
-                  && List.for_all (fun (o, b) -> View.get_uint8 pkt o = b) cs
-                in
-                (ok, if ok then accept else reject)
+          | Stamp (i, cs) when !templates <> [] -> (
+              let _, ti, sh = pick !templates i in
+              let refused =
+                List.exists (fun (o, _) -> not (List.mem o tcp_pinned)) cs
+                || List.exists (fun (o, v) -> List.exists (fun (o', v') -> o = o' && v <> v') cs) cs
               in
+              let before = Demux.entries d in
               incr next_ep;
-              match Demux.install_stamped d ~template:tk ~constraints:cs ~min_len !next_ep with
-              | Ok k ->
-                  live := (k, !next_ep, stamp_run) :: !live;
-                  probes := packet_of_pins cs min_len :: !probes;
+              match Demux.stamp d sh cs !next_ep with
+              | Ok k when not refused ->
+                  live := (k, !next_ep, counted mode (bind_program (template_program ti) cs)) :: !live;
+                  let pkt = template_packet ti in
+                  write_pins pkt cs;
+                  probes := pkt :: !probes;
                   true
-              | Error e -> QCheck.Test.fail_reportf "install_stamped: %s" e)
+              | Error _ when refused -> Demux.entries d = before
+              | Ok _ -> QCheck.Test.fail_reportf "a refusable stamp was made"
+              | Error e -> QCheck.Test.fail_reportf "stamp: %a" Demux.pp_stamp_error e)
           | Drop i when !templates <> [] ->
-              let tk, _ = pick !templates i in
+              let tk, _, _ = pick !templates i in
               Demux.remove d tk;
-              templates := List.filter (fun (k, _) -> k <> tk) !templates;
+              templates := List.filter (fun (k, _, _) -> k <> tk) !templates;
               live := List.filter (fun (k, _, _) -> k <> tk) !live;
               true
           | Probe (e, len, flip) when !probes <> [] ->
               let base = pick !probes e in
-              let pkt = View.create (max len (View.length base)) in
-              View.blit base 0 pkt 0 (View.length base);
+              let pkt = View.create len in
+              View.blit base 0 pkt 0 (min len (View.length base));
               (match flip with
-              | Some o -> View.set_uint8 pkt o (View.get_uint8 pkt o lxor 1)
-              | None -> ());
+              | Some o when o < len -> View.set_uint8 pkt o (View.get_uint8 pkt o lxor 1)
+              | _ -> ());
               let rec walk cost = function
                 | [] -> (None, cost)
                 | (_, ep, run) :: rest ->
@@ -817,9 +843,136 @@ let prop_stamped_cycles_match_eager =
           | Stamp _ | Drop _ | Probe _ -> true)
         ops)
 
-(* A pin that is not an (offset, byte) pair is refused before the
-   table changes: the entry must not reach the priority list without its
-   index. *)
+(* The exactness oracle.  Random shapes — tcp_conn of a random 4-tuple,
+   or a chain of word and byte equality tests at random offsets whose
+   literals come from one random packet — random bindings of their
+   pinned bytes, and packets around the stamp's own: itself, a near miss
+   at every pinned byte, every shorter length down past the shape's
+   minimum, and random flipped bytes.  In both modes a stamp's
+   (accepted, cycles) equals the bound concrete program's, optimized;
+   and the hierarchical index, which trusts the stamp's bytes, agrees. *)
+type shape_case =
+  | Conn of int * int * int * int  (* remote ip, local ip, remote port, local port *)
+  | Chain of (int * int) list  (* (offset, width) tests *)
+
+let pp_shape_case = function
+  | Conn (a, b, sp, dp) -> Printf.sprintf "conn %x %x %d %d" a b sp dp
+  | Chain ts -> "chain " ^ String.concat ";" (List.map (fun (o, w) -> Printf.sprintf "%d/%d" o w) ts)
+
+let gen_shape_case =
+  let open QCheck.Gen in
+  frequency
+    [ ( 1,
+        map
+          (fun (a, b, sp, dp) -> Conn (a, b, sp, dp))
+          (quad (0 -- 0x3fffffff) (0 -- 0x3fffffff) (0 -- 0xffff) (0 -- 0xffff)) );
+      (2, map (fun ts -> Chain ts) (list_size (1 -- 5) (pair (10 -- 40) (1 -- 2)))) ]
+
+let ip_of_int i = Ip.make ((i lsr 24) land 0xff) ((i lsr 16) land 0xff) ((i lsr 8) land 0xff) (i land 0xff)
+
+let prop_stamp_exact =
+  QCheck.Test.make ~name:"stamp = bound concrete program (interp/compiled)" ~count:500
+    (QCheck.make
+       ~print:(fun (compiled, case, base, binds, flips) ->
+         Printf.sprintf "%s %s base %S binds [%s] flips [%s]"
+           (if compiled then "compiled" else "interpreted")
+           (pp_shape_case case) base
+           (String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v) binds))
+           (String.concat ";" (List.map string_of_int flips)))
+       QCheck.Gen.(
+         tup5 bool gen_shape_case (string_size (return 48))
+           (list_size (0 -- 6) (pair nat (0 -- 255)))
+           (list_size (0 -- 6) (0 -- 47))))
+    (fun (compiled, case, base, binds, flips) ->
+      let mode = if compiled then Demux.Compiled else Demux.Interpreted in
+      let byte o = Char.code base.[o] in
+      let program, pinned =
+        match case with
+        | Conn (a, b, sp, dp) ->
+            let pins =
+              Program.tcp_conn_pins ~src_ip:(ip_of_int a) ~dst_ip:(ip_of_int b) ~src_port:sp
+                ~dst_port:dp
+            in
+            ( Program.tcp_conn ~src_ip:(ip_of_int a) ~dst_ip:(ip_of_int b) ~src_port:sp
+                ~dst_port:dp,
+              List.map fst pins )
+        | Chain ts ->
+            let test (o, w) =
+              if w = 1 then [ Insn.Push_byte o; Insn.Push_lit (byte o); Insn.Eq; Insn.Cand ]
+              else [ Insn.Push_word o; Insn.Push_lit ((byte o lsl 8) lor byte (o + 1)); Insn.Eq; Insn.Cand ]
+            in
+            ( Program.of_insns (List.concat_map test ts @ [ Insn.Push_lit 1 ]),
+              List.sort_uniq compare (List.concat_map (fun (o, w) -> if w = 1 then [ o ] else [ o; o + 1 ]) ts) )
+      in
+      let d = Demux.create ~mode () in
+      match Demux.shape d program with
+      | Error _ -> QCheck.Test.fail_reportf "no shape"
+      | Ok sh -> (
+          let n = List.length pinned in
+          (* one binding per offset, the first drawn *)
+          let pins =
+            List.fold_left
+              (fun acc (k, v) ->
+                let o = List.nth pinned (k mod n) in
+                if List.mem_assoc o acc then acc else acc @ [ (o, v) ])
+              [] binds
+          in
+          match Demux.stamp d sh pins 1 with
+          | Error e -> QCheck.Test.fail_reportf "stamp: %a" Demux.pp_stamp_error e
+          | Ok _ ->
+              let concrete = bind_program program pins in
+              let reference = counted mode concrete in
+              (* the stamp's own packet: the shape's bytes, bound *)
+              let own = View.create 54 in
+              (match case with
+              | Conn _ -> write_pins own (Program.tcp_conn_pins ~src_ip:Ip.any ~dst_ip:Ip.any ~src_port:0 ~dst_port:0)
+              | Chain _ -> View.blit (View.of_string base) 0 own 0 48);
+              (match case with
+              | Conn (a, b, sp, dp) ->
+                  write_pins own
+                    (Program.tcp_conn_pins ~src_ip:(ip_of_int a) ~dst_ip:(ip_of_int b)
+                       ~src_port:sp ~dst_port:dp)
+              | Chain _ -> ());
+              write_pins own pins;
+              let variant f =
+                let v = View.create (View.length own) in
+                View.blit own 0 v 0 (View.length own);
+                f v;
+                v
+              in
+              let flip o v = View.set_uint8 v o (View.get_uint8 v o lxor 0x5a) in
+              let packets =
+                (own :: List.map (fun o -> variant (flip o)) pinned)
+                @ List.map (fun o -> variant (flip o)) flips
+                @ List.init 54 (fun len -> View.sub own 0 len)
+              in
+              List.for_all
+                (fun pkt ->
+                  Demux.set_hier d false;
+                  let ep, cycles = Demux.dispatch d pkt in
+                  Demux.set_hier d true;
+                  let hier_ep, _ = Demux.dispatch d pkt in
+                  (ep <> None, cycles) = reference pkt && hier_ep = ep)
+                packets))
+
+(* [tcp_conn_pins] is the byte image of [tcp_conn], and [tcp_conn_bytes]
+   its bytes in the same order; a stamp of them is the program itself. *)
+let test_tcp_conn_pins () =
+  let args = (ip_a, ip_b, 1234, 80) in
+  let src_ip, dst_ip, src_port, dst_port = args in
+  let pins = Program.tcp_conn_pins ~src_ip ~dst_ip ~src_port ~dst_port in
+  let a = Absint.analyze (Program.tcp_conn ~src_ip ~dst_ip ~src_port ~dst_port) in
+  (match a.Absint.r_accept_paths with
+  | [ ap ] -> Alcotest.(check (list (pair int int))) "the program's constraints" ap.Absint.ap_constraints pins
+  | _ -> Alcotest.fail "tcp_conn has one accept path");
+  Alcotest.(check string) "bytes in pin order"
+    (String.init (List.length pins) (fun i -> Char.chr (snd (List.nth pins i))))
+    (Program.tcp_conn_bytes ~src_ip ~dst_ip ~src_port ~dst_port)
+
+(* A binding the shape does not pin, two values for one byte, a
+   non-byte, and a send template whose source is not the stamp's local
+   address are refused with their typed errors before the table
+   changes; so is [install_stamped]'s text error. *)
 let test_stamp_rejects_non_byte_pin () =
   let d = Demux.create ~mode:Demux.Interpreted ~hier:true () in
   let tk =
@@ -831,35 +984,69 @@ let test_stamp_rejects_non_byte_pin () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "a non-byte pin was stamped")
     [ (35, 256); (35, -1); (-1, 0) ];
-  check "only the template" 1 (Demux.entries d)
+  let sh =
+    match Demux.shape d (Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:9999 ~dst_port:80) with
+    | Ok sh -> sh
+    | Error _ -> Alcotest.fail "tcp_conn has no shape"
+  in
+  let refused what expect ?template pins =
+    match Demux.stamp ?template d sh pins 1 with
+    | Error e when expect e -> ()
+    | Error e -> Alcotest.fail (Format.asprintf "%s: wrong refusal: %a" what Demux.pp_stamp_error e)
+    | Ok _ -> Alcotest.fail (what ^ " was stamped")
+  in
+  refused "an unpinned byte" (function Demux.Unpinned { offset = 14 } -> true | _ -> false) [ (14, 0x45) ];
+  refused "two values for one byte"
+    (function Demux.Conflicting { offset = 35 } -> true | _ -> false)
+    [ (35, 1); (34, 0); (35, 2) ];
+  refused "a non-byte" (function Demux.Not_a_byte _ -> true | _ -> false) [ (35, 256) ];
+  refused "an impersonating template"
+    (function Demux.Impersonation (Verify.Impersonation_hole _) -> true | _ -> false)
+    ~template:(Template.tcp_conn ~src_ip:ip_c ~dst_ip:ip_a ~src_port:80 ~dst_port:9999 ())
+    [];
+  (match
+     Demux.stamp d sh
+       ~template:(Template.tcp_conn ~src_ip:ip_b ~dst_ip:ip_a ~src_port:80 ~dst_port:9999 ())
+       [] 2
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Format.asprintf "an honest template: %a" Demux.pp_stamp_error e));
+  check "the template and the honest stamp" 2 (Demux.entries d)
 
-(* Live words a stamped entry keeps in a bare hierarchical table.  Each
-   entry holds its proof (offsets shared with its shape, one key string
-   for bucket and flow cache), the template's shared run record and its
-   group: no per-entry closure, constraint list or rebuilt key.  Read
-   with this harness on x86-64 (4 pins per stamp, dev and release
-   builds alike): 60.5 words when every stamp carried a closure over its
-   sorted constraint list, 34.5 with the compact proof. *)
+(* Live words a stamped entry keeps in a bare hierarchical table: its
+   record, its proof (offsets shared with its shape, one 15-byte key
+   string for bucket, flow cache and binding), and its index cells — no
+   program, analysis or closure of its own.  Read with this harness on
+   x86-64 (dev and release builds alike): 60.5 words when every stamp
+   carried a closure over its sorted constraint list, 34.5 with the
+   compact proof of 4 pinned bytes, 33.0 as a stamp of the whole
+   tcp_conn shape (15 bytes). *)
 let test_stamped_retained_words () =
   let n = 4096 in
   let d = Demux.create ~mode:Demux.Interpreted ~hier:true () in
-  let tk =
-    Demux.install_exn d (Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:9999 ~dst_port:80) 0
+  let sh =
+    match Demux.shape d (Program.tcp_conn ~src_ip:ip_a ~dst_ip:ip_b ~src_port:9999 ~dst_port:80) with
+    | Ok sh -> sh
+    | Error _ -> Alcotest.fail "tcp_conn has no shape"
   in
   Gc.full_major ();
   let before = (Gc.stat ()).Gc.live_words in
   for i = 1 to n do
     match
-      Demux.install_stamped d ~template:tk
-        ~constraints:[ (28, (i lsr 8) land 0xff); (29, i land 0xff); (34, 0x27); (35, 0x0f) ]
-        ~min_len:54 i
+      Demux.stamp d sh
+        (Program.tcp_conn_pins
+           ~src_ip:(Ip.make 10 1 ((i lsr 8) land 0xff) (i land 0xff))
+           ~dst_ip:ip_b ~src_port:0x270f ~dst_port:80)
+        i
     with
     | Ok _ -> ()
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Format.asprintf "%a" Demux.pp_stamp_error e)
   done;
   Gc.full_major ();
-  let per_entry = float_of_int ((Gc.stat ()).Gc.live_words - before) /. float_of_int n in
-  check "entries" (n + 1) (Demux.entries (Sys.opaque_identity d));
+  let per_entry =
+    float_of_int ((Gc.stat ()).Gc.live_words - before) /. float_of_int n
+  in
+  check "entries" n (Demux.entries (Sys.opaque_identity d));
   check_bool (Printf.sprintf "%.1f live words per stamped entry; bound 45" per_entry) true
     (per_entry < 45.)
 
@@ -965,6 +1152,8 @@ let () =
       ( "cost",
         [ Alcotest.test_case "charges executed cycles" `Quick test_dispatch_charges_executed_only;
           qc prop_stamped_cycles_match_eager;
+          qc prop_stamp_exact;
+          Alcotest.test_case "tcp_conn pins and bytes" `Quick test_tcp_conn_pins;
           Alcotest.test_case "stamp rejects a non-byte pin" `Quick test_stamp_rejects_non_byte_pin;
           Alcotest.test_case "stamped entry retained words" `Quick test_stamped_retained_words ] );
       ( "optimize",
